@@ -324,7 +324,9 @@ def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, sam
     z_lo, z_hi = cfg.q**10, cfg.q**-1
     dense = np.linspace(z_lo, z_hi, 200)
     lattice_span = [cfg.q ** float(n) for n in range(-1, 11)]
-    zs = np.unique(np.concatenate([dense, lattice_span]))
+    # sorted and deduplicated without np.unique, which imports numpy.ma
+    zs = np.sort(np.concatenate([dense, lattice_span]))
+    zs = zs[np.concatenate(([True], np.diff(zs) > 0))]
     span_exps = [n for n in range(-1, 11) if window.contains(n)]
 
     for a_exp in a_exps:

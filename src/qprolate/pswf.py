@@ -8,9 +8,19 @@ the only discretization.  In the weighted coordinates y_m = sqrt(w_m) u_m
 the operator matrix B_km = c_qv sqrt(w_k w_m) j_v(a^2 q^{k+m}, q^2) is
 symmetric, and its eigenvalues fall off so fast (roughly like q^{3 i^2}
 at q = 1/2) that everything past the fourth pair drowns in float64
-roundoff of B itself.  The eigensolver therefore escalates to mpmath,
-rebuilding the matrix at enough digits to resolve every retained pair;
-results are returned in float64.
+roundoff of B itself.  The eigensolver therefore escalates to mpmath at
+enough digits to resolve every retained pair; results are returned in
+float64.
+
+The mpmath solve never forms B.  With j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
+c_n = q^{n(n+1)} / ((q^2;q^2)_n (q^{2v+2};q^2)_n) > 0, B = G J G^T exactly,
+where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) and J = diag((-1)^n).
+G is cut at the first N whose largest column scale c_qv w_0 c_n a^{4n}
+falls below 10^{-dps} (N is 8-32 for the usual requests); a skinny QR
+G = Q R leaves the N x N eigenproblem R J R^T = U diag(lambda) U^T, and
+the eigenvectors of B are Q U.  The alternating sum cancels where column
+scales exceed 1 (band edges above 1), so the working precision carries
+log10 of the largest one on top.
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -33,6 +43,8 @@ from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
 _LAMBDA_FLOOR = 1e-150
+# float64 eigh of B resolves |lambda| down to about this fraction of the top
+_FLOAT_RESOLUTION = 1e-11
 _MAX_DPS = 3000
 
 
@@ -104,67 +116,44 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
 
 
-def _mp_qpoch_inf(z, q, dps):
-    out = mp.mpf(1)
-    term = z
-    floor = mp.mpf(10) ** (-dps - 5)
-    while abs(term) > floor:
-        out *= 1 - term
-        term *= q
-    return out
-
-
-def _mp_jv_lattice(s: int, q, v, dps: int):
-    """j_v(q^s, q^2) rebuilt at working precision; escalates further when
-    the alternating series cancels (possible for band edges above 1)."""
-    local = dps
-    while True:
-        with mp.workdps(local):
-            z2 = q ** (2 * s)
-            term = mp.mpf(1)
-            total = mp.mpf(0)
-            max_term = mp.mpf(0)
-            floor = mp.mpf(10) ** (-local)
-            n = 0
-            while True:
-                total += term
-                at = abs(term)
-                if at > max_term:
-                    max_term = at
-                ratio = (
-                    q ** (2 * (n + 1))
-                    * z2
-                    / ((1 - q ** (2 * (n + 1))) * (1 - q ** (2 * v + 2) * q ** (2 * n)))
-                )
-                term = -term * ratio
-                n += 1
-                if abs(term) < floor * max(1, max_term):
-                    break
-        # tolerate ~15 cancelled digits within the dps budget; escalate past that
-        if total == 0 or max_term * mp.mpf(10) ** (dps - 15 - local) <= abs(total):
-            return total
-        local *= 2
-
-
 def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
-    """All eigenpairs of the operator matrix rebuilt at ``dps`` digits."""
-    with mp.workdps(dps):
-        q = mp.mpf(p.q)
-        v = mp.mpf(p.v)
-        c = _mp_qpoch_inf(q ** (2 * v + 2), q * q, dps) / _mp_qpoch_inf(q * q, q * q, dps) / (1 - q)
-        mdim = b.depth
-        jtab = [_mp_jv_lattice(2 * b.a_exp + s, q, v, dps) for s in range(0, 2 * mdim - 1)]
-        a = q ** b.a_exp
-        w = [(1 - q) * a ** (2 * v + 2) * q ** (mm * (2 * v + 2)) for mm in range(mdim)]
-        sq = [mp.sqrt(x) for x in w]
-        bm = mp.matrix(mdim, mdim)
-        for k in range(mdim):
-            for mm in range(k, mdim):
-                val = c * sq[k] * sq[mm] * jtab[k + mm]
-                bm[k, mm] = val
-                bm[mm, k] = val
-        evals, evecs = mp.eigsy(bm)
-        return evals, evecs, sq
+    """Eigenpairs of B through its factor G J G^T at ``dps`` digits (see the
+    module docstring); returns (evals, Q, U, sqrt(w_m)), so that the
+    eigenvectors of B are the columns of Q U."""
+    q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
+    # log10 of the column scales c_qv w_0 c_n a^{4n}; G is cut where they
+    # first fall dps digits below ref = min(1, scale at n = 0).  They are
+    # log-concave in n, so that first drop lies past their peak.
+    logs = [math.log10(p.c_qv * (1.0 - q)) + (2.0 * v + 2.0) * b.a_exp * lq]
+    ref = min(logs[0], 0.0)
+    while logs[-1] >= ref - dps:
+        n = len(logs)
+        logs.append(logs[-1] + (2 * n + 4 * b.a_exp) * lq
+                    - math.log10((1.0 - q ** (2 * n)) * (1.0 - q ** (2.0 * v + 2 * n))))
+    nterms = len(logs) - 1
+    work = dps + math.ceil(max(logs) - ref)  # digits the alternating sum cancels
+    with mp.workdps(work):
+        qm, vm = mp.mpf(q), mp.mpf(v)
+        q2 = qm * qm
+        c = mp.qp(qm ** (2 * vm + 2), q2) / mp.qp(q2, q2) / (1 - qm)
+        a = qm ** b.a_exp
+        sq = [mp.sqrt((1 - qm) * a ** (2 * vm + 2) * qm ** (m * (2 * vm + 2))) for m in range(mdim)]
+        x2 = [(a * qm**k) ** 2 for k in range(mdim)]
+        g = mp.matrix(mdim, nterms)
+        col = [mp.sqrt(c) * s for s in sq]  # column n of G from column n-1
+        for n in range(nterms):
+            if n:
+                ratio = mp.sqrt(q2**n / ((1 - q2**n) * (1 - qm ** (2 * vm + 2 * n))))
+                col = [x * y * ratio for x, y in zip(col, x2)]
+            for k in range(mdim):
+                g[k, n] = col[k]
+        qf, r = mp.qr(g, mode="skinny") if nterms < mdim else (mp.eye(mdim), g)
+        rj = r.copy()
+        for n in range(1, nterms, 2):  # R J flips the odd columns of R
+            for k in range(rj.rows):
+                rj[k, n] = -rj[k, n]
+        evals, u = mp.eigsy(rj * r.T)
+        return evals, qf, u, sq
 
 
 def _sample_sign(samples: np.ndarray) -> float:
@@ -186,9 +175,9 @@ def _sample_sign(samples: np.ndarray) -> float:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
-    evals, evecs, sq = _mp_eigensystem(b, p, dps)
+    evals, qf, u, sq = _mp_eigensystem(b, p, dps)
     mdim = b.depth
-    order = sorted(range(mdim), key=lambda i: -abs(evals[i]))
+    order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))
     top = abs(evals[order[0]])
     floor = top * mp.mpf(10) ** (-(dps - 25))
     lams = []
@@ -203,29 +192,36 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
                 break  # lambda^2 would underflow float64
             if abs(lam) < floor:
                 return None, False
-            unit = np.array([float(evecs[mm, i] / sq[mm]) for mm in range(mdim)])
-            smp = np.array([float(lam * evecs[mm, i] / sq[mm]) for mm in range(mdim)])
+            vec = qf * u.column(i)
+            unit = np.array([float(vec[mm] / sq[mm]) for mm in range(mdim)])
+            smp = np.array([float(lam * vec[mm] / sq[mm]) for mm in range(mdim)])
             sgn = _sample_sign(smp)
             lams.append(float(lam))
             funcs.append(sgn * smp)
             units.append(sgn * unit)
+        else:
+            if len(lams) < keep and len(evals) < mdim:
+                return None, False  # the truncated series ran out of pairs
     basis = PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(units))
     return basis, True
 
 
-def _predict_dps(log_lams: list[float], keep: int) -> int:
+def _predict_dps(log_lams: list[float], keep: int, q: float) -> int:
     """Digits needed to resolve lambda_{keep-1}, extrapolating the decay of
-    the already-resolved |eigenvalues| (their log10 falls off roughly
-    quadratically in the index, so increments grow linearly)."""
-    if len(log_lams) < 3:
-        return 60
+    the already-resolved |eigenvalues|: their log10 falls off quadratically
+    in the index, so increments grow linearly, by -6 log10(q) in the limit.
+    That limit stands in for the measured growth when fewer than three
+    values resolve, and the first extrapolated value is put no higher
+    than the float64 resolution level, since it did not resolve there."""
     d = [log_lams[i - 1] - log_lams[i] for i in range(1, len(log_lams))]
     growth = [d[i] - d[i - 1] for i in range(1, len(d))]
-    step = max(0.0, sum(growth[-3:]) / len(growth[-3:]))
+    step = max(0.0, sum(growth[-3:]) / len(growth[-3:])) if growth else -6.0 * math.log10(q)
     level = log_lams[-1]
-    inc = d[-1]
-    for _ in range(len(log_lams), keep):
+    inc = d[-1] if d else 0.0
+    for i in range(len(log_lams), keep):
         inc += step
+        if i == len(log_lams):
+            inc = max(inc, level - math.log10(_FLOAT_RESOLUTION))
         level -= inc
         if level < math.log10(_LAMBDA_FLOOR):
             break  # retention will cap at the float64 representability floor
@@ -253,7 +249,7 @@ def eigendecompose(
         raise SolverNoConvergence(str(exc)) from exc
     order = np.argsort(-np.abs(evals))
     top = abs(evals[order[0]])
-    resolvable = np.abs(evals[order]) > 1e-11 * top
+    resolvable = np.abs(evals[order]) > _FLOAT_RESOLUTION * top
     if resolvable[:keep].all():
         sqw = np.sqrt(b.weights(p))
         lams, funcs, units = [], [], []
@@ -269,7 +265,7 @@ def eigendecompose(
         return PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(units))
 
     prefix = [math.log10(abs(evals[i]) / top) for i in order[: int(resolvable.sum())]]
-    dps = _predict_dps(prefix, keep)
+    dps = _predict_dps(prefix, keep, p.q)
     while dps <= _MAX_DPS:
         basis, ok = _basis_from_mp(b, p, keep, dps)
         if ok:

@@ -119,8 +119,11 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
 
     Returns a BesselEvalReport; ``value`` is accurate even in the severe
     cancellation regime (the report still describes the float-series
-    behaviour that triggered refinement).
+    behaviour that triggered refinement).  Raises ValueError for a
+    non-finite z, on which the refinement would never resolve.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"jv needs a finite argument, got {z!r}")
     val, terms, max_term = _series_float(z * z, p.q, p.v, p.eps)
     if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
         val = _series_refined(z, p.q, p.v, max_term)
@@ -130,6 +133,8 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
 
 def _jv_order(z: float, p: QParams, v: float) -> float:
     """j at an explicit order v (used for the v+1 factors of closed forms)."""
+    if not math.isfinite(z):
+        raise ValueError(f"j_v needs a finite argument, got {z!r}")
     val, _, max_term = _series_float(z * z, p.q, v, p.eps)
     if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
         val = _series_refined(z, p.q, v, max_term)
@@ -163,10 +168,13 @@ def jv_at_exponent(s: int, p: QParams) -> float:
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
-    """Vectorized j_v(z_i, q^2); per-element mp refinement where needed."""
+    """Vectorized j_v(z_i, q^2); per-element mp refinement where needed.
+    Raises ValueError if any z_i is not finite."""
     if v is None:
         v = p.v
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("jv_array needs finite arguments")
     z2 = z * z
     q2 = p.q * p.q
     qv = p.q ** (2.0 * v + 2.0)

@@ -114,11 +114,14 @@ def reconstruct(
     """Truncated sampling sum (1-q) sum_k q^{2k(v+1)} samples[k] k_z(q^k).
 
     ``samples[i]`` must hold f(q^k) for k = grid.k_min + i.  Emits a
-    TailWarning when a boundary term of the sum is still significant.
+    TailWarning when a boundary term of the sum is still significant;
+    raises ValueError for non-finite samples or z.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.k_max - grid.k_min + 1,):
         raise ValueError("samples length does not match the grid")
+    if not (np.isfinite(samples).all() and np.isfinite(z)):
+        raise ValueError("reconstruct needs finite samples and a finite z")
     ks = grid.exponents().astype(float)
     weights = (1.0 - p.q) * p.q ** (2.0 * ks * (p.v + 1.0))
     terms = weights * samples * _kernel_row(z, grid, b, p)

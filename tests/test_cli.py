@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,22 @@ def test_reconstruct_runge_artifacts(tmp_path, capsys):
         tree = ET.parse(svg_path)
         polys = [e for e in tree.iter() if e.tag.endswith("polyline")]
         assert len(polys) == 2  # f and its reconstruction
+
+
+def test_reconstruct_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 11-15 ms in every fresh process; np.unique imports it
+    src = str(Path(qp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from qprolate.cli import main\n"
+        f"rc = main(['reconstruct', '--out', {str(tmp_path)!r}, *{FAST_RECON!r}])\n"
+        "print('RESULT', rc, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
 
 
 def test_reconstruct_bandlimited_input(tmp_path, capsys):

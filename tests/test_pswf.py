@@ -93,6 +93,61 @@ def test_jacobi_oracle_full_pipeline(p_half):
         assert basis.eigenvalues[i] == pytest.approx(float(evals_j[i]), rel=1e-10), i
 
 
+@pytest.mark.parametrize("q, v, a_exp, depth, keep", [
+    (0.05, -0.5, 0, 24, 4),
+    (0.5, -0.5, -1, 24, 8),
+    (0.3, 1.5, 1, 24, 5),
+    (0.5, -0.5, 0, 10, 10),  # more series terms than lattice points
+])
+def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
+    # every case needs pairs below float64 resolution of B, so the
+    # factored mp solve runs; the oracle rebuilds B from scratch and
+    # solves it by cyclic Jacobi
+    b = qp.Bandlimit(a_exp, depth)
+    p = qp.QParams(q, v)
+    B = qp.build_operator_matrix(b, p)
+    lam_np = np.abs(np.linalg.eigvalsh(B))
+    assert (lam_np >= 1e-11 * lam_np.max()).sum() < keep
+    basis = qp.compute_basis(b, p, keep=keep)
+    assert basis.count == keep
+    evals_o, V = cyclic_jacobi(operator_matrix(a_exp, depth, q, v, dps=90), dps=90)
+    lam_o = np.array([float(x) for x in evals_o])
+    np.testing.assert_allclose(
+        np.sort(basis.eigenvalues), np.sort(lam_o[:keep]), rtol=1e-10, atol=0
+    )
+    sq = np.sqrt(b.weights(p))
+    for lam, unit in zip(basis.eigenvalues, basis.unit_samples):
+        j = int(np.argmin(np.abs(lam_o - lam)))
+        gap = np.min(np.abs(np.delete(lam_o, j) - lam_o[j]))
+        if gap <= 1e-6 * abs(lam):
+            continue  # a near-degenerate cluster has no unique basis
+        y = sq * unit
+        vo = np.array([float(V[k, j]) for k in range(depth)])
+        vo *= np.sign(np.dot(vo, y))
+        assert np.abs(y - vo).max() <= 1e-10, (lam, j)
+    gram = (basis.unit_samples * b.weights(p)) @ basis.unit_samples.T
+    assert np.abs(gram - np.eye(keep)).max() <= 1e-12
+
+
+def test_small_q_takes_one_mp_solve(monkeypatch):
+    # only two eigenvalues resolve in float64 at q = 0.05; the predicted
+    # working precision must still resolve keep = 4 at the first solve
+    import mpmath
+
+    calls = []
+    real = mpmath.eigsy
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].rows)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "eigsy", counted)
+    basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.05, -0.5), keep=4)
+    assert basis.count == 4
+    assert len(calls) == 1
+    assert calls[0] < 60  # the N x N core, not the depth-60 operator matrix
+
+
 def test_spectrum_strictly_decreasing(basis12):
     lam2 = basis12.eigenvalues**2
     assert (lam2 > 0).all()

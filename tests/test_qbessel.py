@@ -185,3 +185,14 @@ def test_closed_form_pairing_as_printed():
     )
     direct = qp.product_integral_direct(y, z, 0, p, depth=300)
     assert abs(swapped - direct) / (1.0 + abs(direct)) > 1e-3
+
+
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf")])
+def test_jv_rejects_non_finite(z):
+    p = qp.QParams(0.5, -0.5)
+    with pytest.raises(ValueError):
+        qp.jv(z, p)
+    with pytest.raises(ValueError):
+        qp.jv_array(np.array([0.5, z, 2.0]), p)
+    with pytest.raises(ValueError):
+        qp.product_integral_closed(z, 0.7, 0, p)

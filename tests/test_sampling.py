@@ -73,6 +73,16 @@ def test_reconstruct_shape_check(bandlimit, p_half, grid):
         qp.reconstruct(np.zeros(3), 0.3, grid, bandlimit, p_half)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_reconstruct_rejects_non_finite(bandlimit, p_half, grid, bad):
+    samples = np.ones(grid.k_max - grid.k_min + 1)
+    with pytest.raises(ValueError):
+        qp.reconstruct(samples, bad, grid, bandlimit, p_half)
+    samples[3] = bad
+    with pytest.raises(ValueError):
+        qp.reconstruct(samples, 0.3, grid, bandlimit, p_half)
+
+
 def test_reconstruct_linear_in_samples(bandlimit, p_half, grid):
     rng = np.random.default_rng(31)
     n = grid.k_max - grid.k_min + 1
