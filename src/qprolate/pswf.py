@@ -37,7 +37,13 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .qbessel import DegenerateArguments, jv_array, jv_at_exponent, product_integral_closed
+from .qbessel import (
+    DegenerateArguments,
+    jv_array,
+    jv_at_exponent,
+    product_integral_closed,
+    product_integral_direct,
+)
 from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
@@ -172,38 +178,44 @@ def _sample_sign(samples: np.ndarray) -> float:
     return 1.0
 
 
+def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
+    """Basis from eigenpairs of B in descending |lambda| order.
+
+    ``units[i]`` is the unit eigenvector of ``lams[i]`` divided by
+    sqrt(w_m), in float64; it is formed by the caller, where the weights
+    are still representable.  Pairs stop at _LAMBDA_FLOOR, and ``units``
+    is drawn from only for retained pairs, so it may compute them lazily.
+    Each sign is fixed by _sample_sign, and the samples are lambda * unit.
+    """
+    units = iter(units)
+    kept, funcs, rows = [], [], []
+    for lam in lams:
+        if abs(lam) < _LAMBDA_FLOOR:
+            break  # lambda^2 would underflow float64
+        unit = next(units)
+        sgn = _sample_sign(lam * unit)
+        kept.append(lam)
+        funcs.append(sgn * lam * unit)
+        rows.append(sgn * unit)
+    return PswfBasis(b, p, np.array(kept), np.array(funcs), np.array(rows))
+
+
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
     evals, qf, u, sq = _mp_eigensystem(b, p, dps)
-    mdim = b.depth
-    order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))
-    top = abs(evals[order[0]])
-    floor = top * mp.mpf(10) ** (-(dps - 25))
-    lams = []
-    funcs = []
-    units = []
     with mp.workdps(dps):
-        for i in order:
-            if len(lams) >= keep:
-                break
-            lam = evals[i]
-            if abs(lam) < _LAMBDA_FLOOR:
-                break  # lambda^2 would underflow float64
-            if abs(lam) < floor:
-                return None, False
-            vec = qf * u.column(i)
-            unit = np.array([float(vec[mm] / sq[mm]) for mm in range(mdim)])
-            smp = np.array([float(lam * vec[mm] / sq[mm]) for mm in range(mdim)])
-            sgn = _sample_sign(smp)
-            lams.append(float(lam))
-            funcs.append(sgn * smp)
-            units.append(sgn * unit)
-        else:
-            if len(lams) < keep and len(evals) < mdim:
-                return None, False  # the truncated series ran out of pairs
-    basis = PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(units))
-    return basis, True
+        # keyed at the working precision: rounded to float64, the +-1
+        # clusters at band edges above 1 tie and keep mp.eigsy's order
+        order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))[:keep]
+        floor = abs(evals[order[0]]) * mp.mpf(10) ** (-(dps - 25))
+        if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
+            return None, False
+        if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
+            return None, False  # the truncated series ran out of pairs
+        vecs = (qf * u.column(i) for i in order)
+        units = (np.array([float(x / w) for x, w in zip(vec, sq)]) for vec in vecs)
+        return _retain(b, p, [float(evals[i]) for i in order], units), True
 
 
 def _predict_dps(log_lams: list[float], keep: int, q: float) -> int:
@@ -251,18 +263,9 @@ def eigendecompose(
     top = abs(evals[order[0]])
     resolvable = np.abs(evals[order]) > _FLOAT_RESOLUTION * top
     if resolvable[:keep].all():
-        sqw = np.sqrt(b.weights(p))
-        lams, funcs, units = [], [], []
-        for i in order[:keep]:
-            lam = float(evals[i])
-            if abs(lam) < _LAMBDA_FLOOR:
-                break
-            unit = evecs[:, i] / sqw
-            sgn = _sample_sign(lam * unit)
-            lams.append(lam)
-            funcs.append(sgn * lam * unit)
-            units.append(sgn * unit)
-        return PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(units))
+        top_pairs = order[:keep]
+        units = (evecs[:, top_pairs] / np.sqrt(b.weights(p))[:, None]).T
+        return _retain(b, p, evals[top_pairs], units)
 
     prefix = [math.log10(abs(evals[i]) / top) for i in order[: int(resolvable.sum())]]
     dps = _predict_dps(prefix, keep, p.q)
@@ -358,24 +361,15 @@ def kernel(e: KernelEvaluator, x: float, y: float) -> float:
         return float(
             sum(eval_pswf_at(e.basis, i, x) * eval_pswf_at(e.basis, i, y) for i in range(terms))
         )
-    a = p.q ** float(b.a_exp)
-    ms = np.arange(b.depth, dtype=float)
-    prod = jv_array(x * a * p.q**ms, p) * jv_array(y * a * p.q**ms, p)
-    weights = p.q ** (ms * (2.0 * p.v + 2.0))
-    return float(
-        p.c_qv**2 * (1.0 - p.q) * a ** (2.0 * p.v + 2.0) * np.dot(weights, prod)
-    )
+    return p.c_qv**2 * product_integral_direct(x, y, b.a_exp, p, b.depth)
 
 
 def kernel_auto(e: KernelEvaluator, x: float, y: float) -> float:
     """Closed form where conditioned, direct sum otherwise."""
-    if e.mode == "closed_form":
-        try:
-            return kernel(e, x, y)
-        except DegenerateArguments:
-            fallback = KernelEvaluator(e.bandlimit, e.params, "direct_sum")
-            return kernel(fallback, x, y)
-    return kernel(e, x, y)
+    try:
+        return kernel(e, x, y)
+    except DegenerateArguments:  # raised by the closed form only
+        return kernel(KernelEvaluator(e.bandlimit, e.params, "direct_sum"), x, y)
 
 
 def concentration_index(f: LatticeFunction, b: Bandlimit, p: QParams) -> float:

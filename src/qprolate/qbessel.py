@@ -5,8 +5,16 @@ is entire, but for large z its terms grow to a huge peak before the
 q^{n(n+1)} decay wins, so the alternating sum cancels catastrophically in
 double precision.  Evaluation therefore runs a fast float pass first and
 transparently reruns in mpmath with enough digits whenever the peak term
-dwarfs the result.  Also implements the closed-form product integral
-(with its brute-force Jackson-sum twin) and the lattice growth bound.
+dwarfs the result; ``jv``, ``_jv_order`` and the lattice cache behind
+``jv_at_exponent`` share that one float-then-refine step.
+
+The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
+c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
+form lives in ``product_integral_quotient``, vectorised over y, which
+both ``product_integral_closed`` (series values) and the sampling kernel
+row (cached lattice values) call; its Jackson sum lives in
+``product_integral_direct``, the brute-force twin and the fallback near
+y^2 = z^2.  Also implements the lattice growth bound.
 """
 
 from __future__ import annotations
@@ -99,19 +107,37 @@ def _series_mp(z, q, v, dps: int):
             term = nxt
 
 
-def _series_refined(z, q: float, v: float, max_term_hint: float) -> float:
-    """mpmath evaluation with digits escalated until the sum is resolved."""
+def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None = None) -> float:
+    """mpmath evaluation with digits escalated until the sum is resolved.
+
+    Given a lattice exponent ``s``, ``z`` is ignored and the argument is
+    formed as the exact power q^s at each working precision, so deep
+    negative exponents stay consistent.
+    """
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         dps = 40 + int(math.log10(max_term_hint))
     else:
         dps = 200
     while True:
+        if s is not None:
+            with mp.workdps(dps):
+                z = mp.mpf(q) ** s
         total, max_term = _series_mp(z, q, v, dps)
         if total == 0 or max_term * mp.mpf(10) ** (-(dps - 18)) < abs(total):
             return float(total)
         dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
+
+
+def _series_checked(z: float, q: float, v: float, eps: float, s: int | None = None):
+    """Float pass of the series, rerun in mpmath when the peak term dwarfs
+    the sum; returns (value, terms, max_term), the last two from the float
+    pass."""
+    val, terms, max_term = _series_float(z * z, q, v, eps)
+    if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
+        val = _series_refined(z, q, v, max_term, s)
+    return val, terms, max_term
 
 
 def jv(z: float, p: QParams) -> BesselEvalReport:
@@ -124,47 +150,31 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     """
     if not math.isfinite(z):
         raise ValueError(f"jv needs a finite argument, got {z!r}")
-    val, terms, max_term = _series_float(z * z, p.q, p.v, p.eps)
-    if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
-        val = _series_refined(z, p.q, p.v, max_term)
-    flag = max_term > 1e12 * abs(val) if val != 0.0 else max_term > 0.0
-    return BesselEvalReport(val, terms, max_term, flag)
+    val, terms, max_term = _series_checked(z, p.q, p.v, p.eps)
+    # scaled down, not |val| up: 1e12 |val| overflows near the float limit
+    return BesselEvalReport(val, terms, max_term, max_term * 1e-12 > abs(val))
 
 
 def _jv_order(z: float, p: QParams, v: float) -> float:
     """j at an explicit order v (used for the v+1 factors of closed forms)."""
     if not math.isfinite(z):
         raise ValueError(f"j_v needs a finite argument, got {z!r}")
-    val, _, max_term = _series_float(z * z, p.q, v, p.eps)
-    if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
-        val = _series_refined(z, p.q, v, max_term)
-    return val
+    return _series_checked(z, p.q, v, p.eps)[0]
 
 
 @lru_cache(maxsize=1 << 18)
 def _jv_exp_cached(q: float, v: float, eps: float, s: int) -> float:
-    """j_v(q^s, q^2) at the lattice exponent s, with the mp argument formed
-    as an exact power so deep negative exponents stay consistent."""
-    z = q ** float(s)
-    val, _, max_term = _series_float(z * z, q, v, eps)
-    if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
-        if math.isfinite(max_term) and max_term > 0:
-            dps = 40 + int(math.log10(max_term))
-        else:
-            dps = 200
-        while True:
-            with mp.workdps(dps):
-                zm = mp.mpf(q) ** s
-            total, mt = _series_mp(zm, q, v, dps)
-            if total == 0 or mt * mp.mpf(10) ** (-(dps - 18)) < abs(total):
-                return float(total)
-            dps *= 2
-    return val
+    """j_v(q^s, q^2) at the lattice exponent s."""
+    return _series_checked(q ** float(s), q, v, eps, s)[0]
 
 
-def jv_at_exponent(s: int, p: QParams) -> float:
-    """j_v(q^s, q^2) for integer s, cached across the whole process."""
-    return _jv_exp_cached(p.q, p.v, p.eps, int(s))
+def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
+    """j_v(q^s, q^2) for integer s, cached across the whole process.
+
+    The order ``v`` defaults to ``p.v``; the closed-form kernels also need
+    order v + 1 at lattice arguments.
+    """
+    return _jv_exp_cached(p.q, p.v if v is None else v, p.eps, int(s))
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
@@ -241,21 +251,39 @@ def product_integral_direct(
     return float((1.0 - p.q) * a ** (2.0 * p.v + 2.0) * np.dot(weights, prod))
 
 
+def product_integral_quotient(y, z: float, jy, a_exp: int, p: QParams):
+    """Closed form of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t, vectorised over y:
+
+        (1-q) a^{2v+2} / (1-q^{2v+2})
+        [y^2 j_{v+1}(ay) j_v(az/q) - z^2 j_{v+1}(az) j_v(ay/q)] / (y^2 - z^2).
+
+    ``jy`` holds the y-side values (j_{v+1}(ay), j_v(ay/q)), so callers can
+    pass series values or cached lattice values; the two z-side series are
+    evaluated here.  Returns (values, separated): the difference quotient
+    loses ~9 digits at separation 1e-9, so where |y^2 - z^2| <=
+    1e-9 max(y^2, z^2) ``separated`` is False and the value is 0.
+    """
+    y2 = np.asarray(y, dtype=float) ** 2
+    z2 = z * z
+    a = p.q ** float(a_exp)
+    jz1 = _jv_order(a * z, p, p.v + 1.0)
+    jzq = _jv_order(a * z / p.q, p, p.v)
+    pref = (1.0 - p.q) / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (2.0 * p.v + 2.0)
+    den = y2 - z2
+    separated = np.abs(den) > 1e-9 * np.maximum(y2, z2)
+    num = pref * (y2 * jy[0] * jzq - z2 * jz1 * jy[1])
+    return np.divide(num, den, out=np.zeros_like(den), where=separated), separated
+
+
 def product_integral_closed(y: float, z: float, a_exp: int, p: QParams) -> float:
     """Closed form of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t for y, z > 0.
 
-    Valid away from y^2 ~ z^2; the difference quotient loses ~9 digits at
-    separation 1e-9, so closer arguments raise DegenerateArguments and the
-    caller should fall back to ``product_integral_direct``.
+    Valid away from y^2 ~ z^2; closer arguments raise DegenerateArguments
+    and the caller should fall back to ``product_integral_direct``.
     """
-    y2 = y * y
-    z2 = z * z
-    if abs(y2 - z2) <= 1e-9 * max(y2, z2):
-        raise DegenerateArguments(f"y^2={y2} and z^2={z2} too close for the closed form")
     a = p.q ** float(a_exp)
-    pref = (1.0 - p.q) / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (2.0 * p.v + 2.0)
-    v1 = p.v + 1.0
-    num = y2 * _jv_order(a * y, p, v1) * _jv_order(a * z / p.q, p, p.v) - z2 * _jv_order(
-        a * z, p, v1
-    ) * _jv_order(a * y / p.q, p, p.v)
-    return pref * num / (y2 - z2)
+    jy = (_jv_order(a * y, p, p.v + 1.0), _jv_order(a * y / p.q, p, p.v))
+    value, separated = product_integral_quotient(y, z, jy, a_exp, p)
+    if not separated:
+        raise DegenerateArguments(f"y^2={y * y} and z^2={z * z} too close for the closed form")
+    return float(value)

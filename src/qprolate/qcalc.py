@@ -182,14 +182,16 @@ def lattice_weights(window: LatticeWindow, p: QParams) -> np.ndarray:
     return (1.0 - p.q) * p.q ** (ks * (2.0 * p.v + 2.0))
 
 
-def _warn_boundary(terms: np.ndarray, total: float, eps: float, label: str) -> None:
-    if terms.size == 0:
-        return
-    boundary = max(abs(terms[0]), abs(terms[-1]))
-    if boundary > eps * max(abs(total), 1e-300):
+def warn_boundary(ends, scale: float, eps: float, label: str) -> None:
+    """Emit a TailWarning when the largest of the boundary terms ``ends``
+    of a truncated lattice sum exceeds eps * |scale|; ``label`` names the
+    operation, which must call this directly (the warning points at its
+    caller)."""
+    boundary = max(abs(t) for t in ends)
+    if boundary > eps * max(abs(scale), 1e-300):
         warnings.warn(
-            f"{label}: boundary term {boundary:.3e} exceeds eps * |sum| "
-            f"({eps:.1e} * {abs(total):.3e}); widen the window",
+            f"{label}: boundary term {boundary:.3e} exceeds eps * |scale| "
+            f"({eps:.1e} * {abs(scale):.3e}); widen the window",
             TailWarning,
             stacklevel=3,
         )
@@ -211,7 +213,7 @@ def jackson_integral_0a(f: LatticeFunction, a_exp: int, p: QParams) -> float:
     vals = f.values[a_exp - win.n_min :]
     terms = (1.0 - p.q) * p.q ** ks.astype(float) * vals
     total = float(np.sum(terms))
-    _warn_boundary(terms[-1:], total, p.eps, "jackson_integral_0a")
+    warn_boundary(terms[-1:], total, p.eps, "jackson_integral_0a")
     return total
 
 
@@ -224,7 +226,7 @@ def jackson_integral_0inf(f: LatticeFunction, p: QParams) -> float:
     ks = f.window.exponents().astype(float)
     terms = (1.0 - p.q) * p.q ** ks * f.values
     total = float(np.sum(terms))
-    _warn_boundary(terms, total, p.eps, "jackson_integral_0inf")
+    warn_boundary((terms[0], terms[-1]), total, p.eps, "jackson_integral_0inf")
     return total
 
 

@@ -11,13 +11,12 @@ spectral definitions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qbessel import jv_at_exponent
-from .qcalc import LatticeFunction, LatticeWindow, QParams, TailWarning, lattice_weights
+from .qcalc import LatticeFunction, LatticeWindow, QParams, lattice_weights, warn_boundary
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,16 @@ def make_plan(
     return TransformPlan(window, out_window if out_window is not None else window, p)
 
 
-def _weighted_input(f: LatticeFunction, plan: TransformPlan) -> np.ndarray:
-    w = lattice_weights(f.window, plan.params)
-    h = w * f.values
-    scale = float(np.sum(np.abs(h)))
-    boundary = max(abs(h[0]), abs(h[-1]))
-    if boundary > plan.params.eps * max(scale, 1e-300):
-        warnings.warn(
-            f"fqv_transform: weighted boundary value {boundary:.3e} is not "
-            f"negligible against {scale:.3e}; transform tails are truncated",
-            TailWarning,
-            stacklevel=3,
-        )
-    return h
-
-
 def fqv_transform(f: LatticeFunction, plan: TransformPlan) -> LatticeFunction:
-    """q-Bessel Fourier transform of f, tabulated on the plan's output window."""
+    """q-Bessel Fourier transform of f, tabulated on the plan's output window.
+
+    Emits a TailWarning when a boundary value of the weighted input is
+    not negligible, since the transform then misses its truncated tails.
+    """
     if f.window != plan.in_window:
         raise ValueError("function window does not match plan.in_window")
-    h = _weighted_input(f, plan)
+    h = lattice_weights(f.window, plan.params) * f.values
+    warn_boundary((h[0], h[-1]), float(np.sum(np.abs(h))), plan.params.eps, "fqv_transform")
     in_exps = f.window.exponents()
     c = plan.params.c_qv
     out = np.empty(plan.out_window.size)

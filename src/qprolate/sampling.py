@@ -6,22 +6,26 @@ Any f in the q-Paley-Wiener space satisfies
     f(z) = (1-q) sum_k q^{2k(v+1)} f(q^k) k_z(q^k),
 
 where k_z is the reproducing kernel; the sampling points q^k do not
-depend on the band edge a.  This module provides the closed-form kernel
-with a direct Jackson-sum fallback, the truncated reconstruction sum,
-the projection onto the bandlimited space, and the projection-error
-study driving the application experiment.
+depend on the band edge a.  The kernel is c_qv^2 times the product
+integral of ``qbessel``: its closed form is
+``qbessel.product_integral_quotient``, fed here with cached lattice
+values of j_v and j_{v+1}, and its direct Jackson sum, used where q^k
+is too close to z, is ``qbessel.product_integral_direct`` through
+``pswf.kernel_auto``.  This module provides that kernel, the truncated
+reconstruction sum, the projection onto the bandlimited space (which,
+like translation, needs a square transform plan), and the
+projection-error study driving the application experiment.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pswf import Bandlimit
-from .qbessel import _jv_exp_cached, _jv_order, jv_array, jv_at_exponent
-from .qcalc import LatticeFunction, QParams, TailWarning
+from .pswf import Bandlimit, KernelEvaluator, kernel_auto
+from .qbessel import jv_at_exponent, product_integral_quotient
+from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
 
@@ -44,62 +48,34 @@ DEFAULT_GRID = SamplingGrid(-10, 40)
 
 
 def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
-    """Reproducing kernel k_z(q^n) via its closed form.
+    """Reproducing kernel k_z(q^n) = c_qv^2 int_0^a j_v(q^n t) j_v(zt) t^{2v+1} d_q t.
+
+    Evaluated by ``kernel_auto``: the closed form
 
     k_z(q^n) = (1-q) c^2 / (1-q^{2v+2}) a^{2v+2}
                [q^{2n} j_{v+1}(a q^n) j_v(a q^{-1} z) - z^2 j_{v+1}(a z) j_v(a q^{n-1})]
-               / (q^{2n} - z^2);
+               / (q^{2n} - z^2),
 
-    when q^{2n} and z^2 are too close for the difference quotient, the
-    direct Jackson sum c^2 int_0^a j_v(zt) j_v(q^n t) t^{2v+1} d_q t is
-    used instead.
+    or the direct Jackson sum when q^{2n} and z^2 are too close for the
+    difference quotient.
     """
-    q2n = p.q ** (2.0 * n)
-    z2 = z * z
-    a = p.q ** float(b.a_exp)
-    if abs(q2n - z2) > 1e-9 * max(q2n, z2):
-        v1 = p.v + 1.0
-        pref = (1.0 - p.q) * p.c_qv**2 / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (
-            2.0 * p.v + 2.0
-        )
-        num = q2n * _jv_order(a * p.q**n, p, v1) * _jv_order(a * z / p.q, p, p.v) - z2 * _jv_order(
-            a * z, p, v1
-        ) * _jv_order(a * p.q ** (n - 1.0), p, p.v)
-        return pref * num / (q2n - z2)
-    ms = np.arange(b.depth, dtype=float)
-    prod = jv_array(z * a * p.q**ms, p) * jv_array(p.q**n * a * p.q**ms, p)
-    weights = p.q ** (ms * (2.0 * p.v + 2.0))
-    return float(
-        p.c_qv**2 * (1.0 - p.q) * a ** (2.0 * p.v + 2.0) * np.dot(weights, prod)
-    )
-
-
-def _jv_lattice_order(s: int, p: QParams, v: float) -> float:
-    """j at order v and lattice argument q^s (order-v+1 values are cached
-    separately from the shared exponent cache, which is keyed on p.v)."""
-    return _jv_exp_cached(p.q, v, p.eps, s)
+    return kernel_auto(KernelEvaluator(b, p, "closed_form"), p.q ** float(n), z)
 
 
 def _kernel_row(z: float, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
-    """k_z(q^k) over the whole grid; shares the two z-dependent series across k."""
+    """k_z(q^k) over the whole grid: the closed form with the lattice
+    factors read from the exponent cache, ``sampling_kernel`` where q^k
+    is too close to z."""
     ks = grid.exponents()
-    a = p.q ** float(b.a_exp)
-    q2k = p.q ** (2.0 * ks.astype(float))
-    z2 = z * z
+    s = (b.a_exp + ks).tolist()
     v1 = p.v + 1.0
-    # lattice-dependent factors, cached at integer exponents
-    j1_lat = np.array([_jv_lattice_order(b.a_exp + int(k), p, v1) for k in ks])
-    j0_lat = np.array([jv_at_exponent(b.a_exp + int(k) - 1, p) for k in ks])
-    jz_v = _jv_order(a * z / p.q, p, p.v)
-    jz_v1 = _jv_order(a * z, p, v1)
-    pref = (1.0 - p.q) * p.c_qv**2 / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (
-        2.0 * p.v + 2.0
+    jy = (
+        np.array([jv_at_exponent(e, p, v1) for e in s]),
+        np.array([jv_at_exponent(e - 1, p) for e in s]),
     )
-    out = np.empty(ks.size)
-    ok = np.abs(q2k - z2) > 1e-9 * np.maximum(q2k, z2)
-    num = q2k * j1_lat * jz_v - z2 * jz_v1 * j0_lat
-    out[ok] = pref * num[ok] / (q2k[ok] - z2)
-    for i in np.flatnonzero(~ok):
+    values, separated = product_integral_quotient(p.q ** ks.astype(float), z, jy, b.a_exp, p)
+    out = p.c_qv**2 * values
+    for i in np.flatnonzero(~separated):
         out[i] = sampling_kernel(z, int(ks[i]), b, p)
     return out
 
@@ -126,14 +102,7 @@ def reconstruct(
     weights = (1.0 - p.q) * p.q ** (2.0 * ks * (p.v + 1.0))
     terms = weights * samples * _kernel_row(z, grid, b, p)
     total = float(np.sum(terms))
-    boundary = max(abs(terms[0]), abs(terms[-1]))
-    if boundary > p.eps * max(abs(total), 1e-300):
-        warnings.warn(
-            f"reconstruct: boundary term {boundary:.3e} is not negligible "
-            f"against {total:.3e}; widen the sampling grid",
-            TailWarning,
-            stacklevel=2,
-        )
+    warn_boundary((terms[0], terms[-1]), total, p.eps, "reconstruct")
     return total
 
 

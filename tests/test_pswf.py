@@ -148,6 +148,17 @@ def test_small_q_takes_one_mp_solve(monkeypatch):
     assert calls[0] < 60  # the N x N core, not the depth-60 operator matrix
 
 
+def test_mp_pairs_sorted_at_working_precision():
+    # at a_exp = -2 the top five |lambda| lie within 1.2e-17 of 1 (one
+    # above 1 by 3.5e-154): sorted at float64 they tie and keep mp.eigsy's
+    # order, sorted at 150 digits they alternate in sign from +1
+    from qprolate.pswf import _basis_from_mp
+
+    basis, resolved = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)
+    assert resolved
+    assert list(np.sign(basis.eigenvalues)) == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+
 def test_spectrum_strictly_decreasing(basis12):
     lam2 = basis12.eigenvalues**2
     assert (lam2 > 0).all()

@@ -53,6 +53,15 @@ def test_jv_cancellation_flag():
     assert rep.value == pytest.approx(want, rel=1e-12)
 
 
+def test_jv_cancellation_flag_at_overflowing_peak():
+    # the peak term overflows to inf while the refined value is near the
+    # float limit, where 1e12 |value| would overflow too
+    rep = qp.jv(100.0, qp.QParams(0.99, -0.5))
+    assert rep.max_term_magnitude == np.inf
+    assert abs(rep.value) > 1e300
+    assert rep.cancellation_flag
+
+
 def test_jv_even_in_z():
     p = qp.QParams(0.5, 0.0)
     for z in (0.7, 3.0):

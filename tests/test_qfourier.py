@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,16 @@ def test_convolve_needs_square_plan(p_half):
     f = qp.LatticeFunction.zeros(qp.LatticeWindow(0, 5))
     with pytest.raises(ValueError):
         qp.convolve(f, f, plan)
+
+
+def test_transform_tail_warning_for_slow_decay(plan_half, p_half, window):
+    f = qp.LatticeFunction.from_callable(window, lambda x: 1.0 / (1.0 + x * x), p_half.q)
+    with pytest.warns(qp.TailWarning):
+        qp.fqv_transform(f, plan_half)
+
+
+def test_transform_no_tail_warning_for_compact_support(plan_half, window):
+    f = supported_function(window, -3, 10, np.random.default_rng(47))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qp.TailWarning)
+        qp.fqv_transform(f, plan_half)

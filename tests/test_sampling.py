@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,22 @@ def test_project_matches_kernel_inner_product(bandlimit, plan_half, window, p_ha
         )
         want = float(np.dot(w, f.values * kx))
         assert fa.value_at_exp(n) == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_reconstruct_tail_warning_for_slow_decay(bandlimit, p_half, grid):
+    # samples of 1/(1+x^2): the k = k_min term is still 6.5e-13 of the sum
+    ks = grid.exponents().astype(float)
+    samples = 1.0 / (1.0 + p_half.q ** (2.0 * ks))
+    with pytest.warns(qp.TailWarning):
+        qp.reconstruct(samples, 0.3, grid, bandlimit, p_half)
+
+
+def test_reconstruct_no_tail_warning_for_compact_support(bandlimit, p_half, grid):
+    samples = np.zeros(grid.k_max - grid.k_min + 1)
+    samples[5:20] = np.random.default_rng(53).standard_normal(15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qp.TailWarning)
+        qp.reconstruct(samples, 0.3, grid, bandlimit, p_half)
 
 
 def test_project_needs_square_plan(bandlimit, p_half):
