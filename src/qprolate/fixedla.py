@@ -1,0 +1,258 @@
+"""Symmetric eigen-kernels on fixed-point integers.
+
+A real number x is held as the Python int x * 2^prec, rounded to within
+one unit, so every sum and product of the dense reductions is exact and
+only a rescaling ``>> prec`` or a division rounds, each by one unit
+2^-prec.  The error of a reduction is then norm-wise, like that of a
+backward-stable floating-point one at prec bits, at the cost of plain
+integer arithmetic instead of mpmath numbers.  Vectors and matrices are
+lists of such ints (matrices as lists of rows, or of columns where said).
+
+A Householder reflector is a tuple (start, v, vtv, shifts): it maps x to
+x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.  Entry i
+of v and x may carry a further scale 2^(shifts[i] / 2) over entry 0, which
+the dot products take out; vtv is v.v so computed, scaled by 2^(2 prec).
+
+The QL iteration for the eigenvalues of the tridiagonal matrix is the one
+mpmath step: its deflation test is relative to the neighbouring diagonal
+entries, which fixed point cannot resolve below 2^-prec.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from operator import mul, rshift
+
+import mpmath as mp
+
+
+class NoConvergence(ArithmeticError):
+    """The QL iteration did not deflate an eigenvalue within its sweep budget."""
+
+
+def to_fixed(x, prec: int) -> int:
+    """x * 2^prec truncated to an int, for an mpmath number x."""
+    return int(mp.ldexp(x, prec))
+
+
+def shift(x: int, k: int) -> int:
+    """x * 2^k for an int x, rounded down when k < 0."""
+    return x << k if k >= 0 else x >> -k
+
+
+def _reflector(start: int, x: list[int], shifts: list[int]):
+    """Reflector mapping x (placed at ``start``) to alpha e_1; returns
+    (reflector, alpha), or (None, x[0]) when x is a multiple of e_1 at
+    this precision."""
+    norm2 = sum(map(rshift, map(mul, x, x), shifts))
+    if norm2 == x[0] * x[0]:
+        return None, x[0]
+    alpha = -math.isqrt(norm2) if x[0] >= 0 else math.isqrt(norm2)
+    v = list(x)
+    v[0] -= alpha
+    return (start, v, sum(map(rshift, map(mul, v, v), shifts)), shifts), alpha
+
+
+def _apply(reflector, x: list[int], prec: int) -> None:
+    """x <- H x in place, for one reflector H."""
+    start, v, vtv, shifts = reflector
+    end = start + len(v)
+    f = (2 * sum(map(rshift, map(mul, v, x[start:end]), shifts)) << prec) // vtv
+    x[start:end] = [xi - ((vi * f) >> prec) for xi, vi in zip(x[start:end], v)]
+
+
+def reflect(reflectors: list, x: list[int], prec: int) -> list[int]:
+    """H_0 H_1 ... H_{k-1} x for the reflectors [H_0, ..., H_{k-1}] (the
+    last one acts first): the back-transform of a vector through a
+    factorisation that applied H_0 first."""
+    x = list(x)
+    for r in reversed(reflectors):
+        _apply(r, x, prec)
+    return x
+
+
+def householder_qr(cols: list[list[int]], prec: int, rowexp: list[int]):
+    """Householder QR of the M x N matrix with the given columns.
+
+    Row k is held scaled by 2^(prec + rowexp[k]), rowexp nondecreasing, so
+    that rows of falling magnitude keep prec bits relative to themselves,
+    as in floating point; the reflectors and R carry the same row scales.
+    Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R the
+    min(M, N) x N upper trapezoidal factor as a list of rows.  Q is never
+    formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is left
+    intact.
+    """
+    cols = [list(c) for c in cols]
+    m, n = len(rowexp), len(cols)
+    reflectors = []
+    for j in range(min(m, n)):
+        shifts = [2 * (t - rowexp[j]) for t in rowexp[j:]]
+        h, alpha = _reflector(j, cols[j][j:], shifts)
+        cols[j][j:] = [alpha] + [0] * (m - j - 1)
+        if h is None:
+            continue
+        reflectors.append(h)
+        for c in cols[j + 1:]:
+            _apply(h, c, prec)
+    return reflectors, [[c[i] for c in cols] for i in range(min(m, n))]
+
+
+def tridiagonalize(a: list[list[int]], prec: int):
+    """Householder reduction of the symmetric matrix ``a`` (rows, left
+    intact) to tridiagonal form T = Z^T a Z, Z = H_0 H_1 ... H_{n-3}.
+
+    Returns (d, e, reflectors): the diagonal and the subdiagonal of T,
+    and the reflectors, so that ``reflect(reflectors, s)`` maps an
+    eigenvector s of T to one of ``a``.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    e, reflectors = [], []
+    for k in range(n - 2):
+        h, alpha = _reflector(k + 1, [a[i][k] for i in range(k + 1, n)], [0] * (n - k - 1))
+        e.append(alpha)
+        if h is None:
+            continue
+        reflectors.append(h)
+        _, v, vtv, _ = h
+        block = [row[k + 1:] for row in a[k + 1:]]
+        # rank-two update of the trailing block: A - v w^T - w v^T with
+        # p = 2 A v / v.v and w = p - (p.v / v.v) v
+        p = [(2 * sum(map(mul, row, v)) << prec) // vtv for row in block]
+        kv = (sum(map(mul, p, v)) << prec) // vtv
+        w = [pi - ((kv * vi) >> prec) for pi, vi in zip(p, v)]
+        for i, row in enumerate(block):
+            vi, wi = v[i], w[i]
+            a[k + 1 + i][k + 1:] = [
+                x - ((vi * wj + wi * vj) >> prec) for x, wj, vj in zip(row, w, v)
+            ]
+    if n > 1:
+        e.append(a[n - 1][n - 2])
+    return [a[i][i] for i in range(n)], e, reflectors
+
+
+def givens(f: int, g: int, prec: int):
+    """Rotation (c, s, r) with [c s; -s c] [f; g] = [r; 0], r >= 0.
+
+    c and s are scaled by 2^prec and r like f and g.  f and g are shifted
+    up to at least prec + 2 bits before the square root, so that
+    c^2 + s^2 = 1 to a few units 2^-prec however few bits they carry.
+    """
+    if g == 0:
+        return (1 << prec if f >= 0 else -(1 << prec)), 0, abs(f)
+    up = max(0, prec + 2 - max(abs(f), abs(g)).bit_length())
+    f, g = f << up, g << up
+    r = math.isqrt(f * f + g * g)
+    return (f << prec) // r, (g << prec) // r, r >> up
+
+
+def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list:
+    """All eigenvalues of the symmetric tridiagonal matrix (d, e), in
+    ascending order, as mpmath numbers at ``prec`` bits.
+
+    Implicit QL with Wilkinson shifts (EISPACK tql1) at prec bits; an
+    off-diagonal entry is deflated once it is negligible against its two
+    diagonal neighbours.
+    """
+    n = len(d)
+    with mp.workprec(prec):
+        d = [mp.mpf((x, -prec)) for x in d]
+        e = [mp.mpf((x, -prec)) for x in e] + [mp.mpf(0)]
+        for l in range(n):
+            for _ in range(60):
+                m = l
+                while m < n - 1:
+                    dd = abs(d[m]) + abs(d[m + 1])
+                    if abs(e[m]) + dd == dd:
+                        break
+                    m += 1
+                if m == l:
+                    break
+                g = (d[l + 1] - d[l]) / (2 * e[l])
+                r = mp.sqrt(g * g + 1)
+                g = d[m] - d[l] + e[l] / (g + r if g >= 0 else g - r)
+                s = c = mp.mpf(1)
+                p = mp.mpf(0)
+                for i in range(m - 1, l - 1, -1):
+                    f, b = s * e[i], c * e[i]
+                    r = mp.sqrt(f * f + g * g)
+                    e[i + 1] = r
+                    if not r:  # the rotation split the matrix: deflate at i + 1
+                        d[i + 1] -= p
+                        e[m] = mp.mpf(0)
+                        break
+                    s, c = f / r, g / r
+                    g = d[i + 1] - p
+                    r = (d[i] - g) * s + 2 * c * b
+                    p = s * r
+                    d[i + 1] = g + p
+                    g = c * r - b
+                else:
+                    d[l] -= p
+                    e[l] = g
+                    e[m] = mp.mpf(0)
+            else:
+                raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
+        return sorted(d)
+
+
+def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: int):
+    """Unit eigenvectors (scaled by 2^prec) of the symmetric tridiagonal
+    matrix (d, e) for the eigenvalues ``lams`` (ints scaled by 2^prec).
+
+    Two steps of inverse iteration through a Givens QR of T - lam I, from
+    a fixed pseudo-random start.  Each vector is orthogonalised against
+    the earlier ones whose eigenvalue lies within 2^(-prec/2) ||T||, so
+    that a cluster unresolved at this precision comes out as an
+    orthonormal basis of its invariant subspace.
+    """
+    n = len(d)
+    scale = max(map(abs, d + e))
+    close = scale >> (prec // 2)
+    one = 1 << prec
+    out = []
+    for j, lam in enumerate(lams):
+        rots, diag, sup, sup2 = _shifted_qr(d, e, lam, prec)
+        diag = [x or 1 for x in diag]  # an exact eigenvalue leaves a zero pivot
+        group = [y for mu, y in zip(lams, out) if abs(mu - lam) <= close]
+        rng = random.Random(j)
+        x = [rng.getrandbits(prec + 1) - one for _ in range(n)]
+        for _ in range(2):
+            for k, (c, s) in enumerate(rots):  # x <- Q^T x
+                xk, xk1 = x[k], x[k + 1]
+                x[k], x[k + 1] = (c * xk + s * xk1) >> prec, (c * xk1 - s * xk) >> prec
+            for k in range(n - 1, -1, -1):  # x <- R^-1 x
+                num = x[k]
+                if k + 1 < n:
+                    num -= (sup[k] * x[k + 1]) >> prec
+                if k + 2 < n:
+                    num -= (sup2[k] * x[k + 2]) >> prec
+                x[k] = (num << prec) // diag[k]
+            for y in group:
+                f = sum(map(mul, x, y)) >> prec
+                x = [xi - ((f * yi) >> prec) for xi, yi in zip(x, y)]
+            norm = math.isqrt(sum(map(mul, x, x)))
+            x = [(xi << prec) // norm for xi in x]
+        out.append(x)
+    return out
+
+
+def _shifted_qr(d, e, lam, prec):
+    """Givens QR of the tridiagonal T - lam I: the rotations (c, s) in
+    order, and the three nonzero diagonals of R."""
+    n = len(d)
+    rots, diag, sup, sup2 = [], [], [], []
+    a = d[0] - lam
+    b = e[0] if n > 1 else 0
+    for k in range(n - 1):
+        c, s, r = givens(a, e[k], prec)
+        dk1 = d[k + 1] - lam
+        ek1 = e[k + 1] if k + 2 < n else 0
+        rots.append((c, s))
+        diag.append(r)
+        sup.append((c * b + s * dk1) >> prec)
+        sup2.append((s * ek1) >> prec)
+        a, b = (c * dk1 - s * b) >> prec, (c * ek1) >> prec
+    diag.append(a)
+    return rots, diag, sup, sup2

@@ -16,11 +16,21 @@ The mpmath solve never forms B.  With j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
 c_n = q^{n(n+1)} / ((q^2;q^2)_n (q^{2v+2};q^2)_n) > 0, B = G J G^T exactly,
 where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) and J = diag((-1)^n).
 G is cut at the first N whose largest column scale c_qv w_0 c_n a^{4n}
-falls below 10^{-dps} (N is 8-32 for the usual requests); a skinny QR
-G = Q R leaves the N x N eigenproblem R J R^T = U diag(lambda) U^T, and
-the eigenvectors of B are Q U.  The alternating sum cancels where column
+falls below 10^{-dps} (N is 8-32 for the usual requests); a QR G = Q R
+leaves the N x N eigenproblem C = R J R^T = U diag(lambda) U^T, and the
+eigenvectors of B are Q U.  The alternating sum cancels where column
 scales exceed 1 (band edges above 1), so the working precision carries
 log10 of the largest one on top.
+
+That solve runs on fixed-point integers (``fixedla``), 10 guard digits
+past the working precision: Householder QR of G, with each row and
+column of G held at its own power-of-two scale so that the reflectors
+keep full relative precision on rows whose weights fall below 2^-prec;
+C in integers; Householder reduction of C to tridiagonal form; an mpmath
+QL iteration for the N eigenvalues; and, for the retained pairs only,
+inverse iteration on the tridiagonal matrix, re-orthogonalised inside
+clusters that the precision cannot separate, back-transformed through
+the two sets of reflectors (Q is never formed).
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -33,10 +43,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 
+from . import fixedla
 from .qbessel import (
     DegenerateArguments,
     jv_array,
@@ -52,6 +64,8 @@ _LAMBDA_FLOOR = 1e-150
 # float64 eigh of B resolves |lambda| down to about this fraction of the top
 _FLOAT_RESOLUTION = 1e-11
 _MAX_DPS = 3000
+# digits carried past the working precision by the fixed-point solve
+_GUARD_DIGITS = 10
 
 
 class SolverNoConvergence(RuntimeError):
@@ -123,9 +137,13 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
 
 
 def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
-    """Eigenpairs of B through its factor G J G^T at ``dps`` digits (see the
-    module docstring); returns (evals, Q, U, sqrt(w_m)), so that the
-    eigenvectors of B are the columns of Q U."""
+    """Eigenpairs of B through its factor G J G^T, resolved to ``dps``
+    digits (see the module docstring).
+
+    Returns (evals, units): the eigenvalues of C = R J R^T in ascending
+    order as mpmath numbers, and ``units(lams)``, the float64 unit
+    eigenvectors of B for the eigenvalues ``lams`` divided by sqrt(w_m).
+    """
     q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
     # log10 of the column scales c_qv w_0 c_n a^{4n}; G is cut where they
     # first fall dps digits below ref = min(1, scale at n = 0).  They are
@@ -138,28 +156,53 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
                     - math.log10((1.0 - q ** (2 * n)) * (1.0 - q ** (2.0 * v + 2 * n))))
     nterms = len(logs) - 1
     work = dps + math.ceil(max(logs) - ref)  # digits the alternating sum cancels
-    with mp.workdps(work):
+    prec = math.ceil((work + _GUARD_DIGITS) * math.log2(10))
+    with mp.workprec(prec):
         qm, vm = mp.mpf(q), mp.mpf(v)
         q2 = qm * qm
         c = mp.qp(qm ** (2 * vm + 2), q2) / mp.qp(q2, q2) / (1 - qm)
         a = qm ** b.a_exp
         sq = [mp.sqrt((1 - qm) * a ** (2 * vm + 2) * qm ** (m * (2 * vm + 2))) for m in range(mdim)]
         x2 = [(a * qm**k) ** 2 for k in range(mdim)]
-        g = mp.matrix(mdim, nterms)
         col = [mp.sqrt(c) * s for s in sq]  # column n of G from column n-1
+        # G falls along k and along n past its peak; row k is held scaled
+        # by a further 2^tail[k] and column n by 2^-mags[n], so that every
+        # entry, and every reflector of the QR, keeps prec bits relative
+        # to its row as in floating point.  R drops the scales exactly.
+        tail = [int(mp.mag(col[0]) - mp.mag(x)) for x in col]
+        cols, mags = [], []
         for n in range(nterms):
             if n:
                 ratio = mp.sqrt(q2**n / ((1 - q2**n) * (1 - qm ** (2 * vm + 2 * n))))
                 col = [x * y * ratio for x, y in zip(col, x2)]
-            for k in range(mdim):
-                g[k, n] = col[k]
-        qf, r = mp.qr(g, mode="skinny") if nterms < mdim else (mp.eye(mdim), g)
-        rj = r.copy()
-        for n in range(1, nterms, 2):  # R J flips the odd columns of R
-            for k in range(rj.rows):
-                rj[k, n] = -rj[k, n]
-        evals, u = mp.eigsy(rj * r.T)
-        return evals, qf, u, sq
+            mags.append(int(mp.mag(col[0])))
+            cols.append([fixedla.to_fixed(x, prec - mags[-1] + t) for x, t in zip(col, tail)])
+    qr, rows = fixedla.householder_qr(cols, prec, tail)
+    rows = [[fixedla.shift(x, k - t) for x, k in zip(r, mags)] for r, t in zip(rows, tail)]
+    # C = R J R^T, J = diag((-1)^n)
+    rj = [[-x if n % 2 else x for n, x in enumerate(r)] for r in rows]
+    core = [[sum(map(mul, ri, rk)) >> prec for rk in rows] for ri in rj]
+    d, e, tri = fixedla.tridiagonalize(core, prec)
+    try:
+        evals = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    except fixedla.NoConvergence as exc:  # pragma: no cover - QL deflates in a few sweeps
+        raise SolverNoConvergence(str(exc)) from exc
+
+    def units(lams):
+        """Unit eigenvectors of B for the eigenvalues ``lams``, divided by
+        sqrt(w_m) in mpmath, since sqrt(w_m) can underflow float64."""
+        out = []
+        fixed = [fixedla.to_fixed(x, prec) for x in lams]
+        for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
+            u = fixedla.reflect(tri, s, prec)  # eigenvector of C
+            u = [x << t for x, t in zip(u, tail)] + [0] * (mdim - len(u))
+            y = fixedla.reflect(qr, u, prec)  # of B, row m scaled by 2^(prec + tail[m])
+            with mp.workprec(prec):
+                out.append(np.array([float(mp.mpf((x, -prec - t)) / w)
+                                     for x, t, w in zip(y, tail, sq)]))
+        return out
+
+    return evals, units
 
 
 def _sample_sign(samples: np.ndarray) -> float:
@@ -184,8 +227,8 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
     ``units[i]`` is the unit eigenvector of ``lams[i]`` divided by
     sqrt(w_m), in float64; it is formed by the caller, where the weights
     are still representable.  Pairs stop at _LAMBDA_FLOOR, and ``units``
-    is drawn from only for retained pairs, so it may compute them lazily.
-    Each sign is fixed by _sample_sign, and the samples are lambda * unit.
+    may hold only the pairs above it.  Each sign is fixed by
+    _sample_sign, and the samples are lambda * unit.
     """
     units = iter(units)
     kept, funcs, rows = [], [], []
@@ -203,19 +246,18 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
-    evals, qf, u, sq = _mp_eigensystem(b, p, dps)
+    evals, units = _mp_eigensystem(b, p, dps)
     with mp.workdps(dps):
         # keyed at the working precision: rounded to float64, the +-1
-        # clusters at band edges above 1 tie and keep mp.eigsy's order
+        # clusters at band edges above 1 tie and keep the ascending order
         order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))[:keep]
         floor = abs(evals[order[0]]) * mp.mpf(10) ** (-(dps - 25))
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
             return None, False
         if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
             return None, False  # the truncated series ran out of pairs
-        vecs = (qf * u.column(i) for i in order)
-        units = (np.array([float(x / w) for x, w in zip(vec, sq)]) for vec in vecs)
-        return _retain(b, p, [float(evals[i]) for i in order], units), True
+        lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
+    return _retain(b, p, [float(lam) for lam in lams], units(lams)), True
 
 
 def _predict_dps(log_lams: list[float], keep: int, q: float) -> int:

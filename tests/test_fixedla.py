@@ -1,0 +1,121 @@
+"""Fixed-point kernels of the factored eigensolve, on seeded random
+matrices, against float64 numpy."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from qprolate import fixedla
+
+PREC = 200
+
+
+def _fixed(x, prec=PREC):
+    return int(round(float(x) * 2.0**60)) << (prec - 60)
+
+
+def _float(x, prec=PREC):
+    return float(mp.mpf((x, -prec)))
+
+
+def _symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("m, n, graded", [
+    (12, 5, False), (9, 9, False), (6, 9, False), (14, 6, True),
+])
+def test_qr_preserves_gram(m, n, graded):
+    # R^T R = A^T A for the R of A = Q [R; 0]; with graded rows each row
+    # k is held scaled by a further 2^rowexp[k]
+    rng = np.random.default_rng([m, n])
+    rowexp = [3 * k for k in range(m)] if graded else [0] * m
+    a = rng.standard_normal((m, n)) * np.array([2.0**-t for t in rowexp])[:, None]
+    cols = [[_fixed(a[k, j] * 2.0**t) for k, t in enumerate(rowexp)] for j in range(n)]
+    reflectors, rows = fixedla.householder_qr(cols, PREC, rowexp)
+    r = np.array([[_float(x, PREC + t) for x in row] for row, t in zip(rows, rowexp)])
+    assert r.shape == (min(m, n), n)
+    assert np.allclose(np.tril(r, -1), 0.0, atol=0)
+    gram = a.T @ a
+    assert np.abs(r.T @ r - gram).max() <= 1e-12 * np.abs(gram).max()
+    # the reflectors give back A column by column from [R; 0]
+    for j in range(n):
+        col = [rows[i][j] if i < len(rows) else 0 for i in range(m)]
+        back = fixedla.reflect(reflectors, col, PREC)
+        got = np.array([_float(x, PREC + t) for x, t in zip(back, rowexp)])
+        assert np.abs(got - a[:, j]).max() <= 1e-12 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+def test_tridiagonal_eigenvalues_match_eigvalsh(n):
+    rng = np.random.default_rng(n)
+    a = _symmetric(rng, n)
+    d, e, _ = fixedla.tridiagonalize([[_fixed(x) for x in row] for row in a], PREC)
+    got = fixedla.tridiagonal_eigenvalues(d, e, PREC)
+    want = np.linalg.eigvalsh(a)
+    assert all(x <= y for x, y in zip(got, got[1:]))  # ascending
+    radius = np.abs(want).max()
+    assert np.abs(np.array([float(x) for x in got]) - want).max() <= 1e-12 * radius
+
+
+def _eigenpairs(d, e, prec=PREC):
+    evals = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    vecs = fixedla.tridiagonal_eigenvectors(d, e, [fixedla.to_fixed(x, prec) for x in evals], prec)
+    return np.array([float(x) for x in evals]), vecs
+
+
+def test_eigenvectors_through_the_reduction():
+    rng = np.random.default_rng(9)
+    n = 9
+    a = _symmetric(rng, n)
+    d, e, tri = fixedla.tridiagonalize([[_fixed(x) for x in row] for row in a], PREC)
+    lam, vecs = _eigenpairs(d, e)
+    y = np.array([[_float(x) for x in fixedla.reflect(tri, s, PREC)] for s in vecs])
+    assert np.abs(y @ y.T - np.eye(n)).max() <= 1e-14
+    assert np.abs(a @ y.T - y.T * lam).max() <= 1e-14
+
+
+def test_eigenvectors_of_a_degenerate_cluster():
+    # two equal blocks (and a 1 x 1 one) make every eigenvalue of the
+    # block double, exactly: inverse iteration alone would return one
+    # vector twice; the pair must span the eigenspace orthonormally
+    block_d, block_e = [0.5, -0.25, 0.75], [0.3, -0.6]
+    d = [_fixed(x) for x in block_d * 2 + [0.1]]
+    e = [_fixed(x) for x in block_e + [0.0] + block_e + [0.0]]
+    lam, vecs = _eigenpairs(d, e)
+    df, ef = [_float(x) for x in d], [_float(x) for x in e]
+    t = np.diag(df) + np.diag(ef, 1) + np.diag(ef, -1)
+    y = np.array([[_float(x) for x in s] for s in vecs])
+    assert np.abs(y @ y.T - np.eye(len(d))).max() <= 1e-14
+    assert np.abs(t @ y.T - y.T * lam).max() <= 1e-14
+    want_lam, want_vec = np.linalg.eigh(t)
+    for mu in np.linalg.eigvalsh(np.diag(block_d) + np.diag(block_e, 1) + np.diag(block_e, -1)):
+        got = np.abs(lam - mu) < 1e-9
+        ref = np.abs(want_lam - mu) < 1e-9
+        assert got.sum() == ref.sum() == 2
+        proj = y[got].T @ y[got]
+        assert np.abs(proj - want_vec[:, ref] @ want_vec[:, ref].T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("f, g", [(3, 4), (1, 1), (-5, 12), (7, -1), (524287, 1), (1, 524287),
+                                  (-300001, -77777)])
+def test_givens_is_a_rotation_for_few_bits(f, g):
+    # with f and g of fewer than 20 bits, c and s must still carry prec
+    # bits: unshifted, c^2 + s^2 would be off by about 2^-20
+    assert max(abs(f), abs(g)).bit_length() < 20
+    c, s, r = fixedla.givens(f, g, PREC)
+    assert abs(c * c + s * s - (1 << 2 * PREC)) <= 1 << (PREC + 4)
+    assert r == math.isqrt(f * f + g * g)
+    # [c s; -s c] [f; g] = [r; 0] to a few units
+    assert abs(c * f + s * g - (r << PREC)) <= abs(f) + abs(g) + (1 << PREC)
+    assert abs(c * g - s * f) <= abs(f) + abs(g)
+
+
+def test_givens_zero_and_sign():
+    assert fixedla.givens(0, 0, PREC) == (1 << PREC, 0, 0)
+    assert fixedla.givens(-5, 0, PREC) == (-(1 << PREC), 0, 5)
+    c, s, r = fixedla.givens(0, -3, PREC)
+    assert (c, s, r) == (0, -(1 << PREC), 3)

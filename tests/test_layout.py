@@ -1,6 +1,8 @@
 """Module boundaries of the package: no module imports another's private
 names, so each object is used through the one public function that codes
-it.  Tests may still import private names."""
+it.  Tests may still import private names.  The package also keeps off
+mpmath's matrix type and the dense solvers built on it, which the
+fixed-point kernels of ``fixedla`` replace at a fraction of the cost."""
 
 import ast
 from pathlib import Path
@@ -25,6 +27,23 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+# mpmath names the package must not use: mp.matrix, and mp.qr and
+# mp.eigsy, which work on it
+SLOW_MP = {"matrix", "qr", "eigsy"}
+
+
+def _slow_mp_uses(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in SLOW_MP
+                and isinstance(node.value, ast.Name) and node.value.id in ("mp", "mpmath")):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            found += [f"{path.name}:{node.lineno} imports {alias.name} from {node.module}"
+                      for alias in node.names if alias.name in SLOW_MP]
+    return found
+
+
 def test_modules_import_no_private_names():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
@@ -36,3 +55,18 @@ def test_private_import_is_detected(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("from .qbessel import _jv_order, jv\nfrom qprolate.qcalc import _x\n")
     assert len(_private_imports(module)) == 2
+
+
+def test_no_mpmath_matrix_solvers():
+    sources = sorted(PACKAGE.glob("*.py"))
+    offences = [line for path in sources for line in _slow_mp_uses(path)]
+    assert not offences, "\n".join(offences)
+
+
+def test_mpmath_matrix_use_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import mpmath as mp\nfrom mpmath import eigsy\n"
+        "g = mp.matrix(2, 2)\nq, r = mp.qr(g)\nmp.mpf(1)\n"
+    )
+    assert len(_slow_mp_uses(module)) == 3

@@ -93,11 +93,23 @@ def test_jacobi_oracle_full_pipeline(p_half):
         assert basis.eigenvalues[i] == pytest.approx(float(evals_j[i]), rel=1e-10), i
 
 
+def _clusters(lams, rtol=1e-6):
+    """Index groups of eigenvalues that chain within rtol of each other."""
+    groups = []
+    for i in np.argsort(lams):
+        if groups and abs(lams[i] - lams[groups[-1][-1]]) <= rtol * abs(lams[i]):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
 @pytest.mark.parametrize("q, v, a_exp, depth, keep", [
     (0.05, -0.5, 0, 24, 4),
     (0.5, -0.5, -1, 24, 8),
     (0.3, 1.5, 1, 24, 5),
     (0.5, -0.5, 0, 10, 10),  # more series terms than lattice points
+    (0.5, -0.5, -3, 24, 10),  # band edge above 1: clusters of three +1 and two -1
 ])
 def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
     # every case needs pairs below float64 resolution of B, so the
@@ -116,15 +128,20 @@ def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
         np.sort(basis.eigenvalues), np.sort(lam_o[:keep]), rtol=1e-10, atol=0
     )
     sq = np.sqrt(b.weights(p))
-    for lam, unit in zip(basis.eigenvalues, basis.unit_samples):
-        j = int(np.argmin(np.abs(lam_o - lam)))
-        gap = np.min(np.abs(np.delete(lam_o, j) - lam_o[j]))
-        if gap <= 1e-6 * abs(lam):
-            continue  # a near-degenerate cluster has no unique basis
-        y = sq * unit
-        vo = np.array([float(V[k, j]) for k in range(depth)])
-        vo *= np.sign(np.dot(vo, y))
-        assert np.abs(y - vo).max() <= 1e-10, (lam, j)
+    Y = sq * basis.unit_samples
+    Vo = np.array([[float(V[k, j]) for j in range(depth)] for k in range(depth)])
+    for group in _clusters(basis.eigenvalues):
+        lam = basis.eigenvalues[group[0]]
+        near = np.flatnonzero(np.abs(lam_o - lam) <= 1e-6 * abs(lam))
+        assert len(near) == len(group), (lam, near)
+        if len(group) == 1:  # a separated pair: its vector up to sign
+            y, vo = Y[group[0]], Vo[:, near[0]]
+            vo *= np.sign(np.dot(vo, y))
+            assert np.abs(y - vo).max() <= 1e-10, lam
+        else:  # a near-degenerate cluster has no unique basis, but a projector
+            proj = Y[group].T @ Y[group]
+            proj_o = Vo[:, near] @ Vo[:, near].T
+            assert np.abs(proj - proj_o).max() <= 1e-12, (lam, len(group))
     gram = (basis.unit_samples * b.weights(p)) @ basis.unit_samples.T
     assert np.abs(gram - np.eye(keep)).max() <= 1e-12
 
@@ -132,26 +149,58 @@ def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
 def test_small_q_takes_one_mp_solve(monkeypatch):
     # only two eigenvalues resolve in float64 at q = 0.05; the predicted
     # working precision must still resolve keep = 4 at the first solve
-    import mpmath
+    from qprolate import pswf
 
-    calls = []
-    real = mpmath.eigsy
+    sizes = []
+    real = pswf._mp_eigensystem
 
     def counted(*args, **kwargs):
-        calls.append(args[0].rows)
-        return real(*args, **kwargs)
+        evals, units = real(*args, **kwargs)
+        sizes.append(len(evals))  # N: one eigenvalue per column of the factor
+        return evals, units
 
-    monkeypatch.setattr(mpmath, "eigsy", counted)
+    monkeypatch.setattr(pswf, "_mp_eigensystem", counted)
     basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.05, -0.5), keep=4)
     assert basis.count == 4
-    assert len(calls) == 1
-    assert calls[0] < 60  # the N x N core, not the depth-60 operator matrix
+    assert len(sizes) == 1
+    assert sizes[0] < 60  # the N x N core, not the depth-60 operator matrix
+
+
+@pytest.mark.parametrize("a_exp, keep", [(-3, 10), (-4, 12)])
+def test_degenerate_clusters_span_their_eigenspace(a_exp, keep):
+    # at depth 60 the +-1 clusters are degenerate at the working precision,
+    # so no single vector of them is unique; each cluster must still come
+    # out orthonormal and span the eigenspace that float64 eigh resolves
+    # (the clusters lie 2 apart and far from the rest of the spectrum)
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.5, -0.5)
+    basis = qp.compute_basis(b, p, keep=keep)
+    Y = basis.unit_samples * np.sqrt(b.weights(p))
+    assert np.abs(Y @ Y.T - np.eye(keep)).max() <= 1e-12
+    lam, V = np.linalg.eigh(qp.build_operator_matrix(b, p))
+    for sign in (1.0, -1.0):
+        got = np.abs(basis.eigenvalues - sign) <= 1e-6
+        want = np.abs(lam - sign) <= 1e-6
+        assert got.sum() == want.sum() >= 3
+        proj = Y[got].T @ Y[got]
+        assert np.abs(proj - V[:, want] @ V[:, want].T).max() <= 1e-12
+
+
+def test_mp_solve_keeps_relative_precision_on_tiny_weights():
+    # at q = 0.05, v = 3/2 the weights fall to sqrt(w_59 / w_0) ~ 1e-192,
+    # far below the absolute precision of the fixed-point solve; psi_i is
+    # analytic in x^2, so its samples at a q^m, m >= 30, all equal psi_i(0)
+    # in float64, which they show only if each kept its relative precision
+    basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.05, 1.5), keep=6)
+    assert basis.count == 6
+    u = basis.unit_samples
+    assert (u[:, -1] != 0).all()
+    assert (np.abs(u[:, 30:] - u[:, -1:]) <= 1e-12 * np.abs(u[:, -1:])).all()
 
 
 def test_mp_pairs_sorted_at_working_precision():
     # at a_exp = -2 the top five |lambda| lie within 1.2e-17 of 1 (one
-    # above 1 by 3.5e-154): sorted at float64 they tie and keep mp.eigsy's
-    # order, sorted at 150 digits they alternate in sign from +1
+    # above 1 by 3.5e-154): sorted at float64 they tie and keep the
+    # solver's order, sorted at 150 digits they alternate in sign from +1
     from qprolate.pswf import _basis_from_mp
 
     basis, resolved = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)
