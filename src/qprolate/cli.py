@@ -333,7 +333,7 @@ def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, sam
         b = Bandlimit(a_exp, cfg.depth)
         fa = project(f, b, plan)
         sample_vals = np.array([fa.value_at_exp(int(k)) for k in grid.exponents()])
-        recon = np.array([reconstruct(sample_vals, float(z), grid, b, p) for z in zs])
+        recon = reconstruct(sample_vals, zs, grid, b, p)
         lines = ["z,f_true,f_reconstructed,abs_error"]
         for z, r in zip(zs, recon):
             if f_exact is not None:
@@ -464,6 +464,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
         except SolverNoConvergence as exc:
             print(f"error: eigensolver failed to converge: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except OverflowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

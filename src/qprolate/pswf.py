@@ -45,14 +45,12 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-import mpmath as mp
 import numpy as np
 
-from . import fixedla
 from .qbessel import (
     DegenerateArguments,
     jv_array,
-    jv_at_exponent,
+    lattice_table,
     product_integral_closed,
     product_integral_direct,
 )
@@ -128,9 +126,7 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     once per anti-diagonal and the matrix is exactly symmetric.
     """
     m = b.depth
-    diag = np.array(
-        [jv_at_exponent(2 * b.a_exp + s, p) for s in range(0, 2 * m - 1)]
-    )
+    diag = lattice_table(p, 2 * b.a_exp, 2 * b.a_exp + 2 * m - 2)
     sq = np.sqrt(b.weights(p))
     idx = np.arange(m)
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
@@ -143,7 +139,13 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     Returns (evals, units): the eigenvalues of C = R J R^T in ascending
     order as mpmath numbers, and ``units(lams)``, the float64 unit
     eigenvectors of B for the eigenvalues ``lams`` divided by sqrt(w_m).
+    mpmath and ``fixedla`` are imported here, so that only this solve
+    pays for them.
     """
+    import mpmath as mp
+
+    from . import fixedla
+
     q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
     # log10 of the column scales c_qv w_0 c_n a^{4n}; G is cut where they
     # first fall dps digits below ref = min(1, scale at n = 0).  They are
@@ -246,6 +248,8 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
+    import mpmath as mp
+
     evals, units = _mp_eigensystem(b, p, dps)
     with mp.workdps(dps):
         # keyed at the working precision: rounded to float64, the +-1
@@ -358,10 +362,8 @@ def pswf_on_window(basis: PswfBasis, i: int, window: LatticeWindow) -> LatticeFu
         if 0 <= m < b.depth:
             vals[j] = basis.eigenfunctions[i, m]
         else:
-            jrow = np.array(
-                [jv_at_exponent(int(n) + b.a_exp + mm, p) for mm in range(b.depth)]
-            )
-            vals[j] = np.dot(h, jrow)
+            s = int(n) + b.a_exp
+            vals[j] = np.dot(h, lattice_table(p, s, s + b.depth - 1))
     return LatticeFunction(window, vals)
 
 

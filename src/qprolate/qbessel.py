@@ -4,15 +4,18 @@ The series sum_n (-1)^n q^{n(n+1)} z^{2n} / ((q^2;q^2)_n (q^{2v+2};q^2)_n)
 is entire, but for large z its terms grow to a huge peak before the
 q^{n(n+1)} decay wins, so the alternating sum cancels catastrophically in
 double precision.  Evaluation therefore runs a fast float pass first and
-transparently reruns in mpmath with enough digits whenever the peak term
-dwarfs the result; ``jv``, ``_jv_order`` and the lattice cache behind
-``jv_at_exponent`` share that one float-then-refine step.
+transparently reruns the same series in the standard library's decimal
+arithmetic (libmpdec), with enough digits, whenever the peak term dwarfs
+the result or the float pass overflowed; ``jv``, ``jv_array`` and the
+lattice cache behind ``jv_at_exponent`` and ``lattice_table`` share that
+one float-then-refine step.  A value beyond the float range raises
+OverflowError.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
-form lives in ``product_integral_quotient``, vectorised over y, which
-both ``product_integral_closed`` (series values) and the sampling kernel
-row (cached lattice values) call; its Jackson sum lives in
+form lives in ``product_integral_quotient``, broadcast over y and z,
+which both ``product_integral_closed`` (series values) and the sampling
+kernel rows (cached lattice values) call; its Jackson sum lives in
 ``product_integral_direct``, the brute-force twin and the fallback near
 y^2 = z^2.  Also implements the lattice growth bound.
 """
@@ -21,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .qcalc import QParams, qpochhammer
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
-# cancellation and the mpmath path takes over.
+# cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
 
@@ -80,62 +83,74 @@ def _series_float(z2: float, q: float, v: float, eps: float):
     return total, n, max_term
 
 
-def _series_mp(z, q, v, dps: int):
-    """Series at working precision dps; z may be mpf or float. Returns (sum, max_term)."""
-    with mp.workdps(dps):
-        qm = mp.mpf(q)
-        vm = mp.mpf(v)
-        zm = mp.mpf(z)
-        z2 = zm * zm
-        q2 = qm * qm
-        qv = qm ** (2 * vm + 2)
-        term = mp.mpf(1)
-        total = mp.mpf(0)
-        max_term = mp.mpf(0)
-        floor = mp.mpf(10) ** (-dps)
-        n = 0
+def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
+    """Series at the working precision of ``ctx``; returns (sum, max_term)
+    as Decimals.  The argument is the float z, converted exactly, or, given
+    a lattice exponent s, the power q^s formed at that precision, so deep
+    negative exponents stay consistent."""
+    with localcontext(ctx):
+        qd = Decimal(q)
+        x = qd**s if s is not None else Decimal(z)
+        z2 = x * x
+        q2 = qd * qd
+        qv = qd ** (2 * Decimal(v) + 2)
+        term = Decimal(1)
+        total = Decimal(0)
+        max_term = Decimal(0)
+        floor = Decimal(1).scaleb(-ctx.prec)
+        q2n = Decimal(1)  # q2**n
         while True:
             total += term
             at = abs(term)
             if at > max_term:
                 max_term = at
-            ratio = q2 ** (n + 1) * z2 / ((1 - q2 ** (n + 1)) * (1 - qv * q2**n))
-            nxt = -term * ratio
-            n += 1
+            q2n1 = q2n * q2
+            nxt = -term * (q2n1 * z2 / ((1 - q2n1) * (1 - qv * q2n)))
+            q2n = q2n1
             if abs(nxt) < floor * max(1, max_term) and abs(nxt) <= at:
                 return total, max_term
             term = nxt
 
 
 def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None = None) -> float:
-    """mpmath evaluation with digits escalated until the sum is resolved.
+    """Decimal evaluation with digits escalated until the sum is resolved.
 
-    Given a lattice exponent ``s``, ``z`` is ignored and the argument is
-    formed as the exact power q^s at each working precision, so deep
-    negative exponents stay consistent.
+    Starts at 40 digits past the float pass's peak term (200 when it
+    overflowed) and doubles until at least 18 digits survive the
+    cancellation.  Raises OverflowError when the resolved value lies
+    beyond the float range.
     """
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         dps = 40 + int(math.log10(max_term_hint))
     else:
         dps = 200
     while True:
-        if s is not None:
-            with mp.workdps(dps):
-                z = mp.mpf(q) ** s
-        total, max_term = _series_mp(z, q, v, dps)
-        if total == 0 or max_term * mp.mpf(10) ** (-(dps - 18)) < abs(total):
-            return float(total)
+        ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        total, max_term = _series_decimal(z, q, v, ctx, s)
+        if total == 0 or max_term.scaleb(18 - dps, ctx) < total.copy_abs():
+            value = float(total)
+            if math.isinf(value):
+                arg = f"q^{s}" if s is not None else repr(z)
+                raise OverflowError(f"j_{v}({arg}) = {total:.6e} lies beyond the float range")
+            return value
         dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
 
 
+def _needs_refinement(val, max_term):
+    """Whether a float pass is untrustworthy: its peak term dwarfs the sum
+    by more than _REFINE_RATIO (compared scaled down, since _REFINE_RATIO
+    |val| overflows near the float limit), or the sum is not finite."""
+    return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
+
+
 def _series_checked(z: float, q: float, v: float, eps: float, s: int | None = None):
-    """Float pass of the series, rerun in mpmath when the peak term dwarfs
-    the sum; returns (value, terms, max_term), the last two from the float
-    pass."""
+    """Float pass of the series, rerun in decimal arithmetic when
+    ``_needs_refinement``; returns (value, terms, max_term), the last two
+    from the float pass."""
     val, terms, max_term = _series_float(z * z, q, v, eps)
-    if max_term > _REFINE_RATIO * max(abs(val), 1e-300):
+    if _needs_refinement(val, max_term):
         val = _series_refined(z, q, v, max_term, s)
     return val, terms, max_term
 
@@ -146,20 +161,14 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     Returns a BesselEvalReport; ``value`` is accurate even in the severe
     cancellation regime (the report still describes the float-series
     behaviour that triggered refinement).  Raises ValueError for a
-    non-finite z, on which the refinement would never resolve.
+    non-finite z, on which the refinement would never resolve, and
+    OverflowError when the value lies beyond the float range.
     """
     if not math.isfinite(z):
         raise ValueError(f"jv needs a finite argument, got {z!r}")
     val, terms, max_term = _series_checked(z, p.q, p.v, p.eps)
     # scaled down, not |val| up: 1e12 |val| overflows near the float limit
     return BesselEvalReport(val, terms, max_term, max_term * 1e-12 > abs(val))
-
-
-def _jv_order(z: float, p: QParams, v: float) -> float:
-    """j at an explicit order v (used for the v+1 factors of closed forms)."""
-    if not math.isfinite(z):
-        raise ValueError(f"j_v needs a finite argument, got {z!r}")
-    return _series_checked(z, p.q, v, p.eps)[0]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -177,9 +186,17 @@ def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
     return _jv_exp_cached(p.q, p.v if v is None else v, p.eps, int(s))
 
 
+def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
+    """Array of j_v(q^s, q^2) for s = s_min..s_max, read through the same
+    process-wide cache as ``jv_at_exponent``; ``v`` defaults to ``p.v``."""
+    v = p.v if v is None else v
+    return np.array([_jv_exp_cached(p.q, v, p.eps, s) for s in range(s_min, s_max + 1)])
+
+
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
-    """Vectorized j_v(z_i, q^2); per-element mp refinement where needed.
-    Raises ValueError if any z_i is not finite."""
+    """Vectorized j_v(z_i, q^2); per-element decimal refinement where needed.
+    Raises ValueError if any z_i is not finite, OverflowError if a value
+    lies beyond the float range."""
     if v is None:
         v = p.v
     z = np.asarray(z, dtype=float)
@@ -209,7 +226,7 @@ def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
             if done.all():
                 break
             term = nxt
-    refine = max_term > _REFINE_RATIO * np.maximum(np.abs(total), 1e-300)
+    refine = _needs_refinement(total, max_term)
     if refine.any():
         flat = total.reshape(-1)
         mf = max_term.reshape(-1)
@@ -251,23 +268,26 @@ def product_integral_direct(
     return float((1.0 - p.q) * a ** (2.0 * p.v + 2.0) * np.dot(weights, prod))
 
 
-def product_integral_quotient(y, z: float, jy, a_exp: int, p: QParams):
-    """Closed form of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t, vectorised over y:
+def product_integral_quotient(y, z, jy, a_exp: int, p: QParams):
+    """Closed form of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t, broadcast
+    over y and z:
 
         (1-q) a^{2v+2} / (1-q^{2v+2})
         [y^2 j_{v+1}(ay) j_v(az/q) - z^2 j_{v+1}(az) j_v(ay/q)] / (y^2 - z^2).
 
     ``jy`` holds the y-side values (j_{v+1}(ay), j_v(ay/q)), so callers can
     pass series values or cached lattice values; the two z-side series are
-    evaluated here.  Returns (values, separated): the difference quotient
-    loses ~9 digits at separation 1e-9, so where |y^2 - z^2| <=
-    1e-9 max(y^2, z^2) ``separated`` is False and the value is 0.
+    evaluated here by ``jv_array``.  Returns (values, separated): the
+    difference quotient loses ~9 digits at separation 1e-9, so where
+    |y^2 - z^2| <= 1e-9 max(y^2, z^2) ``separated`` is False and the
+    value is 0.
     """
     y2 = np.asarray(y, dtype=float) ** 2
+    z = np.asarray(z, dtype=float)
     z2 = z * z
     a = p.q ** float(a_exp)
-    jz1 = _jv_order(a * z, p, p.v + 1.0)
-    jzq = _jv_order(a * z / p.q, p, p.v)
+    jz1 = jv_array(a * z, p, p.v + 1.0)
+    jzq = jv_array(a * z / p.q, p)
     pref = (1.0 - p.q) / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (2.0 * p.v + 2.0)
     den = y2 - z2
     separated = np.abs(den) > 1e-9 * np.maximum(y2, z2)
@@ -282,7 +302,7 @@ def product_integral_closed(y: float, z: float, a_exp: int, p: QParams) -> float
     and the caller should fall back to ``product_integral_direct``.
     """
     a = p.q ** float(a_exp)
-    jy = (_jv_order(a * y, p, p.v + 1.0), _jv_order(a * y / p.q, p, p.v))
+    jy = (jv_array(a * y, p, p.v + 1.0), jv_array(a * y / p.q, p))
     value, separated = product_integral_quotient(y, z, jy, a_exp, p)
     if not separated:
         raise DegenerateArguments(f"y^2={y * y} and z^2={z * z} too close for the closed form")

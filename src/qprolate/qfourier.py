@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qbessel import jv_at_exponent
+from .qbessel import jv_at_exponent, lattice_table
 from .qcalc import LatticeFunction, LatticeWindow, QParams, lattice_weights, warn_boundary
 
 
@@ -38,11 +38,8 @@ class TransformPlan:
     def __post_init__(self):
         s_min = self.in_window.n_min + self.out_window.n_min
         s_max = self.in_window.n_max + self.out_window.n_max
-        table = np.array(
-            [jv_at_exponent(s, self.params) for s in range(s_min, s_max + 1)]
-        )
         object.__setattr__(self, "s_min", s_min)
-        object.__setattr__(self, "kernel_table", table)
+        object.__setattr__(self, "kernel_table", lattice_table(self.params, s_min, s_max))
 
     def kernel_at(self, s: int) -> float:
         """j_v(q^s, q^2), from the table when covered, recomputed otherwise."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pswf import Bandlimit, KernelEvaluator, kernel_auto
-from .qbessel import jv_at_exponent, product_integral_quotient
+from .qbessel import lattice_table, product_integral_quotient
 from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
@@ -62,48 +62,50 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     return kernel_auto(KernelEvaluator(b, p, "closed_form"), p.q ** float(n), z)
 
 
-def _kernel_row(z: float, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
-    """k_z(q^k) over the whole grid: the closed form with the lattice
-    factors read from the exponent cache, ``sampling_kernel`` where q^k
-    is too close to z."""
+def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
+    """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``: the
+    closed form with the lattice factors read once from the exponent
+    cache, ``sampling_kernel`` where q^k is too close to z."""
     ks = grid.exponents()
-    s = (b.a_exp + ks).tolist()
-    v1 = p.v + 1.0
-    jy = (
-        np.array([jv_at_exponent(e, p, v1) for e in s]),
-        np.array([jv_at_exponent(e - 1, p) for e in s]),
+    s_min, s_max = b.a_exp + grid.k_min, b.a_exp + grid.k_max
+    jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
+    values, separated = product_integral_quotient(
+        p.q ** ks.astype(float), zs[:, None], jy, b.a_exp, p
     )
-    values, separated = product_integral_quotient(p.q ** ks.astype(float), z, jy, b.a_exp, p)
     out = p.c_qv**2 * values
-    for i in np.flatnonzero(~separated):
-        out[i] = sampling_kernel(z, int(ks[i]), b, p)
+    for i, k in zip(*np.nonzero(~separated)):
+        out[i, k] = sampling_kernel(float(zs[i]), int(ks[k]), b, p)
     return out
 
 
 def reconstruct(
     samples: np.ndarray,
-    z: float,
+    z: float | np.ndarray,
     grid: SamplingGrid,
     b: Bandlimit,
     p: QParams,
-) -> float:
+) -> float | np.ndarray:
     """Truncated sampling sum (1-q) sum_k q^{2k(v+1)} samples[k] k_z(q^k).
 
-    ``samples[i]`` must hold f(q^k) for k = grid.k_min + i.  Emits a
-    TailWarning when a boundary term of the sum is still significant;
-    raises ValueError for non-finite samples or z.
+    ``samples[i]`` must hold f(q^k) for k = grid.k_min + i.  ``z`` is a
+    float, which returns a float, or an array, which returns an array of
+    its shape.  Emits a TailWarning for each z at which a boundary term of
+    the sum is still significant; raises ValueError for non-finite
+    samples or z.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.k_max - grid.k_min + 1,):
         raise ValueError("samples length does not match the grid")
-    if not (np.isfinite(samples).all() and np.isfinite(z)):
+    zs = np.asarray(z, dtype=float)
+    if not (np.isfinite(samples).all() and np.isfinite(zs).all()):
         raise ValueError("reconstruct needs finite samples and a finite z")
     ks = grid.exponents().astype(float)
     weights = (1.0 - p.q) * p.q ** (2.0 * ks * (p.v + 1.0))
-    terms = weights * samples * _kernel_row(z, grid, b, p)
-    total = float(np.sum(terms))
-    warn_boundary((terms[0], terms[-1]), total, p.eps, "reconstruct")
-    return total
+    terms = weights * samples * _kernel_rows(zs.reshape(-1), grid, b, p)
+    totals = np.sum(terms, axis=1)
+    for row, total in zip(terms, totals):
+        warn_boundary((row[0], row[-1]), total, p.eps, "reconstruct")
+    return float(totals[0]) if zs.ndim == 0 else totals.reshape(zs.shape)
 
 
 def project(f: LatticeFunction, b: Bandlimit, plan: TransformPlan) -> LatticeFunction:

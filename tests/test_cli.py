@@ -66,6 +66,19 @@ def test_eigen_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_overflow_exit_code(tmp_path, monkeypatch, capsys):
+    # a q-Bessel value beyond the float range is a numerical failure
+    import qprolate.cli as cli
+
+    def boom(*a, **kw):
+        raise OverflowError("synthetic")
+
+    monkeypatch.setattr(cli, "compute_basis", boom)
+    rc = main(["eigen", "--out", str(tmp_path), *FAST_EIGEN])
+    assert rc == 3
+    assert "synthetic" in capsys.readouterr().err
+
+
 def test_reconstruct_runge_artifacts(tmp_path, capsys):
     rc = main(["reconstruct", "--function", "runge", "--out", str(tmp_path), *FAST_RECON])
     assert rc == 0
@@ -94,19 +107,30 @@ def test_reconstruct_runge_artifacts(tmp_path, capsys):
 
 
 def test_reconstruct_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs 11-15 ms in every fresh process; np.unique imports it
+    # numpy.ma costs 11-15 ms in every fresh process (np.unique imports
+    # it); mpmath and fixedla are needed only by the mp eigensolve, which
+    # none of these commands reaches
     src = str(Path(qp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    sample_file = tmp_path / "f.txt"
+    sample_file.write_text("\n".join(f"{k} {1.0 / (1.0 + 4.0**-k)!r}" for k in range(-12, 46)))
+    commands = [
+        ["reconstruct", "--out", str(tmp_path / "r"), *FAST_RECON],
+        ["transform", "--samples", str(sample_file), "--window", "-12:45", "--roundtrip",
+         "--out", str(tmp_path / "t")],
+        ["eigen", "--keep", "4", "--out", str(tmp_path / "e")],
+    ]
     code = (
         "import sys\n"
         "from qprolate.cli import main\n"
-        f"rc = main(['reconstruct', '--out', {str(tmp_path)!r}, *{FAST_RECON!r}])\n"
-        "print('RESULT', rc, 'numpy.ma' in sys.modules)\n"
+        f"rcs = [main(c) for c in {commands!r}]\n"
+        "print('RESULT', rcs, [m in sys.modules for m in "
+        "('numpy.ma', 'mpmath', 'qprolate.fixedla')])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0] [False, False, False]"
 
 
 def test_reconstruct_bandlimited_input(tmp_path, capsys):

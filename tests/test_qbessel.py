@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +46,52 @@ def test_jv_deep_lattice_matches_oracle():
         assert got == pytest.approx(want, rel=1e-12), f"s={s}"
 
 
+def _log10_peak(s, q, v):
+    """log10 of the largest term of the j_v series at z = q^s."""
+    acc = best = 0.0
+    n = 0
+    while acc > best - 20:
+        n += 1
+        acc += 2 * (n + s) * math.log10(q) - math.log10(
+            (1 - q ** (2 * n)) * (1 - q ** (2 * v + 2 * n))
+        )
+        best = max(best, acc)
+    return best
+
+
+@pytest.mark.parametrize(
+    "q, v, exps",
+    [
+        (0.05, -0.5, (-30, -16, -15, -1, 3)),
+        (0.05, 3.0, (-5, -4)),
+        (0.2, 3.0, (-12, -5)),
+        (0.5, 3.0, (-11,)),
+        (0.7, 1.5, (-10, -4, 1)),
+        (0.9, -0.9, (-6,)),
+        (0.97, -0.5, (-30, 0)),
+    ],
+)
+def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
+    # Error relative to max(|J_{s-1}|, |J_s|, |J_{s+1}|), so that values
+    # near a sign change are not held to a relative bound.  The oracle
+    # runs at log10(peak term) + 40 digits, plus the digits by which the
+    # package's three values fall below 1 (at least to the float floor):
+    # then it resolves 40 digits of any scale it could be confused with,
+    # so agreement cannot come from both being wrong.  1e-8 is what the
+    # accepted float pass allows (peak up to 1e6 |value|, ~100 roundings
+    # of 2^-53): q = 0.9 reaches 2.2e-9.  At q = 0.05, s <= -16 the float
+    # pass sums to beyond 1e302 (-2.9e304 at s = -16, true value 9.1e-334).
+    tiny = np.finfo(float).tiny
+    p = qp.QParams(q, v)
+    for s in exps:
+        got = [qp.jv_at_exponent(t, p) for t in (s - 1, s, s + 1)]
+        dps = int(_log10_peak(s - 1, q, v) - math.log10(max(abs(x) for x in got + [tiny]))) + 40
+        with mp.workdps(dps):
+            ref = [jv_series(mp.mpf(q) ** t, q, v, dps) for t in (s - 1, s, s + 1)]
+        scale = max(abs(x) for x in ref)
+        assert abs(got[1] - ref[1]) <= 1e-8 * scale + tiny, f"s={s}"
+
+
 def test_jv_cancellation_flag():
     p = qp.QParams(0.5, -0.5)
     rep = qp.jv(0.5**-10, p)
@@ -55,11 +104,22 @@ def test_jv_cancellation_flag():
 
 def test_jv_cancellation_flag_at_overflowing_peak():
     # the peak term overflows to inf while the refined value is near the
-    # float limit, where 1e12 |value| would overflow too
-    rep = qp.jv(100.0, qp.QParams(0.99, -0.5))
+    # float limit, where 1e12 |value| and 1e6 |value| would overflow too
+    p = qp.QParams(0.05, -0.5)
+    z = 0.05**-16
+    rep = qp.jv(z, p)
     assert rep.max_term_magnitude == np.inf
-    assert abs(rep.value) > 1e300
+    want = float(jv_series(z, p.q, p.v, dps=400))  # 3.2639e296
+    assert rep.value == pytest.approx(want, rel=1e-14)
     assert rep.cancellation_flag
+
+
+def test_jv_beyond_float_range_raises():
+    # j_{-1/2}(100) at q = 0.99 is 6.68e878; the float pass overflows
+    with pytest.raises(OverflowError):
+        qp.jv(100.0, qp.QParams(0.99, -0.5))
+    with pytest.raises(OverflowError):
+        qp.jv_array(np.array([1.0, 100.0]), qp.QParams(0.99, -0.5))
 
 
 def test_jv_even_in_z():
@@ -179,16 +239,14 @@ def test_product_integral_depth_validation():
 def test_closed_form_pairing_as_printed():
     # the y^2 term must carry j_v(a q^-1 z): swapping the pairing breaks
     # the identity at O(1), confirming the closed form as printed
-    from qprolate.qbessel import _jv_order
-
     p = qp.QParams(0.5, 0.0)
     y, z, a = 1.0, 0.5, 1.0
     pref = (1 - p.q) / (1 - p.q**2) * 1.0
     swapped = (
         pref
         * (
-            y * y * _jv_order(a * y, p, 1.0) * _jv_order(a * y / p.q, p, 0.0)
-            - z * z * _jv_order(a * z, p, 1.0) * _jv_order(a * z / p.q, p, 0.0)
+            y * y * qp.jv_array(a * y, p, 1.0) * qp.jv_array(a * y / p.q, p, 0.0)
+            - z * z * qp.jv_array(a * z, p, 1.0) * qp.jv_array(a * z / p.q, p, 0.0)
         )
         / (y * y - z * z)
     )

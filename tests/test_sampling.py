@@ -26,8 +26,6 @@ def test_grid_validation():
 
 def test_sampling_kernel_at_zero(bandlimit, p_half):
     # z = 0 kills the z^2 numerator term and j_v(0) = 1
-    from qprolate.qbessel import _jv_order
-
     p = p_half
     a = 1.0
     for n in (0, 2, 5):
@@ -35,7 +33,7 @@ def test_sampling_kernel_at_zero(bandlimit, p_half):
             (1 - p.q)
             * p.c_qv**2
             / (1 - p.q ** (2 * p.v + 2))
-            * _jv_order(a * p.q**n, p, p.v + 1.0)
+            * qp.jv_array(a * p.q**n, p, p.v + 1.0)
         )
         assert qp.sampling_kernel(0.0, n, bandlimit, p_half) == pytest.approx(
             want, rel=1e-12
@@ -175,6 +173,30 @@ def test_reconstruct_tail_warning_for_slow_decay(bandlimit, p_half, grid):
     samples = 1.0 / (1.0 + p_half.q ** (2.0 * ks))
     with pytest.warns(qp.TailWarning):
         qp.reconstruct(samples, 0.3, grid, bandlimit, p_half)
+
+
+@pytest.mark.parametrize("a_exp", [0, -2])
+def test_reconstruct_on_array_matches_scalar_calls(p_half, grid, a_exp):
+    # dense points plus lattice points, where the kernel falls back to the
+    # direct sum; samples of 1/(1+x^2), so that most z carry a TailWarning
+    b = qp.Bandlimit(a_exp, 60)
+    ks = grid.exponents().astype(float)
+    samples = 1.0 / (1.0 + p_half.q ** (2.0 * ks))
+    zs = np.concatenate([np.linspace(0.01, 2.0, 37), p_half.q ** np.arange(-1.0, 8.0)])
+    with warnings.catch_warnings(record=True) as per_z:
+        warnings.simplefilter("always", qp.TailWarning)
+        want = [qp.reconstruct(samples, float(z), grid, b, p_half) for z in zs]
+    with warnings.catch_warnings(record=True) as batch:
+        warnings.simplefilter("always", qp.TailWarning)
+        got = qp.reconstruct(samples, zs.reshape(2, -1), grid, b, p_half)
+    assert all(type(w) is float for w in want) and got.shape == (2, zs.size // 2)
+    # jv_array sums its float pass until every element of the batch has
+    # converged, so an element may carry terms below eps * max(1, peak)
+    # that a lone evaluation stops before
+    np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
+    assert len(per_z) > zs.size // 2
+    assert len(batch) == len(per_z)
+    assert all(w.filename == __file__ for w in batch)
 
 
 def test_reconstruct_no_tail_warning_for_compact_support(bandlimit, p_half, grid):
