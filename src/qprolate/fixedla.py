@@ -5,35 +5,54 @@ one unit, so every sum and product of the dense reductions is exact and
 only a rescaling ``>> prec`` or a division rounds, each by one unit
 2^-prec.  The error of a reduction is then norm-wise, like that of a
 backward-stable floating-point one at prec bits, at the cost of plain
-integer arithmetic instead of mpmath numbers.  Vectors and matrices are
-lists of such ints (matrices as lists of rows, or of columns where said).
+integer arithmetic.  Vectors and matrices are lists of such ints
+(matrices as lists of rows, or of columns where said); ``to_fixed``
+converts a Decimal to one.
 
 A Householder reflector is a tuple (start, v, vtv, shifts): it maps x to
 x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.  Entry i
 of v and x may carry a further scale 2^(shifts[i] / 2) over entry 0, which
 the dot products take out; vtv is v.v so computed, scaled by 2^(2 prec).
 
-The QL iteration for the eigenvalues of the tridiagonal matrix is the one
-mpmath step: its deflation test is relative to the neighbouring diagonal
-entries, which fixed point cannot resolve below 2^-prec.
+The QL iteration for the eigenvalues of the tridiagonal matrix runs in
+floating point instead, in the standard library's decimal (libmpdec) at
+``context(prec)``, at least prec bits' worth of digits: its deflation
+test is relative to the neighbouring diagonal entries, which fixed point
+cannot resolve below 2^-prec.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from operator import mul, rshift
 
-import mpmath as mp
+# products in this context are exact, so that int() truncates only once
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class NoConvergence(ArithmeticError):
     """The QL iteration did not deflate an eigenvalue within its sweep budget."""
 
 
-def to_fixed(x, prec: int) -> int:
-    """x * 2^prec truncated to an int, for an mpmath number x."""
-    return int(mp.ldexp(x, prec))
+def context(prec: int) -> Context:
+    """Decimal context carrying at least ``prec`` bits, with an unbounded
+    exponent range."""
+    return Context(prec=math.ceil(prec * math.log10(2)) + 2, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def to_fixed(x: Decimal, prec: int) -> int:
+    """x * 2^prec truncated toward zero to an int, for a Decimal x and
+    prec >= 0."""
+    return int(_EXACT.multiply(x, 1 << prec))
+
+
+def binary_magnitude(x: Decimal) -> int:
+    """The e with 2^(e-1) <= |x| < 2^e, for a nonzero Decimal x."""
+    n, d = x.copy_abs().as_integer_ratio()
+    e = n.bit_length() - d.bit_length()  # 2^(e-1) < n/d < 2^(e+1)
+    return e + (shift(n, -e) >= d)
 
 
 def shift(x: int, k: int) -> int:
@@ -147,18 +166,19 @@ def givens(f: int, g: int, prec: int):
     return (f << prec) // r, (g << prec) // r, r >> up
 
 
-def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list:
+def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decimal]:
     """All eigenvalues of the symmetric tridiagonal matrix (d, e), in
-    ascending order, as mpmath numbers at ``prec`` bits.
+    ascending order, as Decimals carrying ``prec`` bits.
 
-    Implicit QL with Wilkinson shifts (EISPACK tql1) at prec bits; an
-    off-diagonal entry is deflated once it is negligible against its two
-    diagonal neighbours.
+    Implicit QL with Wilkinson shifts (EISPACK tql1) in ``context(prec)``;
+    an off-diagonal entry is deflated once it is negligible against its
+    two diagonal neighbours.  The iteration runs on the entries as given,
+    scaled by 2^prec, and the eigenvalues are scaled back at the end.
     """
     n = len(d)
-    with mp.workprec(prec):
-        d = [mp.mpf((x, -prec)) for x in d]
-        e = [mp.mpf((x, -prec)) for x in e] + [mp.mpf(0)]
+    with localcontext(context(prec)):
+        d = [Decimal(x) for x in d]
+        e = [Decimal(x) for x in e] + [Decimal(0)]
         for l in range(n):
             for _ in range(60):
                 m = l
@@ -170,17 +190,17 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list:
                 if m == l:
                     break
                 g = (d[l + 1] - d[l]) / (2 * e[l])
-                r = mp.sqrt(g * g + 1)
+                r = (g * g + 1).sqrt()
                 g = d[m] - d[l] + e[l] / (g + r if g >= 0 else g - r)
-                s = c = mp.mpf(1)
-                p = mp.mpf(0)
+                s = c = Decimal(1)
+                p = Decimal(0)
                 for i in range(m - 1, l - 1, -1):
                     f, b = s * e[i], c * e[i]
-                    r = mp.sqrt(f * f + g * g)
+                    r = (f * f + g * g).sqrt()
                     e[i + 1] = r
                     if not r:  # the rotation split the matrix: deflate at i + 1
                         d[i + 1] -= p
-                        e[m] = mp.mpf(0)
+                        e[m] = Decimal(0)
                         break
                     s, c = f / r, g / r
                     g = d[i + 1] - p
@@ -191,10 +211,11 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list:
                 else:
                     d[l] -= p
                     e[l] = g
-                    e[m] = mp.mpf(0)
+                    e[m] = Decimal(0)
             else:
                 raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
-        return sorted(d)
+        unit = Decimal(1 << prec)
+        return sorted(x / unit for x in d)
 
 
 def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: int):

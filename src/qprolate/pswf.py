@@ -8,11 +8,12 @@ the only discretization.  In the weighted coordinates y_m = sqrt(w_m) u_m
 the operator matrix B_km = c_qv sqrt(w_k w_m) j_v(a^2 q^{k+m}, q^2) is
 symmetric, and its eigenvalues fall off so fast (roughly like q^{3 i^2}
 at q = 1/2) that everything past the fourth pair drowns in float64
-roundoff of B itself.  The eigensolver therefore escalates to mpmath at
-enough digits to resolve every retained pair; results are returned in
-float64.
+roundoff of B itself.  The eigensolver therefore escalates to an
+extended-precision solve at enough digits to resolve every retained pair;
+results are returned in float64.
 
-The mpmath solve never forms B.  With j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
+The extended-precision solve never forms B.  With
+j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
 c_n = q^{n(n+1)} / ((q^2;q^2)_n (q^{2v+2};q^2)_n) > 0, B = G J G^T exactly,
 where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) and J = diag((-1)^n).
 G is cut at the first N whose largest column scale c_qv w_0 c_n a^{4n}
@@ -23,14 +24,15 @@ scales exceed 1 (band edges above 1), so the working precision carries
 log10 of the largest one on top.
 
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
-past the working precision: Householder QR of G, with each row and
-column of G held at its own power-of-two scale so that the reflectors
-keep full relative precision on rows whose weights fall below 2^-prec;
-C in integers; Householder reduction of C to tridiagonal form; an mpmath
-QL iteration for the N eigenvalues; and, for the retained pairs only,
-inverse iteration on the tridiagonal matrix, re-orthogonalised inside
-clusters that the precision cannot separate, back-transformed through
-the two sets of reflectors (Q is never formed).
+past the working precision: G built in the standard library's decimal
+arithmetic and rounded to integers; Householder QR of G, with each row
+and column of G held at its own power-of-two scale so that the
+reflectors keep full relative precision on rows whose weights fall
+below 2^-prec; C in integers; Householder reduction of C to tridiagonal
+form; a decimal QL iteration for the N eigenvalues; and, for the
+retained pairs only, inverse iteration on the tridiagonal matrix,
+re-orthogonalised inside clusters that the precision cannot separate,
+back-transformed through the two sets of reflectors (Q is never formed).
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -43,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from operator import mul
 
 import numpy as np
@@ -137,13 +140,10 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     digits (see the module docstring).
 
     Returns (evals, units): the eigenvalues of C = R J R^T in ascending
-    order as mpmath numbers, and ``units(lams)``, the float64 unit
-    eigenvectors of B for the eigenvalues ``lams`` divided by sqrt(w_m).
-    mpmath and ``fixedla`` are imported here, so that only this solve
-    pays for them.
+    order as Decimals, and ``units(lams)``, the float64 unit eigenvectors
+    of B for the eigenvalues ``lams`` divided by sqrt(w_m).  ``fixedla``
+    is imported here, so that only this solve pays for it.
     """
-    import mpmath as mp
-
     from . import fixedla
 
     q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
@@ -159,26 +159,41 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     nterms = len(logs) - 1
     work = dps + math.ceil(max(logs) - ref)  # digits the alternating sum cancels
     prec = math.ceil((work + _GUARD_DIGITS) * math.log2(10))
-    with mp.workprec(prec):
-        qm, vm = mp.mpf(q), mp.mpf(v)
-        q2 = qm * qm
-        c = mp.qp(qm ** (2 * vm + 2), q2) / mp.qp(q2, q2) / (1 - qm)
-        a = qm ** b.a_exp
-        sq = [mp.sqrt((1 - qm) * a ** (2 * vm + 2) * qm ** (m * (2 * vm + 2))) for m in range(mdim)]
-        x2 = [(a * qm**k) ** 2 for k in range(mdim)]
-        col = [mp.sqrt(c) * s for s in sq]  # column n of G from column n-1
+    ctx = fixedla.context(prec)
+    with localcontext(ctx):
+        qd = Decimal(q)
+        q2 = qd * qd
+        qv = qd ** (2 * Decimal(v) + 2)  # q^{2v+2}
+        # c_qv = (q^{2v+2};q^2)_inf / ((q^2;q^2)_inf (1 - q)) as num / den
+        num, den, t = Decimal(1), 1 - qd, Decimal(1)
+        tiny = Decimal(1).scaleb(-ctx.prec - 1)
+        while t > tiny:
+            num *= 1 - qv * t
+            t *= q2
+            den *= 1 - t
+        # sqrt(w_m) = sqrt((1 - q) a^{2v+2} q^{m(2v+2)}), a^{2v+2} = qv^{a_exp}
+        sq = [((1 - qd) * qv ** (b.a_exp + m)).sqrt() for m in range(mdim)]
+        x2 = [q2 ** (b.a_exp + k) for k in range(mdim)]  # (a q^k)^2
+        root_c = (num / den).sqrt()
+        col = [root_c * s for s in sq]  # column n of G from column n-1
         # G falls along k and along n past its peak; row k is held scaled
         # by a further 2^tail[k] and column n by 2^-mags[n], so that every
         # entry, and every reflector of the QR, keeps prec bits relative
         # to its row as in floating point.  R drops the scales exactly.
-        tail = [int(mp.mag(col[0]) - mp.mag(x)) for x in col]
+        top = fixedla.binary_magnitude(col[0])
+        tail = [top - fixedla.binary_magnitude(x) for x in col]
         cols, mags = [], []
+        q2n = Decimal(1)  # q^{2n}
         for n in range(nterms):
             if n:
-                ratio = mp.sqrt(q2**n / ((1 - q2**n) * (1 - qm ** (2 * vm + 2 * n))))
+                qvn = qv * q2n  # q^{2v+2n}
+                q2n *= q2
+                ratio = (q2n / ((1 - q2n) * (1 - qvn))).sqrt()  # sqrt(c_n / c_{n-1})
                 col = [x * y * ratio for x, y in zip(col, x2)]
-            mags.append(int(mp.mag(col[0])))
+            mags.append(fixedla.binary_magnitude(col[0]))
             cols.append([fixedla.to_fixed(x, prec - mags[-1] + t) for x, t in zip(col, tail)])
+        # row m of a back-transformed eigenvector is scaled by 2^(prec + tail[m])
+        divisors = [s * (1 << (prec + t)) for s, t in zip(sq, tail)]
     qr, rows = fixedla.householder_qr(cols, prec, tail)
     rows = [[fixedla.shift(x, k - t) for x, k in zip(r, mags)] for r, t in zip(rows, tail)]
     # C = R J R^T, J = diag((-1)^n)
@@ -192,16 +207,14 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
 
     def units(lams):
         """Unit eigenvectors of B for the eigenvalues ``lams``, divided by
-        sqrt(w_m) in mpmath, since sqrt(w_m) can underflow float64."""
+        sqrt(w_m) in decimal, since sqrt(w_m) can underflow float64."""
         out = []
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
             u = fixedla.reflect(tri, s, prec)  # eigenvector of C
             u = [x << t for x, t in zip(u, tail)] + [0] * (mdim - len(u))
             y = fixedla.reflect(qr, u, prec)  # of B, row m scaled by 2^(prec + tail[m])
-            with mp.workprec(prec):
-                out.append(np.array([float(mp.mpf((x, -prec - t)) / w)
-                                     for x, t, w in zip(y, tail, sq)]))
+            out.append(np.array([float(ctx.divide(x, w)) for x, w in zip(y, divisors)]))
         return out
 
     return evals, units
@@ -248,14 +261,13 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
-    import mpmath as mp
-
     evals, units = _mp_eigensystem(b, p, dps)
-    with mp.workdps(dps):
-        # keyed at the working precision: rounded to float64, the +-1
-        # clusters at band edges above 1 tie and keep the ascending order
+    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        # keyed at the working precision, where abs() rounds: rounded to
+        # float64, the +-1 clusters at band edges above 1 tie and keep the
+        # ascending order
         order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))[:keep]
-        floor = abs(evals[order[0]]) * mp.mpf(10) ** (-(dps - 25))
+        floor = abs(evals[order[0]]).scaleb(25 - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
             return None, False
         if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:

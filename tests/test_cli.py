@@ -108,8 +108,10 @@ def test_reconstruct_runge_artifacts(tmp_path, capsys):
 
 def test_reconstruct_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs 11-15 ms in every fresh process (np.unique imports
-    # it); mpmath and fixedla are needed only by the mp eigensolve, which
-    # none of these commands reaches
+    # it); fixedla is needed only by the extended-precision eigensolve,
+    # which none of the first three commands reaches; the last one takes
+    # it (the default keep 15 at q = 1/2), and mpmath stays unloaded even
+    # then, since the package does not use it
     src = str(Path(qp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     sample_file = tmp_path / "f.txt"
@@ -120,17 +122,22 @@ def test_reconstruct_does_not_import_numpy_ma(tmp_path):
          "--out", str(tmp_path / "t")],
         ["eigen", "--keep", "4", "--out", str(tmp_path / "e")],
     ]
+    mp_eigen = ["eigen", "--out", str(tmp_path / "mp")]
     code = (
         "import sys\n"
         "from qprolate.cli import main\n"
         f"rcs = [main(c) for c in {commands!r}]\n"
         "print('RESULT', rcs, [m in sys.modules for m in "
         "('numpy.ma', 'mpmath', 'qprolate.fixedla')])\n"
+        f"rc = main({mp_eigen!r})\n"
+        "print('MP', rc, [m in sys.modules for m in ('qprolate.fixedla', 'mpmath')])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0] [False, False, False]"
+    lines = proc.stdout.splitlines()
+    assert "RESULT [0, 0, 0] [False, False, False]" in lines
+    assert lines[-1] == "MP 0 [True, False]"
 
 
 def test_reconstruct_bandlimited_input(tmp_path, capsys):

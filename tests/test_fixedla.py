@@ -2,6 +2,7 @@
 matrices, against float64 numpy."""
 
 import math
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -59,6 +60,34 @@ def test_tridiagonal_eigenvalues_match_eigvalsh(n):
     assert all(x <= y for x, y in zip(got, got[1:]))  # ascending
     radius = np.abs(want).max()
     assert np.abs(np.array([float(x) for x in got]) - want).max() <= 1e-12 * radius
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_tridiagonal_eigenvalues_relative_on_graded_matrix(reverse):
+    # diagonal +-10^(-4i), i < 22, coupled by 0.3 sqrt(|d_i d_{i+1}|):
+    # eigenvalues from 1 down to 1e-84, alternating in sign.  At 300 bits a
+    # solve accurate only to 2^-300 of the norm would miss the smallest by
+    # 5e-7 relative; the relative deflation test resolves each to far
+    # better, against mpmath at twice the precision (graded either way)
+    prec, n = 300, 22
+    with mp.workprec(prec):
+        d = [(-1) ** i * mp.mpf(10) ** (-4 * i) for i in range(n)]
+        e = [mp.mpf("0.3") * mp.sqrt(abs(d[i] * d[i + 1])) for i in range(n - 1)]
+        d, e = [int(mp.ldexp(x, prec)) for x in d], [int(mp.ldexp(x, prec)) for x in e]
+    if reverse:
+        d, e = d[::-1], e[::-1]
+    got = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    assert all(x <= y for x, y in zip(got, got[1:]))  # ascending
+    with mp.workprec(2 * prec):
+        t = mp.matrix(n, n)
+        for i, x in enumerate(d):
+            t[i, i] = mp.mpf((x, -prec))
+        for i, x in enumerate(e):
+            t[i, i + 1] = t[i + 1, i] = mp.mpf((x, -prec))
+        want = sorted(mp.eigsy(t, eigvals_only=True))
+        assert min(map(abs, want)) < 1e-80 and max(map(abs, want)) > 0.9
+        err = max(abs(mp.mpf(str(x)) - w) / abs(w) for x, w in zip(got, want))
+    assert err <= 1e-12
 
 
 def _eigenpairs(d, e, prec=PREC):
@@ -119,3 +148,19 @@ def test_givens_zero_and_sign():
     assert fixedla.givens(-5, 0, PREC) == (-(1 << PREC), 0, 5)
     c, s, r = fixedla.givens(0, -3, PREC)
     assert (c, s, r) == (0, -(1 << PREC), 3)
+
+
+@pytest.mark.parametrize("s", ["1", "0.5", "0.49999", "3", "4", "-7.99", "1e-300", "1e300",
+                               "2.5e-1000", "-1.125e1000"])
+def test_binary_magnitude_matches_mpmath(s):
+    with mp.workprec(4000):
+        assert fixedla.binary_magnitude(Decimal(s)) == mp.mag(mp.mpf(s))
+
+
+def test_to_fixed_truncates_toward_zero():
+    assert fixedla.to_fixed(Decimal("1.7"), 1) == 3
+    assert fixedla.to_fixed(Decimal("-1.75"), 3) == -14
+    assert fixedla.to_fixed(Decimal("-1.7"), 1) == -3
+    x = Decimal(2).sqrt(fixedla.context(PREC)) / 7
+    with mp.workprec(2 * PREC):
+        assert fixedla.to_fixed(x, PREC) == int(mp.ldexp(mp.mpf(str(x)), PREC))

@@ -1,8 +1,9 @@
 """Module boundaries of the package: no module imports another's private
 names, so each object is used through the one public function that codes
 it.  Tests may still import private names.  The package also keeps off
-mpmath's matrix type and the dense solvers built on it, which the
-fixed-point kernels of ``fixedla`` replace at a fraction of the cost."""
+mpmath altogether: its extended precision is the standard library's
+decimal and the fixed-point kernels of ``fixedla``, and mpmath is a
+test-only dependency, for the oracles."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,18 @@ def _slow_mp_uses(path: Path) -> list[str]:
     return found
 
 
+def _mpmath_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                      for alias in node.names if alias.name.split(".")[0] == "mpmath"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "mpmath":
+            found.append(f"{path.name}:{node.lineno} imports from {node.module}")
+    return found
+
+
 def test_modules_import_no_private_names():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
@@ -70,3 +83,20 @@ def test_mpmath_matrix_use_is_detected(tmp_path):
         "g = mp.matrix(2, 2)\nq, r = mp.qr(g)\nmp.mpf(1)\n"
     )
     assert len(_slow_mp_uses(module)) == 3
+
+
+def test_package_does_not_import_mpmath():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offences = [line for path in sources for line in _mpmath_imports(path)]
+    assert not offences, "\n".join(offences)
+
+
+def test_mpmath_import_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy as np\nimport mpmath as mp\nfrom mpmath import mpf\n"
+        "from mpmath.libmp import BACKEND\nfrom .mpmath_like import x\n"
+        "def f():\n    import os, mpmath\n"
+    )
+    assert len(_mpmath_imports(module)) == 4
