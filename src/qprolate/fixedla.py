@@ -12,17 +12,25 @@ converts a Decimal to one.
 A Householder reflector is a tuple (start, v, vtv, shifts): it maps x to
 x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.  Entry i
 of v and x may carry a further scale 2^(shifts[i] / 2) over entry 0, which
-the dot products take out; vtv is v.v so computed, scaled by 2^(2 prec).
+the dot products take out (shifts is None when no entry does); vtv is
+v.v so computed, scaled by 2^(2 prec).
 
 The QL iteration for the eigenvalues of the tridiagonal matrix runs in
 floating point instead, in the standard library's decimal (libmpdec) at
 ``context(prec)``, at least prec bits' worth of digits: its deflation
 test is relative to the neighbouring diagonal entries, which fixed point
-cannot resolve below 2^-prec.
+cannot resolve below 2^-prec.  Its square roots go through ``math.isqrt``
+on the scaled coefficient with a sticky digit appended, which rounds
+exactly as ``Decimal.sqrt`` does at a third less cost.  Given ``keep``, it
+stops once every eigenvalue still undeflated is, by the Gershgorin bound
+of its block, smaller than the keep-th largest |eigenvalue| deflated so
+far: QL never revisits a deflated entry, so those keep come out as the
+full iteration would give them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
@@ -42,10 +50,15 @@ def context(prec: int) -> Context:
     return Context(prec=math.ceil(prec * math.log10(2)) + 2, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
+@functools.lru_cache(maxsize=1024)
+def _pow2(k: int) -> Decimal:
+    return Decimal(1 << k)
+
+
 def to_fixed(x: Decimal, prec: int) -> int:
     """x * 2^prec truncated toward zero to an int, for a Decimal x and
     prec >= 0."""
-    return int(_EXACT.multiply(x, 1 << prec))
+    return int(_EXACT.multiply(x, _pow2(prec)))
 
 
 def binary_magnitude(x: Decimal) -> int:
@@ -60,25 +73,33 @@ def shift(x: int, k: int) -> int:
     return x << k if k >= 0 else x >> -k
 
 
-def _reflector(start: int, x: list[int], shifts: list[int]):
+def _dot(v: list[int], x: list[int], shifts) -> int:
+    """sum of v_i x_i >> shifts_i, or the plain sum when shifts is None."""
+    if shifts is None:
+        return sum(map(mul, v, x))
+    return sum(map(rshift, map(mul, v, x), shifts))
+
+
+def _reflector(start: int, x: list[int], shifts):
     """Reflector mapping x (placed at ``start``) to alpha e_1; returns
     (reflector, alpha), or (None, x[0]) when x is a multiple of e_1 at
-    this precision."""
-    norm2 = sum(map(rshift, map(mul, x, x), shifts))
+    this precision.  ``shifts`` is None when every entry is unshifted."""
+    norm2 = _dot(x, x, shifts)
     if norm2 == x[0] * x[0]:
         return None, x[0]
     alpha = -math.isqrt(norm2) if x[0] >= 0 else math.isqrt(norm2)
     v = list(x)
     v[0] -= alpha
-    return (start, v, sum(map(rshift, map(mul, v, v), shifts)), shifts), alpha
+    return (start, v, _dot(v, v, shifts), shifts), alpha
 
 
 def _apply(reflector, x: list[int], prec: int) -> None:
     """x <- H x in place, for one reflector H."""
     start, v, vtv, shifts = reflector
     end = start + len(v)
-    f = (2 * sum(map(rshift, map(mul, v, x[start:end]), shifts)) << prec) // vtv
-    x[start:end] = [xi - ((vi * f) >> prec) for xi, vi in zip(x[start:end], v)]
+    xs = x[start:end]
+    f = (2 * _dot(v, xs, shifts) << prec) // vtv
+    x[start:end] = [xi - ((vi * f) >> prec) for xi, vi in zip(xs, v)]
 
 
 def reflect(reflectors: list, x: list[int], prec: int) -> list[int]:
@@ -106,7 +127,7 @@ def householder_qr(cols: list[list[int]], prec: int, rowexp: list[int]):
     m, n = len(rowexp), len(cols)
     reflectors = []
     for j in range(min(m, n)):
-        shifts = [2 * (t - rowexp[j]) for t in rowexp[j:]]
+        shifts = [2 * (t - rowexp[j]) for t in rowexp[j:]] if rowexp[-1] > rowexp[j] else None
         h, alpha = _reflector(j, cols[j][j:], shifts)
         cols[j][j:] = [alpha] + [0] * (m - j - 1)
         if h is None:
@@ -129,7 +150,7 @@ def tridiagonalize(a: list[list[int]], prec: int):
     n = len(a)
     e, reflectors = [], []
     for k in range(n - 2):
-        h, alpha = _reflector(k + 1, [a[i][k] for i in range(k + 1, n)], [0] * (n - k - 1))
+        h, alpha = _reflector(k + 1, [a[i][k] for i in range(k + 1, n)], None)
         e.append(alpha)
         if h is None:
             continue
@@ -166,17 +187,48 @@ def givens(f: int, g: int, prec: int):
     return (f << prec) // r, (g << prec) // r, r >> up
 
 
-def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decimal]:
-    """All eigenvalues of the symmetric tridiagonal matrix (d, e), in
+def _sqrt(x: Decimal, ctx: Context) -> Decimal:
+    """ctx.sqrt(x) for a Decimal x >= 0, through math.isqrt.
+
+    x 10^(2h) is scaled to at least 2 ctx.prec + 2 integer digits, so its
+    floor root r carries ctx.prec + 1 digits; an inexact root gets the
+    sticky digit 1 appended (r + 1/10 lies on the same side of every
+    rounding point at ctx.prec digits as the true root), and the context
+    rounds half-even, as Decimal.sqrt does.
+    """
+    if not x:
+        return x
+    h = (2 * ctx.prec + 2 - x.adjusted()) // 2
+    scaled = x.scaleb(2 * h, _EXACT)
+    n = int(scaled)
+    r = math.isqrt(n)
+    if r * r == n and n == scaled:
+        return ctx.scaleb(Decimal(r), -h)
+    return ctx.scaleb(Decimal(10 * r + 1), -h - 1)
+
+
+def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
+                            keep: int | None = None) -> list[Decimal]:
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e), in
     ascending order, as Decimals carrying ``prec`` bits.
 
     Implicit QL with Wilkinson shifts (EISPACK tql1) in ``context(prec)``;
     an off-diagonal entry is deflated once it is negligible against its
     two diagonal neighbours.  The iteration runs on the entries as given,
     scaled by 2^prec, and the eigenvalues are scaled back at the end.
+
+    Without ``keep`` all of them are returned.  With it, the iteration
+    stops once the Gershgorin bound of the undeflated block, raised by a
+    relative 10^(-digits/2), lies below the keep-th largest |eigenvalue|
+    deflated so far, and only the deflated ones are returned: they hold
+    the keep of largest magnitude, bit for bit as the full iteration gives
+    them, with a gap far above rounding at any coarser precision to the
+    rest.
     """
     n = len(d)
-    with localcontext(context(prec)):
+    ctx = context(prec)
+    with localcontext(ctx):
+        margin = 1 + Decimal(1).scaleb(-(ctx.prec // 2))
         d = [Decimal(x) for x in d]
         e = [Decimal(x) for x in e] + [Decimal(0)]
         for l in range(n):
@@ -190,13 +242,13 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decim
                 if m == l:
                     break
                 g = (d[l + 1] - d[l]) / (2 * e[l])
-                r = (g * g + 1).sqrt()
+                r = _sqrt(g * g + 1, ctx)
                 g = d[m] - d[l] + e[l] / (g + r if g >= 0 else g - r)
                 s = c = Decimal(1)
                 p = Decimal(0)
                 for i in range(m - 1, l - 1, -1):
                     f, b = s * e[i], c * e[i]
-                    r = (f * f + g * g).sqrt()
+                    r = _sqrt(f * f + g * g, ctx)
                     e[i + 1] = r
                     if not r:  # the rotation split the matrix: deflate at i + 1
                         d[i + 1] -= p
@@ -214,6 +266,12 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decim
                     e[m] = Decimal(0)
             else:
                 raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
+            if keep is not None and keep <= l + 1 < n:
+                kth = sorted(map(abs, d[:l + 1]))[-keep]
+                bound = max(abs(d[i]) + abs(e[i - 1]) + abs(e[i]) for i in range(l + 1, n))
+                if bound * margin < kth:
+                    d = d[:l + 1]
+                    break
         unit = Decimal(1 << prec)
         return sorted(x / unit for x in d)
 

@@ -29,7 +29,8 @@ arithmetic and rounded to integers; Householder QR of G, with each row
 and column of G held at its own power-of-two scale so that the
 reflectors keep full relative precision on rows whose weights fall
 below 2^-prec; C in integers; Householder reduction of C to tridiagonal
-form; a decimal QL iteration for the N eigenvalues; and, for the
+form; a decimal QL iteration, stopped once the eigenvalues it has not
+deflated all lie below the ``keep`` largest it has; and, for the
 retained pairs only, inverse iteration on the tridiagonal matrix,
 re-orthogonalised inside clusters that the precision cannot separate,
 back-transformed through the two sets of reflectors (Q is never formed).
@@ -135,14 +136,16 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
 
 
-def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
+def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
     """Eigenpairs of B through its factor G J G^T, resolved to ``dps``
     digits (see the module docstring).
 
-    Returns (evals, units): the eigenvalues of C = R J R^T in ascending
-    order as Decimals, and ``units(lams)``, the float64 unit eigenvectors
-    of B for the eigenvalues ``lams`` divided by sqrt(w_m).  ``fixedla``
-    is imported here, so that only this solve pays for it.
+    Returns (evals, units): the eigenvalues of C = R J R^T that the QL
+    deflated, in ascending order as Decimals (all N, or fewer once those
+    left lay below the keep-th largest |eigenvalue| deflated); and
+    ``units(lams)``, the float64 unit eigenvectors of B for the
+    eigenvalues ``lams`` divided by sqrt(w_m).  ``fixedla`` is imported
+    here, so that only this solve pays for it.
     """
     from . import fixedla
 
@@ -192,29 +195,39 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
                 col = [x * y * ratio for x, y in zip(col, x2)]
             mags.append(fixedla.binary_magnitude(col[0]))
             cols.append([fixedla.to_fixed(x, prec - mags[-1] + t) for x, t in zip(col, tail)])
-        # row m of a back-transformed eigenvector is scaled by 2^(prec + tail[m])
-        divisors = [s * (1 << (prec + t)) for s, t in zip(sq, tail)]
+        # sqrt(w_m) as the int root_w[m] = sqrt(w_m) 2^k_m of prec bits; row
+        # m of a back-transformed eigenvector, scaled by 2^(prec + tail[m]),
+        # is divided by it as y 2^wshift[m] / root_w[m]
+        ks = [prec - fixedla.binary_magnitude(s) for s in sq]
+        root_w = [fixedla.to_fixed(s, k) for s, k in zip(sq, ks)]
+        wshift = [k - prec - t for k, t in zip(ks, tail)]
     qr, rows = fixedla.householder_qr(cols, prec, tail)
     rows = [[fixedla.shift(x, k - t) for x, k in zip(r, mags)] for r, t in zip(rows, tail)]
-    # C = R J R^T, J = diag((-1)^n)
+    # C = R J R^T, J = diag((-1)^n), on one triangle; R is upper triangular
     rj = [[-x if n % 2 else x for n, x in enumerate(r)] for r in rows]
-    core = [[sum(map(mul, ri, rk)) >> prec for rk in rows] for ri in rj]
+    core = [[0] * len(rows) for _ in rows]
+    for i, ri in enumerate(rj):
+        for k in range(i, len(rows)):
+            core[i][k] = core[k][i] = sum(map(mul, ri[k:], rows[k][k:])) >> prec
     d, e, tri = fixedla.tridiagonalize(core, prec)
     try:
-        evals = fixedla.tridiagonal_eigenvalues(d, e, prec)
+        evals = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
     except fixedla.NoConvergence as exc:  # pragma: no cover - QL deflates in a few sweeps
         raise SolverNoConvergence(str(exc)) from exc
 
     def units(lams):
         """Unit eigenvectors of B for the eigenvalues ``lams``, divided by
-        sqrt(w_m) in decimal, since sqrt(w_m) can underflow float64."""
+        sqrt(w_m) in integers, since sqrt(w_m) can underflow float64; an
+        int / int quotient rounds once, to the nearest float."""
         out = []
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
             u = fixedla.reflect(tri, s, prec)  # eigenvector of C
             u = [x << t for x, t in zip(u, tail)] + [0] * (mdim - len(u))
             y = fixedla.reflect(qr, u, prec)  # of B, row m scaled by 2^(prec + tail[m])
-            out.append(np.array([float(ctx.divide(x, w)) for x, w in zip(y, divisors)]))
+            out.append(np.array([
+                (x << k) / w if k >= 0 else x / (w << -k) for x, w, k in zip(y, root_w, wshift)
+            ]))
         return out
 
     return evals, units
@@ -261,7 +274,7 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
     ``resolved`` is False when deeper retained pairs need more digits."""
-    evals, units = _mp_eigensystem(b, p, dps)
+    evals, units = _mp_eigensystem(b, p, dps, keep)
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         # keyed at the working precision, where abs() rounds: rounded to
         # float64, the +-1 clusters at band edges above 1 tie and keep the
@@ -276,26 +289,46 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     return _retain(b, p, [float(lam) for lam in lams], units(lams)), True
 
 
-def _predict_dps(log_lams: list[float], keep: int, q: float) -> int:
+def _predict_dps(log_lams: list[float], keep: int, p: QParams) -> int:
     """Digits needed to resolve lambda_{keep-1}, extrapolating the decay of
-    the already-resolved |eigenvalues|: their log10 falls off quadratically
-    in the index, so increments grow linearly, by -6 log10(q) in the limit.
-    That limit stands in for the measured growth when fewer than three
-    values resolve, and the first extrapolated value is put no higher
-    than the float64 resolution level, since it did not resolve there."""
-    d = [log_lams[i - 1] - log_lams[i] for i in range(1, len(log_lams))]
-    growth = [d[i] - d[i - 1] for i in range(1, len(d))]
-    step = max(0.0, sum(growth[-3:]) / len(growth[-3:])) if growth else -6.0 * math.log10(q)
-    level = log_lams[-1]
-    inc = d[-1] if d else 0.0
-    for i in range(len(log_lams), keep):
-        inc += step
-        if i == len(log_lams):
-            inc = max(inc, level - math.log10(_FLOAT_RESOLUTION))
-        level -= inc
-        if level < math.log10(_LAMBDA_FLOOR):
-            break  # retention will cap at the float64 representability floor
-    return int(-level) + 40
+    the already-resolved |eigenvalues| (log10, relative to the top): their
+    log10 falls off quadratically in the index, so increments grow
+    linearly, by g = -6 log10(q) in the limit.  That limit stands in for
+    the measured growth when fewer than three values resolve, and the
+    first extrapolated value is put no higher than the float64 resolution
+    level, since it did not resolve there.
+
+    A +-1 cluster (band edges above 1: the leading m > 1 values whose
+    log10 lies within 0.01 of the top's) does not decay, so it is left
+    out.  Past it the levels fall like -(g/2)(j + s)^2, j = 0, 1, ...,
+    with s fitted to the last resolved one or, when float64 resolves
+    none, s = 0.6 m + 0.45 + 0.3 (v + 1/2), a little above the s measured
+    at q 0.05-0.7, v -0.9..1.5 and m 3-9.  No retained pair needs more
+    than the digits of _LAMBDA_FLOOR."""
+    g = -6.0 * math.log10(p.q)
+    m = sum(1 for x in log_lams if x > -0.01)
+    if keep <= len(log_lams):
+        level = log_lams[keep - 1]
+    elif m > 1:
+        post = log_lams[m:]
+        if post:
+            s = math.sqrt(-2.0 * post[-1] / g) - (len(post) - 1)
+        else:
+            s = 0.6 * m + 0.45 + 0.3 * (p.v + 0.5)
+        first = -0.5 * g * (len(post) + s) ** 2
+        level = -0.5 * g * (keep - 1 - m + s) ** 2 - max(0.0, first - math.log10(_FLOAT_RESOLUTION))
+    else:
+        d = [log_lams[i - 1] - log_lams[i] for i in range(1, len(log_lams))]
+        growth = [d[i] - d[i - 1] for i in range(1, len(d))]
+        step = max(0.0, sum(growth[-3:]) / len(growth[-3:])) if growth else g
+        level = log_lams[-1]
+        inc = d[-1] if d else 0.0
+        for i in range(len(log_lams), keep):
+            inc += step
+            if i == len(log_lams):
+                inc = max(inc, level - math.log10(_FLOAT_RESOLUTION))
+            level -= inc
+    return int(-max(level, math.log10(_LAMBDA_FLOOR))) + 40
 
 
 def eigendecompose(
@@ -306,8 +339,9 @@ def eigendecompose(
     The float64 matrix B resolves eigenvalues down to roughly 1e-13 of
     the spectral radius; retained pairs below that level are re-derived
     from (b, p) at extended precision, since the information is absent
-    from B itself.  Raises SolverNoConvergence if the precision budget is
-    exhausted.
+    from B itself.  So are all pairs when a weight w_m underflows the
+    normal float range, where float64 cannot divide by sqrt(w_m).
+    Raises SolverNoConvergence if the precision budget is exhausted.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
@@ -320,13 +354,17 @@ def eigendecompose(
     order = np.argsort(-np.abs(evals))
     top = abs(evals[order[0]])
     resolvable = np.abs(evals[order]) > _FLOAT_RESOLUTION * top
-    if resolvable[:keep].all():
+    w = b.weights(p)
+    # dividing by sqrt(w_m) in float64 needs every w_m, and the power of q
+    # in it, to be a normal float; otherwise the mp path divides
+    normal = min(w[-1], p.q ** ((b.depth - 1) * (2.0 * p.v + 2.0))) >= np.finfo(float).tiny
+    if resolvable[:keep].all() and normal:
         top_pairs = order[:keep]
-        units = (evecs[:, top_pairs] / np.sqrt(b.weights(p))[:, None]).T
+        units = (evecs[:, top_pairs] / np.sqrt(w)[:, None]).T
         return _retain(b, p, evals[top_pairs], units)
 
     prefix = [math.log10(abs(evals[i]) / top) for i in order[: int(resolvable.sum())]]
-    dps = _predict_dps(prefix, keep, p.q)
+    dps = _predict_dps(prefix, keep, p)
     while dps <= _MAX_DPS:
         basis, ok = _basis_from_mp(b, p, keep, dps)
         if ok:

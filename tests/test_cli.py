@@ -32,6 +32,20 @@ def test_eigen_writes_reports(tmp_path, capsys):
         assert line.split(" = ")[1] == f"{basis.eigenvalues[i]:.12e}"
 
 
+def test_eigen_underflowing_weights_write_no_nan(tmp_path):
+    # ten of the 60 weights underflow float64 at q = 0.05, v = 3/2; the
+    # report used to hold nan samples with exit code 0
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["eigen", "--q", "0.05", "--v", "1.5", "--a-exp", "-2", "--keep", "4",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "eigen.csv").read_text() + (tmp_path / "eigen.json").read_text()
+    assert "nan" not in text.lower()
+
+
 def test_eigen_invalid_q(tmp_path, capsys):
     rc = main(["eigen", "--q", "1.5", "--out", str(tmp_path)])
     assert rc == 2

@@ -62,6 +62,14 @@ def test_tridiagonal_eigenvalues_match_eigvalsh(n):
     assert np.abs(np.array([float(x) for x in got]) - want).max() <= 1e-12 * radius
 
 
+def _graded(prec, n=22):
+    # diagonal +-10^(-4i), coupled by 0.3 sqrt(|d_i d_{i+1}|), as ints
+    with mp.workprec(prec):
+        d = [(-1) ** i * mp.mpf(10) ** (-4 * i) for i in range(n)]
+        e = [mp.mpf("0.3") * mp.sqrt(abs(d[i] * d[i + 1])) for i in range(n - 1)]
+        return [int(mp.ldexp(x, prec)) for x in d], [int(mp.ldexp(x, prec)) for x in e]
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_tridiagonal_eigenvalues_relative_on_graded_matrix(reverse):
     # diagonal +-10^(-4i), i < 22, coupled by 0.3 sqrt(|d_i d_{i+1}|):
@@ -70,10 +78,7 @@ def test_tridiagonal_eigenvalues_relative_on_graded_matrix(reverse):
     # 5e-7 relative; the relative deflation test resolves each to far
     # better, against mpmath at twice the precision (graded either way)
     prec, n = 300, 22
-    with mp.workprec(prec):
-        d = [(-1) ** i * mp.mpf(10) ** (-4 * i) for i in range(n)]
-        e = [mp.mpf("0.3") * mp.sqrt(abs(d[i] * d[i + 1])) for i in range(n - 1)]
-        d, e = [int(mp.ldexp(x, prec)) for x in d], [int(mp.ldexp(x, prec)) for x in e]
+    d, e = _graded(prec, n)
     if reverse:
         d, e = d[::-1], e[::-1]
     got = fixedla.tridiagonal_eigenvalues(d, e, prec)
@@ -164,3 +169,69 @@ def test_to_fixed_truncates_toward_zero():
     x = Decimal(2).sqrt(fixedla.context(PREC)) / 7
     with mp.workprec(2 * PREC):
         assert fixedla.to_fixed(x, PREC) == int(mp.ldexp(mp.mpf(str(x)), PREC))
+
+
+def test_isqrt_root_matches_decimal_sqrt():
+    # exact squares, inexact coefficients up to 1,200 bits and exponents
+    # to +-500, at several precisions: the root must equal Decimal.sqrt
+    rng = np.random.default_rng(17)
+    for prec in (20, 100, 300, 1000):
+        ctx = fixedla.context(prec)
+        for _ in range(300):
+            if rng.random() < 0.3:
+                r = int(rng.integers(1, 2**62)) << int(rng.integers(0, 500))
+                x = Decimal(r * r).scaleb(2 * int(rng.integers(-250, 251)))
+            else:
+                coeff = int.from_bytes(rng.bytes(150), "big") >> int(rng.integers(0, 1200))
+                x = Decimal(coeff + 1).scaleb(int(rng.integers(-500, 501)))
+            assert fixedla._sqrt(x, ctx) == ctx.sqrt(x)
+        assert fixedla._sqrt(Decimal(0), ctx) == 0
+
+
+@pytest.mark.parametrize("keep", [1, 4, 10, 21])
+@pytest.mark.parametrize("matrix", ["graded", "reversed", "random"])
+def test_early_stopping_keeps_the_top_eigenvalues(keep, matrix):
+    # the graded matrix deflates its largest eigenvalues first, so the QL
+    # stops early; the reversed one and a random one deflate in another
+    # order, where stopping at the first keep deflated would be wrong
+    prec = 300
+    if matrix == "random":
+        a = _symmetric(np.random.default_rng(keep), 22)
+        d, e, _ = fixedla.tridiagonalize([[_fixed(x, prec) for x in row] for row in a], prec)
+    else:
+        d, e = _graded(prec)
+        if matrix == "reversed":
+            d, e = d[::-1], e[::-1]
+    full = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    got = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
+    assert len(got) >= keep
+    if matrix == "graded":
+        assert len(got) < len(full)
+    assert all(x <= y for x, y in zip(got, got[1:]))  # ascending
+    top = sorted(full, key=abs, reverse=True)[:keep]
+    assert sorted(got, key=abs, reverse=True)[:keep] == top
+    # the returned eigenvalues are full ones, and the rest are smaller
+    assert set(got) <= set(full)
+    rest = [abs(x) for x in full if x not in got]
+    assert not rest or min(map(abs, top)) > max(rest)
+
+
+def test_qprolate_solve_deflates_fewer_than_n(monkeypatch):
+    # at q = 0.7, keep = 15 the QL stops before deflating all N eigenvalues
+    # of the factored solve; if it ran to the end this would fail
+    import qprolate as qp
+
+    counts = []
+    real = fixedla.tridiagonal_eigenvalues
+
+    def counted(d, e, prec, keep=None):
+        evals = real(d, e, prec, keep)
+        counts.append((len(evals), len(d)))
+        return evals
+
+    monkeypatch.setattr(fixedla, "tridiagonal_eigenvalues", counted)
+    basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.7, -0.5), keep=15)
+    assert basis.count == 15
+    assert len(counts) == 1
+    deflated, n = counts[0]
+    assert 15 <= deflated < n

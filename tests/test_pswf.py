@@ -146,24 +146,43 @@ def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
     assert np.abs(gram - np.eye(keep)).max() <= 1e-12
 
 
+def _count_mp_solves(monkeypatch):
+    """List that gets the N of each extended-precision solve: the order of
+    its tridiagonal matrix, one row per column of the factor."""
+    from qprolate import fixedla
+
+    sizes = []
+    real = fixedla.tridiagonal_eigenvalues
+
+    def counted(d, e, prec, keep=None):
+        sizes.append(len(d))
+        return real(d, e, prec, keep)
+
+    monkeypatch.setattr(fixedla, "tridiagonal_eigenvalues", counted)
+    return sizes
+
+
 def test_small_q_takes_one_mp_solve(monkeypatch):
     # only two eigenvalues resolve in float64 at q = 0.05; the predicted
     # working precision must still resolve keep = 4 at the first solve
-    from qprolate import pswf
-
-    sizes = []
-    real = pswf._mp_eigensystem
-
-    def counted(*args, **kwargs):
-        evals, units = real(*args, **kwargs)
-        sizes.append(len(evals))  # N: one eigenvalue per column of the factor
-        return evals, units
-
-    monkeypatch.setattr(pswf, "_mp_eigensystem", counted)
+    sizes = _count_mp_solves(monkeypatch)
     basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.05, -0.5), keep=4)
     assert basis.count == 4
     assert len(sizes) == 1
     assert sizes[0] < 60  # the N x N core, not the depth-60 operator matrix
+
+
+@pytest.mark.parametrize("q, keep", [(0.5, 12), (0.3, 15)])
+def test_cluster_takes_one_mp_solve(monkeypatch, q, keep):
+    # at a_exp = -4 float64 resolves only the +-1 cluster of nine; the
+    # decay past it must be predicted from the model, not from the
+    # cluster's zero growth, which asked for too few digits and a second
+    # solve (72 then 132 digits at q = 1/2, 105 then 168 at q = 0.3)
+    sizes = _count_mp_solves(monkeypatch)
+    basis = qp.compute_basis(qp.Bandlimit(-4, 60), qp.QParams(q, -0.5), keep=keep)
+    assert len(sizes) == 1
+    assert (np.abs(np.abs(basis.eigenvalues[:9]) - 1.0) <= 1e-6).all()
+    assert basis.count >= 12
 
 
 @pytest.mark.parametrize("a_exp, keep", [(-3, 10), (-4, 12)])
@@ -195,6 +214,56 @@ def test_mp_solve_keeps_relative_precision_on_tiny_weights():
     u = basis.unit_samples
     assert (u[:, -1] != 0).all()
     assert (np.abs(u[:, 30:] - u[:, -1:]) <= 1e-12 * np.abs(u[:, -1:])).all()
+
+
+@pytest.mark.parametrize("a_exp, keep", [(-2, 4), (-4, 4), (-4, 8)])
+def test_underflowing_weights_give_finite_samples(a_exp, keep):
+    # at q = 0.05, v = 3/2 the last ten weights underflow float64, so the
+    # float64 eigenvectors cannot be divided by sqrt(w_m) there; the
+    # samples must come out finite, without a RuntimeWarning, as
+    # orthonormal eigenvectors of B, and, psi_i being analytic in x^2,
+    # equal to psi_i(0) at every a q^m, m >= 30, the underflowed ones too
+    import warnings
+
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.05, 1.5)
+    assert (b.weights(p) == 0.0).sum() == 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = qp.compute_basis(b, p, keep=keep)
+    assert basis.count == keep
+    u = basis.unit_samples
+    assert np.isfinite(u).all() and np.isfinite(basis.eigenfunctions).all()
+    assert (np.abs(u[:, 30:] - u[:, -1:]) <= 1e-12 * np.abs(u[:, -1:])).all()
+    y = u * np.sqrt(b.weights(p))
+    assert np.abs(y @ y.T - np.eye(keep)).max() <= 1e-12
+    B = qp.build_operator_matrix(b, p)
+    assert np.abs(B @ y.T - y.T * basis.eigenvalues).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q, v, a_exp", [(0.3, 1.5, -4), (0.05, 0.0, -2), (0.05, 0.0, -4)])
+def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp):
+    # the entries span over 100 orders of magnitude; outside the +-1
+    # clusters every entry must match a 300-digit solve to 1e-13 relative,
+    # and each cluster, degenerate at the working precision, as a
+    # projector in weighted coordinates
+    from qprolate.pswf import _basis_from_mp
+
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(q, v)
+    basis = qp.compute_basis(b, p, keep=15)
+    ref, resolved = _basis_from_mp(b, p, 15, 300)
+    assert resolved
+    got_out = np.abs(np.abs(basis.eigenvalues) - 1.0) > 1e-6
+    ref_out = np.abs(np.abs(ref.eigenvalues) - 1.0) > 1e-6
+    assert (basis.eigenvalues[got_out] == ref.eigenvalues[ref_out]).all()
+    assert np.log10(np.abs(ref.unit_samples).max() / np.abs(ref.unit_samples).min()) > 100
+    u, w = basis.unit_samples[got_out], ref.unit_samples[ref_out]
+    assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all()
+    sq = np.sqrt(b.weights(p))
+    for sign in (1.0, -1.0):
+        y = basis.unit_samples[np.abs(basis.eigenvalues - sign) <= 1e-6] * sq
+        z = ref.unit_samples[np.abs(ref.eigenvalues - sign) <= 1e-6] * sq
+        assert len(y) == len(z) >= 2
+        assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13
 
 
 def test_mp_pairs_sorted_at_working_precision():
