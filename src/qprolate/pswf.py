@@ -23,6 +23,18 @@ eigenvectors of B are Q U.  The alternating sum cancels where column
 scales exceed 1 (band edges above 1), so the working precision carries
 log10 of the largest one on top.
 
+The digits come from the LDL^T pivots of K = G^T G, whose graded
+factors have a closed form (at depth infinity K is a diagonally scaled
+Cauchy matrix): the keep-th largest pivot puts the keep-th |eigenvalue|
+within a fraction of a digit on seeded grids, never above it, and a
+solve takes 27 digits past it.  A solve is accepted when every retained
+eigenvalue resolves to 25 digits relative to the top and every retained
+eigenvector keeps 13 digits in its smallest entry; otherwise the digits
+grow by 1.6 times.
+Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
+clusters tie at any working precision, and the signs alternate from +
+inside a tie.
+
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
 past the working precision: G built in the standard library's decimal
 arithmetic and rounded to integers; Householder QR of G, with each row
@@ -45,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from operator import mul
@@ -66,6 +79,11 @@ _LAMBDA_FLOOR = 1e-150
 # float64 eigh of B resolves |lambda| down to about this fraction of the top
 _FLOAT_RESOLUTION = 1e-11
 _MAX_DPS = 3000
+# digits every retained eigenvalue must resolve to, relative to the top one
+_RESOLVED_DIGITS = 25
+# digits added to the estimated depth of the keep-th pair, and kept spare
+# in the smallest entry of a retained eigenvector
+_DEPTH_GUARD = 2
 # digits carried past the working precision by the fixed-point solve
 _GUARD_DIGITS = 10
 
@@ -273,62 +291,89 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, resolved) where
-    ``resolved`` is False when deeper retained pairs need more digits."""
+    ``resolved`` is False when deeper retained pairs, or the smallest
+    entries of a retained eigenvector, need more digits."""
     evals, units = _mp_eigensystem(b, p, dps, keep)
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        # keyed at the working precision, where abs() rounds: rounded to
-        # float64, the +-1 clusters at band edges above 1 tie and keep the
-        # ascending order
-        order = sorted(range(len(evals)), key=lambda i: -abs(evals[i]))[:keep]
-        floor = abs(evals[order[0]]).scaleb(25 - dps)
+        # keyed on |lambda| rounded to 20 digits, fewer than any retained
+        # lambda resolves, so that the +-1 clusters at band edges above 1
+        # tie whatever the working digits; inside a tie the signs
+        # alternate from +, as they do down the spectrum
+        key = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        mags = [key.abs(x) for x in evals]
+        seen, rank = Counter(), []  # rank: earlier members of the same sign
+        for mag, lam in zip(mags, evals):
+            rank.append(seen[mag, lam < 0])
+            seen[mag, lam < 0] += 1
+        order = sorted(range(len(evals)), key=lambda i: (-mags[i], rank[i], evals[i] < 0))[:keep]
+        floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
             return None, False
         if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
             return None, False  # the truncated series ran out of pairs
         lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
-    return _retain(b, p, [float(lam) for lam in lams], units(lams)), True
+    rows, lams = units(lams), [float(lam) for lam in lams]
+    # an entry 10^-s of its vector's largest keeps about dps - s digits,
+    # less log10(|lambda| / gap) where another eigenvalue lies within gap
+    # (an equal float64 one shares a degenerate eigenspace, judged as a
+    # whole); every entry must keep 13, the componentwise accuracy of the
+    # samples
+    spectrum = np.array([float(x) for x in evals])
+    for lam, u in zip(lams, rows):
+        mag = np.log10(np.abs(u[u != 0]))
+        gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
+        lost = mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0)
+        if lost > dps - 13 - _DEPTH_GUARD:
+            return None, False
+    return _retain(b, p, lams, rows), True
 
 
-def _predict_dps(log_lams: list[float], keep: int, p: QParams) -> int:
-    """Digits needed to resolve lambda_{keep-1}, extrapolating the decay of
-    the already-resolved |eigenvalues| (log10, relative to the top): their
-    log10 falls off quadratically in the index, so increments grow
-    linearly, by g = -6 log10(q) in the limit.  That limit stands in for
-    the measured growth when fewer than three values resolve, and the
-    first extrapolated value is put no higher than the float64 resolution
-    level, since it did not resolve there.
+def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:
+    """Digits by which the keep-th |eigenvalue| lies below min(top, 1),
+    estimated from the pivots of the moment matrix K = G^T G.
 
-    A +-1 cluster (band edges above 1: the leading m > 1 values whose
-    log10 lies within 0.01 of the top's) does not decay, so it is left
-    out.  Past it the levels fall like -(g/2)(j + s)^2, j = 0, 1, ...,
-    with s fitted to the last resolved one or, when float64 resolves
-    none, s = 0.6 m + 0.45 + 0.3 (v + 1/2), a little above the s measured
-    at q 0.05-0.7, v -0.9..1.5 and m 3-9.  No retained pair needs more
-    than the digits of _LAMBDA_FLOOR."""
-    g = -6.0 * math.log10(p.q)
-    m = sum(1 for x in log_lams if x > -0.01)
-    if keep <= len(log_lams):
-        level = log_lams[keep - 1]
-    elif m > 1:
-        post = log_lams[m:]
-        if post:
-            s = math.sqrt(-2.0 * post[-1] / g) - (len(post) - 1)
-        else:
-            s = 0.6 * m + 0.45 + 0.3 * (p.v + 0.5)
-        first = -0.5 * g * (len(post) + s) ** 2
-        level = -0.5 * g * (keep - 1 - m + s) ** 2 - max(0.0, first - math.log10(_FLOAT_RESOLUTION))
-    else:
-        d = [log_lams[i - 1] - log_lams[i] for i in range(1, len(log_lams))]
-        growth = [d[i] - d[i - 1] for i in range(1, len(d))]
-        step = max(0.0, sum(growth[-3:]) / len(growth[-3:])) if growth else g
-        level = log_lams[-1]
-        inc = d[-1] if d else 0.0
-        for i in range(len(log_lams), keep):
-            inc += step
-            if i == len(log_lams):
-                inc = max(inc, level - math.log10(_FLOAT_RESOLUTION))
-            level -= inc
-    return int(-max(level, math.log10(_LAMBDA_FLOOR))) + 40
+    G[k,n] = D_n y_n^k with y_n = q^{v+1+2n} and
+    D_n^2 = c_qv (1-q) c_n a^{2(v+1+2n)}, so G = V diag(D) with V the
+    Vandermonde matrix of the y_n over the rows k < M.  The unpivoted
+    LDL^T pivots of K are the squared diagonal of R in G = Q R.  Writing
+    V = W T, with W the divided differences of t -> (1, t, t^2, ...) at
+    y_0, y_1, ... (W[k,i] = h_{k-i}(y_0, ..., y_i) >= 0, unit lower
+    triangular and well conditioned) and T upper triangular with
+    T_kk = prod_{j<k} (y_k - y_j), gives
+    Delta_k = D_k^2 prod_{j<k} (y_j - y_k)^2 R_kk(W)^2,
+    all graded factors in closed form and R_kk(W) from a float64 QR.  At
+    depth infinity K is a diagonally scaled Cauchy matrix and
+    R_kk(W)^2 = 1 / ((1 - y_k^2) prod_{j<k} (1 - y_j y_k)^2); truncation
+    only lowers the pivots (K_M <= K_inf), which is why W is taken at
+    depth M.  The graded |eigenvalues| follow the pivots, so the keep-th
+    largest pivot stands in for |lambda_{keep-1}|.  Inside a +-1 cluster
+    pivots exceed 1 while |lambda| stays at 1, hence the clamp at 0; no
+    retained pair lies deeper than _LAMBDA_FLOOR, hence the cap.  The
+    graded factors are taken in logs, since D_n^2 underflows float64
+    within a few dozen terms."""
+    lq, m = math.log(p.q), b.depth
+
+    def log1m(e):  # log(1 - q^e), e > 0
+        return np.log(-np.expm1(e * lq))
+
+    n = np.arange(m)
+    ey = p.v + 1.0 + 2.0 * n  # y_n = q^ey
+    # log c_n from c_n / c_{n-1} = q^{2n} / ((1 - q^{2n}) (1 - q^{2v+2n}))
+    log_c = np.cumsum(2.0 * n[1:] * lq - log1m(2.0 * n[1:]) - log1m(2.0 * p.v + 2.0 * n[1:]))
+    log_d2 = math.log(p.c_qv * (1.0 - p.q)) + np.append(0.0, log_c) + 2.0 * ey * b.a_exp * lq
+    # log(y_j - y_k) for j < k, with y_j - y_k = y_j (1 - q^{2(k-j)})
+    j, k = np.triu_indices(m, 1)
+    log_t = np.bincount(k, ey[j] * lq + log1m(2.0 * (k - j)), m)
+    # h_r(y_0..y_i) = h_r(y_0..y_{i-1}) + y_i h_{r-1}(y_0..y_i), row by row
+    y, w = np.exp(ey * lq), np.zeros((m, m))
+    w[0, 0] = 1.0
+    for row in range(1, m):
+        w[row] = y * w[row - 1]
+        w[row, 1:] += w[row - 1, :-1]
+    log_r = np.log(np.abs(np.diag(np.linalg.qr(w, mode="r"))))
+    level = np.sort(log_d2 + 2.0 * (log_t + log_r))[-keep] / math.log(10.0)
+    depth = min(math.log10(top), 0.0) - level
+    return min(max(depth, 0.0), -math.log10(_LAMBDA_FLOOR))
 
 
 def eigendecompose(
@@ -341,6 +386,12 @@ def eigendecompose(
     from (b, p) at extended precision, since the information is absent
     from B itself.  So are all pairs when a weight w_m underflows the
     normal float range, where float64 cannot divide by sqrt(w_m).
+
+    That solve works at 25 digits past the depth of the keep-th pair below
+    the top, plus a guard of 2, the depth estimated by ``_pivot_depth``
+    from the pivots of the moment matrix G^T G.  A solve that leaves a
+    retained eigenvalue or eigenvector entry unresolved is repeated at
+    1.6 times the digits (at least 60 more).
     Raises SolverNoConvergence if the precision budget is exhausted.
     """
     if keep < 1:
@@ -363,8 +414,7 @@ def eigendecompose(
         units = (evecs[:, top_pairs] / np.sqrt(w)[:, None]).T
         return _retain(b, p, evals[top_pairs], units)
 
-    prefix = [math.log10(abs(evals[i]) / top) for i in order[: int(resolvable.sum())]]
-    dps = _predict_dps(prefix, keep, p)
+    dps = _RESOLVED_DIGITS + math.ceil(_pivot_depth(b, p, keep, top)) + _DEPTH_GUARD
     while dps <= _MAX_DPS:
         basis, ok = _basis_from_mp(b, p, keep, dps)
         if ok:

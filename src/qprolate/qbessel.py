@@ -117,11 +117,18 @@ def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None =
 
     Starts at 40 digits past the float pass's peak term (200 when it
     overflowed) and doubles until at least 18 digits survive the
-    cancellation.  Raises OverflowError when the resolved value lies
-    beyond the float range.
+    cancellation.  At a lattice exponent s < 0 the value can lie far below
+    1, so the start is 50 digits past the peak's ratio to ``jv_bound(s)``
+    instead.  Raises OverflowError when the resolved value lies beyond the
+    float range.
     """
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         dps = 40 + int(math.log10(max_term_hint))
+        if s is not None and s < 0:
+            # log10 jv_bound(s), in logs since the bound underflows at deep s
+            log_bound = math.log10(jv_bound(0, QParams(q, v)))
+            log_bound += (s * s + (2.0 * v + 1.0) * s) * math.log10(q)
+            dps = 50 + int(math.log10(max_term_hint) - log_bound)
     else:
         dps = 200
     while True:

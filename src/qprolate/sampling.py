@@ -10,11 +10,11 @@ depend on the band edge a.  The kernel is c_qv^2 times the product
 integral of ``qbessel``: its closed form is
 ``qbessel.product_integral_quotient``, fed here with cached lattice
 values of j_v and j_{v+1}, and its direct Jackson sum, used where q^k
-is too close to z, is ``qbessel.product_integral_direct`` through
-``pswf.kernel_auto``.  This module provides that kernel, the truncated
-reconstruction sum, the projection onto the bandlimited space (which,
-like translation, needs a square transform plan), and the
-projection-error study driving the application experiment.
+is too close to z, is ``qbessel.product_integral_direct``.  This module
+provides that kernel, the truncated reconstruction sum, the projection
+onto the bandlimited space (which, like translation, needs a square
+transform plan), and the projection-error study driving the application
+experiment.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pswf import Bandlimit, KernelEvaluator, kernel_auto
-from .qbessel import lattice_table, product_integral_quotient
+from .qbessel import lattice_table, product_integral_direct, product_integral_quotient
 from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
@@ -65,7 +65,7 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
 def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
     """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``: the
     closed form with the lattice factors read once from the exponent
-    cache, ``sampling_kernel`` where q^k is too close to z."""
+    cache, the direct Jackson sum where q^k is too close to z."""
     ks = grid.exponents()
     s_min, s_max = b.a_exp + grid.k_min, b.a_exp + grid.k_max
     jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
@@ -74,7 +74,8 @@ def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -
     )
     out = p.c_qv**2 * values
     for i, k in zip(*np.nonzero(~separated)):
-        out[i, k] = sampling_kernel(float(zs[i]), int(ks[k]), b, p)
+        y = p.q ** float(ks[k])
+        out[i, k] = p.c_qv**2 * product_integral_direct(y, float(zs[i]), b.a_exp, p, b.depth)
     return out
 
 

@@ -162,9 +162,24 @@ def _count_mp_solves(monkeypatch):
     return sizes
 
 
+def _mp_solve_digits(monkeypatch):
+    """List that gets the working digits of each extended-precision solve."""
+    from qprolate import pswf
+
+    digits = []
+    real = pswf._mp_eigensystem
+
+    def counted(b, p, dps, keep):
+        digits.append(dps)
+        return real(b, p, dps, keep)
+
+    monkeypatch.setattr(pswf, "_mp_eigensystem", counted)
+    return digits
+
+
 def test_small_q_takes_one_mp_solve(monkeypatch):
-    # only two eigenvalues resolve in float64 at q = 0.05; the predicted
-    # working precision must still resolve keep = 4 at the first solve
+    # only two eigenvalues resolve in float64 at q = 0.05; the digits
+    # chosen from the pivots must still resolve keep = 4 at the first solve
     sizes = _count_mp_solves(monkeypatch)
     basis = qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.05, -0.5), keep=4)
     assert basis.count == 4
@@ -175,9 +190,9 @@ def test_small_q_takes_one_mp_solve(monkeypatch):
 @pytest.mark.parametrize("q, keep", [(0.5, 12), (0.3, 15)])
 def test_cluster_takes_one_mp_solve(monkeypatch, q, keep):
     # at a_exp = -4 float64 resolves only the +-1 cluster of nine; the
-    # decay past it must be predicted from the model, not from the
-    # cluster's zero growth, which asked for too few digits and a second
-    # solve (72 then 132 digits at q = 1/2, 105 then 168 at q = 0.3)
+    # decay past it must come from the pivots, not from the cluster's
+    # zero growth, which asked for too few digits and a second solve
+    # (72 then 132 digits at q = 1/2, 105 then 168 at q = 0.3)
     sizes = _count_mp_solves(monkeypatch)
     basis = qp.compute_basis(qp.Bandlimit(-4, 60), qp.QParams(q, -0.5), keep=keep)
     assert len(sizes) == 1
@@ -240,36 +255,129 @@ def test_underflowing_weights_give_finite_samples(a_exp, keep):
     assert np.abs(B @ y.T - y.T * basis.eigenvalues).max() <= 1e-12
 
 
-@pytest.mark.parametrize("q, v, a_exp", [(0.3, 1.5, -4), (0.05, 0.0, -2), (0.05, 0.0, -4)])
-def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp):
-    # the entries span over 100 orders of magnitude; outside the +-1
-    # clusters every entry must match a 300-digit solve to 1e-13 relative,
-    # and each cluster, degenerate at the working precision, as a
-    # projector in weighted coordinates
+@pytest.mark.parametrize("q, v, a_exp, keep, span", [
+    (0.3, 1.5, -4, 15, 100),
+    (0.05, 0.0, -2, 15, 100),
+    (0.05, 0.0, -4, 15, 100),
+    # +-1 clusters whose members differ past 1e-16, so each float64
+    # eigenvalue is unique; the top row has entries down to 1e-100 and
+    # 3e-33 of its largest, which at 82 and 42 digits came out off by up
+    # to 5e22 and 1 relative
+    (0.136, -0.849, -1, 6, 100),
+    (0.523, -0.666, -1, 6, 30),
+], ids=["0.3-1.5--4", "0.05-0.0--2", "0.05-0.0--4", "0.136--0.849--1", "0.523--0.666--1"])
+def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span):
+    # the entries of a row span ``span`` orders of magnitude or more; each
+    # row whose signed float64 eigenvalue is unique must match a 300-digit
+    # solve to 1e-13 relative in every entry, and rows that share one,
+    # degenerate at the working precision, as a projector in weighted
+    # coordinates
     from qprolate.pswf import _basis_from_mp
 
     b, p = qp.Bandlimit(a_exp, 60), qp.QParams(q, v)
-    basis = qp.compute_basis(b, p, keep=15)
-    ref, resolved = _basis_from_mp(b, p, 15, 300)
+    basis = qp.compute_basis(b, p, keep=keep)
+    ref, resolved = _basis_from_mp(b, p, keep, 300)
     assert resolved
-    got_out = np.abs(np.abs(basis.eigenvalues) - 1.0) > 1e-6
-    ref_out = np.abs(np.abs(ref.eigenvalues) - 1.0) > 1e-6
-    assert (basis.eigenvalues[got_out] == ref.eigenvalues[ref_out]).all()
-    assert np.log10(np.abs(ref.unit_samples).max() / np.abs(ref.unit_samples).min()) > 100
-    u, w = basis.unit_samples[got_out], ref.unit_samples[ref_out]
-    assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all()
+    mag = np.abs(ref.unit_samples)
+    assert np.log10(mag.max(axis=1) / mag.min(axis=1)).max() > span
     sq = np.sqrt(b.weights(p))
-    for sign in (1.0, -1.0):
-        y = basis.unit_samples[np.abs(basis.eigenvalues - sign) <= 1e-6] * sq
-        z = ref.unit_samples[np.abs(ref.eigenvalues - sign) <= 1e-6] * sq
-        assert len(y) == len(z) >= 2
-        assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13
+    for lam in np.unique(basis.eigenvalues):
+        got = np.flatnonzero(basis.eigenvalues == lam)
+        want = np.flatnonzero(ref.eigenvalues == lam)
+        assert len(got) == len(want), lam
+        if len(got) == 1:
+            u, w = basis.unit_samples[got[0]], ref.unit_samples[want[0]]
+            assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all(), lam
+        else:
+            y, z = basis.unit_samples[got] * sq, ref.unit_samples[want] * sq
+            assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13
+
+
+def test_tied_pairs_order_independent_of_digits():
+    # seven |lambda| tie with 1 to 20 digits (four +1, three -1), so their
+    # order at the working precision would depend on the digits; keyed at
+    # 20 digits they alternate from +1 at any digits that resolve them
+    from qprolate.pswf import _basis_from_mp
+
+    b, p = qp.Bandlimit(-3, 60), qp.QParams(0.482, 0.469)
+    lams = []
+    for dps in (105, 116, 155, 200):
+        basis, resolved = _basis_from_mp(b, p, 12, dps)
+        assert resolved
+        lams.append(basis.eigenvalues)
+    assert all(np.array_equal(x, lams[0]) for x in lams)
+    assert list(np.sign(lams[0][:8])) == [1.0, -1.0] * 4
+    assert (np.abs(np.abs(lams[0][:7]) - 1.0) <= 1e-15).all() and abs(lams[0][7]) < 1e-20
+
+
+def _solved_depth(lams, keep):
+    """Digits by which lambda_{keep-1} lies below min(|lambda_0|, 1), as
+    ``_pivot_depth`` estimates it; 150 when fewer than keep are retained."""
+    if len(lams) < keep:
+        return 150.0
+    depth = min(math.log10(abs(lams[0])), 0.0) - math.log10(abs(lams[keep - 1]))
+    return min(max(depth, 0.0), 150.0)
+
+
+def test_pivot_depth_on_seeded_draws(monkeypatch):
+    # on every draw that takes the extended-precision path (82 of 100),
+    # the depth estimated from the pivots of the depth-infinity moment
+    # matrix is never shallower than the solved one by more than the
+    # guard, and the first solve resolves every eigenvalue; a second solve
+    # is left only to eigenvectors whose smallest entries lack digits
+    from qprolate.pswf import _DEPTH_GUARD, _RESOLVED_DIGITS, _pivot_depth
+
+    digits = _mp_solve_digits(monkeypatch)
+    rng = np.random.default_rng(2026)
+    solves, again = 0, 0
+    for _ in range(100):
+        q, v = rng.uniform(0.05, 0.9), rng.uniform(-0.999, 1.5)
+        b, p = qp.Bandlimit(int(rng.integers(-4, 2)), 60), qp.QParams(q, v)
+        keep = int(rng.integers(4, 16))
+        digits.clear()
+        basis = qp.compute_basis(b, p, keep)
+        if not digits:
+            continue
+        solved = _solved_depth(basis.eigenvalues, keep)
+        top = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p))).max()
+        assert _pivot_depth(b, p, keep, top) >= solved - _DEPTH_GUARD, (q, v, b, keep)
+        assert digits[0] >= _RESOLVED_DIGITS + solved, (q, v, b, keep, digits)
+        solves += 1
+        again += len(digits) > 1
+    assert solves >= 80 and again <= 2
+
+
+def test_truncated_depth_takes_one_mp_solve(monkeypatch):
+    # at depth 16, q near 1 and v near -1 truncation lowers the spectrum
+    # 3 digits below the depth-infinity pivots; the pivots of the depth-16
+    # moment matrix must not estimate it shallow, so one solve suffices
+    from qprolate.pswf import _pivot_depth
+
+    digits = _mp_solve_digits(monkeypatch)
+    b, p = qp.Bandlimit(-1, 16), qp.QParams(0.928, -0.921)
+    basis = qp.compute_basis(b, p, keep=15)
+    assert basis.count == 15 and len(digits) == 1
+    top = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p))).max()
+    assert _pivot_depth(b, p, 15, top) >= _solved_depth(basis.eigenvalues, 15) > 19.0
+
+
+@pytest.mark.parametrize("q, a_exp, keep, most", [
+    (0.05, 0, 4, 65), (0.5, -1, 8, 65), (0.7, 0, 15, 121),
+])
+def test_benchmark_requests_take_one_solve_at_few_digits(monkeypatch, q, a_exp, keep, most):
+    # the extended-precision requests of the benchmark: more digits here
+    # cost time in every stage of the solve
+    digits = _mp_solve_digits(monkeypatch)
+    basis = qp.compute_basis(qp.Bandlimit(a_exp, 60), qp.QParams(q, -0.5), keep)
+    assert basis.count == keep
+    assert len(digits) == 1 and digits[0] <= most
 
 
 def test_mp_pairs_sorted_at_working_precision():
-    # at a_exp = -2 the top five |lambda| lie within 1.2e-17 of 1 (one
-    # above 1 by 3.5e-154): sorted at float64 they tie and keep the
-    # solver's order, sorted at 150 digits they alternate in sign from +1
+    # at a_exp = -2 the top five |lambda| lie within 1.2e-17 of 1: sorted
+    # at float64 they tie and keep the solver's order; keyed at 20 digits
+    # the top three tie and alternate in sign from +1, and the two others
+    # follow in order of |lambda|
     from qprolate.pswf import _basis_from_mp
 
     basis, resolved = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)

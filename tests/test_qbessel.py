@@ -122,6 +122,28 @@ def test_jv_beyond_float_range_raises():
         qp.jv_array(np.array([1.0, 100.0]), qp.QParams(0.99, -0.5))
 
 
+def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
+    # at s < 0 the value lies far below the peak term; starting from the
+    # peak's ratio to jv_bound(s), one decimal pass resolves each value of
+    # the default (-15, 60) plan
+    from qprolate import qbessel
+
+    passes = []
+    real = qbessel._series_decimal
+
+    def counted(z, q, v, ctx, s=None):
+        passes.append(ctx.prec)
+        return real(z, q, v, ctx, s)
+
+    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    for v in (-0.5, 0.0):
+        for s in range(-30, 0):
+            passes.clear()
+            val = qbessel._series_checked(0.5 ** float(s), 0.5, v, 1e-14, s)[0]
+            assert len(passes) <= 1, (v, s, passes)
+            assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
+
+
 def test_jv_even_in_z():
     p = qp.QParams(0.5, 0.0)
     for z in (0.7, 3.0):

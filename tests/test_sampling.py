@@ -50,6 +50,18 @@ def test_sampling_kernel_degenerate_fallback(bandlimit, p_half):
         assert got == pytest.approx(qp.kernel(ed, z, z), rel=1e-12)
 
 
+def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, grid):
+    # where z = q^k the rows fall back to the direct sum, which must give
+    # sampling_kernel's value exactly
+    from qprolate.sampling import _kernel_rows
+
+    ks = np.arange(-3, 6)
+    rows = _kernel_rows(p_half.q ** ks.astype(float), grid, bandlimit, p_half)
+    for row, k in zip(rows, ks):
+        z = p_half.q ** float(k)
+        assert row[k - grid.k_min] == qp.sampling_kernel(z, int(k), bandlimit, p_half)
+
+
 def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
     # two independent code paths: closed form vs Jackson sum
     ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
