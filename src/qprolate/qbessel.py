@@ -118,17 +118,19 @@ def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None =
     Starts at 40 digits past the float pass's peak term (200 when it
     overflowed) and doubles until at least 18 digits survive the
     cancellation.  At a lattice exponent s < 0 the value can lie far below
-    1, so the start is 50 digits past the peak's ratio to ``jv_bound(s)``
-    instead.  Raises OverflowError when the resolved value lies beyond the
-    float range.
+    1, so the start rises to 50 digits past the peak's ratio to
+    ``jv_bound(s)`` when that is more.  Raises OverflowError when the
+    resolved value lies beyond the float range.
     """
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         dps = 40 + int(math.log10(max_term_hint))
         if s is not None and s < 0:
-            # log10 jv_bound(s), in logs since the bound underflows at deep s
+            # log10 jv_bound(s), in logs since the bound underflows at deep s;
+            # at large v the bound overstates |j_v(q^s)| by up to
+            # q^{(2v+1)s}, so it may only raise the start, never lower it
             log_bound = math.log10(jv_bound(0, QParams(q, v)))
-            log_bound += (s * s + (2.0 * v + 1.0) * s) * math.log10(q)
-            dps = 50 + int(math.log10(max_term_hint) - log_bound)
+            log_bound += _bound_exponent(s, v) * math.log10(q)
+            dps = max(dps, 50 + int(math.log10(max_term_hint) - log_bound))
     else:
         dps = 200
     while True:
@@ -256,7 +258,12 @@ def jv_bound(n: int, p: QParams) -> float:
     )
     if n >= 0:
         return c
-    return c * p.q ** (n * n + (2.0 * p.v + 1.0) * n)
+    return c * p.q ** _bound_exponent(n, p.v)
+
+
+def _bound_exponent(n: int, v: float) -> float:
+    """Power of q by which ``jv_bound`` scales its constant at n < 0."""
+    return n * n + (2.0 * v + 1.0) * n
 
 
 def product_integral_direct(

@@ -255,23 +255,24 @@ def test_underflowing_weights_give_finite_samples(a_exp, keep):
     assert np.abs(B @ y.T - y.T * basis.eigenvalues).max() <= 1e-12
 
 
-@pytest.mark.parametrize("q, v, a_exp, keep, span", [
-    (0.3, 1.5, -4, 15, 100),
-    (0.05, 0.0, -2, 15, 100),
-    (0.05, 0.0, -4, 15, 100),
+@pytest.mark.parametrize("q, v, a_exp, keep, span, cluster", [
+    (0.3, 1.5, -4, 15, 100, 2),
+    (0.05, 0.0, -2, 15, 100, 2),
+    (0.05, 0.0, -4, 15, 100, 2),
     # +-1 clusters whose members differ past 1e-16, so each float64
     # eigenvalue is unique; the top row has entries down to 1e-100 and
     # 3e-33 of its largest, which at 82 and 42 digits came out off by up
     # to 5e22 and 1 relative
-    (0.136, -0.849, -1, 6, 100),
-    (0.523, -0.666, -1, 6, 30),
+    (0.136, -0.849, -1, 6, 100, 0),
+    (0.523, -0.666, -1, 6, 30, 0),
 ], ids=["0.3-1.5--4", "0.05-0.0--2", "0.05-0.0--4", "0.136--0.849--1", "0.523--0.666--1"])
-def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span):
-    # the entries of a row span ``span`` orders of magnitude or more; each
-    # row whose signed float64 eigenvalue is unique must match a 300-digit
-    # solve to 1e-13 relative in every entry, and rows that share one,
-    # degenerate at the working precision, as a projector in weighted
-    # coordinates
+def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span, cluster):
+    # the entries of a row span ``span`` orders of magnitude or more; both
+    # solves list the same eigenvalues in the same order, each of +1 and -1
+    # carrying at least ``cluster`` of them; each row whose signed float64
+    # eigenvalue is unique must match a 300-digit solve to 1e-13 relative
+    # in every entry, and rows that share one, degenerate at the working
+    # precision, as a projector in weighted coordinates
     from qprolate.pswf import _basis_from_mp
 
     b, p = qp.Bandlimit(a_exp, 60), qp.QParams(q, v)
@@ -280,6 +281,9 @@ def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span):
     assert resolved
     mag = np.abs(ref.unit_samples)
     assert np.log10(mag.max(axis=1) / mag.min(axis=1)).max() > span
+    assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
+    for sign in (1.0, -1.0):
+        assert (np.abs(basis.eigenvalues - sign) <= 1e-6).sum() >= cluster
     sq = np.sqrt(b.weights(p))
     for lam in np.unique(basis.eigenvalues):
         got = np.flatnonzero(basis.eigenvalues == lam)

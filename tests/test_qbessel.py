@@ -144,6 +144,22 @@ def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
             assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
 
 
+@pytest.mark.parametrize("q, v", [(0.05, 10.0), (0.01, 7.0)])
+def test_negative_lattice_exponents_at_large_order(q, v):
+    # at large v, jv_bound(s) overstates |j_v(q^s)| by up to q^{(2v+1)s},
+    # more than the peak term itself; the refinement must still start at
+    # a valid precision and reach the value a 1000-digit sum gives
+    from decimal import MAX_EMAX, MIN_EMIN, Context
+
+    from qprolate import qbessel
+
+    ctx = Context(prec=1000, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    for s in range(-10, 0):
+        want = float(qbessel._series_decimal(None, q, v, ctx, s)[0])
+        got = qp.jv_at_exponent(s, qp.QParams(q, v))
+        assert math.isfinite(got) and got == want, (s, got, want)
+
+
 def test_jv_even_in_z():
     p = qp.QParams(0.5, 0.0)
     for z in (0.7, 3.0):
