@@ -9,17 +9,26 @@ integer arithmetic.  Vectors and matrices are lists of such ints
 (matrices as lists of rows, or of columns where said); ``to_fixed``
 converts a Decimal to one.
 
-A Householder reflector is a tuple (start, v, vtv, shifts): it maps x to
-x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.  Entry i
-of v and x may carry a further scale 2^(shifts[i] / 2) over entry 0, which
-the dot products take out (shifts is None when no entry does); vtv is
-v.v so computed, scaled by 2^(2 prec).
+A Householder reflector is a tuple (start, v, vtv, shifts, bits): it maps
+x to x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.
+Entry i of v and x may carry a further scale 2^(shifts[i] / 2) over entry
+0, which the dot products take out (shifts is None when no entry does);
+vtv is v.v so computed.  A reflector is the same for any scale of v, so
+v keeps whatever bits the column it came from carried, and ``bits`` is
+the bit length of its largest |v_i|.  Applying it scales the factor
+f = 2 (v.x) / (v.v) by 2^bits, not by 2^prec: f is then exact to 2^-bits,
+each v_i f to one unit of x, and a product costs bits times the bits of
+x, so a reflector of few bits, from a column of G that needs few, is
+cheap to apply in the QR and in the back-transform alike.
 
 The QL iteration for the eigenvalues of the tridiagonal matrix runs in
 floating point instead, in the standard library's decimal (libmpdec) at
 ``context(prec)``, at least prec bits' worth of digits: its deflation
 test is relative to the neighbouring diagonal entries, which fixed point
-cannot resolve below 2^-prec.  Its square roots go through ``math.isqrt``
+cannot resolve below 2^-prec.  An off-diagonal entry within n^2 units
+2^-prec of zero is deflated as well: the reduction to tridiagonal form
+leaves errors of about that size, so iterating on such an entry refines
+rounding noise.  Its square roots go through ``math.isqrt``
 on the scaled coefficient with a sticky digit appended, which rounds
 exactly as ``Decimal.sqrt`` does at a third less cost.  Given ``keep``, it
 stops once every eigenvalue still undeflated is, by the Gershgorin bound
@@ -90,38 +99,40 @@ def _reflector(start: int, x: list[int], shifts):
     alpha = -math.isqrt(norm2) if x[0] >= 0 else math.isqrt(norm2)
     v = list(x)
     v[0] -= alpha
-    return (start, v, _dot(v, v, shifts), shifts), alpha
+    bits = max(map(abs, v)).bit_length()
+    return (start, v, _dot(v, v, shifts), shifts, bits), alpha
 
 
-def _apply(reflector, x: list[int], prec: int) -> None:
-    """x <- H x in place, for one reflector H."""
-    start, v, vtv, shifts = reflector
+def _apply(reflector, x: list[int]) -> None:
+    """x <- H x in place, for one reflector H, to one unit of x per entry."""
+    start, v, vtv, shifts, bits = reflector
     end = start + len(v)
     xs = x[start:end]
-    f = (2 * _dot(v, xs, shifts) << prec) // vtv
-    x[start:end] = [xi - ((vi * f) >> prec) for xi, vi in zip(xs, v)]
+    f = (2 * _dot(v, xs, shifts) << bits) // vtv
+    x[start:end] = [xi - ((vi * f) >> bits) for xi, vi in zip(xs, v)]
 
 
-def reflect(reflectors: list, x: list[int], prec: int) -> list[int]:
+def reflect(reflectors: list, x: list[int]) -> list[int]:
     """H_0 H_1 ... H_{k-1} x for the reflectors [H_0, ..., H_{k-1}] (the
     last one acts first): the back-transform of a vector through a
     factorisation that applied H_0 first."""
     x = list(x)
     for r in reversed(reflectors):
-        _apply(r, x, prec)
+        _apply(r, x)
     return x
 
 
-def householder_qr(cols: list[list[int]], prec: int, rowexp: list[int]):
+def householder_qr(cols: list[list[int]], rowexp: list[int]):
     """Householder QR of the M x N matrix with the given columns.
 
-    Row k is held scaled by 2^(prec + rowexp[k]), rowexp nondecreasing, so
-    that rows of falling magnitude keep prec bits relative to themselves,
-    as in floating point; the reflectors and R carry the same row scales.
-    Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R the
-    min(M, N) x N upper trapezoidal factor as a list of rows.  Q is never
-    formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is left
-    intact.
+    Row k is held scaled by a further 2^rowexp[k] over row 0, rowexp
+    nondecreasing, so that rows of falling magnitude keep their bits
+    relative to themselves, as in floating point; the reflectors and R
+    carry the same row scales.  Each column may carry its own scale: the
+    error in column n of R is a few units of column n's own ints.  Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R
+    the min(M, N) x N upper trapezoidal factor as a list of rows.  Q is
+    never formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is
+    left intact.
     """
     cols = [list(c) for c in cols]
     m, n = len(rowexp), len(cols)
@@ -134,7 +145,7 @@ def householder_qr(cols: list[list[int]], prec: int, rowexp: list[int]):
             continue
         reflectors.append(h)
         for c in cols[j + 1:]:
-            _apply(h, c, prec)
+            _apply(h, c)
     return reflectors, [[c[i] for c in cols] for i in range(min(m, n))]
 
 
@@ -155,7 +166,7 @@ def tridiagonalize(a: list[list[int]], prec: int):
         if h is None:
             continue
         reflectors.append(h)
-        _, v, vtv, _ = h
+        _, v, vtv, _, _ = h
         block = [row[k + 1:] for row in a[k + 1:]]
         # rank-two update of the trailing block: A - v w^T - w v^T with
         # p = 2 A v / v.v and w = p - (p.v / v.v) v
@@ -214,7 +225,7 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
 
     Implicit QL with Wilkinson shifts (EISPACK tql1) in ``context(prec)``;
     an off-diagonal entry is deflated once it is negligible against its
-    two diagonal neighbours.  The iteration runs on the entries as given,
+    two diagonal neighbours, or lies within n^2 units of zero.  The iteration runs on the entries as given,
     scaled by 2^prec, and the eigenvalues are scaled back at the end.
 
     Without ``keep`` all of them are returned.  With it, the iteration
@@ -229,6 +240,7 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
     ctx = context(prec)
     with localcontext(ctx):
         margin = 1 + Decimal(1).scaleb(-(ctx.prec // 2))
+        noise = Decimal(n * n)
         d = [Decimal(x) for x in d]
         e = [Decimal(x) for x in e] + [Decimal(0)]
         for l in range(n):
@@ -236,7 +248,7 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
                 m = l
                 while m < n - 1:
                     dd = abs(d[m]) + abs(d[m + 1])
-                    if abs(e[m]) + dd == dd:
+                    if abs(e[m]) + dd == dd or abs(e[m]) <= noise:
                         break
                     m += 1
                 if m == l:

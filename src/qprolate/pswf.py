@@ -29,23 +29,29 @@ Cauchy matrix): the keep-th largest pivot puts the keep-th |eigenvalue|
 within a fraction of a digit on seeded grids, never above it, and a
 solve takes 27 digits past it.  A solve is accepted when every retained
 eigenvalue resolves to 25 digits relative to the top and every retained
-eigenvector keeps 13 digits in its smallest entry; otherwise the digits
-grow by 1.6 times.
+eigenvector keeps 13 digits in its smallest entry.  Otherwise the digits
+grow by 1.6 times for an eigenvalue, and by the digits that are short for
+an eigenvector.
 Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
 clusters tie at any working precision, and the signs alternate from +
 inside a tie.
 
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
-past the working precision: G built in the standard library's decimal
-arithmetic and rounded to integers; Householder QR of G, with each row
-and column of G held at its own power-of-two scale so that the
-reflectors keep full relative precision on rows whose weights fall
-below 2^-prec; C in integers; Householder reduction of C to tridiagonal
-form; a decimal QL iteration, stopped once the eigenvalues it has not
-deflated all lie below the ``keep`` largest it has; and, for the
-retained pairs only, inverse iteration on the tridiagonal matrix,
-re-orthogonalised inside clusters that the precision cannot separate,
-back-transformed through the two sets of reflectors (Q is never formed).
+past the working precision: G built in integers, from its column tops
+formed in the standard library's decimal arithmetic and the powers
+q^{2k} along its rows; Householder QR of G, with each row of G held at
+its own power-of-two scale, so that the reflectors keep their relative
+precision on rows whose weights fall below 2^-prec, and each column with
+only the bits its term +-g_n g_n^T of B needs: Householder QR errs
+columnwise (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 19), so a column whose top lies d bits below the largest keeps the
+error of B at 2^-prec ||B|| with prec - 2d bits; C in integers;
+Householder reduction of C to tridiagonal form; a decimal QL iteration,
+stopped once the eigenvalues it has not deflated all lie below the
+``keep`` largest it has; and, for the retained pairs only, inverse
+iteration on the tridiagonal matrix, re-orthogonalised inside clusters
+that the precision cannot separate, back-transformed through the two
+sets of reflectors (Q is never formed).
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -194,33 +200,50 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
             den *= 1 - t
         # sqrt(w_m) = sqrt((1 - q) a^{2v+2} q^{m(2v+2)}), a^{2v+2} = qv^{a_exp}
         sq = [((1 - qd) * qv ** (b.a_exp + m)).sqrt() for m in range(mdim)]
-        x2 = [q2 ** (b.a_exp + k) for k in range(mdim)]  # (a q^k)^2
         root_c = (num / den).sqrt()
-        col = [root_c * s for s in sq]  # column n of G from column n-1
-        # G falls along k and along n past its peak; row k is held scaled
-        # by a further 2^tail[k] and column n by 2^-mags[n], so that every
-        # entry, and every reflector of the QR, keeps prec bits relative
-        # to its row as in floating point.  R drops the scales exactly.
+        col = [root_c * s for s in sq]  # column 0 of G
+        # G[0,n], the top of column n, from G[0,n-1] times a^2 sqrt(c_n / c_{n-1})
+        heads, q2n, a2 = [col[0]], Decimal(1), q2 ** b.a_exp
+        for n in range(1, nterms):
+            qvn = qv * q2n  # q^{2v+2n}
+            q2n *= q2
+            heads.append(heads[-1] * a2 * (q2n / ((1 - q2n) * (1 - qvn))).sqrt())
+        # G falls along k, and along n past its peak.  Row k is held scaled
+        # by a further 2^tail[k], so that rows of falling weight keep their
+        # bits relative to themselves, as in floating point.  Column n
+        # enters B only as +-g_n g_n^T, so an error of 2^-prec ||B|| in B
+        # allows it an error of 2^-prec G_max^2 / G[0,n]: it is held
+        # scaled by 2^(prec + mags[n] - 2 peak) ~ 2^prec G[0,n] / G_max^2,
+        # and its top entry carries prec - 2 d_n bits, d_n = peak - mags[n]
+        # (at least the guard digits' worth, by the cut, which also keeps
+        # the exponent positive).  The reflectors of the QR carry the same
+        # bits as their columns.  R drops the scales exactly.
         top = fixedla.binary_magnitude(col[0])
         tail = [top - fixedla.binary_magnitude(x) for x in col]
-        cols, mags = [], []
-        q2n = Decimal(1)  # q^{2n}
-        for n in range(nterms):
-            if n:
-                qvn = qv * q2n  # q^{2v+2n}
-                q2n *= q2
-                ratio = (q2n / ((1 - q2n) * (1 - qvn))).sqrt()  # sqrt(c_n / c_{n-1})
-                col = [x * y * ratio for x, y in zip(col, x2)]
-            mags.append(fixedla.binary_magnitude(col[0]))
-            cols.append([fixedla.to_fixed(x, prec - mags[-1] + t) for x, t in zip(col, tail)])
+        mags = [fixedla.binary_magnitude(h) for h in heads]
+        peak = max(mags)
+        tops = [fixedla.to_fixed(h, prec + m - 2 * peak) for h, m in zip(heads, mags)]
+        # G[k,n] 2^tail[k] = G[0,n] s_k q^{2kn}, s_k = 2^tail[k] sqrt(w_k / w_0)
+        # < 2; s_k q^{2kn} is carried in ints at ``wide`` bits, a few past
+        # the error that n steps of the product add up, so that column n,
+        # its row factors times its top int, comes out to a few units
+        wide = prec + (8 * nterms).bit_length()
+        rowf = [fixedla.to_fixed(x / sq[0], wide + t) for x, t in zip(sq, tail)]
+        step = [fixedla.to_fixed(q2 ** k, wide) for k in range(mdim)]  # q^{2k}
         # sqrt(w_m) as the int root_w[m] = sqrt(w_m) 2^k_m of prec bits; row
         # m of a back-transformed eigenvector, scaled by 2^(prec + tail[m]),
         # is divided by it as y 2^wshift[m] / root_w[m]
         ks = [prec - fixedla.binary_magnitude(s) for s in sq]
         root_w = [fixedla.to_fixed(s, k) for s, k in zip(sq, ks)]
         wshift = [k - prec - t for k, t in zip(ks, tail)]
-    qr, rows = fixedla.householder_qr(cols, prec, tail)
-    rows = [[fixedla.shift(x, k - t) for x, k in zip(r, mags)] for r, t in zip(rows, tail)]
+    cols = []
+    for n, head in enumerate(tops):
+        if n:
+            rowf = [(x * y) >> wide for x, y in zip(rowf, step)]
+        cols.append([(x * head) >> wide for x in rowf])
+    qr, rows = fixedla.householder_qr(cols, tail)
+    rows = [[fixedla.shift(x, 2 * peak - m - t) for x, m in zip(r, mags)]
+            for r, t in zip(rows, tail)]
     # C = R J R^T, J = diag((-1)^n), on one triangle; R is upper triangular
     rj = [[-x if n % 2 else x for n, x in enumerate(r)] for r in rows]
     core = [[0] * len(rows) for _ in rows]
@@ -240,9 +263,9 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
         out = []
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
-            u = fixedla.reflect(tri, s, prec)  # eigenvector of C
+            u = fixedla.reflect(tri, s)  # eigenvector of C
             u = [x << t for x, t in zip(u, tail)] + [0] * (mdim - len(u))
-            y = fixedla.reflect(qr, u, prec)  # of B, row m scaled by 2^(prec + tail[m])
+            y = fixedla.reflect(qr, u)  # of B, row m scaled by 2^(prec + tail[m])
             out.append(np.array([
                 (x << k) / w if k >= 0 else x / (w << -k) for x, w, k in zip(y, root_w, wshift)
             ]))
@@ -290,9 +313,12 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 
 
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
-    """One extended-precision solve; returns (basis, resolved) where
-    ``resolved`` is False when deeper retained pairs, or the smallest
-    entries of a retained eigenvector, need more digits."""
+    """One extended-precision solve; returns (basis, 0), or (None, more)
+    when a solve at ``more`` further digits is needed: 1.6 times the
+    digits (at least 60 more) when a deeper retained pair is unresolved,
+    which leaves no estimate of its depth, and the digits an eigenvector's
+    smallest entries lack, plus the guard, when they are short."""
+    ladder = max(int(dps * 1.6), dps + 60) - dps
     evals, units = _mp_eigensystem(b, p, dps, keep)
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         # keyed on |lambda| rounded to 20 digits, fewer than any retained
@@ -308,24 +334,25 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
         order = sorted(range(len(evals)), key=lambda i: (-mags[i], rank[i], evals[i] < 0))[:keep]
         floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
-            return None, False
+            return None, ladder
         if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
-            return None, False  # the truncated series ran out of pairs
+            return None, ladder  # the truncated series ran out of pairs
         lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
     rows, lams = units(lams), [float(lam) for lam in lams]
     # an entry 10^-s of its vector's largest keeps about dps - s digits,
     # less log10(|lambda| / gap) where another eigenvalue lies within gap
     # (an equal float64 one shares a degenerate eigenspace, judged as a
     # whole); every entry must keep 13, the componentwise accuracy of the
-    # samples
+    # samples; a shortfall is made up at the next solve
     spectrum = np.array([float(x) for x in evals])
+    lost = 0.0
     for lam, u in zip(lams, rows):
         mag = np.log10(np.abs(u[u != 0]))
         gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
-        lost = mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0)
-        if lost > dps - 13 - _DEPTH_GUARD:
-            return None, False
-    return _retain(b, p, lams, rows), True
+        lost = max(lost, mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0))
+    if lost > dps - 13 - _DEPTH_GUARD:
+        return None, math.ceil(lost - (dps - 13 - _DEPTH_GUARD)) + _DEPTH_GUARD
+    return _retain(b, p, lams, rows), 0
 
 
 def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:
@@ -390,8 +417,9 @@ def eigendecompose(
     That solve works at 25 digits past the depth of the keep-th pair below
     the top, plus a guard of 2, the depth estimated by ``_pivot_depth``
     from the pivots of the moment matrix G^T G.  A solve that leaves a
-    retained eigenvalue or eigenvector entry unresolved is repeated at
-    1.6 times the digits (at least 60 more).
+    retained eigenvalue unresolved is repeated at 1.6 times the digits
+    (at least 60 more); one that leaves eigenvector entries short, at the
+    digits they lack plus the guard.
     Raises SolverNoConvergence if the precision budget is exhausted.
     """
     if keep < 1:
@@ -416,10 +444,10 @@ def eigendecompose(
 
     dps = _RESOLVED_DIGITS + math.ceil(_pivot_depth(b, p, keep, top)) + _DEPTH_GUARD
     while dps <= _MAX_DPS:
-        basis, ok = _basis_from_mp(b, p, keep, dps)
-        if ok:
+        basis, more = _basis_from_mp(b, p, keep, dps)
+        if not more:
             return basis
-        dps = max(int(dps * 1.6), dps + 60)
+        dps += more
     raise SolverNoConvergence(
         f"spectrum unresolved at the {_MAX_DPS}-digit budget (keep={keep})"
     )

@@ -35,6 +35,10 @@ from .qcalc import QParams, qpochhammer
 # cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
+# digits that must survive the cancellation of a decimal rerun, and the
+# digits a rerun's start and step keep spare past them
+_SURVIVING_DIGITS = 18
+_REFINE_MARGIN = 10
 
 
 class DegenerateArguments(ValueError):
@@ -83,6 +87,31 @@ def _series_float(z2: float, q: float, v: float, eps: float):
     return total, n, max_term
 
 
+# (q, v) -> (digits, q^{2v+2} at those digits), for non-integer 2v+2
+_QV_POWERS: dict[tuple[float, float], tuple[int, Decimal]] = {}
+
+
+def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
+    """q^{2v+2} at the working precision of ``ctx``.
+
+    A non-integer power costs libmpdec an exp and a log (13 ms at 560
+    digits, 57 ms at 1,090), so it is kept per (q, v) at the largest
+    digits asked for so far and rounded into each context; a plan refines
+    its deepest, most costly values first, so it takes about one power.
+    An integer 2v+2 (v = -1/2, 0, ...) is a plain product, formed each time.
+    """
+    e = ctx.add(ctx.multiply(2, Decimal(v)), 2)
+    if e == e.to_integral_value():
+        return ctx.power(Decimal(q), e)
+    digits, value = _QV_POWERS.get((q, v), (0, None))
+    if digits < ctx.prec:
+        if len(_QV_POWERS) >= 256:
+            _QV_POWERS.clear()
+        value = ctx.power(Decimal(q), e)
+        _QV_POWERS[q, v] = ctx.prec, value
+    return ctx.plus(value)
+
+
 def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
     """Series at the working precision of ``ctx``; returns (sum, max_term)
     as Decimals.  The argument is the float z, converted exactly, or, given
@@ -93,7 +122,7 @@ def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
         x = qd**s if s is not None else Decimal(z)
         z2 = x * x
         q2 = qd * qd
-        qv = qd ** (2 * Decimal(v) + 2)
+        qv = _qv_power(q, v, ctx)
         term = Decimal(1)
         total = Decimal(0)
         max_term = Decimal(0)
@@ -113,36 +142,48 @@ def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
 
 
 def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None = None) -> float:
-    """Decimal evaluation with digits escalated until the sum is resolved.
+    """Decimal evaluation with digits raised until the sum is resolved, that
+    is until _SURVIVING_DIGITS (18) survive the cancellation.
 
     Starts at 40 digits past the float pass's peak term (200 when it
-    overflowed) and doubles until at least 18 digits survive the
-    cancellation.  At a lattice exponent s < 0 the value can lie far below
-    1, so the start rises to 50 digits past the peak's ratio to
-    ``jv_bound(s)`` when that is more.  Raises OverflowError when the
-    resolved value lies beyond the float range.
+    overflowed).  At a lattice exponent s < 0 the value can lie far below
+    1.  There the start rises to 50 digits past the peak's ratio to
+    ``jv_bound(s)``, and further to 18 + _REFINE_MARGIN past its ratio to
+    C q^{s^2 - (2v+1) s}, C = ``jv_bound(0)``, when either is more.  That
+    last is where |j_v(q^s)| lies: 0 to 15 digits below it for q 0.05-0.95,
+    v -0.95..10, s -40..-1, where the bound's q^{s^2 + (2v+1) s} overstates
+    it by q^{2 (2v+1) s} for v > -1/2.  An attempt that leaves fewer than
+    18 digits is repeated at 18 + _REFINE_MARGIN digits past the ratio of
+    its peak term to its sum, the digits it lacked plus the margin, at
+    least the margin more than before; or, when no digit survived and
+    the sum is rounding noise, at twice the digits.  Raises OverflowError
+    when the resolved value lies beyond the float range.
     """
+    target = _SURVIVING_DIGITS + _REFINE_MARGIN
     if math.isfinite(max_term_hint) and max_term_hint > 0:
-        dps = 40 + int(math.log10(max_term_hint))
+        peak = math.log10(max_term_hint)
+        dps = 40 + int(peak)
         if s is not None and s < 0:
-            # log10 jv_bound(s), in logs since the bound underflows at deep s;
-            # at large v the bound overstates |j_v(q^s)| by up to
-            # q^{(2v+1)s}, so it may only raise the start, never lower it
-            log_bound = math.log10(jv_bound(0, QParams(q, v)))
-            log_bound += _bound_exponent(s, v) * math.log10(q)
-            dps = max(dps, 50 + int(math.log10(max_term_hint) - log_bound))
+            # in logs, since the bound underflows at deep s
+            log_c, lq = math.log10(jv_bound(0, QParams(q, v))), math.log10(q)
+            dps = max(dps, 50 + int(peak - log_c - _bound_exponent(s, v) * lq),
+                      target + int(peak - log_c - _bound_exponent(-s, v) * lq))
     else:
         dps = 200
     while True:
         ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
         total, max_term = _series_decimal(z, q, v, ctx, s)
-        if total == 0 or max_term.scaleb(18 - dps, ctx) < total.copy_abs():
+        if total == 0 or max_term.scaleb(_SURVIVING_DIGITS - dps, ctx) < total.copy_abs():
             value = float(total)
             if math.isinf(value):
                 arg = f"q^{s}" if s is not None else repr(z)
                 raise OverflowError(f"j_{v}({arg}) = {total:.6e} lies beyond the float range")
             return value
-        dps *= 2
+        # log10(max_term / |total|) < ratio; a sum of rounding noise lies
+        # within a few digits of max_term 10^-dps and bounds the ratio
+        # only from below
+        ratio = max_term.adjusted() - total.adjusted() + 1
+        dps = target + ratio if ratio < dps - 3 else 2 * dps
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
 

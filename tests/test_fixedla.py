@@ -36,7 +36,7 @@ def test_qr_preserves_gram(m, n, graded):
     rowexp = [3 * k for k in range(m)] if graded else [0] * m
     a = rng.standard_normal((m, n)) * np.array([2.0**-t for t in rowexp])[:, None]
     cols = [[_fixed(a[k, j] * 2.0**t) for k, t in enumerate(rowexp)] for j in range(n)]
-    reflectors, rows = fixedla.householder_qr(cols, PREC, rowexp)
+    reflectors, rows = fixedla.householder_qr(cols, rowexp)
     r = np.array([[_float(x, PREC + t) for x in row] for row, t in zip(rows, rowexp)])
     assert r.shape == (min(m, n), n)
     assert np.allclose(np.tril(r, -1), 0.0, atol=0)
@@ -45,7 +45,7 @@ def test_qr_preserves_gram(m, n, graded):
     # the reflectors give back A column by column from [R; 0]
     for j in range(n):
         col = [rows[i][j] if i < len(rows) else 0 for i in range(m)]
-        back = fixedla.reflect(reflectors, col, PREC)
+        back = fixedla.reflect(reflectors, col)
         got = np.array([_float(x, PREC + t) for x, t in zip(back, rowexp)])
         assert np.abs(got - a[:, j]).max() <= 1e-12 * np.abs(a).max()
 
@@ -107,7 +107,7 @@ def test_eigenvectors_through_the_reduction():
     a = _symmetric(rng, n)
     d, e, tri = fixedla.tridiagonalize([[_fixed(x) for x in row] for row in a], PREC)
     lam, vecs = _eigenpairs(d, e)
-    y = np.array([[_float(x) for x in fixedla.reflect(tri, s, PREC)] for s in vecs])
+    y = np.array([[_float(x) for x in fixedla.reflect(tri, s)] for s in vecs])
     assert np.abs(y @ y.T - np.eye(n)).max() <= 1e-14
     assert np.abs(a @ y.T - y.T * lam).max() <= 1e-14
 
@@ -235,3 +235,88 @@ def test_qprolate_solve_deflates_fewer_than_n(monkeypatch):
     assert len(counts) == 1
     deflated, n = counts[0]
     assert 15 <= deflated < n
+
+
+def test_narrow_reflector_matches_full_width():
+    # a reflector of 40 bits applied to vectors of 300 bits, with f scaled
+    # by 2^bits, against f scaled by 2^prec: each entry within one unit
+    # (300 random draws, half of them with row shifts)
+    rng = np.random.default_rng(40)
+    prec, worst = 300, 0
+    for trial in range(300):
+        m = int(rng.integers(2, 12))
+        shifts = [2 * int(t) for t in sorted(rng.integers(0, 6, m))] if trial % 2 else None
+        x = [int.from_bytes(rng.bytes(40), "big") >> 20 for _ in range(m)]
+        h, _ = fixedla._reflector(0, [int(t) for t in rng.integers(-2**39, 2**39, m)], shifts)
+        if h is None:
+            continue
+        _, v, vtv, _, bits = h
+        assert bits <= 41
+        got = list(x)
+        fixedla._apply(h, got)
+        f = (2 * fixedla._dot(v, x, shifts) << prec) // vtv  # full width, at 2^prec
+        full = [xi - ((vi * f) >> prec) for xi, vi in zip(x, v)]
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, full)))
+    assert worst <= 1
+
+
+def test_graded_qr_keeps_the_eigenvalues_of_r_j_rt():
+    # G with columns falling by up to 2^-70 relative to the largest, as
+    # in the factored solve: held with column n scaled by
+    # 2^(prec - 2 d_n) at its top instead of 2^prec, the eigenvalues of
+    # C = R J R^T, which reach down to 2^-135 of the largest, stay within
+    # 2^-prec ||B|| of the ungraded QR's
+    prec, m, n = 200, 14, 8
+    rng = np.random.default_rng(70)
+    drop = [0, 9, 17, 30, 41, 52, 61, 70]  # d_n in bits
+    with mp.workprec(4 * prec):
+        g = [[mp.mpf(float(rng.standard_normal())) * mp.mpf(2) ** -d for d in drop]
+             for _ in range(m)]
+
+        def eig_rjrt(scale):
+            # column n held as g * 2^scale[n]; R un-scaled to 2^prec
+            cols = [[int(mp.ldexp(g[k][j], scale[j])) for k in range(m)] for j in range(n)]
+            _, rows = fixedla.householder_qr(cols, [0] * m)
+            r = mp.matrix([[mp.ldexp(x, -scale[j]) for j, x in enumerate(row)] for row in rows])
+            jr = mp.matrix([[(-1) ** j * r[i, j] for j in range(n)] for i in range(n)])
+            return sorted(mp.eigsy(jr * r.T, eigvals_only=True))
+
+        flat = eig_rjrt([prec + d for d in drop])
+        graded = eig_rjrt([prec - d for d in drop])
+        norm = max(map(abs, flat))
+        assert min(map(abs, flat)) < mp.mpf(2) ** (-2 * 70 + 5) * norm
+        err = max(abs(x - y) for x, y in zip(flat, graded)) / (norm * mp.mpf(2) ** -prec)
+    assert err <= 1
+
+
+def test_noise_level_entries_deflate_without_iterating(monkeypatch):
+    # the reduction to tridiagonal form leaves errors of a few units
+    # 2^-prec, so off-diagonal entries within n^2 units of zero are
+    # rounding noise: a block of them deflates at once, with no rotation,
+    # and beside a graded block the eigenvalues above the noise stay
+    # within n^2 units of the exact ones
+    prec, tail = 200, 8
+    rng = np.random.default_rng(5)
+    noise_d = [int(x) for x in rng.integers(-30, 31, tail)]
+    noise_e = [int(x) for x in rng.integers(-30, 31, tail - 1)]
+    roots = []
+    real = fixedla._sqrt
+    monkeypatch.setattr(fixedla, "_sqrt", lambda x, ctx: roots.append(x) or real(x, ctx))
+    got = fixedla.tridiagonal_eigenvalues(noise_d, noise_e, prec)
+    assert not roots
+    ctx = fixedla.context(prec)
+    assert got == [ctx.divide(x, 1 << prec) for x in sorted(noise_d)]
+    big_d, big_e = _graded(prec, 6)
+    d, e = big_d + noise_d, big_e + [noise_e[0]] + noise_e
+    n = len(d)
+    got = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    with mp.workprec(2 * prec):
+        t = mp.matrix(n, n)
+        for i, x in enumerate(d):
+            t[i, i] = mp.mpf((x, -prec))
+        for i, x in enumerate(e):
+            t[i, i + 1] = t[i + 1, i] = mp.mpf((x, -prec))
+        want = sorted(mp.eigsy(t, eigvals_only=True))
+        unit = mp.mpf(2) ** -prec
+        assert sum(abs(w) > 1e6 * n * n * unit for w in want) == 6
+        assert max(abs(mp.mpf(str(x)) - w) for x, w in zip(got, want)) <= n * n * unit

@@ -277,8 +277,8 @@ def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span, clust
 
     b, p = qp.Bandlimit(a_exp, 60), qp.QParams(q, v)
     basis = qp.compute_basis(b, p, keep=keep)
-    ref, resolved = _basis_from_mp(b, p, keep, 300)
-    assert resolved
+    ref, more = _basis_from_mp(b, p, keep, 300)
+    assert not more
     mag = np.abs(ref.unit_samples)
     assert np.log10(mag.max(axis=1) / mag.min(axis=1)).max() > span
     assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
@@ -306,8 +306,8 @@ def test_tied_pairs_order_independent_of_digits():
     b, p = qp.Bandlimit(-3, 60), qp.QParams(0.482, 0.469)
     lams = []
     for dps in (105, 116, 155, 200):
-        basis, resolved = _basis_from_mp(b, p, 12, dps)
-        assert resolved
+        basis, more = _basis_from_mp(b, p, 12, dps)
+        assert not more
         lams.append(basis.eigenvalues)
     assert all(np.array_equal(x, lams[0]) for x in lams)
     assert list(np.sign(lams[0][:8])) == [1.0, -1.0] * 4
@@ -377,6 +377,49 @@ def test_benchmark_requests_take_one_solve_at_few_digits(monkeypatch, q, a_exp, 
     assert len(digits) == 1 and digits[0] <= most
 
 
+def test_eigenvector_resolve_steps_by_the_missing_digits(monkeypatch):
+    # the first solve, at 177 digits, leaves the smallest entries of a
+    # retained eigenvector short by a few digits; the second solve adds
+    # those and the guard (1.6 times the digits would take 283) and gives
+    # the eigenvalues a solve at 283 digits gives
+    from qprolate.pswf import _basis_from_mp
+
+    digits = _mp_solve_digits(monkeypatch)
+    b, p = qp.Bandlimit(-1, 72), qp.QParams(0.061, -0.973)
+    basis = qp.compute_basis(b, p, keep=10)
+    assert len(digits) == 2 and digits[0] == 177 and digits[1] < 283, digits
+    ref, more = _basis_from_mp(b, p, 10, 283)
+    assert not more
+    assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
+
+
+def test_qr_columns_carry_the_bits_their_term_needs(monkeypatch):
+    # column n of G enters B only as +-g_n g_n^T, so it is held with
+    # prec - 2 d_n bits, d_n the bits its top entry lies below the largest
+    # one; at q = 0.7 the last column lies far enough down to carry fewer
+    # than prec / 2, where a column normalised to its own top carries prec
+    from qprolate import fixedla
+
+    widths, precs = [], []
+    real_qr, real_tri = fixedla.householder_qr, fixedla.tridiagonalize
+
+    def qr(cols, rowexp):
+        widths.append([max(map(abs, c)).bit_length() for c in cols])
+        return real_qr(cols, rowexp)
+
+    def tri(a, prec):
+        precs.append(prec)
+        return real_tri(a, prec)
+
+    monkeypatch.setattr(fixedla, "householder_qr", qr)
+    monkeypatch.setattr(fixedla, "tridiagonalize", tri)
+    qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.7, -0.5), keep=15)
+    assert len(widths) == len(precs) == 1
+    (bits,), (prec,) = widths, precs
+    assert max(bits) >= prec - 2
+    assert bits[-1] < prec / 2
+
+
 def test_mp_pairs_sorted_at_working_precision():
     # at a_exp = -2 the top five |lambda| lie within 1.2e-17 of 1: sorted
     # at float64 they tie and keep the solver's order; keyed at 20 digits
@@ -384,8 +427,8 @@ def test_mp_pairs_sorted_at_working_precision():
     # follow in order of |lambda|
     from qprolate.pswf import _basis_from_mp
 
-    basis, resolved = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)
-    assert resolved
+    basis, more = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)
+    assert not more
     assert list(np.sign(basis.eigenvalues)) == [1.0, -1.0, 1.0, -1.0, 1.0]
 
 

@@ -144,9 +144,53 @@ def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
             assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
 
 
+def test_cold_plan_refines_each_value_once_at_large_order(monkeypatch):
+    # at v = 1.7 jv_bound(s) overstates |j_v(q^s)| by q^{2(2v+1)s}; the
+    # start from C q^{s^2 - (2v+1)s} must resolve each of the 28 values
+    # that a cold (-15, 60) plan at q = 1/2 refines in one decimal series
+    # (the start from the bound alone summed 19 of them twice), and the
+    # non-integer power q^{2v+2} is formed once, at the deepest value's
+    # digits, and rounded into the others
+    from qprolate import qbessel
+
+    series = []
+    real = qbessel._series_decimal
+
+    def counted(z, q, v, ctx, s=None):
+        series.append((s, ctx.prec))
+        return real(z, q, v, ctx, s)
+
+    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    qbessel._jv_exp_cached.cache_clear()
+    qbessel._QV_POWERS.clear()
+    qp.make_plan(qp.LatticeWindow(-15, 60), qp.QParams(0.5, 1.7))
+    refined = {s for s, _ in series}
+    assert len(refined) == 28 and len(series) == 28
+    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(prec for _, prec in series)
+
+
+def test_power_kept_at_more_digits_rounds_into_fewer():
+    # q^{2v+2} formed at 600 digits and rounded into 60 equals the power
+    # formed at 60 digits here, and an integer 2v+2 is left uncached
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+
+    from qprolate import qbessel
+
+    qbessel._QV_POWERS.clear()
+    for q, v in [(0.5, 1.7), (0.3, 0.25), (0.9, -0.8)]:
+        wide, narrow = (Context(prec=d, Emax=MAX_EMAX, Emin=MIN_EMIN) for d in (600, 60))
+        qbessel._qv_power(q, v, wide)
+        direct = narrow.power(Decimal(q), narrow.add(narrow.multiply(2, Decimal(v)), 2))
+        assert qbessel._qv_power(q, v, narrow) == direct
+        assert qbessel._QV_POWERS[q, v][0] == 600
+    qbessel._qv_power(0.5, -0.5, wide)
+    qbessel._qv_power(0.5, 0.0, wide)
+    assert (0.5, -0.5) not in qbessel._QV_POWERS and (0.5, 0.0) not in qbessel._QV_POWERS
+
+
 @pytest.mark.parametrize("q, v", [(0.05, 10.0), (0.01, 7.0)])
 def test_negative_lattice_exponents_at_large_order(q, v):
-    # at large v, jv_bound(s) overstates |j_v(q^s)| by up to q^{(2v+1)s},
+    # at large v, jv_bound(s) overstates |j_v(q^s)| by up to q^{2(2v+1)s},
     # more than the peak term itself; the refinement must still start at
     # a valid precision and reach the value a 1000-digit sum gives
     from decimal import MAX_EMAX, MIN_EMIN, Context
