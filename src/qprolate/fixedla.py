@@ -129,10 +129,11 @@ def householder_qr(cols: list[list[int]], rowexp: list[int]):
     nondecreasing, so that rows of falling magnitude keep their bits
     relative to themselves, as in floating point; the reflectors and R
     carry the same row scales.  Each column may carry its own scale: the
-    error in column n of R is a few units of column n's own ints.  Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R
-    the min(M, N) x N upper trapezoidal factor as a list of rows.  Q is
-    never formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is
-    left intact.
+    error in column n of R is a few units of column n's own ints.
+    Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R the
+    min(M, N) x N upper trapezoidal factor as a list of rows.  Q is never
+    formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is left
+    intact.
     """
     cols = [list(c) for c in cols]
     m, n = len(rowexp), len(cols)
@@ -225,8 +226,9 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
 
     Implicit QL with Wilkinson shifts (EISPACK tql1) in ``context(prec)``;
     an off-diagonal entry is deflated once it is negligible against its
-    two diagonal neighbours, or lies within n^2 units of zero.  The iteration runs on the entries as given,
-    scaled by 2^prec, and the eigenvalues are scaled back at the end.
+    two diagonal neighbours, or lies within n^2 units of zero.  The
+    iteration runs on the entries as given, scaled by 2^prec, and the
+    eigenvalues are scaled back at the end.
 
     Without ``keep`` all of them are returned.  With it, the iteration
     stops once the Gershgorin bound of the undeflated block, raised by a

@@ -30,8 +30,9 @@ within a fraction of a digit on seeded grids, never above it, and a
 solve takes 27 digits past it.  A solve is accepted when every retained
 eigenvalue resolves to 25 digits relative to the top and every retained
 eigenvector keeps 13 digits in its smallest entry.  Otherwise the digits
-grow by 1.6 times for an eigenvalue, and by the digits that are short for
-an eigenvector.
+grow by 1.6 times (at least 60 more); the first time an eigenvector is
+short, by three times the digits it lacks plus the guard instead, when
+that is less.
 Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
 clusters tie at any working precision, and the signs alternate from +
 inside a tie.
@@ -313,12 +314,10 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
 
 
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
-    """One extended-precision solve; returns (basis, 0), or (None, more)
-    when a solve at ``more`` further digits is needed: 1.6 times the
-    digits (at least 60 more) when a deeper retained pair is unresolved,
-    which leaves no estimate of its depth, and the digits an eigenvector's
-    smallest entries lack, plus the guard, when they are short."""
-    ladder = max(int(dps * 1.6), dps + 60) - dps
+    """One extended-precision solve; returns (basis, 0), or (None, short)
+    when the solve must be repeated: ``short`` is the digits the smallest
+    entries of a retained eigenvector lack, or None when a deeper retained
+    pair is unresolved, which leaves no estimate of its depth."""
     evals, units = _mp_eigensystem(b, p, dps, keep)
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         # keyed on |lambda| rounded to 20 digits, fewer than any retained
@@ -334,16 +333,16 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
         order = sorted(range(len(evals)), key=lambda i: (-mags[i], rank[i], evals[i] < 0))[:keep]
         floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
-            return None, ladder
+            return None, None
         if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
-            return None, ladder  # the truncated series ran out of pairs
+            return None, None  # the truncated series ran out of pairs
         lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
     rows, lams = units(lams), [float(lam) for lam in lams]
     # an entry 10^-s of its vector's largest keeps about dps - s digits,
     # less log10(|lambda| / gap) where another eigenvalue lies within gap
     # (an equal float64 one shares a degenerate eigenspace, judged as a
     # whole); every entry must keep 13, the componentwise accuracy of the
-    # samples; a shortfall is made up at the next solve
+    # samples
     spectrum = np.array([float(x) for x in evals])
     lost = 0.0
     for lam, u in zip(lams, rows):
@@ -351,7 +350,7 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
         gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
         lost = max(lost, mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0))
     if lost > dps - 13 - _DEPTH_GUARD:
-        return None, math.ceil(lost - (dps - 13 - _DEPTH_GUARD)) + _DEPTH_GUARD
+        return None, math.ceil(lost - (dps - 13 - _DEPTH_GUARD))
     return _retain(b, p, lams, rows), 0
 
 
@@ -417,9 +416,13 @@ def eigendecompose(
     That solve works at 25 digits past the depth of the keep-th pair below
     the top, plus a guard of 2, the depth estimated by ``_pivot_depth``
     from the pivots of the moment matrix G^T G.  A solve that leaves a
-    retained eigenvalue unresolved is repeated at 1.6 times the digits
-    (at least 60 more); one that leaves eigenvector entries short, at the
-    digits they lack plus the guard.
+    retained pair unresolved is repeated at 1.6 times the digits (at
+    least 60 more).  The first time the smallest entries of an eigenvector
+    are short, it is repeated instead at three times the digits they lack,
+    plus the guard, when that is less: entries that are still rounding
+    noise understate the shortfall, and on seeded grids the digits finally
+    lacking were 1 to 3.2 times those measured first.  So a request takes
+    at most one solve more than the ladder alone would give it.
     Raises SolverNoConvergence if the precision budget is exhausted.
     """
     if keep < 1:
@@ -443,11 +446,16 @@ def eigendecompose(
         return _retain(b, p, evals[top_pairs], units)
 
     dps = _RESOLVED_DIGITS + math.ceil(_pivot_depth(b, p, keep, top)) + _DEPTH_GUARD
+    stepped = False
     while dps <= _MAX_DPS:
-        basis, more = _basis_from_mp(b, p, keep, dps)
-        if not more:
+        basis, short = _basis_from_mp(b, p, keep, dps)
+        if basis is not None:
             return basis
-        dps += more
+        ladder = max(int(dps * 1.6), dps + 60)
+        if short is not None and not stepped:
+            dps, stepped = min(dps + 3 * short + _DEPTH_GUARD, ladder), True
+        else:
+            dps = ladder
     raise SolverNoConvergence(
         f"spectrum unresolved at the {_MAX_DPS}-digit budget (keep={keep})"
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -35,10 +35,6 @@ from .qcalc import QParams, qpochhammer
 # cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
-# digits that must survive the cancellation of a decimal rerun, and the
-# digits a rerun's start and step keep spare past them
-_SURVIVING_DIGITS = 18
-_REFINE_MARGIN = 10
 
 
 class DegenerateArguments(ValueError):
@@ -89,26 +85,33 @@ def _series_float(z2: float, q: float, v: float, eps: float):
 
 # (q, v) -> (digits, q^{2v+2} at those digits), for non-integer 2v+2
 _QV_POWERS: dict[tuple[float, float], tuple[int, Decimal]] = {}
+# forms 2v + 2 without rounding, whatever the digits of the float v
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
     """q^{2v+2} at the working precision of ``ctx``.
 
     A non-integer power costs libmpdec an exp and a log (13 ms at 560
-    digits, 57 ms at 1,090), so it is kept per (q, v) at the largest
-    digits asked for so far and rounded into each context; a plan refines
-    its deepest, most costly values first, so it takes about one power.
-    An integer 2v+2 (v = -1/2, 0, ...) is a plain product, formed each time.
+    digits, 57 ms at 1,090), so it is kept per (q, v) and rounded into
+    each context; a plan refines its deepest, most costly values first, so
+    it takes about one power.  The exponent is exact, and the kept power
+    carries at least 20 digits past any context it is rounded into.  So
+    the rounded value does not depend on the digits it was kept at, and
+    no series on which refinements ran before it, unless q^{2v+2} lies
+    within 10^-20 units of a rounding tie.  An integer 2v+2 (v = -1/2, 0,
+    ...) is a plain product, formed each time.
     """
-    e = ctx.add(ctx.multiply(2, Decimal(v)), 2)
+    e = _EXACT.fma(2, Decimal(v), 2)
     if e == e.to_integral_value():
         return ctx.power(Decimal(q), e)
     digits, value = _QV_POWERS.get((q, v), (0, None))
-    if digits < ctx.prec:
+    if digits < ctx.prec + 20:
         if len(_QV_POWERS) >= 256:
             _QV_POWERS.clear()
-        value = ctx.power(Decimal(q), e)
-        _QV_POWERS[q, v] = ctx.prec, value
+        digits = ctx.prec + 20
+        value = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN).power(Decimal(q), e)
+        _QV_POWERS[q, v] = digits, value
     return ctx.plus(value)
 
 
@@ -142,24 +145,19 @@ def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
 
 
 def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None = None) -> float:
-    """Decimal evaluation with digits raised until the sum is resolved, that
-    is until _SURVIVING_DIGITS (18) survive the cancellation.
+    """Decimal evaluation with digits escalated until the sum is resolved.
 
     Starts at 40 digits past the float pass's peak term (200 when it
-    overflowed).  At a lattice exponent s < 0 the value can lie far below
+    overflowed) and doubles until at least 18 digits survive the
+    cancellation.  At a lattice exponent s < 0 the value can lie far below
     1.  There the start rises to 50 digits past the peak's ratio to
-    ``jv_bound(s)``, and further to 18 + _REFINE_MARGIN past its ratio to
-    C q^{s^2 - (2v+1) s}, C = ``jv_bound(0)``, when either is more.  That
-    last is where |j_v(q^s)| lies: 0 to 15 digits below it for q 0.05-0.95,
-    v -0.95..10, s -40..-1, where the bound's q^{s^2 + (2v+1) s} overstates
-    it by q^{2 (2v+1) s} for v > -1/2.  An attempt that leaves fewer than
-    18 digits is repeated at 18 + _REFINE_MARGIN digits past the ratio of
-    its peak term to its sum, the digits it lacked plus the margin, at
-    least the margin more than before; or, when no digit survived and
-    the sum is rounding noise, at twice the digits.  Raises OverflowError
-    when the resolved value lies beyond the float range.
+    ``jv_bound(s)``, and to 28 past its ratio to C q^{s^2 - (2v+1) s},
+    C = ``jv_bound(0)``, when either is more.  That last is where
+    |j_v(q^s)| lies: 0 to 15 digits below it for q 0.05-0.95, v -0.95..10,
+    s -40..-1, where the bound's q^{s^2 + (2v+1) s} overstates it by
+    q^{2 (2v+1) s} for v > -1/2.  Raises OverflowError when the resolved
+    value lies beyond the float range.
     """
-    target = _SURVIVING_DIGITS + _REFINE_MARGIN
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         peak = math.log10(max_term_hint)
         dps = 40 + int(peak)
@@ -167,23 +165,19 @@ def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None =
             # in logs, since the bound underflows at deep s
             log_c, lq = math.log10(jv_bound(0, QParams(q, v))), math.log10(q)
             dps = max(dps, 50 + int(peak - log_c - _bound_exponent(s, v) * lq),
-                      target + int(peak - log_c - _bound_exponent(-s, v) * lq))
+                      28 + int(peak - log_c - _bound_exponent(-s, v) * lq))
     else:
         dps = 200
     while True:
         ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
         total, max_term = _series_decimal(z, q, v, ctx, s)
-        if total == 0 or max_term.scaleb(_SURVIVING_DIGITS - dps, ctx) < total.copy_abs():
+        if total == 0 or max_term.scaleb(18 - dps, ctx) < total.copy_abs():
             value = float(total)
             if math.isinf(value):
                 arg = f"q^{s}" if s is not None else repr(z)
                 raise OverflowError(f"j_{v}({arg}) = {total:.6e} lies beyond the float range")
             return value
-        # log10(max_term / |total|) < ratio; a sum of rounding noise lies
-        # within a few digits of max_term 10^-dps and bounds the ratio
-        # only from below
-        ratio = max_term.adjusted() - total.adjusted() + 1
-        dps = target + ratio if ratio < dps - 3 else 2 * dps
+        dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
 

@@ -149,8 +149,8 @@ def test_cold_plan_refines_each_value_once_at_large_order(monkeypatch):
     # start from C q^{s^2 - (2v+1)s} must resolve each of the 28 values
     # that a cold (-15, 60) plan at q = 1/2 refines in one decimal series
     # (the start from the bound alone summed 19 of them twice), and the
-    # non-integer power q^{2v+2} is formed once, at the deepest value's
-    # digits, and rounded into the others
+    # non-integer power q^{2v+2} is formed once, 20 digits past the
+    # deepest value's, and rounded into the others
     from qprolate import qbessel
 
     series = []
@@ -166,26 +166,59 @@ def test_cold_plan_refines_each_value_once_at_large_order(monkeypatch):
     qp.make_plan(qp.LatticeWindow(-15, 60), qp.QParams(0.5, 1.7))
     refined = {s for s, _ in series}
     assert len(refined) == 28 and len(series) == 28
-    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(prec for _, prec in series)
+    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(prec for _, prec in series) + 20
 
 
 def test_power_kept_at_more_digits_rounds_into_fewer():
-    # q^{2v+2} formed at 600 digits and rounded into 60 equals the power
-    # formed at 60 digits here, and an integer 2v+2 is left uncached
+    # q^{2v+2} rounded into 45 or 60 digits is the power with the exact
+    # exponent, whether it was first asked for there or kept at 620
+    # digits before; below the 51-54 digits of 2v+2 a power formed with
+    # the exponent rounded to the context differs.  An integer 2v+2 is
+    # left uncached
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
     from qprolate import qbessel
 
-    qbessel._QV_POWERS.clear()
-    for q, v in [(0.5, 1.7), (0.3, 0.25), (0.9, -0.8)]:
-        wide, narrow = (Context(prec=d, Emax=MAX_EMAX, Emin=MIN_EMIN) for d in (600, 60))
-        qbessel._qv_power(q, v, wide)
-        direct = narrow.power(Decimal(q), narrow.add(narrow.multiply(2, Decimal(v)), 2))
-        assert qbessel._qv_power(q, v, narrow) == direct
-        assert qbessel._QV_POWERS[q, v][0] == 600
-    qbessel._qv_power(0.5, -0.5, wide)
-    qbessel._qv_power(0.5, 0.0, wide)
+    def ctx(d):
+        return Context(prec=d, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+    for q, v in [(0.5, 1.7), (0.3, 0.25), (0.9, -0.8), (0.7, -0.95), (0.2, 0.7)]:
+        exact = ctx(300).power(Decimal(q), ctx(300).fma(2, Decimal(v), 2))
+        for d in (45, 60):
+            qbessel._QV_POWERS.clear()
+            fresh = qbessel._qv_power(q, v, ctx(d))
+            qbessel._qv_power(q, v, ctx(600))
+            assert qbessel._QV_POWERS[q, v][0] == 620
+            assert qbessel._qv_power(q, v, ctx(d)) == fresh == ctx(d).plus(exact)
+    e = ctx(45).add(ctx(45).multiply(2, Decimal(0.7)), 2)
+    assert ctx(45).power(Decimal(0.2), e) != ctx(45).plus(exact)
+    qbessel._qv_power(0.5, -0.5, ctx(600))
+    qbessel._qv_power(0.5, 0.0, ctx(600))
     assert (0.5, -0.5) not in qbessel._QV_POWERS and (0.5, 0.0) not in qbessel._QV_POWERS
+
+
+def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
+    # non-lattice values refined at fewer digits than 2v+2 has are the
+    # same before and after a deep lattice refinement at the same (q, v)
+    # keeps q^{2v+2} at many more digits
+    from qprolate import qbessel
+
+    digits = []
+    real = qbessel._series_decimal
+
+    def counted(z, q, v, ctx, s=None):
+        digits.append(ctx.prec)
+        return real(z, q, v, ctx, s)
+
+    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    p, z = qp.QParams(0.9, 0.3), np.geomspace(1.5, 3000.0, 100)
+    qbessel._QV_POWERS.clear()
+    before = qp.jv_array(z, p)
+    assert sum(d < 52 for d in digits) >= 10
+    qbessel._jv_exp_cached.cache_clear()
+    qp.jv_at_exponent(-40, p)
+    assert qbessel._QV_POWERS[0.9, 0.3][0] > 200
+    assert np.array_equal(qp.jv_array(z, p), before)
 
 
 @pytest.mark.parametrize("q, v", [(0.05, 10.0), (0.01, 7.0)])
