@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", type=str, help="lattice window MIN:MAX")
         sp.add_argument("--grid", type=str, help="sampling grid MIN:MAX")
         sp.add_argument("--keep", type=int, help="eigenpairs retained")
-        sp.add_argument("--eps", type=float, help="series truncation tolerance")
+        sp.add_argument("--eps", type=float,
+                        help="series truncation tolerance, relative to the partial sum")
         sp.add_argument("--out", type=str, help="output directory")
         sp.add_argument("--format", choices=["csv", "json", "svg"], help="output format")
 

@@ -3,13 +3,17 @@
 The series sum_n (-1)^n q^{n(n+1)} z^{2n} / ((q^2;q^2)_n (q^{2v+2};q^2)_n)
 is entire, but for large z its terms grow to a huge peak before the
 q^{n(n+1)} decay wins, so the alternating sum cancels catastrophically in
-double precision.  Evaluation therefore runs a fast float pass first and
+double precision.  Evaluation therefore runs a fast float pass first,
+``_series_float`` over a batch of arguments, each of which stops at the
+first term that does not grow and lies at most eps |partial sum|.  It
 transparently reruns the same series in the standard library's decimal
-arithmetic (libmpdec), with enough digits, whenever the peak term dwarfs
-the result or the float pass overflowed; ``jv``, ``jv_array`` and the
-lattice cache behind ``jv_at_exponent`` and ``lattice_table`` share that
-one float-then-refine step.  A value beyond the float range raises
-OverflowError.
+arithmetic (libmpdec), with enough digits, for each element whose peak
+term dwarfs the result or whose float pass overflowed.  ``jv`` (a batch
+of one), ``jv_array`` and the lattice cache behind ``jv_at_exponent`` and
+``lattice_table`` share that one float-then-refine step, so an element's
+value does not depend on the batch it came in.  A kept float pass is good
+to about 1e-10 relative: its peak may reach 1e6 |value|.  A value beyond
+the float range raises OverflowError; one below it is 0.0.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
@@ -23,9 +27,9 @@ y^2 = z^2.  Also implements the lattice growth bound.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +39,8 @@ from .qcalc import QParams, qpochhammer
 # cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
+# log10 of 2^-1075: a value below it rounds to zero in float64
+_LOG10_ROUNDS_TO_ZERO = -1075 * math.log10(2.0)
 
 
 class DegenerateArguments(ValueError):
@@ -55,32 +61,42 @@ class BesselEvalReport:
     cancellation_flag: bool
 
 
-def _series_float(z2: float, q: float, v: float, eps: float):
-    """One float pass of the series in z^2; returns (sum, terms, max_term).
+def _series_float(z2: np.ndarray, q: float, v: float, eps: float):
+    """One float pass of the series at each z^2 of the 1-D ``z2``; returns
+    per-element (sums, terms, peaks).
 
-    Termination needs both a term below eps * max(1, peak) and monotone
-    decay, so the loop cannot exit before the term peak at large z.
+    An element stops at the first term that does not grow and lies at most
+    eps |partial sum|, which it leaves out; the terms rise to one peak and
+    then fall, so no element stops before its peak.  A term that overflows
+    stops its element with peak inf.  A stopped element leaves the active
+    set, so its result is the one a batch of that element alone gives.
     """
     q2 = q * q
     qv = q ** (2.0 * v + 2.0)
-    term = 1.0
-    total = 0.0
-    max_term = 0.0
+    sums, peaks = np.empty(z2.size), np.empty(z2.size)
+    terms = np.empty(z2.size, dtype=int)
+    live, x2 = np.arange(z2.size), z2
+    term, total, peak = np.ones(z2.size), np.zeros(z2.size), np.zeros(z2.size)
     n = 0
-    while n < _MAX_TERMS:
-        total += term
-        at = abs(term)
-        if at > max_term:
-            max_term = at
-        ratio = q2 ** (n + 1) * z2 / ((1.0 - q2 ** (n + 1)) * (1.0 - qv * q2**n))
-        nxt = -term * ratio
-        n += 1
-        if not math.isfinite(nxt):
-            return total, n, math.inf
-        if abs(nxt) < eps * max(1.0, max_term) and abs(nxt) <= at:
-            return total, n, max_term
-        term = nxt
-    return total, n, max_term
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and n < _MAX_TERMS:
+            total = total + term
+            at = np.abs(term)
+            peak = np.maximum(peak, at)
+            nxt = -term * (q2 ** (n + 1) * x2 / ((1.0 - q2 ** (n + 1)) * (1.0 - qv * q2**n)))
+            n += 1
+            an = np.abs(nxt)
+            over = ~np.isfinite(nxt)
+            stop = over | ((an <= eps * np.abs(total)) & (an <= at))
+            if stop.any():
+                done = live[stop]
+                sums[done], terms[done] = total[stop], n
+                peaks[done] = np.where(over[stop], np.inf, peak[stop])
+                go = ~stop
+                live, x2, total, peak, nxt = live[go], x2[go], total[go], peak[go], nxt[go]
+            term = nxt
+    sums[live], terms[live], peaks[live] = total, n, peak
+    return sums, terms, peaks
 
 
 # (q, v) -> (digits, q^{2v+2} at those digits), for non-integer 2v+2
@@ -154,18 +170,23 @@ def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None =
     ``jv_bound(s)``, and to 28 past its ratio to C q^{s^2 - (2v+1) s},
     C = ``jv_bound(0)``, when either is more.  That last is where
     |j_v(q^s)| lies: 0 to 15 digits below it for q 0.05-0.95, v -0.95..10,
-    s -40..-1, where the bound's q^{s^2 + (2v+1) s} overstates it by
-    q^{2 (2v+1) s} for v > -1/2.  Raises OverflowError when the resolved
-    value lies beyond the float range.
+    s -40..-1; for v > -1/2 the bound's q^{s^2 + (2v+1) s} overstates it
+    by q^{2 (2v+1) s}, and below -1/2 the two coincide.  Where
+    ``jv_bound(s)`` lies below 2^-1075, the value rounds to +0.0 and no
+    series is summed.  Raises OverflowError when the resolved value lies
+    beyond the float range.
     """
+    if s is not None and s < 0:
+        # in logs, since the bound underflows at deep s
+        log_c, lq = math.log10(jv_bound(0, QParams(q, v))), math.log10(q)
+        if log_c + _bound_exponent(s, v) * lq < _LOG10_ROUNDS_TO_ZERO:
+            return 0.0
     if math.isfinite(max_term_hint) and max_term_hint > 0:
         peak = math.log10(max_term_hint)
         dps = 40 + int(peak)
         if s is not None and s < 0:
-            # in logs, since the bound underflows at deep s
-            log_c, lq = math.log10(jv_bound(0, QParams(q, v))), math.log10(q)
             dps = max(dps, 50 + int(peak - log_c - _bound_exponent(s, v) * lq),
-                      28 + int(peak - log_c - _bound_exponent(-s, v) * lq))
+                      28 + int(peak - log_c - (s * s - (2.0 * v + 1.0) * s) * lq))
     else:
         dps = 200
     while True:
@@ -189,14 +210,16 @@ def _needs_refinement(val, max_term):
     return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
 
 
-def _series_checked(z: float, q: float, v: float, eps: float, s: int | None = None):
-    """Float pass of the series, rerun in decimal arithmetic when
-    ``_needs_refinement``; returns (value, terms, max_term), the last two
-    from the float pass."""
-    val, terms, max_term = _series_float(z * z, q, v, eps)
-    if _needs_refinement(val, max_term):
-        val = _series_refined(z, q, v, max_term, s)
-    return val, terms, max_term
+def _series_checked(z: np.ndarray, q: float, v: float, eps: float, s=None):
+    """Float pass of the series at each z of the 1-D ``z``, each element
+    for which ``_needs_refinement`` holds rerun in decimal arithmetic (at
+    its lattice exponent, when ``s`` gives one per element); returns
+    (values, terms, peaks), the last two from the float pass."""
+    vals, terms, peaks = _series_float(z * z, q, v, eps)
+    for i in np.flatnonzero(_needs_refinement(vals, peaks)):
+        si = None if s is None else int(s[i])
+        vals[i] = _series_refined(float(z[i]), q, v, float(peaks[i]), si)
+    return vals, terms, peaks
 
 
 def jv(z: float, p: QParams) -> BesselEvalReport:
@@ -205,23 +228,65 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     Returns a BesselEvalReport.  The float pass is kept while its largest
     term is at most 1e6 |value|; past that, and in the severe cancellation
     regime, ``value`` comes from the decimal refinement (the report still
-    describes the float-series behaviour that triggered it).  A kept float
-    pass is not exact: its worst measured error is 1.2e-9 relative, at
-    q = 0.9, v = -1/2, z = 0.9^-5 (max_term 3.8e5).  Raises ValueError for a
-    non-finite z, on which the refinement would never resolve, and
-    OverflowError when the value lies beyond the float range.
+    describes the float-series behaviour that triggered it).  The float
+    pass stops at the first term that does not grow and lies at most
+    eps |partial sum|, so a kept float pass errs by the rounding of terms
+    up to 1e6 |value|: the worst measured is 9.1e-11 relative, at
+    q = 0.4254, v = 1.867, z = q^-2 (max_term 7.0e5 |value|), and 4.1e-11
+    at q = 0.9, v = -1/2, z = 0.9^-5.  Raises ValueError for a non-finite
+    z, on which the refinement would never resolve, and OverflowError when
+    the value lies beyond the float range.
     """
     if not math.isfinite(z):
         raise ValueError(f"jv needs a finite argument, got {z!r}")
-    val, terms, max_term = _series_checked(z, p.q, p.v, p.eps)
+    vals, terms, peaks = _series_checked(np.array([float(z)]), p.q, p.v, p.eps)
+    val, max_term = float(vals[0]), float(peaks[0])
     # scaled down, not |val| up: 1e12 |val| overflows near the float limit
-    return BesselEvalReport(val, terms, max_term, max_term * 1e-12 > abs(val))
+    return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
 
 
-@lru_cache(maxsize=1 << 18)
-def _jv_exp_cached(q: float, v: float, eps: float, s: int) -> float:
-    """j_v(q^s, q^2) at the lattice exponent s."""
-    return _series_checked(q ** float(s), q, v, eps, s)[0]
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _LatticeCache:
+    """Process-wide j_v(q^s, q^2), keyed by (q, v, eps, s).
+
+    ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
+    counts calls, and sums all of its misses in one ``_series_checked``
+    call, at the arguments q^s formed one exponent at a time as Python
+    floats (numpy's array power can differ in the last bit).  A read that
+    would pass ``maxsize`` empties the cache first.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.values: dict[tuple[float, float, float, int], float] = {}
+        self.hits = self.misses = 0
+
+    def read(self, q: float, v: float, eps: float, exps) -> list[float]:
+        values = self.values
+        keys = [(q, v, eps, s) for s in exps]
+        missing = [k for k in keys if k not in values]
+        if missing:
+            if len(values) + len(missing) > self.maxsize:
+                values.clear()
+                missing = keys
+            s = [k[3] for k in missing]
+            z = np.array([q ** float(e) for e in s])
+            values.update(zip(missing, _series_checked(z, q, v, eps, s)[0].tolist()))
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        return [values[k] for k in keys]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.values))
+
+    def cache_clear(self) -> None:
+        self.values.clear()
+        self.hits = self.misses = 0
+
+
+_jv_exp_cached = _LatticeCache(1 << 18)
 
 
 def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
@@ -230,61 +295,37 @@ def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
     The order ``v`` defaults to ``p.v``; the closed-form kernels also need
     order v + 1 at lattice arguments.
     """
-    return _jv_exp_cached(p.q, p.v if v is None else v, p.eps, int(s))
+    return _jv_exp_cached.read(p.q, p.v if v is None else v, p.eps, (int(s),))[0]
 
 
 def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
     """Array of j_v(q^s, q^2) for s = s_min..s_max, read through the same
     process-wide cache as ``jv_at_exponent``; ``v`` defaults to ``p.v``."""
     v = p.v if v is None else v
-    return np.array([_jv_exp_cached(p.q, v, p.eps, s) for s in range(s_min, s_max + 1)])
+    return np.array(_jv_exp_cached.read(p.q, v, p.eps, range(s_min, s_max + 1)))
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
-    """Vectorized j_v(z_i, q^2); per-element decimal refinement where needed.
+    """Vectorized j_v(z_i, q^2), each element equal to ``jv(z_i).value``.
     Raises ValueError if any z_i is not finite, OverflowError if a value
     lies beyond the float range."""
-    if v is None:
-        v = p.v
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("jv_array needs finite arguments")
-    z2 = z * z
-    q2 = p.q * p.q
-    qv = p.q ** (2.0 * v + 2.0)
-    term = np.ones_like(z2)
-    total = np.zeros_like(z2)
-    max_term = np.zeros_like(z2)
-    n = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n < _MAX_TERMS:
-            total += term
-            np.maximum(max_term, np.abs(term), out=max_term)
-            ratio = q2 ** (n + 1) * z2 / ((1.0 - q2 ** (n + 1)) * (1.0 - qv * q2**n))
-            nxt = -term * ratio
-            n += 1
-            bad = ~np.isfinite(nxt)
-            if bad.any():
-                max_term[bad] = np.inf
-                nxt[bad] = 0.0
-            done = (np.abs(nxt) < p.eps * np.maximum(1.0, max_term)) & (
-                np.abs(nxt) <= np.abs(term)
-            )
-            if done.all():
-                break
-            term = nxt
-    refine = _needs_refinement(total, max_term)
-    if refine.any():
-        flat = total.reshape(-1)
-        mf = max_term.reshape(-1)
-        for i in np.flatnonzero(refine.reshape(-1)):
-            flat[i] = _series_refined(float(z.reshape(-1)[i]), p.q, v, float(mf[i]))
-    return total
+    vals = _series_checked(z.reshape(-1), p.q, p.v if v is None else v, p.eps)[0]
+    return vals.reshape(z.shape)
 
 
 def jv_bound(n: int, p: QParams) -> float:
-    """Upper bound for |j_v(q^n, q^2)|: constant for n >= 0, times
-    q^{n^2 + (2v+1)n} for n < 0."""
+    """Upper bound for |j_v(q^n, q^2)|: a constant C for n >= 0, times
+    q^{n^2 - |(2v+1) n|} for n < 0.
+
+    For v >= -1/2 that is the paper's C q^{n^2 + (2v+1) n}.  Below -1/2
+    that form fails (by 76 digits at q = 0.05, v = -0.99, n = -30), and
+    the exponent is n^2 - (2v+1) n.  On q 0.05-0.95, n -30..-1 it held at
+    v -0.99..-0.51 with at least 0.02 digits to spare, as the paper's form
+    does at v = -1/2 (measured, not proved).
+    """
     q2 = p.q * p.q
     c = (
         qpochhammer(-q2, q2, math.inf, p.eps)
@@ -298,7 +339,7 @@ def jv_bound(n: int, p: QParams) -> float:
 
 def _bound_exponent(n: int, v: float) -> float:
     """Power of q by which ``jv_bound`` scales its constant at n < 0."""
-    return n * n + (2.0 * v + 1.0) * n
+    return n * n - abs((2.0 * v + 1.0) * n)
 
 
 def product_integral_direct(

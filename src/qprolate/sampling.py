@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pswf import Bandlimit, KernelEvaluator, kernel_auto
+from .pswf import Bandlimit
 from .qbessel import lattice_table, product_integral_direct, product_integral_quotient
 from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
@@ -50,7 +50,7 @@ DEFAULT_GRID = SamplingGrid(-10, 40)
 def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     """Reproducing kernel k_z(q^n) = c_qv^2 int_0^a j_v(q^n t) j_v(zt) t^{2v+1} d_q t.
 
-    Evaluated by ``kernel_auto``: the closed form
+    Evaluated by ``_kernel_rows`` on a one-point grid: the closed form
 
     k_z(q^n) = (1-q) c^2 / (1-q^{2v+2}) a^{2v+2}
                [q^{2n} j_{v+1}(a q^n) j_v(a q^{-1} z) - z^2 j_{v+1}(a z) j_v(a q^{n-1})]
@@ -59,7 +59,7 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     or the direct Jackson sum when q^{2n} and z^2 are too close for the
     difference quotient.
     """
-    return kernel_auto(KernelEvaluator(b, p, "closed_form"), p.q ** float(n), z)
+    return float(_kernel_rows(np.array([float(z)]), SamplingGrid(n, n), b, p)[0, 0])
 
 
 def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:

@@ -48,6 +48,20 @@ def test_lattice_cache_reports_its_statistics():
     assert info.hits + info.misses >= 1
 
 
+def test_lattice_cache_counts_each_value_read():
+    # one hit or miss per lattice value read, whether a table computes its
+    # misses in one batch or jv_at_exponent reads a single value
+    from qprolate import qbessel
+
+    p = qp.QParams(0.5, 0.3125)
+    before = qbessel._jv_exp_cached.cache_info()
+    qbessel.lattice_table(p, -5, 14)
+    qp.jv_at_exponent(3, p)
+    after = qbessel._jv_exp_cached.cache_info()
+    assert type(after.hits) is int and type(after.misses) is int
+    assert (after.misses - before.misses, after.hits - before.hits) == (20, 1)
+
+
 def _package_names(path: Path) -> set[str]:
     """Attributes taken of the package (bound as ``qp``, ``self.qp`` or by
     ``import qprolate``) and names imported from it."""

@@ -93,6 +93,17 @@ def test_overflow_exit_code(tmp_path, monkeypatch, capsys):
     assert "synthetic" in capsys.readouterr().err
 
 
+def test_reconstruct_near_q_one_overflows_without_refining_underflows(tmp_path, capsys):
+    # the y-side lattice values at s = -470..-420 lie near 1e-880, below
+    # the float range, and are +0.0 without a decimal series; the z side
+    # then reaches j_0.5(92.08...) = 8.5e830, beyond it
+    rc = main(["reconstruct", "--q", "0.99", "--a-exp", "-460", "--depth", "5",
+               "--keep", "1", "--window", "-12:45", "--grid", "-10:40",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "j_0.5(92.07938948050328) = 8.467078e+830" in capsys.readouterr().err
+
+
 def test_reconstruct_runge_artifacts(tmp_path, capsys):
     rc = main(["reconstruct", "--function", "runge", "--out", str(tmp_path), *FAST_RECON])
     assert rc == 0

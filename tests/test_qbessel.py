@@ -77,10 +77,11 @@ def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
     # runs at log10(peak term) + 40 digits, plus the digits by which the
     # package's three values fall below 1 (at least to the float floor):
     # then it resolves 40 digits of any scale it could be confused with,
-    # so agreement cannot come from both being wrong.  1e-8 is what the
-    # accepted float pass allows (peak up to 1e6 |value|, ~100 roundings
-    # of 2^-53): q = 0.9 reaches 2.2e-9.  At q = 0.05, s <= -16 the float
-    # pass sums to beyond 1e302 (-2.9e304 at s = -16, true value 9.1e-334).
+    # so agreement cannot come from both being wrong.  A kept float pass
+    # stops once a term is at most eps |partial sum|, so its error is the
+    # rounding of terms up to 1e6 |value|: q = 0.9, v = -0.9, s = -6
+    # reaches 7.3e-11.  At q = 0.05, s <= -16 the value lies below the
+    # float range and is +0.0 (the float pass sums to -2.9e304 at s = -16).
     tiny = np.finfo(float).tiny
     p = qp.QParams(q, v)
     for s in exps:
@@ -89,7 +90,7 @@ def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
         with mp.workdps(dps):
             ref = [jv_series(mp.mpf(q) ** t, q, v, dps) for t in (s - 1, s, s + 1)]
         scale = max(abs(x) for x in ref)
-        assert abs(got[1] - ref[1]) <= 1e-8 * scale + tiny, f"s={s}"
+        assert abs(got[1] - ref[1]) <= 1e-10 * scale + tiny, f"s={s}"
 
 
 def test_jv_cancellation_flag():
@@ -139,7 +140,7 @@ def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
     for v in (-0.5, 0.0):
         for s in range(-30, 0):
             passes.clear()
-            val = qbessel._series_checked(0.5 ** float(s), 0.5, v, 1e-14, s)[0]
+            val = qbessel._series_checked(np.array([0.5 ** float(s)]), 0.5, v, 1e-14, [s])[0][0]
             assert len(passes) <= 1, (v, s, passes)
             assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
 
@@ -251,12 +252,115 @@ def test_jv_eps_halving_property():
         assert abs(coarse - fine) <= 10 * 1e-10 * max(1.0, abs(fine))
 
 
+def _reconstruct_z_grid(q):
+    """The z grid of ``qprolate reconstruct``: 200 points uniform on
+    [q^10, q^-1] and the lattice points of that span."""
+    dense = np.linspace(q**10, q**-1, 200)
+    return np.unique(np.concatenate([dense, [q ** float(n) for n in range(-1, 11)]]))
+
+
 def test_jv_array_matches_scalar():
+    # each element of a batch stops on its own, so it is bit for bit the
+    # value of a lone evaluation
     p = qp.QParams(0.5, -0.5)
     zs = np.array([0.0, 0.2, 1.0, 4.0, 16.0, 1024.0])
-    got = qp.jv_array(zs, p)
-    want = np.array([qp.jv(float(z), p).value for z in zs])
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-30)
+    assert np.array_equal(qp.jv_array(zs, p), [qp.jv(float(z), p).value for z in zs])
+    # the z-side arguments of the reconstruct kernel at q = 0.9, v = -1/2,
+    # a_exp 0..-2, where a float pass stopped with its batch would differ
+    # from a lone one by up to 3.1e-9 relative
+    q = 0.9
+    zs = _reconstruct_z_grid(q)
+    for a_exp in (0, -1, -2):
+        a = q ** float(a_exp)
+        for z, v in ((a * zs, 0.5), (a * zs / q, -0.5)):
+            p = qp.QParams(q, v)
+            assert np.array_equal(qp.jv_array(z, p), [qp.jv(float(x), p).value for x in z])
+
+
+def _float_pass_loop(z, q, v, eps):
+    """The float pass as a scalar loop, with the arithmetic of
+    ``qbessel._series_float`` term for term; returns (sum, terms, peak)."""
+    q2, qv = q * q, q ** (2.0 * v + 2.0)
+    term, total, peak, n = 1.0, 0.0, 0.0, 0
+    while n < 2000:
+        total += term
+        peak = max(peak, abs(term))
+        nxt = -term * (q2 ** (n + 1) * (z * z) / ((1.0 - q2 ** (n + 1)) * (1.0 - qv * q2**n)))
+        n += 1
+        if not math.isfinite(nxt):
+            return total, n, math.inf
+        if abs(nxt) <= eps * abs(total) and abs(nxt) <= abs(term):
+            return total, n, peak
+        term = nxt
+    return total, n, peak
+
+
+@pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.99, -0.5), (0.05, 3.0)])
+def test_float_pass_matches_scalar_loop(q, v):
+    # the batched kernel, which drops each element from the batch as it
+    # stops, gives every element the scalar loop's sum, term count and
+    # peak (inf where a term overflowed: q = 0.99, z = 100)
+    from qprolate import qbessel
+
+    z = np.concatenate([[0.0, 100.0], np.geomspace(1e-3, q**-12, 60)])
+    sums, terms, peaks = qbessel._series_float(z * z, q, v, 1e-14)
+    want = [_float_pass_loop(float(x), q, v, 1e-14) for x in z]
+    assert [tuple(t) for t in zip(sums.tolist(), terms.tolist(), peaks.tolist())] == want
+
+
+def test_batch_size_does_not_change_an_element():
+    p = qp.QParams(0.9, -0.5)
+    z = np.geomspace(1e-3, 0.9**-8, 200)
+    whole = qp.jv_array(z, p)
+    for i in range(0, 200, 7):
+        assert qp.jv_array(z[i : i + 1], p)[0] == whole[i]
+        assert qp.jv_array(z[i], p) == whole[i]
+
+
+@pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.3, 1.7), (0.7, -0.9)])
+def test_jv_at_exponent_is_jv_at_the_lattice_point(q, v):
+    # a lattice value whose float pass is kept is the float pass at the
+    # Python float q ** float(s); refined ones form q^s in decimal instead
+    from qprolate import qbessel
+
+    p = qp.QParams(q, v)
+    kept = 0
+    for s in range(-12, 40):
+        rep = qp.jv(q ** float(s), p)
+        if not qbessel._needs_refinement(rep.value, rep.max_term_magnitude):
+            kept += 1
+            assert qp.jv_at_exponent(s, p) == rep.value, s
+    assert kept >= 40
+
+
+def test_lattice_values_below_the_float_range_sum_no_series(monkeypatch):
+    # where jv_bound(s) lies below 2^-1075 the value rounds to +0.0, and no
+    # decimal series, of up to thousands of digits, is summed to find that
+    # out; at q = 0.99 the y-side tables of a reconstruct at a_exp = -460
+    # lie near 1e-880
+    from qprolate import qbessel
+
+    series = []
+    real = qbessel._series_decimal
+
+    def counted(z, q, v, ctx, s=None):
+        series.append(s)
+        return real(z, q, v, ctx, s)
+
+    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    qbessel._jv_exp_cached.cache_clear()
+    tables = [
+        qbessel.lattice_table(qp.QParams(0.05, 0.7), -40, -25),
+        qbessel.lattice_table(qp.QParams(0.99, 0.5), -470, -420, 1.5),
+        qbessel.lattice_table(qp.QParams(0.99, 0.5), -471, -421),
+    ]
+    assert series == []
+    for table in tables:
+        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in table)
+    # below v = -1/2 the paper's form C q^{s^2 + (2v+1) s} of the bound
+    # lies 40 digits under this subnormal value, so it must not set the
+    # early zero
+    assert qp.jv_at_exponent(-16, qp.QParams(0.05, -0.99)) == 3.74033201837e-312
 
 
 def test_jv_report_fields():
@@ -282,7 +386,7 @@ def test_jv_bound_branches():
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
-@pytest.mark.parametrize("v", [-0.5, 0.0, 1.5])
+@pytest.mark.parametrize("v", [-0.9, -0.5, 0.0, 1.5, 3.0])
 def test_bound_inequality_on_lattice(q, v):
     p = qp.QParams(q, v)
     for n in range(-6, 21):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -176,3 +177,54 @@ def test_transform_no_tail_warning_for_compact_support(plan_half, window):
     with warnings.catch_warnings():
         warnings.simplefilter("error", qp.TailWarning)
         qp.fqv_transform(f, plan_half)
+
+
+def _seeded_transform_case(seed):
+    """A seeded (q, v, window) and a random function supported on [lo, hi].
+
+    Below hi the window reaches as far as |j_v(q^s)| ~ q^{s^2} needs to
+    fall below 1e-20, so that Ff has decayed at its low end; above hi as
+    far as the weight q^{n(2v+2)} needs; then up to three more exponents
+    on each side.
+    """
+    rng = np.random.default_rng(seed)
+    q, v = float(rng.uniform(0.3, 0.8)), float(rng.uniform(-0.5, 2.0))
+    lq = -math.log10(q)
+    lo = int(rng.integers(-4, 1))
+    hi = lo + int(rng.integers(6, 15))
+    n_min = -hi - math.ceil(math.sqrt(20 / lq)) - int(rng.integers(0, 4))
+    n_max = hi + math.ceil(20 / ((2 * v + 2) * lq)) + int(rng.integers(0, 4))
+    window = qp.LatticeWindow(n_min, n_max)
+    return qp.QParams(q, v), window, lo, hi, supported_function(window, lo, hi, rng), rng
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 12, 37])
+def test_seeded_transform_properties(seed):
+    # involution and isometry at the tolerances of test_involution and
+    # test_plancherel.  Ff at four random points against the mp oracle,
+    # relative to the sum of the terms' magnitudes, since a random point
+    # may lie near a zero of Ff.  A kept float kernel value may carry
+    # ~1e-10 relative error (peak terms up to 1e6 |value|), more than the
+    # 1e-11 that test_transform_vs_mp_oracle's points at q = 1/2 meet:
+    # seeds 12 and 37, the worst of the first 40, reach 9.1e-11 and
+    # 1.2e-11 of the sum through j_v(q^-2) at q = 0.425 and j_v(q^-3) at
+    # q = 0.652.  So the bound is 2e-10 of the sum.
+    p, window, lo, hi, f, rng = _seeded_transform_case(seed)
+    plan = qp.make_plan(window, p)
+    ff = qp.fqv_transform(f, plan)
+    exps = window.exponents()
+    sel = (exps >= lo) & (exps <= hi)
+    assert np.abs((qp.fqv_transform(ff, plan).values - f.values)[sel]).max() <= 1e-8
+    nf = qp.norm_lqpv(f, 2.0, p)
+    assert abs(nf - qp.norm_lqpv(ff, 2.0, p)) <= 1e-8 * nf
+    support, values = exps[sel], f.values[sel]
+    for m in (int(x) for x in rng.choice(exps, 4, replace=False)):
+        # the oracle's digits cover the peak term ~ q^{-s^2} and a value as
+        # small as q^{s^2} at the deepest argument s = m + lo
+        dps = 40 + int(2 * min(m + lo, 0) ** 2 * -math.log10(p.q))
+        want = float(transform_point(support, values, m, p.q, p.v, dps=dps))
+        scale = p.c_qv * (1 - p.q) * sum(
+            abs(p.q ** (int(n) * (2 * p.v + 2)) * x * qp.jv_at_exponent(m + int(n), p))
+            for n, x in zip(support, values)
+        )
+        assert abs(ff.value_at_exp(m) - want) <= 2e-10 * scale + 1e-250, m
