@@ -20,18 +20,15 @@ from .qcalc import (
 )
 from .qbessel import (
     BesselEvalReport,
-    DegenerateArguments,
     jv,
     jv_array,
     jv_at_exponent,
     jv_bound,
-    product_integral_closed,
     product_integral_direct,
 )
 from .qfourier import TransformPlan, convolve, convolve_direct, fqv_transform, make_plan, translate
 from .pswf import (
     Bandlimit,
-    KernelEvaluator,
     PswfBasis,
     SolverNoConvergence,
     ZeroFunction,
@@ -42,14 +39,13 @@ from .pswf import (
     eigen_report_json,
     eigendecompose,
     eval_pswf_at,
-    kernel,
-    kernel_auto,
     pswf_on_window,
 )
 from .sampling import (
     DEFAULT_GRID,
     SamplingGrid,
     convergence_study,
+    kernel,
     project,
     reconstruct,
     sampling_kernel,
@@ -62,8 +58,6 @@ __all__ = [
     "Bandlimit",
     "DEFAULT_GRID",
     "DEFAULT_WINDOW",
-    "DegenerateArguments",
-    "KernelEvaluator",
     "LatticeFunction",
     "LatticeWindow",
     "PswfBasis",
@@ -93,11 +87,9 @@ __all__ = [
     "jv_at_exponent",
     "jv_bound",
     "kernel",
-    "kernel_auto",
     "lattice_weights",
     "make_plan",
     "norm_lqpv",
-    "product_integral_closed",
     "product_integral_direct",
     "project",
     "pswf_on_window",

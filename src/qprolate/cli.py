@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -208,13 +209,14 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, extra: dict) ->
 
 
 def _read_samples(path: str, window: LatticeWindow) -> LatticeFunction:
-    """Parse 'k value' lines ('#' comments allowed) into a lattice function."""
+    """Parse 'k value' lines ('#' comments allowed) into a lattice function;
+    each exponent at most once, each value finite."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliInputError(f"cannot read samples file: {exc}") from exc
     values = np.zeros(window.size)
-    count = 0
+    seen: dict[int, int] = {}  # exponent -> line that gave it
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -231,9 +233,13 @@ def _read_samples(path: str, window: LatticeWindow) -> LatticeFunction:
             raise CliInputError(
                 f"{path}:{lineno}: exponent {k} outside window [{window.n_min}, {window.n_max}]"
             )
+        if not math.isfinite(val):
+            raise CliInputError(f"{path}:{lineno}: sample value {parts[1]!r} is not finite")
+        if k in seen:
+            raise CliInputError(f"{path}:{lineno}: exponent {k} repeats line {seen[k]}")
         values[k - window.n_min] = val
-        count += 1
-    if count == 0:
+        seen[k] = lineno
+    if not seen:
         raise CliInputError(f"{path}: no samples found")
     return LatticeFunction(window, values)
 

@@ -1,6 +1,6 @@
 """Concentration operator T_a^v, its eigenfunctions (the q-prolate
-spheroidal wave functions), the reproducing kernel and the concentration
-index.
+spheroidal wave functions) and the concentration index.  The reproducing
+kernel whose eigen-expansion they give is ``sampling.kernel``.
 
 T_a^v u(x) = c_qv int_0^a u(t) j_v(xt, q^2) t^{2v+1} d_q t is an exact
 weighted sum over the lattice points a q^m, so truncating at depth M is
@@ -71,13 +71,7 @@ from operator import mul
 
 import numpy as np
 
-from .qbessel import (
-    DegenerateArguments,
-    jv_array,
-    lattice_table,
-    product_integral_closed,
-    product_integral_direct,
-)
+from .qbessel import jv_array, lattice_table
 from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
@@ -503,64 +497,24 @@ def pswf_on_window(basis: PswfBasis, i: int, window: LatticeWindow) -> LatticeFu
     return LatticeFunction(window, vals)
 
 
-@dataclass(eq=False)
-class KernelEvaluator:
-    """Reproducing kernel k(x, y) of the projection onto the bandlimited space.
-
-    Modes: ``closed_form`` (two-term difference-quotient expression, fails
-    on nearly equal arguments), ``direct_sum`` (universal Jackson-sum
-    fallback), ``eigen_series`` (truncated sum psi_i(x) psi_i(y), needs an
-    attached basis).
-    """
-
-    bandlimit: Bandlimit
-    params: QParams
-    mode: str = "direct_sum"
-    basis: PswfBasis | None = None
-    series_terms: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("closed_form", "direct_sum", "eigen_series"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
-        if self.mode == "eigen_series" and self.basis is None:
-            raise ValueError("eigen_series mode needs an attached PswfBasis")
-
-
-def kernel(e: KernelEvaluator, x: float, y: float) -> float:
-    """Evaluate the reproducing kernel k(x, y) for real x, y >= 0.
-
-    ``closed_form`` raises DegenerateArguments when x^2 ~ y^2; callers
-    fall back to ``direct_sum``.
-    """
-    p = e.params
-    b = e.bandlimit
-    if e.mode == "closed_form":
-        return p.c_qv**2 * product_integral_closed(x, y, b.a_exp, p)
-    if e.mode == "eigen_series":
-        terms = e.basis.count if e.series_terms is None else min(e.series_terms, e.basis.count)
-        return float(
-            sum(eval_pswf_at(e.basis, i, x) * eval_pswf_at(e.basis, i, y) for i in range(terms))
-        )
-    return p.c_qv**2 * product_integral_direct(x, y, b.a_exp, p, b.depth)
-
-
-def kernel_auto(e: KernelEvaluator, x: float, y: float) -> float:
-    """Closed form where conditioned, direct sum otherwise."""
-    try:
-        return kernel(e, x, y)
-    except DegenerateArguments:  # raised by the closed form only
-        return kernel(KernelEvaluator(e.bandlimit, e.params, "direct_sum"), x, y)
-
-
 def concentration_index(f: LatticeFunction, b: Bandlimit, p: QParams) -> float:
-    """Fraction of the weighted energy of f inside [0, a]_q, in [0, 1]."""
-    den = inner_product(f, f, p)
-    if den <= 1e-300:
+    """Fraction of the weighted energy of f inside [0, a]_q, in [0, 1].
+
+    Both energies are summed for f / max|f|, so the index does not depend
+    on the scale of f.  Raises ZeroFunction when f is zero on its whole
+    window, or its weights underflow wherever it is not, and ValueError
+    when a value of f is not finite.
+    """
+    scale = float(np.max(np.abs(f.values)))
+    if not math.isfinite(scale):
+        raise ValueError("concentration index needs finite values")
+    g = LatticeFunction(f.window, f.values / scale) if scale else f
+    den = inner_product(g, g, p)
+    if den == 0.0:
         raise ZeroFunction("concentration index undefined for the zero function")
     w = b.weights(p)
-    samples = np.array([f.value_at_exp(int(k)) for k in b.point_exponents()])
-    num = float(np.dot(w, samples * samples))
-    return num / den
+    samples = np.array([g.value_at_exp(int(k)) for k in b.point_exponents()])
+    return float(np.dot(w, samples * samples)) / den
 
 
 def eigen_report_json(basis: PswfBasis) -> str:

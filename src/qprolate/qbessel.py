@@ -17,11 +17,11 @@ the float range raises OverflowError; one below it is 0.0.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
-form lives in ``product_integral_quotient``, broadcast over y and z,
-which both ``product_integral_closed`` (series values) and the sampling
-kernel rows (cached lattice values) call; its Jackson sum lives in
-``product_integral_direct``, the brute-force twin and the fallback near
-y^2 = z^2.  Also implements the lattice growth bound.
+form is ``product_integral_quotient``, broadcast over y and z, which
+reports where y^2 and z^2 lie too close for it; its Jackson sum is
+``product_integral_direct``, the brute-force twin.  ``sampling.kernel``
+is the one place that chooses between them.  Also implements the
+lattice growth bound.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
 # log10 of 2^-1075: a value below it rounds to zero in float64
 _LOG10_ROUNDS_TO_ZERO = -1075 * math.log10(2.0)
-
-
-class DegenerateArguments(ValueError):
-    """Closed-form product integral called with y^2 too close to z^2."""
 
 
 @dataclass
@@ -347,8 +343,8 @@ def product_integral_direct(
 ) -> float:
     """Jackson-sum evaluation of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t.
 
-    The brute-force twin of ``product_integral_closed``; ``depth`` is the
-    number of lattice points of [0, a]_q retained.
+    The brute-force twin of ``product_integral_quotient``; ``depth`` is
+    the number of lattice points of [0, a]_q retained.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -387,16 +383,3 @@ def product_integral_quotient(y, z, jy, a_exp: int, p: QParams):
     num = pref * (y2 * jy[0] * jzq - z2 * jz1 * jy[1])
     return np.divide(num, den, out=np.zeros_like(den), where=separated), separated
 
-
-def product_integral_closed(y: float, z: float, a_exp: int, p: QParams) -> float:
-    """Closed form of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t for y, z > 0.
-
-    Valid away from y^2 ~ z^2; closer arguments raise DegenerateArguments
-    and the caller should fall back to ``product_integral_direct``.
-    """
-    a = p.q ** float(a_exp)
-    jy = (jv_array(a * y, p, p.v + 1.0), jv_array(a * y / p.q, p))
-    value, separated = product_integral_quotient(y, z, jy, a_exp, p)
-    if not separated:
-        raise DegenerateArguments(f"y^2={y * y} and z^2={z * z} too close for the closed form")
-    return float(value)

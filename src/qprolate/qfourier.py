@@ -68,11 +68,16 @@ def fqv_transform(f: LatticeFunction, plan: TransformPlan) -> LatticeFunction:
 
     Emits a TailWarning when a boundary value of the weighted input is
     not negligible, since the transform then misses its truncated tails.
+    Raises ValueError when the weighted input is not finite, since one NaN
+    or inf would spread to every output value.
     """
     if f.window != plan.in_window:
         raise ValueError("function window does not match plan.in_window")
     h = lattice_weights(f.window, plan.params) * f.values
-    warn_boundary((h[0], h[-1]), float(np.sum(np.abs(h))), plan.params.eps, "fqv_transform")
+    scale = float(np.sum(np.abs(h)))
+    if not np.isfinite(scale):
+        raise ValueError("fqv_transform needs finite input values")
+    warn_boundary((h[0], h[-1]), scale, plan.params.eps, "fqv_transform")
     in_exps = f.window.exponents()
     c = plan.params.c_qv
     out = np.empty(plan.out_window.size)

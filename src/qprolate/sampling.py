@@ -7,14 +7,15 @@ Any f in the q-Paley-Wiener space satisfies
 
 where k_z is the reproducing kernel; the sampling points q^k do not
 depend on the band edge a.  The kernel is c_qv^2 times the product
-integral of ``qbessel``: its closed form is
-``qbessel.product_integral_quotient``, fed here with cached lattice
-values of j_v and j_{v+1}, and its direct Jackson sum, used where q^k
-is too close to z, is ``qbessel.product_integral_direct``.  This module
-provides that kernel, the truncated reconstruction sum, the projection
-onto the bandlimited space (which, like translation, needs a square
-transform plan), and the projection-error study driving the application
-experiment.
+integral of ``qbessel``, and this module is the one place that chooses
+how to evaluate it: the closed form ``qbessel.product_integral_quotient``
+where the two arguments' squares are apart, and the direct Jackson sum
+``qbessel.product_integral_direct`` where they are not.  ``kernel``
+feeds the closed form with series values, the sampling sum with cached
+lattice values.  This module provides that kernel, the truncated
+reconstruction sum, the projection onto the bandlimited space (which,
+like translation, needs a square transform plan), and the
+projection-error study driving the application experiment.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pswf import Bandlimit
-from .qbessel import lattice_table, product_integral_direct, product_integral_quotient
+from .qbessel import jv_array, lattice_table, product_integral_direct, product_integral_quotient
 from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
@@ -47,6 +48,27 @@ class SamplingGrid:
 DEFAULT_GRID = SamplingGrid(-10, 40)
 
 
+def kernel(x, y, b: Bandlimit, p: QParams):
+    """Reproducing kernel k(x, y) = c_qv^2 int_0^a j_v(xt) j_v(yt) t^{2v+1} d_q t
+    of the space bandlimited to [0, a]_q, broadcast over x and y >= 0.
+
+    A float for scalar x and y, an array of their broadcast shape
+    otherwise.  The closed form takes its x-side values from ``jv_array``;
+    where x^2 and y^2 are too close for it, the direct Jackson sum over
+    ``b.depth`` points.  Raises ValueError for a non-finite argument.
+    Far past 1 (a x or a y near q^s, s << 0) j_v swings, between the
+    lattice points, to values some q^{-s^2} times larger than at them,
+    so the rounding of the float arguments can swamp the value there;
+    ``reconstruct`` reads its lattice side from exact lattice values.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    a = p.q ** float(b.a_exp)
+    jx = (jv_array(a * xs, p, p.v + 1.0), jv_array(a * xs / p.q, p))
+    out = _kernel_values(xs, ys, jx, b, p).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     """Reproducing kernel k_z(q^n) = c_qv^2 int_0^a j_v(q^n t) j_v(zt) t^{2v+1} d_q t.
 
@@ -63,19 +85,24 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
 
 
 def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
-    """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``: the
-    closed form with the lattice factors read once from the exponent
-    cache, the direct Jackson sum where q^k is too close to z."""
+    """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``, with
+    the lattice factors of the closed form read once from the exponent
+    cache."""
     ks = grid.exponents()
     s_min, s_max = b.a_exp + grid.k_min, b.a_exp + grid.k_max
     jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
-    values, separated = product_integral_quotient(
-        p.q ** ks.astype(float), zs[:, None], jy, b.a_exp, p
-    )
+    return _kernel_values(p.q ** ks.astype(float), zs[:, None], jy, b, p)
+
+
+def _kernel_values(y: np.ndarray, z: np.ndarray, jy, b: Bandlimit, p: QParams) -> np.ndarray:
+    """c_qv^2 times the product integral at the broadcast y and z (at least
+    1-D), given the closed form's y-side values ``jy``: the closed form
+    where it is separated, the direct Jackson sum at the other entries."""
+    values, separated = product_integral_quotient(y, z, jy, b.a_exp, p)
     out = p.c_qv**2 * values
-    for i, k in zip(*np.nonzero(~separated)):
-        y = p.q ** float(ks[k])
-        out[i, k] = p.c_qv**2 * product_integral_direct(y, float(zs[i]), b.a_exp, p, b.depth)
+    y, z = np.broadcast_arrays(y, z)
+    for i in zip(*np.nonzero(~separated)):
+        out[i] = p.c_qv**2 * product_integral_direct(float(y[i]), float(z[i]), b.a_exp, p, b.depth)
     return out
 
 

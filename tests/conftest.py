@@ -1,6 +1,7 @@
 import pytest
 
 import qprolate as qp
+from qprolate.qbessel import product_integral_quotient
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,23 @@ def supported_function(window, lo, hi, rng, scale=1.0):
     sel = (window.exponents() >= lo) & (window.exponents() <= hi)
     f.values[sel] = scale * rng.standard_normal(sel.sum())
     return f
+
+
+def closed_form(y, z, a_exp, p):
+    """Closed-form product integral at y, z, with its y-side values from
+    ``jv_array``; returns (value, separated)."""
+    a = p.q ** float(a_exp)
+    jy = (qp.jv_array(a * y, p, p.v + 1.0), qp.jv_array(a * y / p.q, p))
+    value, separated = product_integral_quotient(y, z, jy, a_exp, p)
+    return float(value), bool(separated)
+
+
+def direct_kernel(x, y, b, p):
+    """Reproducing kernel by the direct Jackson sum alone."""
+    return p.c_qv**2 * qp.product_integral_direct(x, y, b.a_exp, p, b.depth)
+
+
+def eigen_series_kernel(basis, x, y):
+    """Truncated eigen-expansion sum_i psi_i(x) psi_i(y) of the kernel."""
+    return sum(qp.eval_pswf_at(basis, i, x) * qp.eval_pswf_at(basis, i, y)
+               for i in range(basis.count))

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 import qprolate as qp
-from conftest import supported_function
+from conftest import closed_form, direct_kernel, eigen_series_kernel, supported_function
 
 
 def _verdict(name, ok, detail, t0):
@@ -36,7 +36,8 @@ def test_product_integral_identity_suite():
                     if abs(y * y - z * z) <= 1e-6 * max(y * y, z * z):
                         continue
                     done += 1
-                    closed = qp.product_integral_closed(float(y), float(z), a_exp, p)
+                    closed, separated = closed_form(float(y), float(z), a_exp, p)
+                    assert separated, (q, v, a_exp, y, z)
                     direct = qp.product_integral_direct(float(y), float(z), a_exp, p, depth=300)
                     worst = max(worst, abs(closed - direct) / (1.0 + abs(direct)))
     _verdict(
@@ -163,10 +164,12 @@ def test_eigensystem_suite(basis12, basis25, bandlimit, p_half, psi_tabs):
     if not ((lam2 > 0).all() and (np.diff(lam2) < 0).all()):
         fails.append("lambda^2 not strictly decreasing")
 
-    es = qp.KernelEvaluator(bandlimit, p_half, "eigen_series", basis=basis25, series_terms=25)
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     pts = [p_half.q**m for m in range(9)]
-    ker = max(abs(qp.kernel(es, x, y) - qp.kernel(ed, x, y)) for x in pts for y in pts)
+    ker = max(
+        abs(eigen_series_kernel(basis25, x, y) - direct_kernel(x, y, bandlimit, p_half))
+        for x in pts
+        for y in pts
+    )
     if ker > 1e-8:
         fails.append(f"eigen-series kernel {ker:.2e}")
 

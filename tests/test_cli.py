@@ -293,6 +293,28 @@ def test_transform_bad_files(tmp_path, capsys, content, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_transform_rejects_non_finite_sample(tmp_path, capsys, value):
+    # a nan sample used to fill every row of transform.csv with nan, exit 0
+    sample_file = tmp_path / "bad.txt"
+    sample_file.write_text(f"0 1.0\n1 {value}\n")
+    out = tmp_path / "o"
+    rc = main(["transform", "--samples", str(sample_file), "--out", str(out)])
+    assert rc == 4
+    assert ":2:" in capsys.readouterr().err
+    assert not (out / "transform.csv").exists()
+
+
+def test_transform_rejects_repeated_exponent(tmp_path, capsys):
+    # the last value used to win silently
+    sample_file = tmp_path / "bad.txt"
+    sample_file.write_text("0 1.0\n3 0.5\n0 2.0\n")
+    rc = main(["transform", "--samples", str(sample_file), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert ":3:" in err and "exponent 0" in err
+
+
 def test_transform_missing_file(tmp_path, capsys):
     rc = main(["transform", "--samples", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 4

@@ -57,6 +57,22 @@ def _mpmath_imports(path: Path) -> list[str]:
     return found
 
 
+# the closed form and the Jackson sum of the reproducing kernel: only
+# ``sampling`` chooses between them (``__init__`` merely re-exports)
+KERNEL_FORMS = {"product_integral_quotient", "product_integral_direct"}
+
+
+def _kernel_form_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                      for alias in node.names if alias.name in KERNEL_FORMS]
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_FORMS:
+            found.append(f"{path.name}:{node.lineno} uses .{node.attr}")
+    return found
+
+
 def test_modules_import_no_private_names():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
@@ -100,3 +116,22 @@ def test_mpmath_import_is_detected(tmp_path):
         "def f():\n    import os, mpmath\n"
     )
     assert len(_mpmath_imports(module)) == 4
+
+
+def test_only_sampling_chooses_the_kernel_form():
+    importers = {path.name: _kernel_form_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(importers.pop("sampling.py")) == len(KERNEL_FORMS)
+    importers.pop("__init__.py")
+    offences = [line for lines in importers.values() for line in lines]
+    assert not offences, "\n".join(offences)
+
+
+def test_kernel_form_import_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from .qbessel import jv_array, product_integral_quotient\n"
+        "from qprolate.qbessel import product_integral_direct as direct\n"
+        "from .qbessel import product_integral_closed\nimport qprolate.qbessel\n"
+        "v = qprolate.qbessel.product_integral_quotient(1, 2, (1, 1), 0, p)\n"
+    )
+    assert len(_kernel_form_imports(module)) == 3

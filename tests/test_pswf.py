@@ -6,7 +6,7 @@ import pytest
 
 import qprolate as qp
 from _oracles import cyclic_jacobi, operator_matrix
-from conftest import supported_function
+from conftest import direct_kernel, eigen_series_kernel, supported_function
 
 
 def test_matrix_small_case(p_half):
@@ -556,44 +556,57 @@ def test_eval_offlattice_depth_doubling(basis12, p_half):
 
 
 def test_kernel_direct_symmetry(bandlimit, p_half):
-    e = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     for x, y in [(1.0, 0.5), (0.3, 2.0)]:
-        assert qp.kernel(e, x, y) == qp.kernel(e, y, x)
+        assert direct_kernel(x, y, bandlimit, p_half) == direct_kernel(y, x, bandlimit, p_half)
 
 
 def test_kernel_closed_vs_direct(bandlimit, p_half):
-    ec = qp.KernelEvaluator(bandlimit, p_half, "closed_form")
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     for x, y in [(1.0, 0.5), (2.0, 0.25), (0.125, 1.3)]:
-        kc = qp.kernel(ec, x, y)
-        kd = qp.kernel(ed, x, y)
+        kc = qp.kernel(x, y, bandlimit, p_half)
+        kd = direct_kernel(x, y, bandlimit, p_half)
         assert abs(kc - kd) <= 1e-9 * max(1.0, abs(kd))
 
 
-def test_kernel_degenerate_and_auto(bandlimit, p_half):
-    ec = qp.KernelEvaluator(bandlimit, p_half, "closed_form")
-    with pytest.raises(qp.DegenerateArguments):
-        qp.kernel(ec, 0.7, 0.7)
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
-    assert qp.kernel_auto(ec, 0.7, 0.7) == pytest.approx(
-        qp.kernel(ed, 0.7, 0.7), rel=1e-12
-    )
+def test_kernel_degenerate_takes_direct_sum(bandlimit, p_half):
+    assert qp.kernel(0.7, 0.7, bandlimit, p_half) == direct_kernel(0.7, 0.7, bandlimit, p_half)
+    x = np.array([0.7, 0.7 * (1 + 1e-11), 0.3])
+    got = qp.kernel(x, 0.7, bandlimit, p_half)
+    assert got.shape == (3,)
+    assert got[1] == direct_kernel(x[1], 0.7, bandlimit, p_half)
+    assert got[2] == qp.kernel(0.3, 0.7, bandlimit, p_half)
+
+
+def test_kernel_broadcasts(bandlimit, p_half):
+    xs = p_half.q ** np.arange(-1.0, 3.0)
+    ys = np.array([0.2, 0.5, 1.0])
+    got = qp.kernel(xs[:, None], ys, bandlimit, p_half)
+    assert got.shape == (4, 3)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert got[i, j] == qp.kernel(float(x), float(y), bandlimit, p_half)
+    assert isinstance(qp.kernel(0.5, 1.0, bandlimit, p_half), float)
 
 
 def test_kernel_eigen_series_vs_direct(basis25, bandlimit, p_half):
-    es = qp.KernelEvaluator(bandlimit, p_half, "eigen_series", basis=basis25, series_terms=25)
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     for mx in range(0, 9, 2):
         for my in range(0, 9, 2):
             x, y = p_half.q**mx, p_half.q**my
-            assert abs(qp.kernel(es, x, y) - qp.kernel(ed, x, y)) <= 1e-8
+            es = eigen_series_kernel(basis25, x, y)
+            assert abs(es - direct_kernel(x, y, bandlimit, p_half)) <= 1e-8
 
 
-def test_kernel_mode_validation(bandlimit, p_half):
-    with pytest.raises(ValueError):
-        qp.KernelEvaluator(bandlimit, p_half, "nope")
-    with pytest.raises(ValueError):
-        qp.KernelEvaluator(bandlimit, p_half, "eigen_series")
+def test_kernel_eigen_series_under_ties():
+    # at a = q^-1 three eigenvalues are +-1; the series must not depend on
+    # how the solve resolves the tie
+    p = qp.QParams(0.5, -0.5)
+    b = qp.Bandlimit(-1, 60)
+    basis = qp.compute_basis(b, p, keep=25)
+    assert np.sum(np.abs(np.abs(basis.eigenvalues) - 1.0) <= 1e-12) == 3
+    pts = p.q ** np.arange(-1.0, 9.0)
+    want = qp.kernel(pts[:, None], pts, b, p)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert abs(eigen_series_kernel(basis, x, y) - want[i, j]) <= 1e-8, (i, j)
 
 
 def test_concentration_trivials(bandlimit, p_half, window):
@@ -603,6 +616,20 @@ def test_concentration_trivials(bandlimit, p_half, window):
     assert qp.concentration_index(outside, bandlimit, p_half) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(qp.ZeroFunction):
         qp.concentration_index(qp.LatticeFunction.zeros(window), bandlimit, p_half)
+
+
+def test_concentration_is_scale_invariant(bandlimit, p_half, window):
+    # f f underflowed at 1e-155 (ZeroFunction) and overflowed at 1e160 (NaN)
+    f = qp.LatticeFunction.from_callable(window, lambda x: 1 / (1 + x * x), p_half.q)
+    theta = qp.concentration_index(f, bandlimit, p_half)
+    assert theta == pytest.approx(0.9153, abs=1e-4)
+    for scale in (1e-155, 1e160):
+        scaled = qp.LatticeFunction(window, f.values * scale)
+        assert abs(qp.concentration_index(scaled, bandlimit, p_half) - theta) <= 1e-12, scale
+    with pytest.raises(qp.ZeroFunction):
+        qp.concentration_index(qp.LatticeFunction(window, f.values * 0.0), bandlimit, p_half)
+    with pytest.raises(ValueError):
+        qp.concentration_index(qp.LatticeFunction(window, f.values * np.inf), bandlimit, p_half)
 
 
 def test_concentration_range(bandlimit, p_half, window):
@@ -620,13 +647,13 @@ def test_theta_psi0_is_lambda0_squared(basis12, psi_tabs, bandlimit, p_half):
 
 def test_reproducing_property(basis12, psi_tabs, bandlimit, p_half, window):
     # <psi_i, k_x> recovers psi_i(x) at lattice points q^-1 .. q^10
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     w = qp.lattice_weights(window, p_half)
     for i in range(4):
         for n in range(-1, 11):
             x = p_half.q ** float(n)
             kx = np.array(
-                [qp.kernel(ed, x, p_half.q ** float(k)) for k in window.exponents()]
+                [direct_kernel(x, p_half.q ** float(k), bandlimit, p_half)
+                 for k in window.exponents()]
             )
             got = float(np.dot(w, psi_tabs[i].values * kx))
             assert abs(got - psi_tabs[i].value_at_exp(n)) <= 1e-8, (i, n)

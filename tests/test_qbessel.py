@@ -6,6 +6,7 @@ import pytest
 
 import qprolate as qp
 from _oracles import jv_series, product_integral, qpoch
+from conftest import closed_form
 
 
 def test_jv_at_zero():
@@ -395,7 +396,8 @@ def test_bound_inequality_on_lattice(q, v):
 
 def test_product_integral_closed_vs_direct_frozen():
     p = qp.QParams(0.5, 0.0)
-    closed = qp.product_integral_closed(1.0, 0.5, 0, p)
+    closed, separated = closed_form(1.0, 0.5, 0, p)
+    assert separated
     direct = qp.product_integral_direct(1.0, 0.5, 0, p, depth=300)
     # frozen from the 60-digit Jackson-sum oracle
     assert direct == pytest.approx(0.4101087087025178, rel=1e-12)
@@ -410,7 +412,9 @@ def test_product_integral_against_mp_oracle():
     assert qp.product_integral_direct(y, z, a_exp, p, depth=200) == pytest.approx(
         want, rel=1e-11
     )
-    assert qp.product_integral_closed(y, z, a_exp, p) == pytest.approx(want, rel=1e-9)
+    closed, separated = closed_form(y, z, a_exp, p)
+    assert separated
+    assert closed == pytest.approx(want, rel=1e-9)
 
 
 def test_product_integral_random_pairs(p_half):
@@ -420,17 +424,16 @@ def test_product_integral_random_pairs(p_half):
         y, z = np.exp(rng.uniform(np.log(q**4), np.log(q**-2), size=2))
         if abs(y * y - z * z) <= 1e-3 * max(y * y, z * z):
             continue
-        closed = qp.product_integral_closed(float(y), float(z), 0, p_half)
+        closed, separated = closed_form(float(y), float(z), 0, p_half)
+        assert separated
         direct = qp.product_integral_direct(float(y), float(z), 0, p_half, depth=300)
         assert abs(closed - direct) / (1.0 + abs(direct)) <= 1e-9
 
 
 def test_product_integral_degenerate():
     p = qp.QParams(0.5, 0.0)
-    with pytest.raises(qp.DegenerateArguments):
-        qp.product_integral_closed(0.7, 0.7, 0, p)
-    with pytest.raises(qp.DegenerateArguments):
-        qp.product_integral_closed(0.7, 0.7 * (1 + 1e-11), 0, p)
+    assert closed_form(0.7, 0.7, 0, p)[1] is False
+    assert closed_form(0.7, 0.7 * (1 + 1e-11), 0, p)[1] is False
 
 
 def test_product_integral_direct_depth_doubling():
@@ -481,4 +484,4 @@ def test_jv_rejects_non_finite(z):
     with pytest.raises(ValueError):
         qp.jv_array(np.array([0.5, z, 2.0]), p)
     with pytest.raises(ValueError):
-        qp.product_integral_closed(z, 0.7, 0, p)
+        qp.kernel(z, 0.7, qp.Bandlimit(0, 60), p)

@@ -35,6 +35,21 @@ def test_transform_window_mismatch(plan_half):
         qp.fqv_transform(f, plan_half)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_transform_rejects_non_finite(plan_half, bandlimit, window, bad):
+    # one nan input used to turn all 76 outputs to nan without a warning
+    f = supported_function(window, -3, 10, np.random.default_rng(3))
+    f.values[20] = bad
+    with pytest.raises(ValueError):
+        qp.fqv_transform(f, plan_half)
+    with pytest.raises(ValueError):
+        qp.translate(2, f, plan_half)
+    with pytest.raises(ValueError):
+        qp.convolve(f, f, plan_half)
+    with pytest.raises(ValueError):
+        qp.project(f, bandlimit, plan_half)
+
+
 def test_transform_delta_is_kernel_column(plan_v0, p_v0):
     # F e_0 (q^m) = c (1-q) j_v(q^m, q^2)
     f = qp.LatticeFunction.delta(plan_v0.in_window, 0)

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import qprolate as qp
-from conftest import supported_function
+from conftest import direct_kernel, supported_function
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +44,10 @@ def test_sampling_kernel_at_zero(bandlimit, p_half):
 def test_sampling_kernel_degenerate_fallback(bandlimit, p_half):
     # z = q^n takes the direct-sum branch and must agree with the
     # direct-sum reproducing kernel
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     for n in (0, 3, 7):
         z = p_half.q ** float(n)
         got = qp.sampling_kernel(z, n, bandlimit, p_half)
-        assert got == pytest.approx(qp.kernel(ed, z, z), rel=1e-12)
+        assert got == pytest.approx(direct_kernel(z, z, bandlimit, p_half), rel=1e-12)
 
 
 def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, grid):
@@ -64,14 +64,13 @@ def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, 
 
 def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
     # two independent code paths: closed form vs Jackson sum
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     for m in (-1, 0, 2):
         for n in (1, 4, 8):
             if m == n:
                 continue
             z = p_half.q ** float(m)
             got = qp.sampling_kernel(z, n, bandlimit, p_half)
-            want = qp.kernel(ed, z, p_half.q ** float(n))
+            want = direct_kernel(z, p_half.q ** float(n), bandlimit, p_half)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -127,14 +126,41 @@ def test_reconstruct_lattice_self_consistency(bandlimit, p_half, grid, psi0_samp
 def test_reconstruct_kernel_section(bandlimit, p_half, grid):
     # f = k_{x0} is itself bandlimited; reconstructing it at z must give
     # the kernel value k(x0, z)
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     x0 = p_half.q**2
     samples = np.array(
-        [qp.kernel(ed, x0, p_half.q ** float(k)) for k in grid.exponents()]
+        [direct_kernel(x0, p_half.q ** float(k), bandlimit, p_half) for k in grid.exponents()]
     )
     z = p_half.q**5
     got = qp.reconstruct(samples, z, grid, bandlimit, p_half)
-    assert abs(got - qp.kernel(ed, x0, z)) <= 1e-7
+    assert abs(got - direct_kernel(x0, z, bandlimit, p_half)) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 33])
+def test_seeded_reproducing_property(seed):
+    # <psi_i, k_x> = (1-q) sum_k q^{2k(v+1)} psi_i(q^k) k_x(q^k) is the
+    # sampling sum, whose lattice side reads exact lattice values: at a
+    # float argument far past 1 the series peak amplifies the rounding of
+    # the argument, so kernel(x, y) with y = q^k, k << 0, is noise.  For
+    # the same reason x stays inside [0, a]_q.  The grid reaches 24 digits
+    # of the weight q^{k(2v+2)} on either side of the band edge, so no
+    # TailWarning fires.  Seed 33, the worst of the first 40, reaches
+    # 6.2e-10 of max|psi_i| at q = 0.314, v = -0.32, a_exp = -2.
+    rng = np.random.default_rng([seed, 7])
+    q, v = float(rng.uniform(0.3, 0.8)), float(rng.uniform(-0.5, 2.0))
+    a_exp = int(rng.integers(-2, 2))
+    p, b = qp.QParams(q, v), qp.Bandlimit(a_exp, 60)
+    basis = qp.compute_basis(b, p, keep=4)
+    width = math.ceil(24 / ((2 * v + 2) * -math.log10(q)))
+    grid = qp.SamplingGrid(a_exp - width, a_exp + width)
+    window = qp.LatticeWindow(grid.k_min, grid.k_max)
+    ns = np.arange(a_exp, a_exp + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qp.TailWarning)
+        for i in range(4):
+            psi = qp.pswf_on_window(basis, i, window)
+            got = qp.reconstruct(psi.values, q ** ns.astype(float), grid, b, p)
+            want = np.array([psi.value_at_exp(int(n)) for n in ns])
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(psi.values).max(), i
 
 
 def test_project_zero(bandlimit, plan_half, window):
@@ -169,11 +195,11 @@ def test_project_matches_kernel_inner_product(bandlimit, plan_half, window, p_ha
     # f_a(x) = <f, k_x> evaluated directly through the direct-sum kernel
     f = qp.LatticeFunction.from_callable(window, lambda x: 1 / (1 + x * x), p_half.q)
     fa = qp.project(f, bandlimit, plan_half)
-    ed = qp.KernelEvaluator(bandlimit, p_half, "direct_sum")
     w = qp.lattice_weights(window, p_half)
     for n in (-2, 0, 3, 8):
+        x = p_half.q ** float(n)
         kx = np.array(
-            [qp.kernel(ed, p_half.q ** float(n), p_half.q ** float(k)) for k in window.exponents()]
+            [direct_kernel(x, p_half.q ** float(k), bandlimit, p_half) for k in window.exponents()]
         )
         want = float(np.dot(w, f.values * kx))
         assert fa.value_at_exp(n) == pytest.approx(want, rel=1e-8, abs=1e-10)
