@@ -26,7 +26,7 @@ from .qbessel import (
     jv_bound,
     product_integral_direct,
 )
-from .qfourier import TransformPlan, convolve, convolve_direct, fqv_transform, make_plan, translate
+from .qfourier import TransformPlan, convolve, fqv_transform, make_plan, translate
 from .pswf import (
     Bandlimit,
     PswfBasis,
@@ -73,7 +73,6 @@ __all__ = [
     "concentration_index",
     "convergence_study",
     "convolve",
-    "convolve_direct",
     "eigen_report_csv",
     "eigen_report_json",
     "eigendecompose",

@@ -110,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float,
                         help="series truncation tolerance, relative to the partial sum")
         sp.add_argument("--out", type=str, help="output directory")
-        sp.add_argument("--format", choices=["csv", "json", "svg"], help="output format")
+        sp.add_argument("--format", choices=["csv", "json", "svg"],
+                        help="output format, read by transform only (csv or json)")
 
     sp = sub.add_parser("eigen", help="compute the concentration eigensystem")
     add_common(sp)
@@ -141,6 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _span_pair(value) -> tuple[int, int]:
+    lo, hi = value
+    return int(lo), int(hi)
+
+
 _CONFIG_KEYS = {
     "q": float,
     "v": float,
@@ -150,6 +156,8 @@ _CONFIG_KEYS = {
     "eps": float,
     "output_dir": str,
     "format": str,
+    "window": _span_pair,
+    "grid": _span_pair,
 }
 
 
@@ -167,13 +175,14 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config file: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, cast in _CONFIG_KEYS.items():
-            if key in raw and raw[key] is not None:
-                setattr(cfg, key, cast(raw[key]))
-        if raw.get("window") is not None:
-            cfg.window = (int(raw["window"][0]), int(raw["window"][1]))
-        if raw.get("grid") is not None:
-            cfg.grid = (int(raw["grid"][0]), int(raw["grid"][1]))
+            if raw.get(key) is not None:
+                try:
+                    setattr(cfg, key, cast(raw[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"config file: bad {key} {raw[key]!r}") from exc
     for key in ("q", "v", "depth", "keep", "eps"):
         val = getattr(args, key, None)
         if val is not None:
@@ -375,6 +384,8 @@ def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, sam
 
 
 def cmd_transform(cfg: RunConfig, samples: str, roundtrip: bool) -> int:
+    if cfg.format == "svg":
+        raise ValueError("transform writes csv or json, not svg")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
@@ -446,11 +457,14 @@ def main(argv: list[str] | None = None) -> int:
             elif args.command == "reconstruct":
                 a_exps = args.a_exp or raw.get("a_exps") or [0, -1, -2]
                 a_exps = [int(a) for a in a_exps]
-                if args.function and args.samples:
-                    print("error: choose either --function or --samples", file=sys.stderr)
+                # an input flag replaces the config file's input choice
+                function, samples = raw.get("function"), raw.get("samples_file")
+                if args.function or args.samples:
+                    function, samples = args.function, args.samples
+                if function and samples:
+                    print("error: choose either --function or --samples "
+                          "(function or samples_file in the config)", file=sys.stderr)
                     return EXIT_CONFIG
-                function = args.function or raw.get("function")
-                samples = args.samples or raw.get("samples_file")
                 rc = cmd_reconstruct(cfg, a_exps, function, samples)
             elif args.command == "transform":
                 samples = args.samples or raw.get("samples_file")

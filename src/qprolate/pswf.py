@@ -479,21 +479,22 @@ def eval_pswf_at(basis: PswfBasis, i: int, z: float) -> float:
 
 def pswf_on_window(basis: PswfBasis, i: int, window: LatticeWindow) -> LatticeFunction:
     """Tabulate psi_i on a window: stored samples on [0, a]_q, the analytic
-    extension elsewhere (kernel values come from the lattice-exponent cache)."""
+    extension elsewhere.  Point n of the window needs j_v(q^{n + a_exp + k})
+    for k < depth, so one lattice-cache table over all of the window's
+    points serves every point as a slice."""
     if not 0 <= i < basis.count:
         raise IndexError(f"eigenpair index {i} out of range")
     b = basis.bandlimit
     p = basis.params
-    w = b.weights(p)
-    h = p.c_qv * w * basis.unit_samples[i]
+    h = p.c_qv * b.weights(p) * basis.unit_samples[i]
+    table = lattice_table(p, window.n_min + b.a_exp, window.n_max + b.a_exp + b.depth - 1)
     vals = np.empty(window.size)
     for j, n in enumerate(window.exponents()):
         m = n - b.a_exp
         if 0 <= m < b.depth:
             vals[j] = basis.eigenfunctions[i, m]
         else:
-            s = int(n) + b.a_exp
-            vals[j] = np.dot(h, lattice_table(p, s, s + b.depth - 1))
+            vals[j] = np.dot(h, table[j : j + b.depth])
     return LatticeFunction(window, vals)
 
 

@@ -241,6 +241,13 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
 
 
+def lattice_points(q: float, exps) -> np.ndarray:
+    """The points q^s for the integer exponents ``exps``, each a Python
+    float power (numpy's array power can differ in the last bit); the
+    lattice cache and the sampling grid both form their points here."""
+    return np.array([q ** float(s) for s in exps])
+
+
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -249,8 +256,7 @@ class _LatticeCache:
 
     ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
     counts calls, and sums all of its misses in one ``_series_checked``
-    call, at the arguments q^s formed one exponent at a time as Python
-    floats (numpy's array power can differ in the last bit).  A read that
+    call, at the arguments ``lattice_points(q, s)``.  A read that
     would pass ``maxsize`` empties the cache first.
     """
 
@@ -268,8 +274,8 @@ class _LatticeCache:
                 values.clear()
                 missing = keys
             s = [k[3] for k in missing]
-            z = np.array([q ** float(e) for e in s])
-            values.update(zip(missing, _series_checked(z, q, v, eps, s)[0].tolist()))
+            vals = _series_checked(lattice_points(q, s), q, v, eps, s)[0]
+            values.update(zip(missing, vals.tolist()))
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return [values[k] for k in keys]

@@ -13,8 +13,7 @@ where the two arguments' squares are apart, and the direct Jackson sum
 ``qbessel.product_integral_direct`` where they are not.  ``kernel``
 feeds the closed form with series values, the sampling sum with cached
 lattice values.  This module provides that kernel, the truncated
-reconstruction sum, the projection onto the bandlimited space (which,
-like translation, needs a square transform plan), and the
+reconstruction sum, the projection onto the bandlimited space, and the
 projection-error study driving the application experiment.
 """
 
@@ -25,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pswf import Bandlimit
-from .qbessel import jv_array, lattice_table, product_integral_direct, product_integral_quotient
+from .qbessel import (
+    jv_array,
+    lattice_points,
+    lattice_table,
+    product_integral_direct,
+    product_integral_quotient,
+)
 from .qcalc import LatticeFunction, QParams, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
@@ -72,7 +77,7 @@ def kernel(x, y, b: Bandlimit, p: QParams):
 def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     """Reproducing kernel k_z(q^n) = c_qv^2 int_0^a j_v(q^n t) j_v(zt) t^{2v+1} d_q t.
 
-    Evaluated by ``_kernel_rows`` on a one-point grid: the closed form
+    Evaluated by ``_grid_kernel`` on a one-point grid: the closed form
 
     k_z(q^n) = (1-q) c^2 / (1-q^{2v+2}) a^{2v+2}
                [q^{2n} j_{v+1}(a q^n) j_v(a q^{-1} z) - z^2 j_{v+1}(a z) j_v(a q^{n-1})]
@@ -81,17 +86,16 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
     or the direct Jackson sum when q^{2n} and z^2 are too close for the
     difference quotient.
     """
-    return float(_kernel_rows(np.array([float(z)]), SamplingGrid(n, n), b, p)[0, 0])
+    return float(_grid_kernel(np.array([float(z)]), SamplingGrid(n, n), b, p)[0, 0])
 
 
-def _kernel_rows(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
+def _grid_kernel(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
     """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``, with
     the lattice factors of the closed form read once from the exponent
     cache."""
-    ks = grid.exponents()
     s_min, s_max = b.a_exp + grid.k_min, b.a_exp + grid.k_max
     jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
-    return _kernel_values(p.q ** ks.astype(float), zs[:, None], jy, b, p)
+    return _kernel_values(lattice_points(p.q, grid.exponents()), zs[:, None], jy, b, p)
 
 
 def _kernel_values(y: np.ndarray, z: np.ndarray, jy, b: Bandlimit, p: QParams) -> np.ndarray:
@@ -129,7 +133,7 @@ def reconstruct(
         raise ValueError("reconstruct needs finite samples and a finite z")
     ks = grid.exponents().astype(float)
     weights = (1.0 - p.q) * p.q ** (2.0 * ks * (p.v + 1.0))
-    terms = weights * samples * _kernel_rows(zs.reshape(-1), grid, b, p)
+    terms = weights * samples * _grid_kernel(zs.reshape(-1), grid, b, p)
     totals = np.sum(terms, axis=1)
     for row, total in zip(terms, totals):
         warn_boundary((row[0], row[-1]), total, p.eps, "reconstruct")
@@ -142,8 +146,6 @@ def project(f: LatticeFunction, b: Bandlimit, plan: TransformPlan) -> LatticeFun
     Computed by transforming, chopping the spectrum at the band edge
     (exponents below a_exp), and transforming back.
     """
-    if plan.in_window != plan.out_window:
-        raise ValueError("project needs a square plan")
     spectrum = fqv_transform(f, plan)
     chopped = spectrum.values.copy()
     chopped[spectrum.window.exponents() < b.a_exp] = 0.0
@@ -167,7 +169,7 @@ def convergence_study(
     region = exps <= delta_exp
     out = []
     for a_exp in a_exps:
-        fa = project(f, Bandlimit(a_exp, plan.in_window.n_max - a_exp + 1), plan)
+        fa = project(f, Bandlimit(a_exp, plan.window.n_max - a_exp + 1), plan)
         sup = float(np.max(np.abs(f.values - fa.values)[region]))
         out.append((a_exp, sup))
     return out

@@ -3,10 +3,15 @@
 Everything here is deliberately written from scratch against the defining
 formulas (fresh products and powers per term, no shared recurrences with
 the package code) and evaluated in mpmath at a fixed number of digits.
+The one exception is ``convolve_direct``, the defining sum of the
+q-convolution over the package's own translation, which checks the
+spectral route of ``qp.convolve`` against the direct one.
 """
 
 import mpmath as mp
 import numpy as np
+
+import qprolate as qp
 
 
 def qpoch(z, q, n=None, dps=40):
@@ -113,6 +118,16 @@ def translate_point(exps, spec_vals, x_exp, y_exp, q, v, dps=40):
                 * jv_series(q ** (int(y_exp) + int(t)), q, v, dps)
             )
         return c_qv(q, v, dps) * (1 - q) * total
+
+
+def convolve_direct(f, g, plan):
+    """Brute-force convolution c (1-q) sum_y q^{y(2v+2)} T_{q,x}f(q^y) g(q^y),
+    one ``qp.translate`` per output point x: the definition that
+    ``qp.convolve``'s spectral route must agree with."""
+    wg = qp.lattice_weights(g.window, plan.params) * g.values
+    c = plan.params.c_qv
+    out = [c * np.dot(wg, qp.translate(int(x), f, plan).values) for x in plan.window.exponents()]
+    return qp.LatticeFunction(plan.window, np.array(out))
 
 
 def operator_matrix(a_exp, depth, q, v, dps=40):

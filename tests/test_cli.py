@@ -229,6 +229,48 @@ def test_manifest_reproduces_run(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", '{"window": 5}', '{"q": [1]}'])
+def test_malformed_config_file_exit_code(tmp_path, capsys, content):
+    # each used to end in a traceback with exit 1
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    rc = main(["eigen", "--config", str(config), "--out", str(tmp_path / "o"), *FAST_EIGEN])
+    assert rc == 2
+    assert "config file" in capsys.readouterr().err
+
+
+def test_input_flag_overrides_config_input(tmp_path):
+    # --samples used to leave the manifest's function in force, so the run
+    # reconstructed Runge's function and recorded both inputs
+    runge = tmp_path / "runge"
+    assert main(["reconstruct", "--function", "runge", "--out", str(runge), *FAST_RECON]) == 0
+    sample_file = tmp_path / "zero.txt"
+    sample_file.write_text("0 0.0\n")
+    out = tmp_path / "samples"
+    rc = main(["reconstruct", "--config", str(runge / "manifest.json"),
+               "--samples", str(sample_file), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["function"] is None and manifest["samples_file"] == str(sample_file)
+    lines = (out / "reconstruct_a0.csv").read_text().strip().splitlines()[1:]
+    assert all(float(line.split(",")[2]) == 0.0 for line in lines)
+    # a config file naming both inputs is as ambiguous as both flags
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({**manifest, "function": "runge"}))
+    assert main(["reconstruct", "--config", str(both), "--out", str(tmp_path / "b")]) == 2
+
+
+def test_transform_rejects_svg_format(tmp_path, capsys):
+    # it used to write transform.csv and exit 0
+    sample_file = tmp_path / "e0.txt"
+    sample_file.write_text("0 1.0\n")
+    out = tmp_path / "o"
+    rc = main(["transform", "--samples", str(sample_file), "--out", str(out), "--format", "svg"])
+    assert rc == 2
+    assert "svg" in capsys.readouterr().err
+    assert not (out / "transform.csv").exists()
+
+
 def test_transform_delta_column(tmp_path):
     sample_file = tmp_path / "e0.txt"
     sample_file.write_text("0 1.0\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import transform_point, translate_point
+from _oracles import convolve_direct, transform_point, translate_point
 from conftest import supported_function
 
 
@@ -14,17 +14,18 @@ def _measured(window):
     return (exps >= -3) & (exps <= 10)
 
 
-def test_plan_table_matches_jv(plan_half, p_half):
-    for s in (-20, -5, 0, 7, 40):
-        assert plan_half.kernel_at(s) == pytest.approx(
+def test_plan_table_matches_jv(plan_half, p_half, window):
+    # the table covers the diagonal exponents s = m + n, 2 n_min..2 n_max
+    table = plan_half.kernel_table
+    assert table.shape == (2 * window.size - 1,)
+    for s in (-30, -20, -5, 0, 7, 40, 120):
+        assert table[s - 2 * window.n_min] == pytest.approx(
             qp.jv(p_half.q ** float(s), p_half).value, rel=1e-12, abs=1e-300
         )
-    # out-of-table lookups fall back to direct evaluation
-    assert plan_half.kernel_at(500) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_transform_zero(plan_half):
-    f = qp.LatticeFunction.zeros(plan_half.in_window)
+    f = qp.LatticeFunction.zeros(plan_half.window)
     g = qp.fqv_transform(f, plan_half)
     assert (g.values == 0).all()
 
@@ -52,7 +53,7 @@ def test_transform_rejects_non_finite(plan_half, bandlimit, window, bad):
 
 def test_transform_delta_is_kernel_column(plan_v0, p_v0):
     # F e_0 (q^m) = c (1-q) j_v(q^m, q^2)
-    f = qp.LatticeFunction.delta(plan_v0.in_window, 0)
+    f = qp.LatticeFunction.delta(plan_v0.window, 0)
     g = qp.fqv_transform(f, plan_v0)
     for m in (-4, 0, 3, 12):
         want = p_v0.c_qv * (1 - p_v0.q) * qp.jv_at_exponent(m, p_v0)
@@ -116,7 +117,7 @@ def test_linearity(plan_half, window):
 
 
 def test_translate_zero(plan_half):
-    f = qp.LatticeFunction.zeros(plan_half.in_window)
+    f = qp.LatticeFunction.zeros(plan_half.window)
     t = qp.translate(0, f, plan_half)
     assert (t.values == 0).all()
 
@@ -144,6 +145,55 @@ def test_translate_delta_vs_mp_oracle(plan_v0, p_v0, window):
         assert got.value_at_exp(y) == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("x_exp", [-18, 64])
+def test_translate_outside_window_vs_mp_oracle(plan_v0, p_v0, window, x_exp):
+    # x = q^{x_exp} beyond either end of the window (n_min - 3, n_max + 4):
+    # j_v(q^{x_exp + t}) lies outside the plan's window, read from the
+    # lattice cache.  At x_exp = -18 the kernel's arguments reach q^{-33},
+    # where the series peaks near q^{-33^2}; the oracle carries the digits
+    # of that peak, so the tiny terms there come out negligible.  There
+    # the terms (sum 3.6e-11) cancel to 1e-28, so the error is measured
+    # against the sum of the terms' magnitudes.
+    p = p_v0
+    f = qp.LatticeFunction.delta(window, 0)
+    spectrum = qp.fqv_transform(f, plan_v0)
+    got = qp.translate(x_exp, f, plan_v0)
+    exps = window.exponents()
+    dps = 40 + int(min(x_exp + window.n_min, 0) ** 2 * -math.log10(p.q))
+    for y in (0, 5):
+        want = float(translate_point(exps, spectrum.values, x_exp, y, p.q, p.v, dps=dps))
+        scale = p.c_qv * (1 - p.q) * sum(
+            abs(p.q ** (int(t) * (2 * p.v + 2)) * s
+                * qp.jv_at_exponent(x_exp + int(t), p) * qp.jv_at_exponent(y + int(t), p))
+            for t, s in zip(exps, spectrum.values)
+        )
+        assert abs(got.value_at_exp(y) - want) <= 1e-12 * scale, y
+
+
+def _cache_reads():
+    from qprolate.qbessel import _jv_exp_cached
+
+    info = _jv_exp_cached.cache_info()
+    return info.hits + info.misses
+
+
+def test_lattice_cache_reads_per_operation(plan_half, basis12, window):
+    # a warm plan's transform reads its one table and nothing else; a
+    # translation reads the x row once, wherever x lies; pswf_on_window
+    # reads one table over the window's points, each point a slice of it
+    f = supported_function(window, -3, 10, np.random.default_rng(5))
+    before = _cache_reads()
+    qp.fqv_transform(f, plan_half)
+    assert _cache_reads() == before
+    for x_exp in (2, window.n_max + 4, window.n_min - 3):
+        before = _cache_reads()
+        qp.translate(x_exp, f, plan_half)
+        assert _cache_reads() - before == window.size
+    before = _cache_reads()
+    qp.pswf_on_window(basis12, 0, window)
+    assert _cache_reads() - before == window.size + basis12.bandlimit.depth - 1
+
+
 def test_convolve_zero(plan_half, window):
     rng = np.random.default_rng(67)
     f = supported_function(window, -3, 10, rng)
@@ -169,16 +219,9 @@ def test_convolve_routes_agree(plan_half, window):
     f = supported_function(window, -3, 10, rng)
     g = supported_function(window, -3, 10, rng)
     spectrum = qp.convolve(f, g, plan_half)
-    direct = qp.convolve_direct(f, g, plan_half)
+    direct = convolve_direct(f, g, plan_half)
     sel = _measured(window)
     assert np.abs((spectrum.values - direct.values)[sel]).max() <= 1e-8
-
-
-def test_convolve_needs_square_plan(p_half):
-    plan = qp.make_plan(qp.LatticeWindow(0, 5), p_half, qp.LatticeWindow(0, 6))
-    f = qp.LatticeFunction.zeros(qp.LatticeWindow(0, 5))
-    with pytest.raises(ValueError):
-        qp.convolve(f, f, plan)
 
 
 def test_transform_tail_warning_for_slow_decay(plan_half, p_half, window):

@@ -53,13 +53,27 @@ def test_sampling_kernel_degenerate_fallback(bandlimit, p_half):
 def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, grid):
     # where z = q^k the rows fall back to the direct sum, which must give
     # sampling_kernel's value exactly
-    from qprolate.sampling import _kernel_rows
+    from qprolate.sampling import _grid_kernel
 
     ks = np.arange(-3, 6)
-    rows = _kernel_rows(p_half.q ** ks.astype(float), grid, bandlimit, p_half)
+    rows = _grid_kernel(p_half.q ** ks.astype(float), grid, bandlimit, p_half)
     for row, k in zip(rows, ks):
         z = p_half.q ** float(k)
         assert row[k - grid.k_min] == qp.sampling_kernel(z, int(k), bandlimit, p_half)
+
+
+def test_grid_kernel_forms_points_as_the_lattice_cache(bandlimit, grid):
+    # at q = 0.9, k = 12 numpy's array power q ** 12.0 lies one ulp from
+    # Python's (numpy 2.4), which moved this entry by about 2 ulps; the grid
+    # point must be Python's, the point whose j_v the lattice cache holds,
+    # so the diagonal entry at z = q ** float(k) is the direct sum at
+    # (z, z) bit for bit
+    from qprolate.sampling import _grid_kernel
+
+    p, k = qp.QParams(0.9, 0.3), 12
+    z = p.q ** float(k)
+    got = _grid_kernel(np.array([z]), grid, bandlimit, p)[0, k - grid.k_min]
+    assert got == p.c_qv**2 * qp.product_integral_direct(z, z, bandlimit.a_exp, p, bandlimit.depth)
 
 
 def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
@@ -242,13 +256,6 @@ def test_reconstruct_no_tail_warning_for_compact_support(bandlimit, p_half, grid
     with warnings.catch_warnings():
         warnings.simplefilter("error", qp.TailWarning)
         qp.reconstruct(samples, 0.3, grid, bandlimit, p_half)
-
-
-def test_project_needs_square_plan(bandlimit, p_half):
-    plan = qp.make_plan(qp.LatticeWindow(0, 5), p_half, qp.LatticeWindow(0, 6))
-    f = qp.LatticeFunction.zeros(qp.LatticeWindow(0, 5))
-    with pytest.raises(ValueError):
-        qp.project(f, bandlimit, plan)
 
 
 def test_convergence_study_zero(plan_half, window):
