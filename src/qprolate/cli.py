@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--function",
-        choices=["runge"],
+        choices=_FUNCTIONS,
         help="built-in test function f(x) = 1/(1+x^2)",
     )
     sp.add_argument("--samples", type=str, help="sample file with 'k value' lines")
@@ -161,6 +161,15 @@ _CONFIG_KEYS = {
 }
 
 
+_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
+# settings of one command, which the config file gives as they are used
+_COMMAND_KEYS = {
+    "a_exps": lambda x: isinstance(x, list) and all(type(a) is int for a in x),
+    "function": lambda x: x in _FUNCTIONS,
+    "roundtrip": lambda x: isinstance(x, bool),
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     """Defaults, overridden by the config file, overridden by flags.
 
@@ -183,6 +192,9 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
                     setattr(cfg, key, cast(raw[key]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"config file: bad {key} {raw[key]!r}") from exc
+        for key, valid in _COMMAND_KEYS.items():
+            if raw.get(key) is not None and not valid(raw[key]):
+                raise ValueError(f"config file: bad {key} {raw[key]!r}")
     for key in ("q", "v", "depth", "keep", "eps"):
         val = getattr(args, key, None)
         if val is not None:
@@ -456,7 +468,6 @@ def main(argv: list[str] | None = None) -> int:
                 rc = cmd_eigen(cfg)
             elif args.command == "reconstruct":
                 a_exps = args.a_exp or raw.get("a_exps") or [0, -1, -2]
-                a_exps = [int(a) for a in a_exps]
                 # an input flag replaces the config file's input choice
                 function, samples = raw.get("function"), raw.get("samples_file")
                 if args.function or args.samples:

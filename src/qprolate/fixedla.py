@@ -6,20 +6,13 @@ only a rescaling ``>> prec`` or a division rounds, each by one unit
 2^-prec.  The error of a reduction is then norm-wise, like that of a
 backward-stable floating-point one at prec bits, at the cost of plain
 integer arithmetic.  Vectors and matrices are lists of such ints
-(matrices as lists of rows, or of columns where said); ``to_fixed``
-converts a Decimal to one.
+(matrices as lists of rows); ``to_fixed`` converts a Decimal to one.
 
-A Householder reflector is a tuple (start, v, vtv, shifts, bits): it maps
-x to x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x.
-Entry i of v and x may carry a further scale 2^(shifts[i] / 2) over entry
-0, which the dot products take out (shifts is None when no entry does);
-vtv is v.v so computed.  A reflector is the same for any scale of v, so
-v keeps whatever bits the column it came from carried, and ``bits`` is
-the bit length of its largest |v_i|.  Applying it scales the factor
-f = 2 (v.x) / (v.v) by 2^bits, not by 2^prec: f is then exact to 2^-bits,
-each v_i f to one unit of x, and a product costs bits times the bits of
-x, so a reflector of few bits, from a column of G that needs few, is
-cheap to apply in the QR and in the back-transform alike.
+A Householder reflector is a tuple (start, v, vtv, bits): it maps x to
+x - 2 v (v.x) / (v.v) on the entries start, start + 1, ... of x, with
+vtv = v.v.  ``bits`` is the bit length of the largest |v_i|, and applying
+the reflector scales the factor f = 2 (v.x) / (v.v) by 2^bits, not by
+2^prec: f is then exact to 2^-bits, and each v_i f to one unit of x.
 
 The QL iteration for the eigenvalues of the tridiagonal matrix runs in
 floating point instead, in the standard library's decimal (libmpdec) at
@@ -43,7 +36,7 @@ import functools
 import math
 import random
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
-from operator import mul, rshift
+from operator import mul
 
 # products in this context are exact, so that int() truncates only once
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -74,41 +67,29 @@ def binary_magnitude(x: Decimal) -> int:
     """The e with 2^(e-1) <= |x| < 2^e, for a nonzero Decimal x."""
     n, d = x.copy_abs().as_integer_ratio()
     e = n.bit_length() - d.bit_length()  # 2^(e-1) < n/d < 2^(e+1)
-    return e + (shift(n, -e) >= d)
+    return e + ((n >> e if e >= 0 else n << -e) >= d)
 
 
-def shift(x: int, k: int) -> int:
-    """x * 2^k for an int x, rounded down when k < 0."""
-    return x << k if k >= 0 else x >> -k
-
-
-def _dot(v: list[int], x: list[int], shifts) -> int:
-    """sum of v_i x_i >> shifts_i, or the plain sum when shifts is None."""
-    if shifts is None:
-        return sum(map(mul, v, x))
-    return sum(map(rshift, map(mul, v, x), shifts))
-
-
-def _reflector(start: int, x: list[int], shifts):
+def _reflector(start: int, x: list[int]):
     """Reflector mapping x (placed at ``start``) to alpha e_1; returns
     (reflector, alpha), or (None, x[0]) when x is a multiple of e_1 at
-    this precision.  ``shifts`` is None when every entry is unshifted."""
-    norm2 = _dot(x, x, shifts)
+    this precision."""
+    norm2 = sum(map(mul, x, x))
     if norm2 == x[0] * x[0]:
         return None, x[0]
     alpha = -math.isqrt(norm2) if x[0] >= 0 else math.isqrt(norm2)
     v = list(x)
     v[0] -= alpha
     bits = max(map(abs, v)).bit_length()
-    return (start, v, _dot(v, v, shifts), shifts, bits), alpha
+    return (start, v, sum(map(mul, v, v)), bits), alpha
 
 
 def _apply(reflector, x: list[int]) -> None:
     """x <- H x in place, for one reflector H, to one unit of x per entry."""
-    start, v, vtv, shifts, bits = reflector
+    start, v, vtv, bits = reflector
     end = start + len(v)
     xs = x[start:end]
-    f = (2 * _dot(v, xs, shifts) << bits) // vtv
+    f = (2 * sum(map(mul, v, xs)) << bits) // vtv
     x[start:end] = [xi - ((vi * f) >> bits) for xi, vi in zip(xs, v)]
 
 
@@ -122,32 +103,27 @@ def reflect(reflectors: list, x: list[int]) -> list[int]:
     return x
 
 
-def householder_qr(cols: list[list[int]], rowexp: list[int]):
-    """Householder QR of the M x N matrix with the given columns.
-
-    Row k is held scaled by a further 2^rowexp[k] over row 0, rowexp
-    nondecreasing, so that rows of falling magnitude keep their bits
-    relative to themselves, as in floating point; the reflectors and R
-    carry the same row scales.  Each column may carry its own scale: the
-    error in column n of R is a few units of column n's own ints.
-    Returns (reflectors, rows): A = H_0 H_1 ... [R; 0], with R the
-    min(M, N) x N upper trapezoidal factor as a list of rows.  Q is never
-    formed; ``reflect(reflectors, [u; 0])`` applies it.  ``cols`` is left
-    intact.
-    """
-    cols = [list(c) for c in cols]
-    m, n = len(rowexp), len(cols)
-    reflectors = []
-    for j in range(min(m, n)):
-        shifts = [2 * (t - rowexp[j]) for t in rowexp[j:]] if rowexp[-1] > rowexp[j] else None
-        h, alpha = _reflector(j, cols[j][j:], shifts)
-        cols[j][j:] = [alpha] + [0] * (m - j - 1)
-        if h is None:
-            continue
-        reflectors.append(h)
-        for c in cols[j + 1:]:
-            _apply(h, c)
-    return reflectors, [[c[i] for c in cols] for i in range(min(m, n))]
+def cholesky(a: list[list[int]], d2: list[int], prec: int, rank: int) -> list[list[int]]:
+    """Upper Cholesky factor R of the symmetric positive semidefinite
+    matrix ``a`` (rows) of rank at most ``rank``, a = R^T R to a few units
+    per entry, stopped at the first row j whose pivot is not positive or
+    whose diagonal, weighted by column j's d2[j] >= 0 (held at 2^(2 prec)),
+    R_jj sqrt(d2[j]) lies within n units of zero.  Returns the r <= rank
+    rows computed, row i as [R_ii, R_i,i+1, ..., R_i,n-1]."""
+    n = len(a)
+    cols = [[] for _ in range(n)]  # column j of R, down to the current row
+    limit = n * n << 2 * prec  # (n units)^2 at 2^(4 prec)
+    for j in range(min(n, rank)):
+        cj, aj = cols[j], a[j]
+        piv = (aj[j] << prec) - sum(map(mul, cj, cj))  # R_jj^2 at 2^(2 prec)
+        if piv * d2[j] < limit:
+            break
+        rjj = math.isqrt(piv)
+        for m in range(j + 1, n):
+            cm = cols[m]
+            cm.append(((aj[m] << prec) - sum(map(mul, cj, cm))) // rjj)
+        cj.append(rjj)
+    return [[c[i] for c in cols[i:]] for i in range(len(cols[-1]))]
 
 
 def tridiagonalize(a: list[list[int]], prec: int):
@@ -162,12 +138,12 @@ def tridiagonalize(a: list[list[int]], prec: int):
     n = len(a)
     e, reflectors = [], []
     for k in range(n - 2):
-        h, alpha = _reflector(k + 1, [a[i][k] for i in range(k + 1, n)], None)
+        h, alpha = _reflector(k + 1, [a[i][k] for i in range(k + 1, n)])
         e.append(alpha)
         if h is None:
             continue
         reflectors.append(h)
-        _, v, vtv, _, _ = h
+        _, v, vtv, _ = h
         block = [row[k + 1:] for row in a[k + 1:]]
         # rank-two update of the trailing block: A - v w^T - w v^T with
         # p = 2 A v / v.v and w = p - (p.v / v.v) v
@@ -224,7 +200,7 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
     """Eigenvalues of the symmetric tridiagonal matrix (d, e), in
     ascending order, as Decimals carrying ``prec`` bits.
 
-    Implicit QL with Wilkinson shifts (EISPACK tql1) in ``context(prec)``;
+    Implicit QL with the Wilkinson shift (EISPACK tql1) in ``context(prec)``;
     an off-diagonal entry is deflated once it is negligible against its
     two diagonal neighbours, or lies within n^2 units of zero.  The
     iteration runs on the entries as given, scaled by 2^prec, and the

@@ -15,13 +15,18 @@ results are returned in float64.
 The extended-precision solve never forms B.  With
 j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
 c_n = q^{n(n+1)} / ((q^2;q^2)_n (q^{2v+2};q^2)_n) > 0, B = G J G^T exactly,
-where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) and J = diag((-1)^n).
-G is cut at the first N whose largest column scale c_qv w_0 c_n a^{4n}
-falls below 10^{-dps} (N is 8-32 for the usual requests); a QR G = Q R
-leaves the N x N eigenproblem C = R J R^T = U diag(lambda) U^T, and the
-eigenvectors of B are Q U.  The alternating sum cancels where column
-scales exceed 1 (band edges above 1), so the working precision carries
-log10 of the largest one on top.
+where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) = D_n y_n^k,
+y_n = q^{v+1+2n}, D_n^2 = c_qv w_0 c_n a^{4n} and J = diag((-1)^n).  G is
+cut at the first N whose D_n^2 falls below 10^{-dps} (N is 8-32 for the
+usual requests).  Its moment matrix K = G^T G = D H D has the closed form
+H[n,m] = h(n+m) = (1 - X^M) / (1 - X), X = q^{2v+2+2(n+m)}; a Cholesky
+H = R_H^T R_H, which errs columnwise as a Householder QR of G does
+(Higham, Accuracy and Stability of Numerical Algorithms, chs. 10 and 19),
+leaves C = R_H diag((-1)^n D_n^2) R_H^T = U diag(lambda) U^T, and the
+eigenvectors of B are V R_H^-1 U, V[k,n] = y_n^k.  The alternating sum
+cancels where D_n^2 > 1 (band edges above 1), so C carries log10 of the
+largest on top of the working digits, and H, whose pivots must resolve
+to the noise of C divided by D_n^2, twice that.
 
 The digits come from the LDL^T pivots of K = G^T G, whose graded
 factors have a closed form (at depth infinity K is a diagonally scaled
@@ -29,7 +34,8 @@ Cauchy matrix): the keep-th largest pivot puts the keep-th |eigenvalue|
 within a fraction of a digit on seeded grids, never above it, and a
 solve takes 27 digits past it.  A solve is accepted when every retained
 eigenvalue resolves to 25 digits relative to the top and every retained
-eigenvector keeps 13 digits in its smallest entry.  Otherwise the digits
+eigenvector (those of one float64 eigenvalue judged together) keeps 13
+digits in its smallest entry.  Otherwise the digits
 grow by 1.6 times (at least 60 more); the first time an eigenvector is
 short, by three times the digits it lacks plus the guard instead, when
 that is less.
@@ -38,21 +44,16 @@ clusters tie at any working precision, and the signs alternate from +
 inside a tie.
 
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
-past the working precision: G built in integers, from its column tops
-formed in the standard library's decimal arithmetic and the powers
-q^{2k} along its rows; Householder QR of G, with each row of G held at
-its own power-of-two scale, so that the reflectors keep their relative
-precision on rows whose weights fall below 2^-prec, and each column with
-only the bits its term +-g_n g_n^T of B needs: Householder QR errs
-columnwise (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 19), so a column whose top lies d bits below the largest keeps the
-error of B at 2^-prec ||B|| with prec - 2d bits; C in integers;
-Householder reduction of C to tridiagonal form; a decimal QL iteration,
-stopped once the eigenvalues it has not deflated all lie below the
-``keep`` largest it has; and, for the retained pairs only, inverse
-iteration on the tridiagonal matrix, re-orthogonalised inside clusters
-that the precision cannot separate, back-transformed through the two
-sets of reflectors (Q is never formed).
+past those: the Cholesky factor of H, stopped at M rows, the rank of H,
+or at the first row whose R_jj = D_j sqrt(pivot of H) lies within N
+units of zero (the rows past it are rounding noise); C; its Householder
+reduction to tridiagonal form; a decimal QL iteration, stopped once the
+eigenvalues it has not deflated all lie below the ``keep`` largest it
+has; and, for the retained pairs only, inverse iteration,
+re-orthogonalised inside clusters that the precision cannot separate,
+back through the reflectors to an eigenvector u of C.  Then
+t = R_H^-1 u, and the sample at a q^k is the power series
+sum_n t_n q^{2kn} / sqrt(w_0): one integer dot product per lattice point.
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -66,7 +67,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from operator import mul
 
 import numpy as np
@@ -155,23 +156,50 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
 
 
-def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
-    """Eigenpairs of B through its factor G J G^T, resolved to ``dps``
-    digits (see the module docstring).
+def _moments(b: Bandlimit, p: QParams, nterms: int):
+    """(D_n^2 for n < nterms, h(s) for s < 2 nterms - 1, w_0) of the moment
+    matrix K = D H D (see the module docstring), in the current context."""
+    qd = Decimal(p.q)
+    q2 = qd * qd
+    qv = qd ** (2 * Decimal(p.v) + 2)  # q^{2v+2}
+    # c_qv = (q^{2v+2};q^2)_inf / ((q^2;q^2)_inf (1 - q)) as num / den
+    num, den, t = Decimal(1), 1 - qd, Decimal(1)
+    tiny = Decimal(1).scaleb(-getcontext().prec - 1)
+    while t > tiny:
+        num *= 1 - qv * t
+        t *= q2
+        den *= 1 - t
+    w0 = (1 - qd) * qv ** b.a_exp  # w_0 = (1 - q) a^{2v+2}
+    # D_n^2 from D_{n-1}^2 a^4 c_n / c_{n-1}
+    d2, q2n, a4 = [num / den * w0], Decimal(1), q2 ** (2 * b.a_exp)
+    for n in range(1, nterms):
+        qvn = qv * q2n  # q^{2v+2n}
+        q2n *= q2
+        d2.append(d2[-1] * a4 * q2n / ((1 - q2n) * (1 - qvn)))
+    h, x = [], qv
+    for _ in range(2 * nterms - 1):
+        h.append((1 - x ** b.depth) / (1 - x))
+        x *= q2
+    return d2, h, w0
 
-    Returns (evals, units): the eigenvalues of C = R J R^T that the QL
-    deflated, in ascending order as Decimals (all N, or fewer once those
-    left lay below the keep-th largest |eigenvalue| deflated); and
-    ``units(lams)``, the float64 unit eigenvectors of B for the
-    eigenvalues ``lams`` divided by sqrt(w_m).  ``fixedla`` is imported
-    here, so that only this solve pays for it.
+
+def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
+    """Eigenpairs of B through the Cholesky factor of its moment matrix,
+    resolved to ``dps`` digits (see the module docstring).
+
+    Returns (evals, units): the eigenvalues of C that the QL deflated, in
+    ascending order as Decimals (all of them, or fewer once those left lay
+    below the keep-th largest |eigenvalue| deflated); and ``units(lams)``,
+    the float64 unit eigenvectors of B for the eigenvalues ``lams``
+    divided by sqrt(w_m).  ``fixedla`` is imported here, so that only this
+    solve pays for it.
     """
     from . import fixedla
 
     q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
-    # log10 of the column scales c_qv w_0 c_n a^{4n}; G is cut where they
-    # first fall dps digits below ref = min(1, scale at n = 0).  They are
-    # log-concave in n, so that first drop lies past their peak.
+    # log10 of the column scales D_n^2 = c_qv w_0 c_n a^{4n}; the series
+    # is cut where they first fall dps digits below ref = min(1, D_0^2).
+    # They are log-concave in n, so that first drop lies past their peak.
     logs = [math.log10(p.c_qv * (1.0 - q)) + (2.0 * v + 2.0) * b.a_exp * lq]
     ref = min(logs[0], 0.0)
     while logs[-1] >= ref - dps:
@@ -179,72 +207,32 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
         logs.append(logs[-1] + (2 * n + 4 * b.a_exp) * lq
                     - math.log10((1.0 - q ** (2 * n)) * (1.0 - q ** (2.0 * v + 2 * n))))
     nterms = len(logs) - 1
-    work = dps + math.ceil(max(logs) - ref)  # digits the alternating sum cancels
-    prec = math.ceil((work + _GUARD_DIGITS) * math.log2(10))
-    ctx = fixedla.context(prec)
-    with localcontext(ctx):
-        qd = Decimal(q)
-        q2 = qd * qd
-        qv = qd ** (2 * Decimal(v) + 2)  # q^{2v+2}
-        # c_qv = (q^{2v+2};q^2)_inf / ((q^2;q^2)_inf (1 - q)) as num / den
-        num, den, t = Decimal(1), 1 - qd, Decimal(1)
-        tiny = Decimal(1).scaleb(-ctx.prec - 1)
-        while t > tiny:
-            num *= 1 - qv * t
-            t *= q2
-            den *= 1 - t
-        # sqrt(w_m) = sqrt((1 - q) a^{2v+2} q^{m(2v+2)}), a^{2v+2} = qv^{a_exp}
-        sq = [((1 - qd) * qv ** (b.a_exp + m)).sqrt() for m in range(mdim)]
-        root_c = (num / den).sqrt()
-        col = [root_c * s for s in sq]  # column 0 of G
-        # G[0,n], the top of column n, from G[0,n-1] times a^2 sqrt(c_n / c_{n-1})
-        heads, q2n, a2 = [col[0]], Decimal(1), q2 ** b.a_exp
-        for n in range(1, nterms):
-            qvn = qv * q2n  # q^{2v+2n}
-            q2n *= q2
-            heads.append(heads[-1] * a2 * (q2n / ((1 - q2n) * (1 - qvn))).sqrt())
-        # G falls along k, and along n past its peak.  Row k is held scaled
-        # by a further 2^tail[k], so that rows of falling weight keep their
-        # bits relative to themselves, as in floating point.  Column n
-        # enters B only as +-g_n g_n^T, so an error of 2^-prec ||B|| in B
-        # allows it an error of 2^-prec G_max^2 / G[0,n]: it is held
-        # scaled by 2^(prec + mags[n] - 2 peak) ~ 2^prec G[0,n] / G_max^2,
-        # and its top entry carries prec - 2 d_n bits, d_n = peak - mags[n]
-        # (at least the guard digits' worth, by the cut, which also keeps
-        # the exponent positive).  The reflectors of the QR carry the same
-        # bits as their columns.  R drops the scales exactly.
-        top = fixedla.binary_magnitude(col[0])
-        tail = [top - fixedla.binary_magnitude(x) for x in col]
-        mags = [fixedla.binary_magnitude(h) for h in heads]
-        peak = max(mags)
-        tops = [fixedla.to_fixed(h, prec + m - 2 * peak) for h, m in zip(heads, mags)]
-        # G[k,n] 2^tail[k] = G[0,n] s_k q^{2kn}, s_k = 2^tail[k] sqrt(w_k / w_0)
-        # < 2; s_k q^{2kn} is carried in ints at ``wide`` bits, a few past
-        # the error that n steps of the product add up, so that column n,
-        # its row factors times its top int, comes out to a few units
-        wide = prec + (8 * nterms).bit_length()
-        rowf = [fixedla.to_fixed(x / sq[0], wide + t) for x, t in zip(sq, tail)]
-        step = [fixedla.to_fixed(q2 ** k, wide) for k in range(mdim)]  # q^{2k}
-        # sqrt(w_m) as the int root_w[m] = sqrt(w_m) 2^k_m of prec bits; row
-        # m of a back-transformed eigenvector, scaled by 2^(prec + tail[m]),
-        # is divided by it as y 2^wshift[m] / root_w[m]
-        ks = [prec - fixedla.binary_magnitude(s) for s in sq]
-        root_w = [fixedla.to_fixed(s, k) for s, k in zip(sq, ks)]
-        wshift = [k - prec - t for k, t in zip(ks, tail)]
-    cols = []
-    for n, head in enumerate(tops):
-        if n:
-            rowf = [(x * y) >> wide for x, y in zip(rowf, step)]
-        cols.append([(x * head) >> wide for x in rowf])
-    qr, rows = fixedla.householder_qr(cols, tail)
-    rows = [[fixedla.shift(x, 2 * peak - m - t) for x, m in zip(r, mags)]
-            for r, t in zip(rows, tail)]
-    # C = R J R^T, J = diag((-1)^n), on one triangle; R is upper triangular
-    rj = [[-x if n % 2 else x for n, x in enumerate(r)] for r in rows]
-    core = [[0] * len(rows) for _ in rows]
-    for i, ri in enumerate(rj):
-        for k in range(i, len(rows)):
-            core[i][k] = core[k][i] = sum(map(mul, ri[k:], rows[k][k:])) >> prec
+    # the alternating sum cancels this many digits where D_n^2 > 1, and H
+    # must resolve its pivots to the noise of C divided by D_n^2: as many
+    # again below it
+    cancel = math.ceil(max(logs) - ref)
+    prec = math.ceil((dps + 2 * cancel + _GUARD_DIGITS) * math.log2(10))
+    with localcontext(fixedla.context(prec)):
+        d2, h, w0 = _moments(b, p, nterms)
+        # D_n^2 at 2^(2 prec): R_jj = D_j sqrt(pivot) resolves to 2^-prec
+        dd = [fixedla.to_fixed(x, 2 * prec) for x in d2]
+        hh = [fixedla.to_fixed(x, prec) for x in h]
+        # sqrt(w_0) as the int root_w of prec bits at 2^kw
+        kw = prec - fixedla.binary_magnitude(w0.sqrt())
+        root_w = fixedla.to_fixed(w0.sqrt(), kw)
+        q2 = Decimal(q) * Decimal(q)  # exact: it holds 106 bits
+    # H = V^T V has rank at most M: past it, a pivot is rounding noise,
+    # which the weights D_n^2 > 1 would carry into C
+    rows = fixedla.cholesky([hh[i:i + nterms] for i in range(nterms)], dd, prec, mdim)
+    size = len(rows)
+    # C = R_H diag((-1)^n D_n^2) R_H^T on one triangle; row i of R_H is
+    # held from its diagonal on
+    signed = [-x if n % 2 else x for n, x in enumerate(dd)]
+    scaled = [[x * y >> 2 * prec for x, y in zip(r, signed[i:])] for i, r in enumerate(rows)]
+    core = [[0] * size for _ in range(size)]
+    for i, ri in enumerate(scaled):
+        for k in range(i, size):
+            core[i][k] = core[k][i] = sum(map(mul, ri[k - i:], rows[k])) >> prec
     d, e, tri = fixedla.tridiagonalize(core, prec)
     try:
         evals = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
@@ -253,18 +241,32 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
 
     def units(lams):
         """Unit eigenvectors of B for the eigenvalues ``lams``, divided by
-        sqrt(w_m) in integers, since sqrt(w_m) can underflow float64; an
-        int / int quotient rounds once, to the nearest float."""
-        out = []
+        sqrt(w_m): sum_n t_n q^{2mn} / sqrt(w_0), t = R_H^-1 u, each one
+        int / int quotient, which rounds once, to the nearest float."""
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
+        ts = []
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
             u = fixedla.reflect(tri, s)  # eigenvector of C
-            u = [x << t for x, t in zip(u, tail)] + [0] * (mdim - len(u))
-            y = fixedla.reflect(qr, u)  # of B, row m scaled by 2^(prec + tail[m])
-            out.append(np.array([
-                (x << k) / w if k >= 0 else x / (w << -k) for x, w, k in zip(y, root_w, wshift)
-            ]))
-        return out
+            t = [0] * size
+            for i in range(size - 1, -1, -1):
+                r = rows[i]
+                t[i] = ((u[i] << prec) - sum(map(mul, r[1:], t[i + 1:]))) // r[0]
+            ts.append(t)
+        # q^{2j} at 2^wide, wide past the bits of the largest t_n, from
+        # q^2 by j products, each erring by a unit; row k of V takes every
+        # k-th of them, and stops at its last nonzero power
+        top = max((abs(x) for t in ts for x in t), default=0)
+        wide = top.bit_length() + (mdim * size).bit_length()
+        x, y, pw = fixedla.to_fixed(q2, wide), 1 << wide, []
+        while y and len(pw) <= (mdim - 1) * (size - 1):
+            pw.append(y)
+            y = y * x >> wide
+        powers = [pw[:k * size:k] if k else pw[:1] * size for k in range(mdim)]
+        up = kw - prec - wide  # the scale of root_w over that of a sum
+        return [np.array([
+            (sum(map(mul, t, row)) << up) / root_w if up >= 0
+            else sum(map(mul, t, row)) / (root_w << -up) for row in powers
+        ]) for t in ts]
 
     return evals, units
 
@@ -332,20 +334,28 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
             return None, None  # the truncated series ran out of pairs
         lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
     rows, lams = units(lams), [float(lam) for lam in lams]
-    # an entry 10^-s of its vector's largest keeps about dps - s digits,
-    # less log10(|lambda| / gap) where another eigenvalue lies within gap
-    # (an equal float64 one shares a degenerate eigenspace, judged as a
-    # whole); every entry must keep 13, the componentwise accuracy of the
-    # samples
-    spectrum = np.array([float(x) for x in evals])
-    lost = 0.0
-    for lam, u in zip(lams, rows):
-        mag = np.log10(np.abs(u[u != 0]))
-        gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
-        lost = max(lost, mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0))
+    lost = _lost_digits(lams, rows, [float(x) for x in evals])  # each entry must keep 13
     if lost > dps - 13 - _DEPTH_GUARD:
         return None, math.ceil(lost - (dps - 13 - _DEPTH_GUARD))
     return _retain(b, p, lams, rows), 0
+
+
+def _lost_digits(lams, rows, spectrum) -> float:
+    """Digits lost by the eigenvectors ``rows`` of ``lams``: an entry 10^-s
+    of its vector's largest keeps about dps - s digits, less
+    log10(|lambda| / gap) where another eigenvalue of ``spectrum`` lies
+    within gap.  Vectors of one float64 eigenvalue span an eigenspace with
+    no unique basis, so each index takes the largest |entry| any of them
+    has there (which a rotation of g vectors moves by at most sqrt(g); a
+    root of a sum of squares would underflow at entries of 1e-170)."""
+    lams, mags, spectrum = np.array(lams), np.abs(np.array(rows)), np.array(spectrum)
+    lost = 0.0
+    for lam in np.unique(lams):
+        env = mags[lams == lam].max(axis=0)
+        mag = np.log10(env[env != 0])
+        gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
+        lost = max(lost, mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0))
+    return lost
 
 
 def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:

@@ -239,6 +239,47 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, content):
     assert "config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    '{"a_exps": 5}', '{"a_exps": "0"}', '{"a_exps": [0, 1.5]}', '{"a_exps": [0, "-1"]}',
+    '{"a_exps": [true]}', '{"function": "sine"}', '{"function": 1}',
+])
+def test_bad_reconstruct_settings_in_config_exit_code(tmp_path, capsys, content):
+    # a_exps of 5 used to end in a TypeError traceback with exit 1, and an
+    # unknown function reconstructed Runge's function under its name
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    out = tmp_path / "o"
+    rc = main(["reconstruct", "--config", str(config), "--out", str(out), *FAST_RECON])
+    assert rc == 2
+    assert "config file: bad" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ['"no"', '"false"', "0", "1", "[]"])
+def test_non_boolean_roundtrip_in_config_exit_code(tmp_path, capsys, value):
+    # bool("no") is True, so a roundtrip of "no" used to run the round trip
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"roundtrip": {value}, "samples_file": "{sample_file}"}}')
+    out = tmp_path / "o"
+    assert main(["transform", "--config", str(config), "--out", str(out)]) == 2
+    assert "config file: bad roundtrip" in capsys.readouterr().err
+    assert not (out / "roundtrip.csv").exists()
+
+
+@pytest.mark.parametrize("roundtrip", [True, False])
+def test_boolean_roundtrip_in_config(tmp_path, roundtrip):
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"roundtrip": roundtrip, "samples_file": str(sample_file)}))
+    out = tmp_path / "o"
+    assert main(["transform", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "roundtrip.csv").exists() == roundtrip
+    assert json.loads((out / "manifest.json").read_text())["roundtrip"] is roundtrip
+
+
 def test_input_flag_overrides_config_input(tmp_path):
     # --samples used to leave the manifest's function in force, so the run
     # reconstructed Runge's function and recorded both inputs

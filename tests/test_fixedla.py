@@ -2,6 +2,7 @@
 matrices, against float64 numpy."""
 
 import math
+import operator
 from decimal import Decimal
 
 import mpmath as mp
@@ -26,28 +27,82 @@ def _symmetric(rng, n):
     return (a + a.T) / 2
 
 
-@pytest.mark.parametrize("m, n, graded", [
-    (12, 5, False), (9, 9, False), (6, 9, False), (14, 6, True),
-])
-def test_qr_preserves_gram(m, n, graded):
-    # R^T R = A^T A for the R of A = Q [R; 0]; with graded rows each row
-    # k is held scaled by a further 2^rowexp[k]
-    rng = np.random.default_rng([m, n])
-    rowexp = [3 * k for k in range(m)] if graded else [0] * m
-    a = rng.standard_normal((m, n)) * np.array([2.0**-t for t in rowexp])[:, None]
-    cols = [[_fixed(a[k, j] * 2.0**t) for k, t in enumerate(rowexp)] for j in range(n)]
-    reflectors, rows = fixedla.householder_qr(cols, rowexp)
-    r = np.array([[_float(x, PREC + t) for x in row] for row, t in zip(rows, rowexp)])
-    assert r.shape == (min(m, n), n)
-    assert np.allclose(np.tril(r, -1), 0.0, atol=0)
-    gram = a.T @ a
-    assert np.abs(r.T @ r - gram).max() <= 1e-12 * np.abs(gram).max()
-    # the reflectors give back A column by column from [R; 0]
-    for j in range(n):
-        col = [rows[i][j] if i < len(rows) else 0 for i in range(m)]
-        back = fixedla.reflect(reflectors, col)
-        got = np.array([_float(x, PREC + t) for x, t in zip(back, rowexp)])
-        assert np.abs(got - a[:, j]).max() <= 1e-12 * np.abs(a).max()
+def _exact(rows, prec=PREC):
+    """The r x n upper trapezoidal factor of ``cholesky`` as an mp matrix."""
+    n = len(rows[0]) if rows else 0
+    r = mp.matrix(len(rows), n)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            r[i, i + j] = mp.mpf((x, -prec))
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_cholesky_reproduces_the_matrix(n):
+    # a well-conditioned positive definite matrix, unit weights: every row
+    # is kept, the diagonal is positive and R^T R = A to a few units
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n + 3, n))
+    a = [[_fixed(v) for v in row] for row in x.T @ x + np.eye(n)]
+    rows = fixedla.cholesky(a, [1 << 2 * PREC] * n, PREC, n)
+    assert len(rows) == n and [len(r) for r in rows] == list(range(n, 0, -1))
+    assert all(r[0] > 0 for r in rows)
+    with mp.workprec(2 * PREC):
+        r = _exact(rows)
+        gram = r.T * r
+        err = max(abs(gram[i, j] - mp.mpf((a[i][j], -PREC))) for i in range(n) for j in range(n))
+        assert err <= 4 * n * mp.mpf(2) ** -PREC
+
+
+def test_cholesky_stops_at_the_rank():
+    # the Gram matrix of 3 x 6 integer rows, rank 3, plus 2^40 units on its
+    # diagonal for rounding noise: under weights of 2^200 a fourth row
+    # would carry that noise far above a unit, so only the rank stops it
+    x = np.random.default_rng(3).integers(-9, 10, (3, 6))
+    a = [[(int(v) << PREC) + ((i == j) << 40) for j, v in enumerate(row)]
+         for i, row in enumerate(x.T @ x)]
+    assert len(fixedla.cholesky(a, [1 << 2 * PREC + 200] * 6, PREC, 6)) > 3
+    rows = fixedla.cholesky(a, [1 << 2 * PREC + 200] * 6, PREC, 3)
+    assert [len(r) for r in rows] == [6, 5, 4]
+    with mp.workprec(2 * PREC):
+        r = _exact(rows)
+        gram = r.T * r
+        err = max(abs(gram[i, j] - mp.mpf((a[i][j], -PREC))) for i in range(3) for j in range(6))
+        assert err <= 24 * int(np.abs(x.T @ x).max()) * mp.mpf(2) ** -PREC
+
+
+def test_cholesky_stops_at_the_first_noise_row():
+    # the Hankel moment matrix H[i,j] = sum_{k<40} (y_i y_j)^k of the
+    # nodes y_i = 2^-(i+1), whose pivots fall like prod (y_j - y_i)^2,
+    # under the weights d_i = 2^(-30 i): the rows kept are those whose
+    # weighted diagonal R_ii sqrt(d_i) lies above n units, by the exact
+    # pivots at twice the precision, and R^T R reproduces the rows of H
+    # that they cover
+    n, m = 14, 40
+    with mp.workprec(4 * PREC):
+        y = [mp.mpf(2) ** -(i + 1) for i in range(n)]
+        h = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                h[i, j] = mp.fsum((y[i] * y[j]) ** k for k in range(m))
+        a = [[int(mp.ldexp(h[i, j], PREC)) for j in range(n)] for i in range(n)]
+        d2 = [1 << (2 * PREC - 30 * i) for i in range(n)]
+        rows = fixedla.cholesky(a, d2, PREC, n)
+        size = len(rows)
+        assert 2 < size < n
+        # the exact pivots, from the LDL^T of the fixed-point matrix
+        hx = mp.matrix([[mp.mpf((x, -PREC)) for x in row] for row in a])
+        pivots = [mp.det(hx[: i + 1, : i + 1]) / mp.det(hx[:i, :i]) if i else hx[0, 0]
+                  for i in range(size + 1)]
+        unit = mp.mpf(2) ** -PREC
+        weighted = [mp.sqrt(pv * mp.ldexp(d, -2 * PREC)) if pv > 0 else 0
+                    for pv, d in zip(pivots, d2)]
+        assert all(w > 2 * n * unit for w in weighted[:size])
+        assert weighted[size] < 2 * n * unit
+        r = _exact(rows)
+        gram = r.T * r
+        err = max(abs(gram[i, j] - hx[i, j]) for i in range(size) for j in range(n))
+        assert err <= 4 * n * unit
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
@@ -240,53 +295,23 @@ def test_qprolate_solve_deflates_fewer_than_n(monkeypatch):
 def test_narrow_reflector_matches_full_width():
     # a reflector of 40 bits applied to vectors of 300 bits, with f scaled
     # by 2^bits, against f scaled by 2^prec: each entry within one unit
-    # (300 random draws, half of them with row shifts)
+    # (300 random draws)
     rng = np.random.default_rng(40)
     prec, worst = 300, 0
-    for trial in range(300):
+    for _ in range(300):
         m = int(rng.integers(2, 12))
-        shifts = [2 * int(t) for t in sorted(rng.integers(0, 6, m))] if trial % 2 else None
         x = [int.from_bytes(rng.bytes(40), "big") >> 20 for _ in range(m)]
-        h, _ = fixedla._reflector(0, [int(t) for t in rng.integers(-2**39, 2**39, m)], shifts)
+        h, _ = fixedla._reflector(0, [int(t) for t in rng.integers(-2**39, 2**39, m)])
         if h is None:
             continue
-        _, v, vtv, _, bits = h
+        _, v, vtv, bits = h
         assert bits <= 41
         got = list(x)
         fixedla._apply(h, got)
-        f = (2 * fixedla._dot(v, x, shifts) << prec) // vtv  # full width, at 2^prec
+        f = (2 * sum(map(operator.mul, v, x)) << prec) // vtv  # full width, at 2^prec
         full = [xi - ((vi * f) >> prec) for xi, vi in zip(x, v)]
         worst = max(worst, max(abs(a - b) for a, b in zip(got, full)))
     assert worst <= 1
-
-
-def test_graded_qr_keeps_the_eigenvalues_of_r_j_rt():
-    # G with columns falling by up to 2^-70 relative to the largest, as
-    # in the factored solve: held with column n scaled by
-    # 2^(prec - 2 d_n) at its top instead of 2^prec, the eigenvalues of
-    # C = R J R^T, which reach down to 2^-135 of the largest, stay within
-    # 2^-prec ||B|| of the ungraded QR's
-    prec, m, n = 200, 14, 8
-    rng = np.random.default_rng(70)
-    drop = [0, 9, 17, 30, 41, 52, 61, 70]  # d_n in bits
-    with mp.workprec(4 * prec):
-        g = [[mp.mpf(float(rng.standard_normal())) * mp.mpf(2) ** -d for d in drop]
-             for _ in range(m)]
-
-        def eig_rjrt(scale):
-            # column n held as g * 2^scale[n]; R un-scaled to 2^prec
-            cols = [[int(mp.ldexp(g[k][j], scale[j])) for k in range(m)] for j in range(n)]
-            _, rows = fixedla.householder_qr(cols, [0] * m)
-            r = mp.matrix([[mp.ldexp(x, -scale[j]) for j, x in enumerate(row)] for row in rows])
-            jr = mp.matrix([[(-1) ** j * r[i, j] for j in range(n)] for i in range(n)])
-            return sorted(mp.eigsy(jr * r.T, eigvals_only=True))
-
-        flat = eig_rjrt([prec + d for d in drop])
-        graded = eig_rjrt([prec - d for d in drop])
-        norm = max(map(abs, flat))
-        assert min(map(abs, flat)) < mp.mpf(2) ** (-2 * 70 + 5) * norm
-        err = max(abs(x - y) for x, y in zip(flat, graded)) / (norm * mp.mpf(2) ** -prec)
-    assert err <= 1
 
 
 def test_noise_level_entries_deflate_without_iterating(monkeypatch):

@@ -1,11 +1,12 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import cyclic_jacobi, operator_matrix
+from _oracles import c_qv, cyclic_jacobi, operator_matrix, qpoch
 from conftest import direct_kernel, eigen_series_kernel, supported_function
 
 
@@ -144,6 +145,24 @@ def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
             assert np.abs(proj - proj_o).max() <= 1e-12, (lam, len(group))
     gram = (basis.unit_samples * b.weights(p)) @ basis.unit_samples.T
     assert np.abs(gram - np.eye(keep)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q, v, a_exp, depth, keep", [
+    (0.0278, 3.0498, -4, 5, 4), (0.0785, 1.4383, -6, 8, 6),
+])
+def test_fewer_points_than_terms_vs_oracle(q, v, a_exp, depth, keep):
+    # fewer lattice points than series terms, with column scales D_n^2 up
+    # to 1e100: the moment matrix has rank M, and a factor row past it is
+    # rounding noise that those scales carried into spurious eigenvalues
+    # (+-7.5e-50 at the first case); B's entries cancel so far that the
+    # oracle needs 300 digits
+    basis = qp.compute_basis(qp.Bandlimit(a_exp, depth), qp.QParams(q, v), keep=keep)
+    with mp.workdps(300):
+        want = mp.eigsy(operator_matrix(a_exp, depth, q, v, dps=300), eigvals_only=True)
+        want = sorted(want, key=lambda x: -abs(x))[:keep]
+    np.testing.assert_allclose(
+        np.sort(basis.eigenvalues), np.sort([float(x) for x in want]), rtol=1e-13, atol=0
+    )
 
 
 def _count_mp_solves(monkeypatch):
@@ -425,31 +444,119 @@ def test_shortfall_step_taken_once(monkeypatch):
     assert len(digits) <= 10
 
 
-def test_qr_columns_carry_the_bits_their_term_needs(monkeypatch):
-    # column n of G enters B only as +-g_n g_n^T, so it is held with
-    # prec - 2 d_n bits, d_n the bits its top entry lies below the largest
-    # one; at q = 0.7 the last column lies far enough down to carry fewer
-    # than prec / 2, where a column normalised to its own top carries prec
-    from qprolate import fixedla
+@pytest.mark.parametrize("seed", range(4))
+def test_moments_match_the_gram_matrix_of_g(seed):
+    # K = G^T G, with G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) built
+    # from the oracle at 60 digits, against D_n D_m h(n+m): the closed
+    # form of the moment matrix that the solve factors
+    from decimal import MAX_EMAX, MIN_EMIN, Context, localcontext
 
-    widths, precs = [], []
-    real_qr, real_tri = fixedla.householder_qr, fixedla.tridiagonalize
+    from qprolate.pswf import _moments
 
-    def qr(cols, rowexp):
-        widths.append([max(map(abs, c)).bit_length() for c in cols])
-        return real_qr(cols, rowexp)
+    rng = np.random.default_rng([seed, 20])
+    q, v = float(rng.uniform(0.05, 0.9)), float(rng.uniform(-0.95, 3.0))
+    a_exp, depth, nterms = int(rng.integers(-4, 3)), int(rng.integers(5, 41)), 10
+    with localcontext(Context(prec=70, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        d2, h, w0 = _moments(qp.Bandlimit(a_exp, depth), qp.QParams(q, v), nterms)
+    assert len(d2) == nterms and len(h) == 2 * nterms - 1
+    with mp.workdps(60):
+        qm, vm = mp.mpf(q), mp.mpf(v)
+        a = qm**a_exp
+        w = [(1 - qm) * a ** (2 * vm + 2) * qm ** (k * (2 * vm + 2)) for k in range(depth)]
+        c = c_qv(q, v, 60)
+        g = mp.matrix(depth, nterms)
+        for n in range(nterms):
+            cn = qm ** (n * (n + 1)) / (
+                qpoch(qm * qm, qm * qm, n, 60) * qpoch(qm ** (2 * vm + 2), qm * qm, n, 60))
+            for k in range(depth):
+                g[k, n] = mp.sqrt(c * w[k] * cn) * (a * qm**k) ** (2 * n)
+        gram = g.T * g
+        dm = [mp.sqrt(mp.mpf(str(x))) for x in d2]
+        assert abs(mp.mpf(str(w0)) - w[0]) <= 1e-50 * w[0]
+        for n in range(nterms):
+            for m in range(nterms):
+                got = dm[n] * dm[m] * mp.mpf(str(h[n + m]))
+                assert abs(got - gram[n, m]) <= 1e-50 * gram[n, m], (n, m)
 
-    def tri(a, prec):
-        precs.append(prec)
-        return real_tri(a, prec)
 
-    monkeypatch.setattr(fixedla, "householder_qr", qr)
-    monkeypatch.setattr(fixedla, "tridiagonalize", tri)
-    qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.7, -0.5), keep=15)
-    assert len(widths) == len(precs) == 1
-    (bits,), (prec,) = widths, precs
-    assert max(bits) >= prec - 2
-    assert bits[-1] < prec / 2
+def test_first_solve_resolves_cancelling_columns(monkeypatch):
+    # at q = 0.05, v = 3/2, a_exp = -4 the column scales D_n^2 exceed 1,
+    # and H must resolve its pivots to the noise of C divided by them:
+    # with those digits added only once, as the QR of G needed, the first
+    # solve (27 digits) returned the eigenvalues +-2.2e21, and the second
+    # one 5.6, where every |lambda| is at most 1
+    from qprolate.pswf import _mp_eigensystem
+
+    digits = _mp_solve_digits(monkeypatch)
+    b, p = qp.Bandlimit(-4, 60), qp.QParams(0.05, 1.5)
+    basis = qp.compute_basis(b, p, keep=4)
+    assert (np.abs(np.abs(basis.eigenvalues) - 1.0) <= 1e-15).all()
+    for dps in list(digits):
+        evals, _ = _mp_eigensystem(b, p, dps, 4)
+        assert max(abs(x) for x in evals) <= 1 + 1e-20, dps
+
+
+def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
+    # depth <= 40, v up to 3, a_exp -4..2: against a solve at twice the
+    # final digits, the eigenvalues are equal, a pair whose float64
+    # eigenvalue is unique agrees componentwise, and pairs sharing one, a
+    # +-1 cluster with no unique basis, agree as a projector
+    from qprolate.pswf import _basis_from_mp
+
+    digits = _mp_solve_digits(monkeypatch)
+    rng = np.random.default_rng(4040)
+    solved, clusters = 0, 0
+    for _ in range(16):
+        q, v = float(rng.uniform(0.05, 0.9)), float(rng.uniform(-0.95, 3.0))
+        depth = int(rng.integers(8, 41))
+        b, p = qp.Bandlimit(int(rng.integers(-4, 3)), depth), qp.QParams(q, v)
+        keep = int(rng.integers(2, min(15, depth) + 1))
+        digits.clear()
+        basis = qp.compute_basis(b, p, keep)
+        if not digits:
+            continue
+        ref, more = _basis_from_mp(b, p, keep, 2 * digits[-1])
+        assert not more
+        assert np.array_equal(basis.eigenvalues, ref.eigenvalues), (q, v, b, keep)
+        sq = np.sqrt(b.weights(p))
+        for lam in np.unique(basis.eigenvalues):
+            idx = np.flatnonzero(basis.eigenvalues == lam)
+            if len(idx) == 1:
+                u, w = basis.unit_samples[idx[0]], ref.unit_samples[idx[0]]
+                assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all(), (q, v, b, keep, lam)
+            else:
+                y, z = basis.unit_samples[idx] * sq, ref.unit_samples[idx] * sq
+                assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13, (q, v, b, keep, lam)
+                clusters += 1
+        solved += 1
+    assert solved >= 10 and clusters >= 2
+
+
+def test_cluster_shortfall_does_not_depend_on_its_basis():
+    # a +-1 cluster has no unique basis, so its vectors are judged by the
+    # largest |entry| any of them has at each index: under a rotation of
+    # its g vectors that moves by at most sqrt(g), and the shortfall by
+    # at most log10(g) digits; judged one by one, the same vectors read
+    # 70 and 77 digits where the whole cluster reads 47, and spread by
+    # more than log10(g) under rotations
+    from qprolate.pswf import _lost_digits
+
+    b, p = qp.Bandlimit(-4, 60), qp.QParams(0.5, -0.5)
+    basis = qp.compute_basis(b, p, keep=12)
+    lams, rows = basis.eigenvalues, basis.unit_samples
+    rng = np.random.default_rng(12)
+    groups = [np.flatnonzero(lams == lam) for lam in np.unique(lams)]
+    groups = [idx for idx in groups if len(idx) > 1]
+    assert len(groups) == 2
+    for idx in groups:
+        g = len(idx)
+        whole = _lost_digits(lams[idx], rows[idx], lams)
+        single = [max(_lost_digits(lams[[i]], rows[[i]], lams) for i in idx)]
+        for _ in range(10):
+            turned = np.linalg.qr(rng.standard_normal((g, g)))[0] @ rows[idx]
+            assert abs(_lost_digits(lams[idx], turned, lams) - whole) <= math.log10(g)
+            single.append(max(_lost_digits(lams[[0]], row[None], lams) for row in turned))
+        assert max(single) - min(single) > math.log10(g)
 
 
 def test_mp_pairs_sorted_at_working_precision():
