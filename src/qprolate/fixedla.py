@@ -21,13 +21,18 @@ test is relative to the neighbouring diagonal entries, which fixed point
 cannot resolve below 2^-prec.  An off-diagonal entry within n^2 units
 2^-prec of zero is deflated as well: the reduction to tridiagonal form
 leaves errors of about that size, so iterating on such an entry refines
-rounding noise.  Its square roots go through ``math.isqrt``
-on the scaled coefficient with a sticky digit appended, which rounds
-exactly as ``Decimal.sqrt`` does at a third less cost.  Given ``keep``, it
-stops once every eigenvalue still undeflated is, by the Gershgorin bound
-of its block, smaller than the keep-th largest |eigenvalue| deflated so
-far: QL never revisits a deflated entry, so those keep come out as the
-full iteration would give them.
+rounding noise.  It is the root-free QL of Pal, Walker and Kahan (LAPACK
+dsterf), which carries the squared off-diagonal entries and so takes
+square roots only for each sweep's shift and each early-stop check;
+they go through ``math.isqrt`` on the scaled coefficient with a sticky
+digit appended, which rounds exactly as ``Decimal.sqrt`` does at a third
+less cost.  Given ``keep``, it stops once every eigenvalue still
+undeflated is, by the Gershgorin bound of its block, smaller than the
+keep-th largest |eigenvalue| deflated so far: QL never revisits a
+deflated entry, so those keep come out as the full iteration would give
+them.  Eigenvectors come from inverse iteration through an LU
+factorisation of the shifted tridiagonal with partial pivoting, in fixed
+point.
 """
 
 from __future__ import annotations
@@ -160,21 +165,6 @@ def tridiagonalize(a: list[list[int]], prec: int):
     return [a[i][i] for i in range(n)], e, reflectors
 
 
-def givens(f: int, g: int, prec: int):
-    """Rotation (c, s, r) with [c s; -s c] [f; g] = [r; 0], r >= 0.
-
-    c and s are scaled by 2^prec and r like f and g.  f and g are shifted
-    up to at least prec + 2 bits before the square root, so that
-    c^2 + s^2 = 1 to a few units 2^-prec however few bits they carry.
-    """
-    if g == 0:
-        return (1 << prec if f >= 0 else -(1 << prec)), 0, abs(f)
-    up = max(0, prec + 2 - max(abs(f), abs(g)).bit_length())
-    f, g = f << up, g << up
-    r = math.isqrt(f * f + g * g)
-    return (f << prec) // r, (g << prec) // r, r >> up
-
-
 def _sqrt(x: Decimal, ctx: Context) -> Decimal:
     """ctx.sqrt(x) for a Decimal x >= 0, through math.isqrt.
 
@@ -200,65 +190,48 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
     """Eigenvalues of the symmetric tridiagonal matrix (d, e), in
     ascending order, as Decimals carrying ``prec`` bits.
 
-    Implicit QL with the Wilkinson shift (EISPACK tql1) in ``context(prec)``;
-    an off-diagonal entry is deflated once it is negligible against its
-    two diagonal neighbours, or lies within n^2 units of zero.  The
-    iteration runs on the entries as given, scaled by 2^prec, and the
-    eigenvalues are scaled back at the end.
+    The root-free QL iteration of Pal, Walker and Kahan with the Wilkinson
+    shift (LAPACK dsterf; Parlett, The Symmetric Eigenvalue Problem,
+    8.15) in ``context(prec)``.  It runs on the squares of the
+    off-diagonal entries, so the only square roots are the two that form
+    each sweep's shift.  An off-diagonal entry e_m is deflated once
+    e_m^2 <= (10^-digits (|d_m| + |d_m+1|))^2, negligible against its two
+    diagonal neighbours, or e_m^2 <= n^4 units^2, within n^2 units of zero.  The iteration runs on the entries as
+    given, scaled by 2^prec, and the eigenvalues are scaled back at the
+    end.
 
     Without ``keep`` all of them are returned.  With it, the iteration
-    stops once the Gershgorin bound of the undeflated block, raised by a
-    relative 10^(-digits/2), lies below the keep-th largest |eigenvalue|
-    deflated so far, and only the deflated ones are returned: they hold
-    the keep of largest magnitude, bit for bit as the full iteration gives
-    them, with a gap far above rounding at any coarser precision to the
-    rest.
+    stops once the Gershgorin bound max |d_i| + 2 max |e_i| of the
+    undeflated block, raised by a relative 10^(-digits/2), lies below the
+    keep-th largest |eigenvalue| deflated so far, and only the deflated
+    ones are returned: they hold the keep of largest magnitude, bit for
+    bit as the full iteration gives them, with a gap far above rounding at
+    any coarser precision to the rest.
     """
     n = len(d)
     ctx = context(prec)
     with localcontext(ctx):
         margin = 1 + Decimal(1).scaleb(-(ctx.prec // 2))
-        noise = Decimal(n * n)
+        tiny = Decimal(1).scaleb(-ctx.prec)
+        noise = Decimal(n ** 4)
         d = [Decimal(x) for x in d]
-        e = [Decimal(x) for x in e] + [Decimal(0)]
+        e2 = [+Decimal(x * x) for x in e] + [Decimal(0)]  # squared, rounded
         for l in range(n):
             for _ in range(60):
                 m = l
                 while m < n - 1:
-                    dd = abs(d[m]) + abs(d[m + 1])
-                    if abs(e[m]) + dd == dd or abs(e[m]) <= noise:
+                    tol = tiny * (abs(d[m]) + abs(d[m + 1]))
+                    if e2[m] <= tol * tol or e2[m] <= noise:
                         break
                     m += 1
                 if m == l:
                     break
-                g = (d[l + 1] - d[l]) / (2 * e[l])
-                r = _sqrt(g * g + 1, ctx)
-                g = d[m] - d[l] + e[l] / (g + r if g >= 0 else g - r)
-                s = c = Decimal(1)
-                p = Decimal(0)
-                for i in range(m - 1, l - 1, -1):
-                    f, b = s * e[i], c * e[i]
-                    r = _sqrt(f * f + g * g, ctx)
-                    e[i + 1] = r
-                    if not r:  # the rotation split the matrix: deflate at i + 1
-                        d[i + 1] -= p
-                        e[m] = Decimal(0)
-                        break
-                    s, c = f / r, g / r
-                    g = d[i + 1] - p
-                    r = (d[i] - g) * s + 2 * c * b
-                    p = s * r
-                    d[i + 1] = g + p
-                    g = c * r - b
-                else:
-                    d[l] -= p
-                    e[l] = g
-                    e[m] = Decimal(0)
+                _ql_sweep(d, e2, l, m, ctx)
             else:
                 raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
             if keep is not None and keep <= l + 1 < n:
                 kth = sorted(map(abs, d[:l + 1]))[-keep]
-                bound = max(abs(d[i]) + abs(e[i - 1]) + abs(e[i]) for i in range(l + 1, n))
+                bound = max(map(abs, d[l + 1:])) + 2 * _sqrt(max(e2[l:]), ctx)
                 if bound * margin < kth:
                     d = d[:l + 1]
                     break
@@ -266,12 +239,40 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
         return sorted(x / unit for x in d)
 
 
+def _ql_sweep(d: list[Decimal], e2: list[Decimal], l: int, m: int, ctx: Context) -> None:
+    """One root-free QL sweep, in place, over the unreduced block l..m of
+    the tridiagonal (d, e2), e2 its squared off-diagonal, with the
+    Wilkinson shift of the block's leading 2 x 2: its two square roots are
+    the sweep's only ones."""
+    rte = _sqrt(e2[l], ctx)
+    sigma = (d[l + 1] - d[l]) / (2 * rte)
+    r = _sqrt(sigma * sigma + 1, ctx)
+    sigma = d[l] - rte / (sigma + r if sigma >= 0 else sigma - r)
+    c, s = Decimal(1), Decimal(0)
+    gamma = d[m] - sigma
+    p = gamma * gamma
+    for i in range(m - 1, l - 1, -1):
+        bb = e2[i]
+        r = p + bb
+        if i != m - 1:
+            e2[i + 1] = s * r
+        oldc, oldgam = c, gamma
+        c, s = p / r, bb / r
+        gamma = c * (d[i] - sigma) - s * oldgam
+        d[i + 1] = oldgam + (d[i] - gamma)
+        p = gamma * gamma / c if c else oldc * bb
+    e2[l] = s * p
+    d[l] = sigma + gamma
+    e2[m] = Decimal(0)
+
+
 def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: int):
     """Unit eigenvectors (scaled by 2^prec) of the symmetric tridiagonal
     matrix (d, e) for the eigenvalues ``lams`` (ints scaled by 2^prec).
 
-    Two steps of inverse iteration through a Givens QR of T - lam I, from
-    a fixed pseudo-random start.  Each vector is orthogonalised against
+    Two steps of inverse iteration through an LU factorisation of
+    T - lam I with partial pivoting (LAPACK dlagtf and dstein), from a
+    fixed pseudo-random start.  Each vector is orthogonalised against
     the earlier ones whose eigenvalue lies within 2^(-prec/2) ||T||, so
     that a cluster unresolved at this precision comes out as an
     orthonormal basis of its invariant subspace.
@@ -282,22 +283,12 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     one = 1 << prec
     out = []
     for j, lam in enumerate(lams):
-        rots, diag, sup, sup2 = _shifted_qr(d, e, lam, prec)
-        diag = [x or 1 for x in diag]  # an exact eigenvalue leaves a zero pivot
+        lu = _shifted_lu(d, e, lam, prec)
         group = [y for mu, y in zip(lams, out) if abs(mu - lam) <= close]
         rng = random.Random(j)
         x = [rng.getrandbits(prec + 1) - one for _ in range(n)]
         for _ in range(2):
-            for k, (c, s) in enumerate(rots):  # x <- Q^T x
-                xk, xk1 = x[k], x[k + 1]
-                x[k], x[k + 1] = (c * xk + s * xk1) >> prec, (c * xk1 - s * xk) >> prec
-            for k in range(n - 1, -1, -1):  # x <- R^-1 x
-                num = x[k]
-                if k + 1 < n:
-                    num -= (sup[k] * x[k + 1]) >> prec
-                if k + 2 < n:
-                    num -= (sup2[k] * x[k + 2]) >> prec
-                x[k] = (num << prec) // diag[k]
+            x = _lu_solve(lu, x, prec)
             for y in group:
                 f = sum(map(mul, x, y)) >> prec
                 x = [xi - ((f * yi) >> prec) for xi, yi in zip(x, y)]
@@ -307,21 +298,47 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     return out
 
 
-def _shifted_qr(d, e, lam, prec):
-    """Givens QR of the tridiagonal T - lam I: the rotations (c, s) in
-    order, and the three nonzero diagonals of R."""
+def _shifted_lu(d: list[int], e: list[int], lam: int, prec: int):
+    """LU factorisation P (T - lam I) = L U, with partial pivoting, of the
+    symmetric tridiagonal T = (d, e) shifted by ``lam`` (all scaled by
+    2^prec).  Returns (steps, u): for each elimination step k, whether
+    rows k and k + 1 swapped and the multiplier (sub << prec) // pivot;
+    and the rows of U, row k as (U_kk, U_k,k+1, U_k,k+2)."""
     n = len(d)
-    rots, diag, sup, sup2 = [], [], [], []
-    a = d[0] - lam
+    steps, u = [], []
+    a = d[0] - lam  # the pending row k: a at column k, b at k + 1
     b = e[0] if n > 1 else 0
     for k in range(n - 1):
-        c, s, r = givens(a, e[k], prec)
-        dk1 = d[k + 1] - lam
+        c, dk1 = e[k], d[k + 1] - lam  # row k + 1 at columns k and k + 1
         ek1 = e[k + 1] if k + 2 < n else 0
-        rots.append((c, s))
-        diag.append(r)
-        sup.append((c * b + s * dk1) >> prec)
-        sup2.append((s * ek1) >> prec)
-        a, b = (c * dk1 - s * b) >> prec, (c * ek1) >> prec
-    diag.append(a)
-    return rots, diag, sup, sup2
+        if abs(c) > abs(a):  # swap rows k and k + 1
+            m = (a << prec) // c
+            u.append((c, dk1, ek1))
+            a, b = b - ((m * dk1) >> prec), -((m * ek1) >> prec)
+            steps.append((True, m))
+        else:
+            m = (c << prec) // a if c else 0
+            u.append((a, b, 0))
+            a, b = dk1 - ((m * b) >> prec), ek1
+            steps.append((False, m))
+    u.append((a, 0, 0))
+    return steps, u
+
+
+def _lu_solve(lu, x: list[int], prec: int) -> list[int]:
+    """(T - lam I)^-1 x through the factors ``_shifted_lu`` returns, each
+    entry to a few units of x's scale; a zero pivot, which an exact
+    eigenvalue leaves, is taken as one unit."""
+    steps, u = lu
+    n = len(u)
+    x = list(x)
+    for k, (swap, m) in enumerate(steps):  # x <- L^-1 P x
+        if swap:
+            x[k], x[k + 1] = x[k + 1], x[k] - ((m * x[k + 1]) >> prec)
+        else:
+            x[k + 1] -= (m * x[k]) >> prec
+    x += [0, 0]
+    for k in range(n - 1, -1, -1):  # x <- U^-1 x
+        piv, u1, u2 = u[k]
+        x[k] = ((x[k] << prec) - u1 * x[k + 1] - u2 * x[k + 2]) // (piv or 1)
+    return x[:n]

@@ -47,13 +47,17 @@ That solve runs on fixed-point integers (``fixedla``), 10 guard digits
 past those: the Cholesky factor of H, stopped at M rows, the rank of H,
 or at the first row whose R_jj = D_j sqrt(pivot of H) lies within N
 units of zero (the rows past it are rounding noise); C; its Householder
-reduction to tridiagonal form; a decimal QL iteration, stopped once the
-eigenvalues it has not deflated all lie below the ``keep`` largest it
-has; and, for the retained pairs only, inverse iteration,
-re-orthogonalised inside clusters that the precision cannot separate,
-back through the reflectors to an eigenvector u of C.  Then
-t = R_H^-1 u, and the sample at a q^k is the power series
-sum_n t_n q^{2kn} / sqrt(w_0): one integer dot product per lattice point.
+reduction to tridiagonal form; a root-free decimal QL iteration, stopped
+once the eigenvalues it has not deflated all lie below the ``keep``
+largest it has; and, for the retained pairs only, inverse iteration
+through a pivoted LU, re-orthogonalised inside clusters that the
+precision cannot separate, back through the reflectors to an eigenvector
+u of C.  Then t = R_H^-1 u, and the sample at a q^k is the power series
+sum_n t_n q^{2kn} / sqrt(w_0), rounded once to float64.  It is first
+summed from the top _SAMPLE_BITS bits of t and of the powers, with an
+integer bound on the error; only where the ends of the bound round to
+different floats is the sum taken in full.  The constant c_qv in D_n^2
+comes from Euler's series for the two infinite q-Pochhammer symbols.
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -73,7 +77,7 @@ from operator import mul
 import numpy as np
 
 from .qbessel import jv_array, lattice_table
-from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product
+from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product, qpochhammer
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -88,6 +92,10 @@ _RESOLVED_DIGITS = 25
 _DEPTH_GUARD = 2
 # digits carried past the working precision by the fixed-point solve
 _GUARD_DIGITS = 10
+# bits of t and of the powers of q^2 that a sample's first, bounded sum
+# keeps (see the ``units`` closure of _mp_eigensystem): a row whose terms
+# cancel to nearly this many bits is summed again in full
+_SAMPLE_BITS = 192
 
 
 class SolverNoConvergence(RuntimeError):
@@ -156,22 +164,55 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
 
 
+def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
+    """(a; x)_inf for 0 < a, x < 1 in the current context, by a series
+    whose terms fall like x^{n^2/2}: Euler's pentagonal series
+    sum_k (-1)^k x^{k(3k-1)/2} (1 + x^k) when a = x, and
+    sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n otherwise.  Its terms exceed
+    the result (by 10^7 at x = 0.9), which shrinks like 1 - a as a -> 1,
+    so the sum carries as many more digits as the largest term lies above
+    the result, both from float64 estimates, plus a guard."""
+    af, xf = float(a), float(x)
+    est = math.log10(qpochhammer(af, xf, math.inf))
+    peak = 0.0  # log10 of the largest term; the pentagonal terms fall from 1
+    if a != x:  # the ratio of successive terms, a x^n / (1 - x^{n+1}), falls with n
+        n = 0
+        while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
+            peak, n = peak + math.log10(r), n + 1
+    prec = getcontext().prec
+    tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
+    with localcontext() as ctx:
+        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
+        total, term, xn = Decimal(1), Decimal(1), Decimal(1)
+        if a == x:  # term = x^{k(3k-1)/2}, xn = x^k
+            k = 0
+            while term > tol:
+                term *= xn * xn * xn * x
+                xn *= x
+                k += 1
+                pair = term * (1 + xn)
+                total += -pair if k % 2 else pair
+        else:
+            while True:
+                r = a * xn / (1 - xn * x)
+                term *= -r
+                xn *= x
+                total += term
+                if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
+                    break
+    return +total
+
+
 def _moments(b: Bandlimit, p: QParams, nterms: int):
     """(D_n^2 for n < nterms, h(s) for s < 2 nterms - 1, w_0) of the moment
     matrix K = D H D (see the module docstring), in the current context."""
     qd = Decimal(p.q)
     q2 = qd * qd
     qv = qd ** (2 * Decimal(p.v) + 2)  # q^{2v+2}
-    # c_qv = (q^{2v+2};q^2)_inf / ((q^2;q^2)_inf (1 - q)) as num / den
-    num, den, t = Decimal(1), 1 - qd, Decimal(1)
-    tiny = Decimal(1).scaleb(-getcontext().prec - 1)
-    while t > tiny:
-        num *= 1 - qv * t
-        t *= q2
-        den *= 1 - t
+    c_qv = _qpoch_inf(qv, q2) / (_qpoch_inf(q2, q2) * (1 - qd))
     w0 = (1 - qd) * qv ** b.a_exp  # w_0 = (1 - q) a^{2v+2}
     # D_n^2 from D_{n-1}^2 a^4 c_n / c_{n-1}
-    d2, q2n, a4 = [num / den * w0], Decimal(1), q2 ** (2 * b.a_exp)
+    d2, q2n, a4 = [c_qv * w0], Decimal(1), q2 ** (2 * b.a_exp)
     for n in range(1, nterms):
         qvn = qv * q2n  # q^{2v+2n}
         q2n *= q2
@@ -242,7 +283,13 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
     def units(lams):
         """Unit eigenvectors of B for the eigenvalues ``lams``, divided by
         sqrt(w_m): sum_n t_n q^{2mn} / sqrt(w_0), t = R_H^-1 u, each one
-        int / int quotient, which rounds once, to the nearest float."""
+        int / int quotient, which rounds once, to the nearest float.
+
+        Each sum is first taken from the top _SAMPLE_BITS bits of t and of
+        the powers of q^2, with an integer bound on the error of the
+        truncated sum; where both ends of the bound round to the same
+        float, that float is the sum's, and only the other rows are summed
+        in full (Ziv's rounding test)."""
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
         ts = []
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
@@ -262,13 +309,42 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
             pw.append(y)
             y = y * x >> wide
         powers = [pw[:k * size:k] if k else pw[:1] * size for k in range(mdim)]
+        # the same powers cut to sp = pw >> cut, at most _SAMPLE_BITS bits;
+        # the powers fall, so the nonzero sp are a prefix of each row
+        cut = max(wide - _SAMPLE_BITS, 0)
+        sp = [z for z in (y >> cut for y in pw) if z]
+        short = [sp[:k * size:k] if k else sp[:1] * size for k in range(mdim)]
         up = kw - prec - wide  # the scale of root_w over that of a sum
-        return [np.array([
-            (sum(map(mul, t, row)) << up) / root_w if up >= 0
-            else sum(map(mul, t, row)) / (root_w << -up) for row in powers
-        ]) for t in ts]
+
+        def divisor(shift):
+            """(left shift, divisor) that take a sum X, with X 2^shift
+            standing for sum_n t_n pw_n, to a sample."""
+            return max(shift + up, 0), root_w << max(-shift - up, 0)
+
+        full, out = divisor(0), []
+        for t in ts:
+            # tt = t >> tcut: |sum t_n pw_n - 2^(tcut+cut) sum tt_n sp_n| lies
+            # below 2^(tcut+cut) (sum |tt_n| + N + N 2^(wide-cut)) on every row
+            tcut = max(max(map(abs, t)).bit_length() - _SAMPLE_BITS, 0)
+            tt = [x >> tcut for x in t]
+            slack = sum(map(abs, tt)) + size + (size << wide - cut)
+            sums = [sum(map(mul, tt, row)) for row in short]
+            lsh, div = divisor(tcut + cut)
+            lo = [((s - slack) << lsh) / div for s in sums]
+            hi = [((s + slack) << lsh) / div for s in sums]
+            out.append(np.array([low if low == high else _full_sample(t, row, full)
+                                 for low, high, row in zip(lo, hi, powers)]))
+        return out
 
     return evals, units
+
+
+def _full_sample(t: list[int], row: list[int], scale) -> float:
+    """The sample sum_n t_n row_n, summed exactly and rounded once by the
+    (left shift, divisor) pair ``scale``: the rows whose bounded sum
+    leaves the float undecided."""
+    lsh, div = scale
+    return (sum(map(mul, t, row)) << lsh) / div
 
 
 def _sample_sign(samples: np.ndarray) -> float:

@@ -189,25 +189,62 @@ def test_eigenvectors_of_a_degenerate_cluster():
         assert np.abs(proj - want_vec[:, ref] @ want_vec[:, ref].T).max() <= 1e-14
 
 
-@pytest.mark.parametrize("f, g", [(3, 4), (1, 1), (-5, 12), (7, -1), (524287, 1), (1, 524287),
-                                  (-300001, -77777)])
-def test_givens_is_a_rotation_for_few_bits(f, g):
-    # with f and g of fewer than 20 bits, c and s must still carry prec
-    # bits: unshifted, c^2 + s^2 would be off by about 2^-20
-    assert max(abs(f), abs(g)).bit_length() < 20
-    c, s, r = fixedla.givens(f, g, PREC)
-    assert abs(c * c + s * s - (1 << 2 * PREC)) <= 1 << (PREC + 4)
-    assert r == math.isqrt(f * f + g * g)
-    # [c s; -s c] [f; g] = [r; 0] to a few units
-    assert abs(c * f + s * g - (r << PREC)) <= abs(f) + abs(g) + (1 << PREC)
-    assert abs(c * g - s * f) <= abs(f) + abs(g)
+def _shifted(d, e, lam, prec=PREC):
+    """T - lam I as an mp matrix, for fixed-point (d, e) and lam."""
+    n = len(d)
+    t = mp.matrix(n, n)
+    for i, x in enumerate(d):
+        t[i, i] = mp.mpf((x - lam, -prec))
+    for i, x in enumerate(e):
+        t[i, i + 1] = t[i + 1, i] = mp.mpf((x, -prec))
+    return t
 
 
-def test_givens_zero_and_sign():
-    assert fixedla.givens(0, 0, PREC) == (1 << PREC, 0, 0)
-    assert fixedla.givens(-5, 0, PREC) == (-(1 << PREC), 0, 5)
-    c, s, r = fixedla.givens(0, -3, PREC)
-    assert (c, s, r) == (0, -(1 << PREC), 3)
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("swap_all", [False, True])
+def test_pivoted_lu_solve_matches_an_exact_solve(seed, swap_all):
+    # seeded tridiagonals with off-diagonal entries up to twice the
+    # diagonal ones, so rows swap often; with d = lam and |e_k| rising
+    # every step swaps (n is even there: T - lam I is singular at odd n).
+    # The solve errs by at most kappa (1 + |x|) units, as a backward
+    # stable one does, against an exact solve at four times the precision
+    rng = np.random.default_rng([seed, 21])
+    n = int(rng.integers(1, 13)) * 2 if swap_all else int(rng.integers(2, 25))
+    lam = _fixed(rng.uniform(-1, 1))
+    if swap_all:
+        d = [lam] * n
+        e = [_fixed(x * s) for x, s in zip(np.sort(rng.uniform(0.5, 2, n - 1)),
+                                           rng.choice([-1, 1], n - 1))]
+    else:
+        d = [_fixed(x) for x in rng.uniform(-1, 1, n)]
+        e = [_fixed(x) for x in rng.uniform(-2, 2, n - 1)]
+    b = [int.from_bytes(rng.bytes(26), "big") - (1 << 207) >> 7 for _ in range(n)]
+    lu = fixedla._shifted_lu(d, e, lam, PREC)
+    swaps = [swap for swap, _ in lu[0]]
+    assert all(swaps) if swap_all else any(swaps)
+    got = fixedla._lu_solve(lu, b, PREC)
+    with mp.workprec(4 * PREC):
+        t = _shifted(d, e, lam)
+        want = mp.lu_solve(t, mp.matrix([mp.mpf((x, -PREC)) for x in b]))
+        kappa = mp.mnorm(t, 1) * mp.mnorm(t**-1, 1)
+        unit = mp.mpf(2) ** -PREC
+        err = max(abs(mp.mpf((x, -PREC)) - w) for x, w in zip(got, want))
+        assert err <= kappa * (1 + max(map(abs, want))) * unit
+
+
+def test_exact_eigenvalue_leaves_a_zero_pivot():
+    # 0 is an eigenvalue of the path matrix (d = 0, e = 1) of odd order,
+    # exactly: the last pivot of T - 0 I is zero, is taken as one unit,
+    # and inverse iteration still returns the eigenvector
+    # (1, 0, -1, 0, 1, ...) / sqrt(k)
+    n = 7
+    d, e = [0] * n, [1 << PREC] * (n - 1)
+    _, u = fixedla._shifted_lu(d, e, 0, PREC)
+    assert u[-1][0] == 0 and all(row[0] for row in u[:-1])
+    (y,) = fixedla.tridiagonal_eigenvectors(d, e, [0], PREC)
+    want = np.array([(-1) ** (i // 2) if i % 2 == 0 else 0 for i in range(n)]) / 2.0
+    y = np.array([_float(x) for x in y])
+    assert np.abs(y * np.sign(y[0]) - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("s", ["1", "0.5", "0.49999", "3", "4", "-7.99", "1e-300", "1e300",
@@ -290,6 +327,36 @@ def test_qprolate_solve_deflates_fewer_than_n(monkeypatch):
     assert len(counts) == 1
     deflated, n = counts[0]
     assert 15 <= deflated < n
+
+
+def test_root_free_ql_takes_the_roots_of_its_shifts_only(monkeypatch):
+    # on the tridiagonal of the q = 0.7, keep = 15 solve the QL takes two
+    # square roots per sweep, for its shift, and one per early-stop check
+    # (one per eigenvalue deflated from the keep-th on), none per rotation
+    import qprolate as qp
+
+    captured = []
+    real = fixedla.tridiagonal_eigenvalues
+
+    def capture(d, e, prec, keep=None):
+        captured.append((d, e, prec, keep))
+        return real(d, e, prec, keep)
+
+    monkeypatch.setattr(fixedla, "tridiagonal_eigenvalues", capture)
+    qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.7, -0.5), keep=15)
+    monkeypatch.undo()
+    (d, e, prec, keep), = captured
+    roots, sweeps = [], []
+    real_sqrt, real_sweep = fixedla._sqrt, fixedla._ql_sweep
+    monkeypatch.setattr(fixedla, "_sqrt", lambda x, ctx: roots.append(x) or real_sqrt(x, ctx))
+    monkeypatch.setattr(fixedla, "_ql_sweep", lambda *args: sweeps.append(args[2:4]) or
+                        real_sweep(*args))
+    got = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
+    checks = len(got) - keep + 1
+    assert keep <= len(got) < len(d) and len(sweeps) > len(got)
+    # the old QL took one root per rotation, m - l per sweep
+    assert sum(m - l for l, m in sweeps) > 4 * len(sweeps)
+    assert len(roots) <= 2 * len(sweeps) + checks
 
 
 def test_narrow_reflector_matches_full_width():

@@ -479,6 +479,85 @@ def test_moments_match_the_gram_matrix_of_g(seed):
                 assert abs(got - gram[n, m]) <= 1e-50 * gram[n, m], (n, m)
 
 
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_qpochhammer_series_match_mpmath(q):
+    # (q^{2v+2}; q^2)_inf by Euler's series and (q^2; q^2)_inf by the
+    # pentagonal one, at 200 digits, against mpmath.qp at 260: within a
+    # few units of the 200th digit, also where v -> -1 shrinks the first
+    # like 1 - q^{2v+2} and q = 0.95 makes its terms exceed it by 10^7
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    from qprolate.pswf import _qpoch_inf
+
+    for v in (-0.999, -0.95, -0.5, 0.0, 0.5, 1.5, 3.0):
+        with localcontext(Context(prec=200, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            qd = Decimal(q)
+            x = qd * qd
+            a = qd ** (2 * Decimal(v) + 2)
+            got = [_qpoch_inf(a, x), _qpoch_inf(x, x)]
+        with mp.workdps(260):
+            for g, z in zip(got, (a, x)):
+                want = mp.qp(mp.mpf(str(z)), mp.mpf(str(x)))
+                assert abs(mp.mpf(str(g)) - want) <= mp.mpf(10) ** -199 * want, (q, v, z)
+
+
+def _mp_samples_by_width(monkeypatch, requests, bits):
+    """compute_basis of each request with pswf._SAMPLE_BITS = bits."""
+    from qprolate import pswf
+
+    monkeypatch.setattr(pswf, "_SAMPLE_BITS", bits)
+    return [qp.compute_basis(qp.Bandlimit(a_exp, depth), qp.QParams(q, v), keep)
+            for q, v, a_exp, depth, keep in requests]
+
+
+def test_bounded_sample_sums_give_the_full_sums_floats(monkeypatch):
+    # with more sample bits than any t_n or power of q^2 carries, the
+    # bounded sum is the full one, so every sample is the full sum's
+    # float; at the default width each must be that float too, bit for bit
+    from qprolate import pswf
+
+    digits = _mp_solve_digits(monkeypatch)
+    rng = np.random.default_rng(2121)
+    requests = []
+    while len(requests) < 8:
+        q, v = float(rng.uniform(0.05, 0.92)), float(rng.uniform(-0.95, 3.0))
+        depth = int(rng.integers(8, 81))
+        request = (q, v, int(rng.integers(-4, 3)), depth, int(rng.integers(2, min(15, depth) + 1)))
+        digits.clear()
+        _mp_samples_by_width(monkeypatch, [request], pswf._SAMPLE_BITS)
+        if digits:  # the request takes the extended-precision solve
+            requests.append(request)
+    got = _mp_samples_by_width(monkeypatch, requests, pswf._SAMPLE_BITS)
+    full = _mp_samples_by_width(monkeypatch, requests, 1 << 20)
+    for request, g, f in zip(requests, got, full):
+        assert np.array_equal(g.eigenvalues, f.eigenvalues), request
+        assert np.array_equal(g.unit_samples, f.unit_samples), request
+        assert np.array_equal(g.eigenfunctions, f.eigenfunctions), request
+
+
+def test_cancelling_sample_takes_the_full_sum(monkeypatch):
+    # at q = 0.7, keep = 15 some samples cancel more bits than the bounded
+    # sum keeps (the most, 199, against 192): those rows must be summed in
+    # full, and every sample is still the full sum's float
+    from qprolate import pswf
+
+    request = (0.7, -0.5, 0, 60, 15)
+    cancelled = []
+    real = pswf._full_sample
+
+    def full_sample(t, row, scale):
+        terms = sum(abs(x * y) for x, y in zip(t, row))
+        cancelled.append(terms.bit_length() - abs(sum(x * y for x, y in zip(t, row))).bit_length())
+        return real(t, row, scale)
+
+    monkeypatch.setattr(pswf, "_full_sample", full_sample)
+    (got,) = _mp_samples_by_width(monkeypatch, [request], pswf._SAMPLE_BITS)
+    assert max(cancelled) > pswf._SAMPLE_BITS
+    assert len(cancelled) < got.unit_samples.size // 20  # the rest took the bounded sum
+    (full,) = _mp_samples_by_width(monkeypatch, [request], 1 << 20)
+    assert np.array_equal(got.unit_samples, full.unit_samples)
+
+
 def test_first_solve_resolves_cancelling_columns(monkeypatch):
     # at q = 0.05, v = 3/2, a_exp = -4 the column scales D_n^2 exceed 1,
     # and H must resolve its pivots to the noise of C divided by them:
