@@ -1,10 +1,14 @@
-"""Command-line interface: eigen-computation, transforms, and the
-sampling-reconstruction experiment with CSV / SVG plot emission.
+"""Command-line interface: the q-prolate eigensystem, the q-Bessel
+Fourier transform, and the q-sampling reconstruction experiment, with
+CSV / JSON / SVG output.
 
-Every run writes a ``manifest.json`` with the fully resolved
-configuration; re-running with that manifest as ``--config`` reproduces
-the outputs.  Exit codes: 0 success, 2 invalid configuration, 3
-numerical failure, 4 unreadable or malformed input file.
+A run's settings are the fields of ``RunConfig``: its defaults,
+overridden by a JSON config file (``--config``), overridden by the flags
+given.  Config keys, flag destinations and the keys of the
+``manifest.json`` every run writes are those field names, and each
+command reads only some of them; re-running with a manifest as
+``--config`` reproduces the outputs.  Exit codes: 0 success, 2 invalid
+configuration, 3 numerical failure, 4 unreadable or malformed input file.
 """
 
 from __future__ import annotations
@@ -38,8 +42,16 @@ EXIT_INPUT = 4
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; defaults reproduce the application setup
-    (q = 0.5, v = -1/2, band edge a = 1)."""
+    """The settings of a run, each named once: as a field here, a config
+    key, a flag destination and a manifest key.  The defaults reproduce
+    the application setup (q = 0.5, v = -1/2, band edge a = 1).
+
+    Each command reads only some of them: eigen reads ``a_exp`` and
+    ``keep`` (transform only records ``a_exp``); reconstruct reads
+    ``a_exps`` (default 0, -1, -2), ``grid`` and one input, ``function``
+    or ``samples_file`` (default the Runge function); transform reads
+    ``samples_file``, ``roundtrip`` and ``format``.
+    """
 
     q: float = 0.5
     v: float = -0.5
@@ -51,33 +63,28 @@ class RunConfig:
     eps: float = 1e-14
     output_dir: str = "out"
     format: str = "csv"
+    a_exps: list[int] | None = None
+    function: str | None = None
+    samples_file: str | None = None
+    roundtrip: bool = False
 
     def validate(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0,1)")
-        if not self.v > -1.0:
-            raise ValueError("v must exceed -1")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.keep < 1 or self.keep > self.depth:
+        """Build what the commands build, whose constructors check q, v,
+        eps, depth and both spans; then check what only the CLI has."""
+        self.params()
+        Bandlimit(self.a_exp, self.depth)
+        LatticeWindow(*self.window)
+        SamplingGrid(*self.grid)
+        if not 1 <= self.keep <= self.depth:
             raise ValueError("keep must lie in [1, depth]")
-        if self.window[0] > self.window[1]:
-            raise ValueError("window MIN must not exceed MAX")
-        if self.grid[0] > self.grid[1]:
-            raise ValueError("grid MIN must not exceed MAX")
         if self.format not in ("csv", "json", "svg"):
             raise ValueError("format must be csv, json or svg")
+        if self.function is not None and self.samples_file is not None:
+            raise ValueError("choose either --function or --samples "
+                             "(function or samples_file in the config)")
 
     def params(self) -> QParams:
         return QParams(self.q, self.v, self.eps)
-
-    def lattice_window(self) -> LatticeWindow:
-        return LatticeWindow(*self.window)
-
-    def sampling_grid(self) -> SamplingGrid:
-        return SamplingGrid(*self.grid)
 
 
 class CliInputError(Exception):
@@ -99,46 +106,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", type=str, help="JSON config file (flags override it)")
+    def add_command(name, help):
+        # each flag's dest is its RunConfig field, and only the flags given
+        # reach the namespace, so that they override the config file
+        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON config file (flags override it)")
         sp.add_argument("--q", type=float, help="deformation parameter in (0,1)")
         sp.add_argument("--v", type=float, help="order, must exceed -1")
         sp.add_argument("--depth", type=int, help="lattice points retained in [0,a]_q")
-        sp.add_argument("--window", type=str, help="lattice window MIN:MAX")
-        sp.add_argument("--grid", type=str, help="sampling grid MIN:MAX")
+        sp.add_argument("--window", help="lattice window MIN:MAX")
+        sp.add_argument("--grid", help="sampling grid MIN:MAX")
         sp.add_argument("--keep", type=int, help="eigenpairs retained")
         sp.add_argument("--eps", type=float,
                         help="series truncation tolerance, relative to the partial sum")
-        sp.add_argument("--out", type=str, help="output directory")
+        sp.add_argument("--out", dest="output_dir", help="output directory")
         sp.add_argument("--format", choices=["csv", "json", "svg"],
                         help="output format, read by transform only (csv or json)")
+        return sp
 
-    sp = sub.add_parser("eigen", help="compute the concentration eigensystem")
-    add_common(sp)
+    sp = add_command("eigen", "compute the concentration eigensystem")
     sp.add_argument("--a-exp", type=int, help="band edge exponent, a = q^A")
 
-    sp = sub.add_parser("reconstruct", help="project and reconstruct via the sampling formula")
-    add_common(sp)
-    sp.add_argument(
-        "--a-exp",
-        type=int,
-        action="append",
-        help="band edge exponent, repeatable (default 0 -1 -2)",
-    )
-    sp.add_argument(
-        "--function",
-        choices=_FUNCTIONS,
-        help="built-in test function f(x) = 1/(1+x^2)",
-    )
-    sp.add_argument("--samples", type=str, help="sample file with 'k value' lines")
+    sp = add_command("reconstruct", "project and reconstruct via the sampling formula")
+    sp.add_argument("--a-exp", dest="a_exps", type=int, action="append",
+                    help="band edge exponent, repeatable (default 0 -1 -2)")
+    sp.add_argument("--function", choices=_FUNCTIONS,
+                    help="built-in test function f(x) = 1/(1+x^2)")
+    sp.add_argument("--samples", dest="samples_file",
+                    help="sample file with 'k value' lines")
 
-    sp = sub.add_parser("transform", help="q-Bessel Fourier transform of a sample file")
-    add_common(sp)
+    sp = add_command("transform", "q-Bessel Fourier transform of a sample file")
     sp.add_argument("--a-exp", type=int, help="recorded in the manifest only")
-    sp.add_argument("--samples", type=str, help="sample file with 'k value' lines")
-    sp.add_argument(
-        "--roundtrip", action="store_true", default=None, help="also write F(Ff) and its deviation"
-    )
+    sp.add_argument("--samples", dest="samples_file",
+                    help="sample file with 'k value' lines")
+    sp.add_argument("--roundtrip", action="store_true",
+                    help="also write F(Ff) and its deviation")
     return parser
 
 
@@ -147,71 +149,64 @@ def _span_pair(value) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _checked(valid):
+    """Config reader that takes a value as it is, if ``valid`` holds."""
+    def read(value):
+        if not valid(value):
+            raise ValueError(value)
+        return value
+    return read
+
+
+_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
+# one reader per RunConfig field, which casts or checks the config
+# file's value (TypeError or ValueError when it cannot)
 _CONFIG_KEYS = {
     "q": float,
     "v": float,
     "a_exp": int,
     "depth": int,
+    "window": _span_pair,
+    "grid": _span_pair,
     "keep": int,
     "eps": float,
     "output_dir": str,
     "format": str,
-    "window": _span_pair,
-    "grid": _span_pair,
+    "a_exps": _checked(lambda x: isinstance(x, list) and all(type(a) is int for a in x)),
+    "function": _checked(lambda x: x in _FUNCTIONS),
+    "samples_file": str,
+    "roundtrip": _checked(lambda x: isinstance(x, bool)),
 }
 
 
-_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
-# settings of one command, which the config file gives as they are used
-_COMMAND_KEYS = {
-    "a_exps": lambda x: isinstance(x, list) and all(type(a) is int for a in x),
-    "function": lambda x: x in _FUNCTIONS,
-    "roundtrip": lambda x: isinstance(x, bool),
-}
-
-
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    """Defaults, overridden by the config file, overridden by flags.
-
-    Returns the resolved RunConfig plus the raw config dict, from which
-    subcommands pick up their own settings (a_exps, samples_file, ...) so
-    a manifest can reproduce a run verbatim.
-    """
-    cfg = RunConfig()
-    raw = {}
-    if getattr(args, "config", None):
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, overridden by the config file, overridden by the flags
+    given, then validated.  An input flag (--function or --samples)
+    replaces the config file's input choice, both of its settings."""
+    settings = {}
+    if "config" in args:
         try:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, cast in _CONFIG_KEYS.items():
+        for key, read in _CONFIG_KEYS.items():
             if raw.get(key) is not None:
                 try:
-                    setattr(cfg, key, cast(raw[key]))
+                    settings[key] = read(raw[key])
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"config file: bad {key} {raw[key]!r}") from exc
-        for key, valid in _COMMAND_KEYS.items():
-            if raw.get(key) is not None and not valid(raw[key]):
-                raise ValueError(f"config file: bad {key} {raw[key]!r}")
-    for key in ("q", "v", "depth", "keep", "eps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    a_exp = getattr(args, "a_exp", None)
-    if a_exp is not None:
-        cfg.a_exp = a_exp[0] if isinstance(a_exp, list) else a_exp
-    if getattr(args, "window", None) is not None:
-        cfg.window = _parse_span(args.window)
-    if getattr(args, "grid", None) is not None:
-        cfg.grid = _parse_span(args.grid)
-    if getattr(args, "out", None) is not None:
-        cfg.output_dir = args.out
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    if "function" in flags or "samples_file" in flags:
+        settings.pop("function", None)
+        settings.pop("samples_file", None)
+    for key in ("window", "grid"):
+        if key in flags:
+            flags[key] = _parse_span(flags[key])
+    cfg = RunConfig(**{**settings, **flags})
     cfg.validate()
-    return cfg, raw
+    return cfg
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -220,12 +215,8 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, extra: dict) -> None:
-    payload = asdict(cfg)
-    payload["window"] = list(cfg.window)
-    payload["grid"] = list(cfg.grid)
-    payload["command"] = command
-    payload.update(extra)
+def _write_manifest(cfg: RunConfig, out_dir: Path, command: str) -> None:
+    payload = {**asdict(cfg), "command": command}
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
 
@@ -319,7 +310,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
     basis = compute_basis(Bandlimit(cfg.a_exp, cfg.depth), p, cfg.keep)
     _write_atomic(out_dir / "eigen.json", eigen_report_json(basis) + "\n")
     _write_atomic(out_dir / "eigen.csv", eigen_report_csv(basis))
-    _write_manifest(cfg, out_dir, "eigen", {})
+    _write_manifest(cfg, out_dir, "eigen")
     for i, lam in enumerate(basis.eigenvalues):
         print(f"lambda_{i} = {lam:.12e}")
     return EXIT_OK
@@ -329,21 +320,22 @@ def _runge(x: float) -> float:
     return 1.0 / (1.0 + x * x)
 
 
-def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, samples: str | None) -> int:
+def cmd_reconstruct(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
-    window = cfg.lattice_window()
-    grid = cfg.sampling_grid()
+    window = LatticeWindow(*cfg.window)
+    grid = SamplingGrid(*cfg.grid)
     if not (window.contains(grid.k_min) and window.contains(grid.k_max)):
         raise ValueError("sampling grid must lie inside the window")
-    if function is None and samples is None:
-        function = "runge"
-    if function is not None:
+    cfg.a_exps = cfg.a_exps or [0, -1, -2]
+    if cfg.samples_file is None:
+        cfg.function = cfg.function or "runge"
+    if cfg.function is not None:
         f = LatticeFunction.from_callable(window, _runge, cfg.q)
         f_exact = _runge
     else:
-        f = _read_samples(samples, window)
+        f = _read_samples(cfg.samples_file, window)
         f_exact = None
 
     plan = make_plan(window, p)
@@ -357,7 +349,7 @@ def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, sam
     zs = zs[np.concatenate(([True], np.diff(zs) > 0))]
     span_exps = [n for n in range(-1, 11) if window.contains(n)]
 
-    for a_exp in a_exps:
+    for a_exp in cfg.a_exps:
         b = Bandlimit(a_exp, cfg.depth)
         fa = project(f, b, plan)
         sample_vals = np.array([fa.value_at_exp(int(k)) for k in grid.exponents()])
@@ -386,23 +378,20 @@ def cmd_reconstruct(cfg: RunConfig, a_exps: list[int], function: str | None, sam
         )
         print(f"a_exp={a_exp} a={cfg.q**a_exp:.6g} sup_error={sup_err:.6e}")
 
-    _write_manifest(
-        cfg,
-        out_dir,
-        "reconstruct",
-        {"a_exps": list(a_exps), "function": function, "samples_file": samples},
-    )
+    _write_manifest(cfg, out_dir, "reconstruct")
     return EXIT_OK
 
 
-def cmd_transform(cfg: RunConfig, samples: str, roundtrip: bool) -> int:
+def cmd_transform(cfg: RunConfig) -> int:
+    if cfg.samples_file is None:
+        raise ValueError("transform needs --samples (or samples_file in the config)")
     if cfg.format == "svg":
         raise ValueError("transform writes csv or json, not svg")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
-    window = cfg.lattice_window()
-    f = _read_samples(samples, window)
+    window = LatticeWindow(*cfg.window)
+    f = _read_samples(cfg.samples_file, window)
     plan = make_plan(window, p)
     ff = fqv_transform(f, plan)
 
@@ -417,8 +406,7 @@ def cmd_transform(cfg: RunConfig, samples: str, roundtrip: bool) -> int:
         lines = ["k,point,value"] + [f"{m},{pt:.12e},{val:.12e}" for m, pt, val in rows]
         _write_atomic(out_dir / "transform.csv", "\n".join(lines) + "\n")
 
-    extra = {"samples_file": samples, "roundtrip": roundtrip}
-    if roundtrip:
+    if cfg.roundtrip:
         fff = fqv_transform(ff, plan)
         dev = float(np.max(np.abs(fff.values - f.values)))
         lines = ["k,point,f,f_roundtrip,abs_error"]
@@ -429,7 +417,7 @@ def cmd_transform(cfg: RunConfig, samples: str, roundtrip: bool) -> int:
             )
         _write_atomic(out_dir / "roundtrip.csv", "\n".join(lines) + "\n")
         print(f"roundtrip sup deviation = {dev:.6e}")
-    _write_manifest(cfg, out_dir, "transform", extra)
+    _write_manifest(cfg, out_dir, "transform")
     return EXIT_OK
 
 
@@ -452,45 +440,21 @@ def main(argv: list[str] | None = None) -> int:
 
     from .qcalc import TailWarning
 
-    parser = _build_parser()
-    args = parser.parse_args(_merge_span_flags(sys.argv[1:] if argv is None else list(argv)))
+    args = _build_parser().parse_args(
+        _merge_span_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
-        cfg, raw = _resolve_config(args)
+        cfg = _resolve_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    command = {"eigen": cmd_eigen, "reconstruct": cmd_reconstruct,
+               "transform": cmd_transform}[args.command]
     # collect truncation diagnostics and report them once, instead of one
     # warning per evaluation point
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TailWarning)
         try:
-            if args.command == "eigen":
-                rc = cmd_eigen(cfg)
-            elif args.command == "reconstruct":
-                a_exps = args.a_exp or raw.get("a_exps") or [0, -1, -2]
-                # an input flag replaces the config file's input choice
-                function, samples = raw.get("function"), raw.get("samples_file")
-                if args.function or args.samples:
-                    function, samples = args.function, args.samples
-                if function and samples:
-                    print("error: choose either --function or --samples "
-                          "(function or samples_file in the config)", file=sys.stderr)
-                    return EXIT_CONFIG
-                rc = cmd_reconstruct(cfg, a_exps, function, samples)
-            elif args.command == "transform":
-                samples = args.samples or raw.get("samples_file")
-                if samples is None:
-                    print(
-                        "error: transform needs --samples (or samples_file in the config)",
-                        file=sys.stderr,
-                    )
-                    return EXIT_CONFIG
-                roundtrip = (
-                    args.roundtrip if args.roundtrip is not None else bool(raw.get("roundtrip"))
-                )
-                rc = cmd_transform(cfg, samples, roundtrip)
-            else:  # pragma: no cover
-                raise AssertionError(f"unhandled command {args.command}")
+            rc = command(cfg)
         except CliInputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

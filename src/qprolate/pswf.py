@@ -41,7 +41,8 @@ short, by three times the digits it lacks plus the guard instead, when
 that is less.
 Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
 clusters tie at any working precision, and the signs alternate from +
-inside a tie.
+inside a tie; the float64 pairs are sorted the same way, at the 11 digits
+they resolve.
 
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
 past those: the Cholesky factor of H, stopped at M rows, the rank of H,
@@ -54,10 +55,11 @@ through a pivoted LU, re-orthogonalised inside clusters that the
 precision cannot separate, back through the reflectors to an eigenvector
 u of C.  Then t = R_H^-1 u, and the sample at a q^k is the power series
 sum_n t_n q^{2kn} / sqrt(w_0), rounded once to float64.  It is first
-summed from the top _SAMPLE_BITS bits of t and of the powers, with an
-integer bound on the error; only where the ends of the bound round to
-different floats is the sum taken in full.  The constant c_qv in D_n^2
-comes from Euler's series for the two infinite q-Pochhammer symbols.
+summed from the top bits of t and of the powers, _SAMPLE_BITS past the
+bits the alternating sum cancels, with an integer bound on the error;
+only where the ends of the bound round to different floats is the sum
+taken in full.  The constant c_qv in D_n^2 comes from Euler's series for
+the two infinite q-Pochhammer symbols.
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -93,8 +95,9 @@ _DEPTH_GUARD = 2
 # digits carried past the working precision by the fixed-point solve
 _GUARD_DIGITS = 10
 # bits of t and of the powers of q^2 that a sample's first, bounded sum
-# keeps (see the ``units`` closure of _mp_eigensystem): a row whose terms
-# cancel to nearly this many bits is summed again in full
+# keeps past those the column scales cancel (see the ``units`` closure of
+# _mp_eigensystem): a row whose terms cancel to nearly this many more
+# bits is summed again in full
 _SAMPLE_BITS = 192
 
 
@@ -165,41 +168,31 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
 
 
 def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
-    """(a; x)_inf for 0 < a, x < 1 in the current context, by a series
-    whose terms fall like x^{n^2/2}: Euler's pentagonal series
-    sum_k (-1)^k x^{k(3k-1)/2} (1 + x^k) when a = x, and
-    sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n otherwise.  Its terms exceed
-    the result (by 10^7 at x = 0.9), which shrinks like 1 - a as a -> 1,
-    so the sum carries as many more digits as the largest term lies above
-    the result, both from float64 estimates, plus a guard."""
+    """(a; x)_inf for 0 < a, x < 1 in the current context, by Euler's
+    series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n, whose terms fall like
+    x^{n^2/2}.  Its terms exceed the result (by 10^7 at x = 0.9), which
+    shrinks like 1 - a as a -> 1, so the sum carries as many more digits
+    as the largest term lies above the result, both from float64
+    estimates, plus a guard."""
     af, xf = float(a), float(x)
     est = math.log10(qpochhammer(af, xf, math.inf))
-    peak = 0.0  # log10 of the largest term; the pentagonal terms fall from 1
-    if a != x:  # the ratio of successive terms, a x^n / (1 - x^{n+1}), falls with n
-        n = 0
-        while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
-            peak, n = peak + math.log10(r), n + 1
+    # log10 of the largest term: the ratio of successive terms,
+    # a x^n / (1 - x^{n+1}), falls with n
+    peak, n = 0.0, 0
+    while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
+        peak, n = peak + math.log10(r), n + 1
     prec = getcontext().prec
     tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
     with localcontext() as ctx:
         ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
         total, term, xn = Decimal(1), Decimal(1), Decimal(1)
-        if a == x:  # term = x^{k(3k-1)/2}, xn = x^k
-            k = 0
-            while term > tol:
-                term *= xn * xn * xn * x
-                xn *= x
-                k += 1
-                pair = term * (1 + xn)
-                total += -pair if k % 2 else pair
-        else:
-            while True:
-                r = a * xn / (1 - xn * x)
-                term *= -r
-                xn *= x
-                total += term
-                if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
-                    break
+        while True:
+            r = a * xn / (1 - xn * x)
+            term *= -r
+            xn *= x
+            total += term
+            if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
+                break
     return +total
 
 
@@ -285,11 +278,12 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
         sqrt(w_m): sum_n t_n q^{2mn} / sqrt(w_0), t = R_H^-1 u, each one
         int / int quotient, which rounds once, to the nearest float.
 
-        Each sum is first taken from the top _SAMPLE_BITS bits of t and of
-        the powers of q^2, with an integer bound on the error of the
-        truncated sum; where both ends of the bound round to the same
-        float, that float is the sum's, and only the other rows are summed
-        in full (Ziv's rounding test)."""
+        Each sum is first taken from the top bits of t and of the powers
+        of q^2, _SAMPLE_BITS past those the alternating sum cancels, with
+        an integer bound on the error of the truncated sum; where both
+        ends of the bound round to the same float, that float is the
+        sum's, and only the other rows are summed in full (Ziv's rounding
+        test)."""
         fixed = [fixedla.to_fixed(x, prec) for x in lams]
         ts = []
         for s in fixedla.tridiagonal_eigenvectors(d, e, fixed, prec):
@@ -309,9 +303,11 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
             pw.append(y)
             y = y * x >> wide
         powers = [pw[:k * size:k] if k else pw[:1] * size for k in range(mdim)]
-        # the same powers cut to sp = pw >> cut, at most _SAMPLE_BITS bits;
-        # the powers fall, so the nonzero sp are a prefix of each row
-        cut = max(wide - _SAMPLE_BITS, 0)
+        # the same powers cut to sp = pw >> cut, at most ``bits`` bits:
+        # _SAMPLE_BITS past the bits the alternating sum cancels; the
+        # powers fall, so the nonzero sp are a prefix of each row
+        bits = _SAMPLE_BITS + math.ceil(cancel * math.log2(10))
+        cut = max(wide - bits, 0)
         sp = [z for z in (y >> cut for y in pw) if z]
         short = [sp[:k * size:k] if k else sp[:1] * size for k in range(mdim)]
         up = kw - prec - wide  # the scale of root_w over that of a sum
@@ -325,7 +321,7 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
         for t in ts:
             # tt = t >> tcut: |sum t_n pw_n - 2^(tcut+cut) sum tt_n sp_n| lies
             # below 2^(tcut+cut) (sum |tt_n| + N + N 2^(wide-cut)) on every row
-            tcut = max(max(map(abs, t)).bit_length() - _SAMPLE_BITS, 0)
+            tcut = max(max(map(abs, t)).bit_length() - bits, 0)
             tt = [x >> tcut for x in t]
             slack = sum(map(abs, tt)) + size + (size << wide - cut)
             sums = [sum(map(mul, tt, row)) for row in short]
@@ -385,24 +381,32 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
     return PswfBasis(b, p, np.array(kept), np.array(funcs), np.array(rows))
 
 
+def _pair_order(evals, digits: int) -> list[int]:
+    """Indices of the ascending eigenvalues ``evals`` (Decimals) in the
+    order of the retained pairs: by |lambda| rounded to ``digits`` digits,
+    descending; inside a tie by the rank among the earlier members of the
+    same sign, then + before -, so that the signs alternate from +, as
+    they do down the spectrum."""
+    key = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    mags = [key.abs(x) for x in evals]
+    seen, rank = Counter(), []  # rank: earlier members of the same sign
+    for mag, lam in zip(mags, evals):
+        rank.append(seen[mag, lam < 0])
+        seen[mag, lam < 0] += 1
+    return sorted(range(len(evals)),
+                  key=lambda i: (mags[i].copy_negate(), rank[i], evals[i] < 0))
+
+
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, 0), or (None, short)
     when the solve must be repeated: ``short`` is the digits the smallest
     entries of a retained eigenvector lack, or None when a deeper retained
     pair is unresolved, which leaves no estimate of its depth."""
     evals, units = _mp_eigensystem(b, p, dps, keep)
+    # 20 digits, fewer than any retained lambda resolves, so that the +-1
+    # clusters at band edges above 1 tie whatever the working digits
+    order = _pair_order(evals, 20)[:keep]
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        # keyed on |lambda| rounded to 20 digits, fewer than any retained
-        # lambda resolves, so that the +-1 clusters at band edges above 1
-        # tie whatever the working digits; inside a tie the signs
-        # alternate from +, as they do down the spectrum
-        key = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
-        mags = [key.abs(x) for x in evals]
-        seen, rank = Counter(), []  # rank: earlier members of the same sign
-        for mag, lam in zip(mags, evals):
-            rank.append(seen[mag, lam < 0])
-            seen[mag, lam < 0] += 1
-        order = sorted(range(len(evals)), key=lambda i: (-mags[i], rank[i], evals[i] < 0))[:keep]
         floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
             return None, None
@@ -513,14 +517,17 @@ def eigendecompose(
         evals, evecs = np.linalg.eigh(B)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverNoConvergence(str(exc)) from exc
-    order = np.argsort(-np.abs(evals))
-    top = abs(evals[order[0]])
-    resolvable = np.abs(evals[order]) > _FLOAT_RESOLUTION * top
+    # the pairs float64 resolves, in the order of _basis_from_mp's, at the
+    # digits they resolve to
+    top = np.abs(evals).max()
+    resolved = np.flatnonzero(np.abs(evals) > _FLOAT_RESOLUTION * top)
+    order = resolved[_pair_order([Decimal(x) for x in evals[resolved].tolist()],
+                                 -round(math.log10(_FLOAT_RESOLUTION)))]
     w = b.weights(p)
     # dividing by sqrt(w_m) in float64 needs every w_m, and the power of q
     # in it, to be a normal float; otherwise the mp path divides
     normal = min(w[-1], p.q ** ((b.depth - 1) * (2.0 * p.v + 2.0))) >= np.finfo(float).tiny
-    if resolvable[:keep].all() and normal:
+    if len(order) >= keep and normal:
         top_pairs = order[:keep]
         units = (evecs[:, top_pairs] / np.sqrt(w)[:, None]).T
         return _retain(b, p, evals[top_pairs], units)

@@ -411,3 +411,25 @@ def test_manifest_contents(tmp_path):
     assert manifest["q"] == 0.6
     assert manifest["keep"] == 4
     assert manifest["window"] == [-15, 60]
+
+
+def test_config_keys_are_the_run_settings():
+    # one reader per RunConfig field, so a manifest holds every setting
+    # and the config file takes each of them back
+    from dataclasses import fields
+
+    from qprolate.cli import _CONFIG_KEYS, RunConfig
+
+    assert list(_CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
+
+
+def test_repeated_a_exp_flag_is_recorded_and_reproduced(tmp_path):
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    rc = main(["reconstruct", "--a-exp", "-1", "--a-exp", "-2", "--out", str(out1), *FAST_RECON])
+    assert rc == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["a_exps"] == [-1, -2]
+    assert main(["reconstruct", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    for name in ("reconstruct_am1.csv", "reconstruct_am2.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert not (out2 / "reconstruct_a0.csv").exists()

@@ -481,8 +481,8 @@ def test_moments_match_the_gram_matrix_of_g(seed):
 
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_qpochhammer_series_match_mpmath(q):
-    # (q^{2v+2}; q^2)_inf by Euler's series and (q^2; q^2)_inf by the
-    # pentagonal one, at 200 digits, against mpmath.qp at 260: within a
+    # (q^{2v+2}; q^2)_inf and (q^2; q^2)_inf by Euler's series, at 200
+    # digits, against mpmath.qp at 260: within a
     # few units of the 200th digit, also where v -> -1 shrinks the first
     # like 1 - q^{2v+2} and q = 0.95 makes its terms exceed it by 10^7
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
@@ -527,6 +527,16 @@ def test_bounded_sample_sums_give_the_full_sums_floats(monkeypatch):
         _mp_samples_by_width(monkeypatch, [request], pswf._SAMPLE_BITS)
         if digits:  # the request takes the extended-precision solve
             requests.append(request)
+    # column scales D_n^2 up to 3e53: the bounded sums keep _SAMPLE_BITS
+    # past the bits they cancel, and leave 16 of its 264 samples to the
+    # full sum, where a fixed _SAMPLE_BITS left 204
+    cancelling = (0.234, 2.587, -4, 22, 14)
+    sums = []
+    real = pswf._full_sample
+    monkeypatch.setattr(pswf, "_full_sample", lambda *args: sums.append(1) or real(*args))
+    _mp_samples_by_width(monkeypatch, [cancelling], pswf._SAMPLE_BITS)
+    assert len(sums) < 204
+    requests.append(cancelling)
     got = _mp_samples_by_width(monkeypatch, requests, pswf._SAMPLE_BITS)
     full = _mp_samples_by_width(monkeypatch, requests, 1 << 20)
     for request, g, f in zip(requests, got, full):
@@ -648,6 +658,21 @@ def test_mp_pairs_sorted_at_working_precision():
     basis, more = _basis_from_mp(qp.Bandlimit(-2, 60), qp.QParams(0.5, -0.5), 5, 150)
     assert not more
     assert list(np.sign(basis.eigenvalues)) == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("a_exp,keep,signs", [(-1, 3, [1, -1, 1]), (-2, 5, [1, -1, 1, -1, 1])])
+def test_float_pairs_tie_as_the_mp_pairs_do(monkeypatch, a_exp, keep, signs):
+    # the +-1 cluster resolves in float64, whose eigh returned it in the
+    # order (1, 1, -1) at a_exp = -1; both paths now order a tie alike
+    from qprolate.pswf import _basis_from_mp
+
+    digits = _mp_solve_digits(monkeypatch)
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.5, -0.5)
+    basis = qp.compute_basis(b, p, keep)
+    assert not digits  # the float path
+    ref, more = _basis_from_mp(b, p, keep, 150)
+    assert not more
+    assert list(np.sign(basis.eigenvalues)) == list(np.sign(ref.eigenvalues)) == signs
 
 
 def test_spectrum_strictly_decreasing(basis12):
