@@ -77,8 +77,8 @@ class RunConfig:
         SamplingGrid(*self.grid)
         if not 1 <= self.keep <= self.depth:
             raise ValueError("keep must lie in [1, depth]")
-        if self.format not in ("csv", "json", "svg"):
-            raise ValueError("format must be csv, json or svg")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.function is not None and self.samples_file is not None:
             raise ValueError("choose either --function or --samples "
                              "(function or samples_file in the config)")
@@ -120,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float,
                         help="series truncation tolerance, relative to the partial sum")
         sp.add_argument("--out", dest="output_dir", help="output directory")
-        sp.add_argument("--format", choices=["csv", "json", "svg"],
-                        help="output format, read by transform only (csv or json)")
+        sp.add_argument("--format", help="output format, read by transform only (csv or json)")
         return sp
 
     sp = add_command("eigen", "compute the concentration eigensystem")
@@ -144,9 +143,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # a JSON integer: not a float, not a boolean
+
+
+def _number(value) -> float:
+    """A JSON number, not a boolean or a string, as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(value)
+    return float(value)
+
+
 def _span_pair(value) -> tuple[int, int]:
-    lo, hi = value
-    return int(lo), int(hi)
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise ValueError(value)
+    return tuple(value)
 
 
 def _checked(valid):
@@ -159,20 +170,20 @@ def _checked(valid):
 
 
 _FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
-# one reader per RunConfig field, which casts or checks the config
-# file's value (TypeError or ValueError when it cannot)
+# one reader per RunConfig field, which checks the config file's value
+# (TypeError or ValueError when it is not of the field's JSON type)
 _CONFIG_KEYS = {
-    "q": float,
-    "v": float,
-    "a_exp": int,
-    "depth": int,
+    "q": _number,
+    "v": _number,
+    "a_exp": _checked(_is_int),
+    "depth": _checked(_is_int),
     "window": _span_pair,
     "grid": _span_pair,
-    "keep": int,
-    "eps": float,
+    "keep": _checked(_is_int),
+    "eps": _number,
     "output_dir": str,
     "format": str,
-    "a_exps": _checked(lambda x: isinstance(x, list) and all(type(a) is int for a in x)),
+    "a_exps": _checked(lambda x: isinstance(x, list) and all(map(_is_int, x))),
     "function": _checked(lambda x: x in _FUNCTIONS),
     "samples_file": str,
     "roundtrip": _checked(lambda x: isinstance(x, bool)),
@@ -385,8 +396,6 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 def cmd_transform(cfg: RunConfig) -> int:
     if cfg.samples_file is None:
         raise ValueError("transform needs --samples (or samples_file in the config)")
-    if cfg.format == "svg":
-        raise ValueError("transform writes csv or json, not svg")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()

@@ -23,16 +23,14 @@ cannot resolve below 2^-prec.  An off-diagonal entry within n^2 units
 leaves errors of about that size, so iterating on such an entry refines
 rounding noise.  It is the root-free QL of Pal, Walker and Kahan (LAPACK
 dsterf), which carries the squared off-diagonal entries and so takes
-square roots only for each sweep's shift and each early-stop check;
-they go through ``math.isqrt`` on the scaled coefficient with a sticky
-digit appended, which rounds exactly as ``Decimal.sqrt`` does at a third
-less cost.  Given ``keep``, it stops once every eigenvalue still
+square roots, the context's own, only for each sweep's shift and each
+early-stop check.  Given ``keep``, it stops once every eigenvalue still
 undeflated is, by the Gershgorin bound of its block, smaller than the
 keep-th largest |eigenvalue| deflated so far: QL never revisits a
 deflated entry, so those keep come out as the full iteration would give
-them.  Eigenvectors come from inverse iteration through an LU
-factorisation of the shifted tridiagonal with partial pivoting, in fixed
-point.
+them.  Eigenvectors come from one step of inverse iteration through an
+LU factorisation of the shifted tridiagonal with partial pivoting, in
+fixed point.
 """
 
 from __future__ import annotations
@@ -165,26 +163,6 @@ def tridiagonalize(a: list[list[int]], prec: int):
     return [a[i][i] for i in range(n)], e, reflectors
 
 
-def _sqrt(x: Decimal, ctx: Context) -> Decimal:
-    """ctx.sqrt(x) for a Decimal x >= 0, through math.isqrt.
-
-    x 10^(2h) is scaled to at least 2 ctx.prec + 2 integer digits, so its
-    floor root r carries ctx.prec + 1 digits; an inexact root gets the
-    sticky digit 1 appended (r + 1/10 lies on the same side of every
-    rounding point at ctx.prec digits as the true root), and the context
-    rounds half-even, as Decimal.sqrt does.
-    """
-    if not x:
-        return x
-    h = (2 * ctx.prec + 2 - x.adjusted()) // 2
-    scaled = x.scaleb(2 * h, _EXACT)
-    n = int(scaled)
-    r = math.isqrt(n)
-    if r * r == n and n == scaled:
-        return ctx.scaleb(Decimal(r), -h)
-    return ctx.scaleb(Decimal(10 * r + 1), -h - 1)
-
-
 def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
                             keep: int | None = None) -> list[Decimal]:
     """Eigenvalues of the symmetric tridiagonal matrix (d, e), in
@@ -231,7 +209,7 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
                 raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
             if keep is not None and keep <= l + 1 < n:
                 kth = sorted(map(abs, d[:l + 1]))[-keep]
-                bound = max(map(abs, d[l + 1:])) + 2 * _sqrt(max(e2[l:]), ctx)
+                bound = max(map(abs, d[l + 1:])) + 2 * ctx.sqrt(max(e2[l:]))
                 if bound * margin < kth:
                     d = d[:l + 1]
                     break
@@ -244,9 +222,9 @@ def _ql_sweep(d: list[Decimal], e2: list[Decimal], l: int, m: int, ctx: Context)
     the tridiagonal (d, e2), e2 its squared off-diagonal, with the
     Wilkinson shift of the block's leading 2 x 2: its two square roots are
     the sweep's only ones."""
-    rte = _sqrt(e2[l], ctx)
+    rte = ctx.sqrt(e2[l])
     sigma = (d[l + 1] - d[l]) / (2 * rte)
-    r = _sqrt(sigma * sigma + 1, ctx)
+    r = ctx.sqrt(sigma * sigma + 1)
     sigma = d[l] - rte / (sigma + r if sigma >= 0 else sigma - r)
     c, s = Decimal(1), Decimal(0)
     gamma = d[m] - sigma
@@ -270,12 +248,14 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     """Unit eigenvectors (scaled by 2^prec) of the symmetric tridiagonal
     matrix (d, e) for the eigenvalues ``lams`` (ints scaled by 2^prec).
 
-    Two steps of inverse iteration through an LU factorisation of
+    One step of inverse iteration through an LU factorisation of
     T - lam I with partial pivoting (LAPACK dlagtf and dstein), from a
-    fixed pseudo-random start.  Each vector is orthogonalised against
-    the earlier ones whose eigenvalue lies within 2^(-prec/2) ||T||, so
-    that a cluster unresolved at this precision comes out as an
-    orthonormal basis of its invariant subspace.
+    fixed pseudo-random start: lam is an eigenvalue to working precision,
+    so the one solve amplifies the wanted component over those a gap g
+    away by about g 2^prec / ||T||.  Each vector is orthogonalised
+    against the earlier ones whose eigenvalue lies within
+    2^(-prec/2) ||T||, so that a cluster unresolved at this precision
+    comes out as an orthonormal basis of its invariant subspace.
     """
     n = len(d)
     scale = max(map(abs, d + e))
@@ -287,14 +267,12 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
         group = [y for mu, y in zip(lams, out) if abs(mu - lam) <= close]
         rng = random.Random(j)
         x = [rng.getrandbits(prec + 1) - one for _ in range(n)]
-        for _ in range(2):
-            x = _lu_solve(lu, x, prec)
-            for y in group:
-                f = sum(map(mul, x, y)) >> prec
-                x = [xi - ((f * yi) >> prec) for xi, yi in zip(x, y)]
-            norm = math.isqrt(sum(map(mul, x, x)))
-            x = [(xi << prec) // norm for xi in x]
-        out.append(x)
+        x = _lu_solve(lu, x, prec)
+        for y in group:
+            f = sum(map(mul, x, y)) >> prec
+            x = [xi - ((f * yi) >> prec) for xi, yi in zip(x, y)]
+        norm = math.isqrt(sum(map(mul, x, x)))
+        out.append([(xi << prec) // norm for xi in x])
     return out
 
 

@@ -33,7 +33,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .qcalc import QParams, qpochhammer
+from .qcalc import QParams, lattice_points, qpochhammer
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -239,13 +239,6 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     val, max_term = float(vals[0]), float(peaks[0])
     # scaled down, not |val| up: 1e12 |val| overflows near the float limit
     return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
-
-
-def lattice_points(q: float, exps) -> np.ndarray:
-    """The points q^s for the integer exponents ``exps``, each a Python
-    float power (numpy's array power can differ in the last bit); the
-    lattice cache and the sampling grid both form their points here."""
-    return np.array([q ** float(s) for s in exps])
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

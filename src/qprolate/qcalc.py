@@ -89,6 +89,14 @@ class QParams:
         object.__setattr__(self, "c_qv", num / den / (1.0 - self.q))
 
 
+def lattice_points(q: float, exps) -> np.ndarray:
+    """The points q^s for the integer exponents ``exps``, each a Python
+    float power (numpy's array power can differ in the last bit); the
+    lattice cache, the sampling grid and every window form their points
+    here."""
+    return np.array([q ** float(s) for s in exps])
+
+
 @dataclass(frozen=True)
 class LatticeWindow:
     """Exponent range [n_min, n_max]; lattice point k is q^k, decreasing in k."""
@@ -108,7 +116,7 @@ class LatticeWindow:
         return np.arange(self.n_min, self.n_max + 1)
 
     def points(self, q: float) -> np.ndarray:
-        return q ** self.exponents().astype(float)
+        return lattice_points(q, self.exponents())
 
     def contains(self, k: int) -> bool:
         return self.n_min <= k <= self.n_max

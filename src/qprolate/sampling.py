@@ -26,12 +26,11 @@ import numpy as np
 from .pswf import Bandlimit
 from .qbessel import (
     jv_array,
-    lattice_points,
     lattice_table,
     product_integral_direct,
     product_integral_quotient,
 )
-from .qcalc import LatticeFunction, QParams, warn_boundary
+from .qcalc import LatticeFunction, QParams, lattice_points, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
 

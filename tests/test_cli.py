@@ -60,6 +60,7 @@ def test_eigen_invalid_q(tmp_path, capsys):
         ["--keep", "90"],
         ["--window", "5:1"],
         ["--window", "notaspan"],
+        ["--format", "svg"],
     ],
 )
 def test_eigen_invalid_configs(tmp_path, flags, capsys):
@@ -229,14 +230,35 @@ def test_manifest_reproduces_run(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", '{"window": 5}', '{"q": [1]}'])
+@pytest.mark.parametrize("content", [
+    "[1, 2]", '{"window": 5}', '{"q": [1]}',
+    '{"depth": 45.9, "keep": true, "a_exp": -1.5}', '{"window": [-15.7, 60]}',
+    '{"grid": [-10, 40.0]}', '{"v": true}', '{"eps": true}', '{"q": "0.5"}', '{"keep": 4.0}',
+])
 def test_malformed_config_file_exit_code(tmp_path, capsys, content):
-    # each used to end in a traceback with exit 1
+    # the first three used to end in a traceback with exit 1; the numbers
+    # after them were cast, so that a depth of 45.9 ran at 45, a keep of
+    # true at 1 and a window of (-15.7, 60) on (-15, 60), with exit 0
     config = tmp_path / "config.json"
     config.write_text(content)
     rc = main(["eigen", "--config", str(config), "--out", str(tmp_path / "o"), *FAST_EIGEN])
     assert rc == 2
-    assert "config file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config file" in err
+    raw = json.loads(content)
+    if isinstance(raw, dict):
+        assert any(f"config file: bad {key} " in err for key in raw)
+
+
+def test_svg_format_in_config_exit_code(tmp_path, capsys):
+    # no command writes svg through format; eigen used to take it, exit 0
+    config = tmp_path / "config.json"
+    config.write_text('{"format": "svg"}')
+    out = tmp_path / "o"
+    rc = main(["eigen", "--config", str(config), "--out", str(out), *FAST_EIGEN])
+    assert rc == 2
+    assert "format must be csv or json, got 'svg'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [

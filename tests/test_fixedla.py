@@ -3,7 +3,7 @@ matrices, against float64 numpy."""
 
 import math
 import operator
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import mpmath as mp
 import numpy as np
@@ -263,23 +263,6 @@ def test_to_fixed_truncates_toward_zero():
         assert fixedla.to_fixed(x, PREC) == int(mp.ldexp(mp.mpf(str(x)), PREC))
 
 
-def test_isqrt_root_matches_decimal_sqrt():
-    # exact squares, inexact coefficients up to 1,200 bits and exponents
-    # to +-500, at several precisions: the root must equal Decimal.sqrt
-    rng = np.random.default_rng(17)
-    for prec in (20, 100, 300, 1000):
-        ctx = fixedla.context(prec)
-        for _ in range(300):
-            if rng.random() < 0.3:
-                r = int(rng.integers(1, 2**62)) << int(rng.integers(0, 500))
-                x = Decimal(r * r).scaleb(2 * int(rng.integers(-250, 251)))
-            else:
-                coeff = int.from_bytes(rng.bytes(150), "big") >> int(rng.integers(0, 1200))
-                x = Decimal(coeff + 1).scaleb(int(rng.integers(-500, 501)))
-            assert fixedla._sqrt(x, ctx) == ctx.sqrt(x)
-        assert fixedla._sqrt(Decimal(0), ctx) == 0
-
-
 @pytest.mark.parametrize("keep", [1, 4, 10, 21])
 @pytest.mark.parametrize("matrix", ["graded", "reversed", "random"])
 def test_early_stopping_keeps_the_top_eigenvalues(keep, matrix):
@@ -329,26 +312,52 @@ def test_qprolate_solve_deflates_fewer_than_n(monkeypatch):
     assert 15 <= deflated < n
 
 
+# the eigen-mp benchmark's requests (q, v, a_exp, depth, keep); the second
+# holds a +-1 cluster
+EIGEN_MP = [(0.05, -0.5, 0, 60, 4), (0.5, -0.5, -1, 60, 8), (0.7, -0.5, 0, 60, 15)]
+
+
+def _captured(monkeypatch, name, requests):
+    """The arguments of each call to fixedla.<name> while compute_basis
+    solves ``requests``; undoes every patch of ``monkeypatch``."""
+    import qprolate as qp
+
+    captured = []
+    real = getattr(fixedla, name)
+    monkeypatch.setattr(fixedla, name, lambda *args: captured.append(args) or real(*args))
+    for q, v, a_exp, depth, keep in requests:
+        qp.compute_basis(qp.Bandlimit(a_exp, depth), qp.QParams(q, v), keep=keep)
+    monkeypatch.undo()
+    return captured
+
+
+def _count_roots(monkeypatch):
+    """Make fixedla.context return contexts whose sqrt records its
+    argument; returns the list it records into."""
+    roots = []
+    real = fixedla.context
+
+    class Counting(Context):
+        def sqrt(self, x):
+            roots.append(x)
+            return super().sqrt(x)
+
+    def counting(prec):
+        ctx = real(prec)
+        return Counting(prec=ctx.prec, Emin=ctx.Emin, Emax=ctx.Emax)
+
+    monkeypatch.setattr(fixedla, "context", counting)
+    return roots
+
+
 def test_root_free_ql_takes_the_roots_of_its_shifts_only(monkeypatch):
     # on the tridiagonal of the q = 0.7, keep = 15 solve the QL takes two
     # square roots per sweep, for its shift, and one per early-stop check
     # (one per eigenvalue deflated from the keep-th on), none per rotation
-    import qprolate as qp
-
-    captured = []
-    real = fixedla.tridiagonal_eigenvalues
-
-    def capture(d, e, prec, keep=None):
-        captured.append((d, e, prec, keep))
-        return real(d, e, prec, keep)
-
-    monkeypatch.setattr(fixedla, "tridiagonal_eigenvalues", capture)
-    qp.compute_basis(qp.Bandlimit(0, 60), qp.QParams(0.7, -0.5), keep=15)
-    monkeypatch.undo()
-    (d, e, prec, keep), = captured
-    roots, sweeps = [], []
-    real_sqrt, real_sweep = fixedla._sqrt, fixedla._ql_sweep
-    monkeypatch.setattr(fixedla, "_sqrt", lambda x, ctx: roots.append(x) or real_sqrt(x, ctx))
+    (d, e, prec, keep), = _captured(monkeypatch, "tridiagonal_eigenvalues", EIGEN_MP[2:])
+    sweeps = []
+    roots = _count_roots(monkeypatch)
+    real_sweep = fixedla._ql_sweep
     monkeypatch.setattr(fixedla, "_ql_sweep", lambda *args: sweeps.append(args[2:4]) or
                         real_sweep(*args))
     got = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
@@ -357,6 +366,42 @@ def test_root_free_ql_takes_the_roots_of_its_shifts_only(monkeypatch):
     # the old QL took one root per rotation, m - l per sweep
     assert sum(m - l for l, m in sweeps) > 4 * len(sweeps)
     assert len(roots) <= 2 * len(sweeps) + checks
+
+
+def test_inverse_iteration_takes_one_solve_per_eigenvalue(monkeypatch):
+    # the eigenvalues come from the QL at the working precision, so one
+    # solve through T - lam I resolves each vector
+    (d, e, lams, prec), = _captured(monkeypatch, "tridiagonal_eigenvectors", EIGEN_MP[2:])
+    solves = []
+    real = fixedla._lu_solve
+    monkeypatch.setattr(fixedla, "_lu_solve", lambda *args: solves.append(args) or real(*args))
+    vecs = fixedla.tridiagonal_eigenvectors(d, e, lams, prec)
+    assert len(vecs) == len(lams) >= 15
+    assert len(solves) == len(lams)
+
+
+def test_eigenvector_residuals_within_n_units(monkeypatch):
+    # ||(T - lam I) x||_inf of each returned unit vector, exactly in
+    # integers, on the eigen-mp tridiagonals: within n units 2^-prec,
+    # inside the +-1 cluster, whose vectors are orthogonalised, too
+    calls = _captured(monkeypatch, "tridiagonal_eigenvectors", EIGEN_MP)
+    assert len(calls) == len(EIGEN_MP)
+    clustered = 0
+    for d, e, lams, prec in calls:
+        n = len(d)
+        close = max(map(abs, d + e)) >> (prec // 2)
+        clustered += any(abs(a - b) <= close for i, a in enumerate(lams) for b in lams[:i])
+        for lam, x in zip(lams, fixedla.tridiagonal_eigenvectors(d, e, lams, prec)):
+            worst = 0
+            for i in range(n):
+                r = (d[i] - lam) * x[i]
+                if i:
+                    r += e[i - 1] * x[i - 1]
+                if i < n - 1:
+                    r += e[i] * x[i + 1]
+                worst = max(worst, abs(r))
+            assert worst <= n << 2 * prec  # at 2^(2 prec)
+    assert clustered
 
 
 def test_narrow_reflector_matches_full_width():
@@ -391,9 +436,7 @@ def test_noise_level_entries_deflate_without_iterating(monkeypatch):
     rng = np.random.default_rng(5)
     noise_d = [int(x) for x in rng.integers(-30, 31, tail)]
     noise_e = [int(x) for x in rng.integers(-30, 31, tail - 1)]
-    roots = []
-    real = fixedla._sqrt
-    monkeypatch.setattr(fixedla, "_sqrt", lambda x, ctx: roots.append(x) or real(x, ctx))
+    roots = _count_roots(monkeypatch)
     got = fixedla.tridiagonal_eigenvalues(noise_d, noise_e, prec)
     assert not roots
     ctx = fixedla.context(prec)

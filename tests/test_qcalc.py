@@ -72,6 +72,14 @@ def test_window_basics():
         qp.LatticeWindow(2, 1)
 
 
+def test_window_points_are_python_float_powers():
+    # numpy's array power differs from Python's in the last bit at about
+    # one (q, k) in twenty; every lattice point is Python's q ** float(k)
+    w = qp.LatticeWindow(-40, 119)
+    for q in np.random.default_rng(38).uniform(0.05, 0.95, 200).tolist():
+        assert w.points(q).tolist() == [q ** float(k) for k in w.exponents()]
+
+
 def test_lattice_function_basics():
     w = qp.LatticeWindow(0, 4)
     with pytest.raises(ValueError):
