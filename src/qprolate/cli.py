@@ -5,8 +5,9 @@ CSV / JSON / SVG output.
 A run's settings are the fields of ``RunConfig``: its defaults,
 overridden by a JSON config file (``--config``), overridden by the flags
 given.  Config keys, flag destinations and the keys of the
-``manifest.json`` every run writes are those field names, and each
-command reads only some of them; re-running with a manifest as
+``manifest.json`` every run writes are those field names (the manifest
+adds ``command`` and ``versions``, which the config reader ignores), and
+each command reads only some of them; re-running with a manifest as
 ``--config`` reproduces the outputs.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure, 4 unreadable or malformed input file.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+import qprolate
 from .pswf import (
     Bandlimit,
     SolverNoConvergence,
@@ -60,7 +62,6 @@ class RunConfig:
     window: tuple[int, int] = (-15, 60)
     grid: tuple[int, int] = (-10, 40)
     keep: int = 15
-    eps: float = 1e-14
     output_dir: str = "out"
     format: str = "csv"
     a_exps: list[int] | None = None
@@ -70,7 +71,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Build what the commands build, whose constructors check q, v,
-        eps, depth and both spans; then check what only the CLI has."""
+        depth and both spans; then check what only the CLI has."""
         self.params()
         Bandlimit(self.a_exp, self.depth)
         LatticeWindow(*self.window)
@@ -84,7 +85,7 @@ class RunConfig:
                              "(function or samples_file in the config)")
 
     def params(self) -> QParams:
-        return QParams(self.q, self.v, self.eps)
+        return QParams(self.q, self.v)
 
 
 class CliInputError(Exception):
@@ -117,8 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", help="lattice window MIN:MAX")
         sp.add_argument("--grid", help="sampling grid MIN:MAX")
         sp.add_argument("--keep", type=int, help="eigenpairs retained")
-        sp.add_argument("--eps", type=float,
-                        help="series truncation tolerance, relative to the partial sum")
         sp.add_argument("--out", dest="output_dir", help="output directory")
         sp.add_argument("--format", help="output format, read by transform only (csv or json)")
         return sp
@@ -180,7 +179,6 @@ _CONFIG_KEYS = {
     "window": _span_pair,
     "grid": _span_pair,
     "keep": _checked(_is_int),
-    "eps": _number,
     "output_dir": str,
     "format": str,
     "a_exps": _checked(lambda x: isinstance(x, list) and all(map(_is_int, x))),
@@ -227,7 +225,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_manifest(cfg: RunConfig, out_dir: Path, command: str) -> None:
-    payload = {**asdict(cfg), "command": command}
+    python = "{}.{}.{}".format(*sys.version_info[:3])
+    versions = {"qprolate": qprolate.__version__, "python": python, "numpy": np.__version__}
+    payload = {**asdict(cfg), "command": command, "versions": versions}
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
 

@@ -5,7 +5,7 @@ is entire, but for large z its terms grow to a huge peak before the
 q^{n(n+1)} decay wins, so the alternating sum cancels catastrophically in
 double precision.  Evaluation therefore runs a fast float pass first,
 ``_series_float`` over a batch of arguments, each of which stops at the
-first term that does not grow and lies at most eps |partial sum|.  It
+first term that does not grow and lies at most EPS |partial sum|.  It
 transparently reruns the same series in the standard library's decimal
 arithmetic (libmpdec), with enough digits, for each element whose peak
 term dwarfs the result or whose float pass overflowed.  ``jv`` (a batch
@@ -33,7 +33,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .qcalc import QParams, lattice_points, qpochhammer
+from .qcalc import EPS, QParams, lattice_points, qpochhammer
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -57,12 +57,12 @@ class BesselEvalReport:
     cancellation_flag: bool
 
 
-def _series_float(z2: np.ndarray, q: float, v: float, eps: float):
+def _series_float(z2: np.ndarray, q: float, v: float):
     """One float pass of the series at each z^2 of the 1-D ``z2``; returns
     per-element (sums, terms, peaks).
 
     An element stops at the first term that does not grow and lies at most
-    eps |partial sum|, which it leaves out; the terms rise to one peak and
+    EPS |partial sum|, which it leaves out; the terms rise to one peak and
     then fall, so no element stops before its peak.  A term that overflows
     stops its element with peak inf.  A stopped element leaves the active
     set, so its result is the one a batch of that element alone gives.
@@ -83,7 +83,7 @@ def _series_float(z2: np.ndarray, q: float, v: float, eps: float):
             n += 1
             an = np.abs(nxt)
             over = ~np.isfinite(nxt)
-            stop = over | ((an <= eps * np.abs(total)) & (an <= at))
+            stop = over | ((an <= EPS * np.abs(total)) & (an <= at))
             if stop.any():
                 done = live[stop]
                 sums[done], terms[done] = total[stop], n
@@ -206,12 +206,12 @@ def _needs_refinement(val, max_term):
     return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
 
 
-def _series_checked(z: np.ndarray, q: float, v: float, eps: float, s=None):
+def _series_checked(z: np.ndarray, q: float, v: float, s=None):
     """Float pass of the series at each z of the 1-D ``z``, each element
     for which ``_needs_refinement`` holds rerun in decimal arithmetic (at
     its lattice exponent, when ``s`` gives one per element); returns
     (values, terms, peaks), the last two from the float pass."""
-    vals, terms, peaks = _series_float(z * z, q, v, eps)
+    vals, terms, peaks = _series_float(z * z, q, v)
     for i in np.flatnonzero(_needs_refinement(vals, peaks)):
         si = None if s is None else int(s[i])
         vals[i] = _series_refined(float(z[i]), q, v, float(peaks[i]), si)
@@ -226,7 +226,7 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     regime, ``value`` comes from the decimal refinement (the report still
     describes the float-series behaviour that triggered it).  The float
     pass stops at the first term that does not grow and lies at most
-    eps |partial sum|, so a kept float pass errs by the rounding of terms
+    EPS |partial sum|, so a kept float pass errs by the rounding of terms
     up to 1e6 |value|: the worst measured is 9.1e-11 relative, at
     q = 0.4254, v = 1.867, z = q^-2 (max_term 7.0e5 |value|), and 4.1e-11
     at q = 0.9, v = -1/2, z = 0.9^-5.  Raises ValueError for a non-finite
@@ -235,7 +235,7 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     """
     if not math.isfinite(z):
         raise ValueError(f"jv needs a finite argument, got {z!r}")
-    vals, terms, peaks = _series_checked(np.array([float(z)]), p.q, p.v, p.eps)
+    vals, terms, peaks = _series_checked(np.array([float(z)]), p.q, p.v)
     val, max_term = float(vals[0]), float(peaks[0])
     # scaled down, not |val| up: 1e12 |val| overflows near the float limit
     return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
@@ -245,7 +245,7 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _LatticeCache:
-    """Process-wide j_v(q^s, q^2), keyed by (q, v, eps, s).
+    """Process-wide j_v(q^s, q^2), keyed by (q, v, s).
 
     ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
     counts calls, and sums all of its misses in one ``_series_checked``
@@ -255,19 +255,19 @@ class _LatticeCache:
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self.values: dict[tuple[float, float, float, int], float] = {}
+        self.values: dict[tuple[float, float, int], float] = {}
         self.hits = self.misses = 0
 
-    def read(self, q: float, v: float, eps: float, exps) -> list[float]:
+    def read(self, q: float, v: float, exps) -> list[float]:
         values = self.values
-        keys = [(q, v, eps, s) for s in exps]
+        keys = [(q, v, s) for s in exps]
         missing = [k for k in keys if k not in values]
         if missing:
             if len(values) + len(missing) > self.maxsize:
                 values.clear()
                 missing = keys
-            s = [k[3] for k in missing]
-            vals = _series_checked(lattice_points(q, s), q, v, eps, s)[0]
+            s = [k[2] for k in missing]
+            vals = _series_checked(lattice_points(q, s), q, v, s)[0]
             values.update(zip(missing, vals.tolist()))
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
@@ -290,14 +290,14 @@ def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
     The order ``v`` defaults to ``p.v``; the closed-form kernels also need
     order v + 1 at lattice arguments.
     """
-    return _jv_exp_cached.read(p.q, p.v if v is None else v, p.eps, (int(s),))[0]
+    return _jv_exp_cached.read(p.q, p.v if v is None else v, (int(s),))[0]
 
 
 def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
     """Array of j_v(q^s, q^2) for s = s_min..s_max, read through the same
     process-wide cache as ``jv_at_exponent``; ``v`` defaults to ``p.v``."""
     v = p.v if v is None else v
-    return np.array(_jv_exp_cached.read(p.q, v, p.eps, range(s_min, s_max + 1)))
+    return np.array(_jv_exp_cached.read(p.q, v, range(s_min, s_max + 1)))
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
@@ -307,7 +307,7 @@ def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("jv_array needs finite arguments")
-    vals = _series_checked(z.reshape(-1), p.q, p.v if v is None else v, p.eps)[0]
+    vals = _series_checked(z.reshape(-1), p.q, p.v if v is None else v)[0]
     return vals.reshape(z.shape)
 
 
@@ -323,9 +323,9 @@ def jv_bound(n: int, p: QParams) -> float:
     """
     q2 = p.q * p.q
     c = (
-        qpochhammer(-q2, q2, math.inf, p.eps)
-        * qpochhammer(-p.q ** (2.0 * p.v + 2.0), q2, math.inf, p.eps)
-        / qpochhammer(p.q ** (2.0 * p.v + 2.0), q2, math.inf, p.eps)
+        qpochhammer(-q2, q2, math.inf)
+        * qpochhammer(-p.q ** (2.0 * p.v + 2.0), q2, math.inf)
+        / qpochhammer(p.q ** (2.0 * p.v + 2.0), q2, math.inf)
     )
     if n >= 0:
         return c

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# relative tolerance of the q-Bessel float series and of the tail check
+EPS = 1e-14
+
+
 class WindowTooSmall(ValueError):
     """A lattice window does not cover the exponent range an operation needs."""
 
@@ -24,7 +28,7 @@ class TailWarning(UserWarning):
     """Boundary terms of a truncated lattice sum are not negligible."""
 
 
-def qpochhammer(z: float, q: float, n, eps: float = 1e-14) -> float:
+def qpochhammer(z: float, q: float, n) -> float:
     """q-Pochhammer symbol (z; q)_n = prod_{i<n} (1 - z q^i).
 
     Parameters
@@ -35,17 +39,15 @@ def qpochhammer(z: float, q: float, n, eps: float = 1e-14) -> float:
         Base, must lie in (0, 1).
     n : int or math.inf
         Number of factors; ``math.inf`` selects the convergent infinite
-        product.
-    eps : float
-        For n = inf, the product is truncated at the first index i with
-        |z| q^i < eps (1 - q), which keeps the relative error O(eps).
+        product, truncated at the first index i with |z| q^i < EPS (1 - q),
+        which keeps the relative error O(EPS).
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
     if n == math.inf:
         out = 1.0
         term = z
-        cutoff = eps * (1.0 - q)
+        cutoff = EPS * (1.0 - q)
         while abs(term) >= cutoff:
             out *= 1.0 - term
             term *= q
@@ -73,7 +75,6 @@ class QParams:
 
     q: float
     v: float
-    eps: float = 1e-14
     c_qv: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -81,11 +82,9 @@ class QParams:
             raise ValueError("q must lie in (0,1)")
         if not self.v > -1.0:
             raise ValueError("v must exceed -1")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
         q2 = self.q * self.q
-        num = qpochhammer(self.q ** (2.0 * self.v + 2.0), q2, math.inf, self.eps)
-        den = qpochhammer(q2, q2, math.inf, self.eps)
+        num = qpochhammer(self.q ** (2.0 * self.v + 2.0), q2, math.inf)
+        den = qpochhammer(q2, q2, math.inf)
         object.__setattr__(self, "c_qv", num / den / (1.0 - self.q))
 
 
@@ -190,16 +189,16 @@ def lattice_weights(window: LatticeWindow, p: QParams) -> np.ndarray:
     return (1.0 - p.q) * p.q ** (ks * (2.0 * p.v + 2.0))
 
 
-def warn_boundary(ends, scale: float, eps: float, label: str) -> None:
+def warn_boundary(ends, scale: float, label: str) -> None:
     """Emit a TailWarning when the largest of the boundary terms ``ends``
-    of a truncated lattice sum exceeds eps * |scale|; ``label`` names the
+    of a truncated lattice sum exceeds EPS * |scale|; ``label`` names the
     operation, which must call this directly (the warning points at its
     caller)."""
     boundary = max(abs(t) for t in ends)
-    if boundary > eps * max(abs(scale), 1e-300):
+    if boundary > EPS * max(abs(scale), 1e-300):
         warnings.warn(
-            f"{label}: boundary term {boundary:.3e} exceeds eps * |scale| "
-            f"({eps:.1e} * {abs(scale):.3e}); widen the window",
+            f"{label}: boundary term {boundary:.3e} exceeds EPS * |scale| "
+            f"({EPS:.1e} * {abs(scale):.3e}); widen the window",
             TailWarning,
             stacklevel=3,
         )
@@ -221,20 +220,20 @@ def jackson_integral_0a(f: LatticeFunction, a_exp: int, p: QParams) -> float:
     vals = f.values[a_exp - win.n_min :]
     terms = (1.0 - p.q) * p.q ** ks.astype(float) * vals
     total = float(np.sum(terms))
-    warn_boundary(terms[-1:], total, p.eps, "jackson_integral_0a")
+    warn_boundary(terms[-1:], total, "jackson_integral_0a")
     return total
 
 
 def jackson_integral_0inf(f: LatticeFunction, p: QParams) -> float:
     """Bilateral Jackson q-integral (1-q) sum_k q^k f(q^k) over the window.
 
-    Emits a TailWarning when either boundary term exceeds eps times the
+    Emits a TailWarning when either boundary term exceeds EPS times the
     running sum, signalling visible truncation.
     """
     ks = f.window.exponents().astype(float)
     terms = (1.0 - p.q) * p.q ** ks * f.values
     total = float(np.sum(terms))
-    warn_boundary((terms[0], terms[-1]), total, p.eps, "jackson_integral_0inf")
+    warn_boundary((terms[0], terms[-1]), total, "jackson_integral_0inf")
     return total
 
 

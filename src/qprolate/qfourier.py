@@ -61,7 +61,7 @@ def fqv_transform(f: LatticeFunction, plan: TransformPlan) -> LatticeFunction:
     scale = float(np.sum(np.abs(h)))
     if not np.isfinite(scale):
         raise ValueError("fqv_transform needs finite input values")
-    warn_boundary((h[0], h[-1]), scale, plan.params.eps, "fqv_transform")
+    warn_boundary((h[0], h[-1]), scale, "fqv_transform")
     c = plan.params.c_qv
     table, size = plan.kernel_table, h.size
     out = np.empty(size)

@@ -135,7 +135,7 @@ def reconstruct(
     terms = weights * samples * _grid_kernel(zs.reshape(-1), grid, b, p)
     totals = np.sum(terms, axis=1)
     for row, total in zip(terms, totals):
-        warn_boundary((row[0], row[-1]), total, p.eps, "reconstruct")
+        warn_boundary((row[0], row[-1]), total, "reconstruct")
     return float(totals[0]) if zs.ndim == 0 else totals.reshape(zs.shape)
 
 

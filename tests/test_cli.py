@@ -56,7 +56,6 @@ def test_eigen_invalid_q(tmp_path, capsys):
     "flags",
     [
         ["--v", "-2.0"],
-        ["--eps", "0"],
         ["--keep", "90"],
         ["--window", "5:1"],
         ["--window", "notaspan"],
@@ -67,6 +66,28 @@ def test_eigen_invalid_configs(tmp_path, flags, capsys):
     rc = main(["eigen", "--out", str(tmp_path), *flags])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eps_flag_is_unknown(tmp_path, capsys):
+    # the series tolerance is a fixed constant; --eps 1e-8 used to run,
+    # exit 0 and print lambda_0 = 1.000000006 for a contraction
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "--keep", "8", "--eps", "1e-8", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+    assert not (tmp_path / "eigen.csv").exists()
+
+
+def test_config_eps_key_is_ignored(tmp_path):
+    # an old manifest's eps is read as no setting: at 1e-8 the run used to
+    # differ from the run without it
+    outs = []
+    for extra in ({}, {"eps": 1e-8}):
+        config, out = tmp_path / f"c{len(outs)}.json", tmp_path / f"o{len(outs)}"
+        config.write_text(json.dumps({"keep": 8, **extra}))
+        assert main(["eigen", "--config", str(config), "--out", str(out)]) == 0
+        outs.append((out / "eigen.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_eigen_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -233,7 +254,7 @@ def test_manifest_reproduces_run(tmp_path):
 @pytest.mark.parametrize("content", [
     "[1, 2]", '{"window": 5}', '{"q": [1]}',
     '{"depth": 45.9, "keep": true, "a_exp": -1.5}', '{"window": [-15.7, 60]}',
-    '{"grid": [-10, 40.0]}', '{"v": true}', '{"eps": true}', '{"q": "0.5"}', '{"keep": 4.0}',
+    '{"grid": [-10, 40.0]}', '{"v": true}', '{"q": "0.5"}', '{"keep": 4.0}',
 ])
 def test_malformed_config_file_exit_code(tmp_path, capsys, content):
     # the first three used to end in a traceback with exit 1; the numbers
@@ -433,6 +454,10 @@ def test_manifest_contents(tmp_path):
     assert manifest["q"] == 0.6
     assert manifest["keep"] == 4
     assert manifest["window"] == [-15, 60]
+    assert "eps" not in manifest
+    python = "{}.{}.{}".format(*sys.version_info[:3])
+    assert manifest["versions"] == {"qprolate": qp.__version__, "python": python,
+                                    "numpy": np.__version__}
 
 
 def test_config_keys_are_the_run_settings():

@@ -79,7 +79,7 @@ def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
     # package's three values fall below 1 (at least to the float floor):
     # then it resolves 40 digits of any scale it could be confused with,
     # so agreement cannot come from both being wrong.  A kept float pass
-    # stops once a term is at most eps |partial sum|, so its error is the
+    # stops once a term is at most EPS |partial sum|, so its error is the
     # rounding of terms up to 1e6 |value|: q = 0.9, v = -0.9, s = -6
     # reaches 7.3e-11.  At q = 0.05, s <= -16 the value lies below the
     # float range and is +0.0 (the float pass sums to -2.9e304 at s = -16).
@@ -141,7 +141,7 @@ def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
     for v in (-0.5, 0.0):
         for s in range(-30, 0):
             passes.clear()
-            val = qbessel._series_checked(np.array([0.5 ** float(s)]), 0.5, v, 1e-14, [s])[0][0]
+            val = qbessel._series_checked(np.array([0.5 ** float(s)]), 0.5, v, [s])[0][0]
             assert len(passes) <= 1, (v, s, passes)
             assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
 
@@ -245,12 +245,16 @@ def test_jv_even_in_z():
         assert qp.jv(z, p).value == qp.jv(-z, p).value
 
 
-def test_jv_eps_halving_property():
-    # halving eps (more terms) moves the value by less than 10 eps relative
-    for q, v, z in [(0.5, 0.0, 1.7), (0.8, 1.5, 2.3), (0.3, -0.5, 0.9)]:
-        coarse = qp.jv(z, qp.QParams(q, v, eps=1e-10)).value
-        fine = qp.jv(z, qp.QParams(q, v, eps=5e-11)).value
-        assert abs(coarse - fine) <= 10 * 1e-10 * max(1.0, abs(fine))
+@pytest.mark.parametrize("q, v, z", [(0.5, 0.0, 1.7), (0.8, 1.5, 2.3), (0.3, -0.5, 0.9)])
+def test_jv_float_pass_vs_oracle(q, v, z):
+    # points where the float pass is kept: its truncation at the fixed
+    # tolerance stays within the oracle bound
+    from qprolate import qbessel
+
+    rep = qp.jv(z, qp.QParams(q, v))
+    assert not qbessel._needs_refinement(rep.value, rep.max_term_magnitude)
+    want = float(jv_series(z, q, v, dps=60))
+    assert rep.value == pytest.approx(want, rel=1e-9)
 
 
 def _reconstruct_z_grid(q):
@@ -304,7 +308,7 @@ def test_float_pass_matches_scalar_loop(q, v):
     from qprolate import qbessel
 
     z = np.concatenate([[0.0, 100.0], np.geomspace(1e-3, q**-12, 60)])
-    sums, terms, peaks = qbessel._series_float(z * z, q, v, 1e-14)
+    sums, terms, peaks = qbessel._series_float(z * z, q, v)
     want = [_float_pass_loop(float(x), q, v, 1e-14) for x in z]
     assert [tuple(t) for t in zip(sums.tolist(), terms.tolist(), peaks.tolist())] == want
 

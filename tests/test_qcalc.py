@@ -55,10 +55,16 @@ def test_qparams_constant():
     assert qp.QParams(0.5, 0.0).c_qv == 2.0
 
 
-@pytest.mark.parametrize("q,v,eps", [(1.5, 0.0, 1e-14), (0.0, 0.0, 1e-14), (0.5, -1.0, 1e-14), (0.5, 0.0, 0.0)])
-def test_qparams_validation(q, v, eps):
+@pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0)])
+def test_qparams_validation(q, v):
     with pytest.raises(ValueError):
-        qp.QParams(q, v, eps)
+        qp.QParams(q, v)
+
+
+def test_qparams_takes_no_tolerance():
+    # the series tolerance is the constant qcalc.EPS, not a setting
+    with pytest.raises(TypeError):
+        qp.QParams(0.5, -0.5, 1e-8)
 
 
 def test_window_basics():
