@@ -43,7 +43,6 @@ from .pswf import (
 )
 from .sampling import (
     DEFAULT_GRID,
-    SamplingGrid,
     convergence_study,
     kernel,
     project,
@@ -62,7 +61,6 @@ __all__ = [
     "LatticeWindow",
     "PswfBasis",
     "QParams",
-    "SamplingGrid",
     "SolverNoConvergence",
     "TailWarning",
     "TransformPlan",

@@ -34,7 +34,7 @@ from .pswf import (
 )
 from .qcalc import LatticeFunction, LatticeWindow, QParams
 from .qfourier import fqv_transform, make_plan
-from .sampling import SamplingGrid, project, reconstruct
+from .sampling import project, reconstruct
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,7 +75,7 @@ class RunConfig:
         self.params()
         Bandlimit(self.a_exp, self.depth)
         LatticeWindow(*self.window)
-        SamplingGrid(*self.grid)
+        LatticeWindow(*self.grid)
         if not 1 <= self.keep <= self.depth:
             raise ValueError("keep must lie in [1, depth]")
         if self.format not in ("csv", "json"):
@@ -336,8 +336,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
     window = LatticeWindow(*cfg.window)
-    grid = SamplingGrid(*cfg.grid)
-    if not (window.contains(grid.k_min) and window.contains(grid.k_max)):
+    grid = LatticeWindow(*cfg.grid)
+    if not (window.contains(grid.n_min) and window.contains(grid.n_max)):
         raise ValueError("sampling grid must lie inside the window")
     cfg.a_exps = cfg.a_exps or [0, -1, -2]
     if cfg.samples_file is None:
@@ -352,13 +352,13 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     plan = make_plan(window, p)
     # dense evaluation points: 200 uniform on [q^10, q^-1] plus the lattice
     # points of that span (the sampling-point range of the application)
-    z_lo, z_hi = cfg.q**10, cfg.q**-1
-    dense = np.linspace(z_lo, z_hi, 200)
-    lattice_span = [cfg.q ** float(n) for n in range(-1, 11)]
+    span = LatticeWindow(-1, 10)
+    lattice_span = span.points(cfg.q)
+    dense = np.linspace(lattice_span[-1], lattice_span[0], 200)
     # sorted and deduplicated without np.unique, which imports numpy.ma
     zs = np.sort(np.concatenate([dense, lattice_span]))
     zs = zs[np.concatenate(([True], np.diff(zs) > 0))]
-    span_exps = [n for n in range(-1, 11) if window.contains(n)]
+    span_exps = [int(n) for n in span.exponents() if window.contains(n)]
 
     for a_exp in cfg.a_exps:
         b = Bandlimit(a_exp, cfg.depth)
@@ -404,10 +404,8 @@ def cmd_transform(cfg: RunConfig) -> int:
     plan = make_plan(window, p)
     ff = fqv_transform(f, plan)
 
-    rows = [
-        (int(m), cfg.q ** float(m), float(val))
-        for m, val in zip(window.exponents(), ff.values)
-    ]
+    rows = list(zip(window.exponents().tolist(), window.points(cfg.q).tolist(),
+                    ff.values.tolist()))
     if cfg.format == "json":
         payload = [{"k": m, "point": pt, "value": val} for m, pt, val in rows]
         _write_atomic(out_dir / "transform.json", json.dumps(payload, indent=2) + "\n")
@@ -419,11 +417,8 @@ def cmd_transform(cfg: RunConfig) -> int:
         fff = fqv_transform(ff, plan)
         dev = float(np.max(np.abs(fff.values - f.values)))
         lines = ["k,point,f,f_roundtrip,abs_error"]
-        for i, m in enumerate(window.exponents()):
-            lines.append(
-                f"{int(m)},{cfg.q ** float(m):.12e},{f.values[i]:.12e},"
-                f"{fff.values[i]:.12e},{abs(fff.values[i] - f.values[i]):.12e}"
-            )
+        for (m, pt, _), x, y in zip(rows, f.values, fff.values):
+            lines.append(f"{m},{pt:.12e},{x:.12e},{y:.12e},{abs(y - x):.12e}")
         _write_atomic(out_dir / "roundtrip.csv", "\n".join(lines) + "\n")
         print(f"roundtrip sup deviation = {dev:.6e}")
     _write_manifest(cfg, out_dir, "transform")

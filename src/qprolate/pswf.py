@@ -79,7 +79,7 @@ from operator import mul
 import numpy as np
 
 from .qbessel import jv_array, lattice_table
-from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product, qpochhammer
+from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product, lattice_weights, qpochhammer
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -111,7 +111,8 @@ class ZeroFunction(ValueError):
 
 @dataclass(frozen=True)
 class Bandlimit:
-    """Band [0, a]_q with a = q^{a_exp}, truncated to its first ``depth`` points."""
+    """Band [0, a]_q with a = q^{a_exp}, truncated to its first ``depth``
+    points a q^m = q^{a_exp + m}, the lattice window ``window``."""
 
     a_exp: int
     depth: int
@@ -120,15 +121,13 @@ class Bandlimit:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
-    def weights(self, p: QParams) -> np.ndarray:
-        """Jackson weights w_m = (1-q) a^{2v+2} q^{m(2v+2)}, strictly decreasing."""
-        ms = np.arange(self.depth, dtype=float)
-        a = p.q ** float(self.a_exp)
-        return (1.0 - p.q) * a ** (2.0 * p.v + 2.0) * p.q ** (ms * (2.0 * p.v + 2.0))
+    @property
+    def window(self) -> LatticeWindow:
+        return LatticeWindow(self.a_exp, self.a_exp + self.depth - 1)
 
-    def point_exponents(self) -> np.ndarray:
-        """Exponents of the retained points a q^m = q^{a_exp + m}."""
-        return self.a_exp + np.arange(self.depth)
+    def weights(self, p: QParams) -> np.ndarray:
+        """Jackson weights w_m = (1-q) q^{(a_exp+m)(2v+2)} of the window's points."""
+        return lattice_weights(self.window, p)
 
 
 @dataclass(eq=False)
@@ -524,8 +523,9 @@ def eigendecompose(
     order = resolved[_pair_order([Decimal(x) for x in evals[resolved].tolist()],
                                  -round(math.log10(_FLOAT_RESOLUTION)))]
     w = b.weights(p)
-    # dividing by sqrt(w_m) in float64 needs every w_m, and the power of q
-    # in it, to be a normal float; otherwise the mp path divides
+    # dividing by sqrt(w_m) in float64 needs every w_m to be a normal float,
+    # else the mp path divides; q^{(M-1)(2v+2)} is not a factor of w_m, but
+    # stays in the test as a conservative guard
     normal = min(w[-1], p.q ** ((b.depth - 1) * (2.0 * p.v + 2.0))) >= np.finfo(float).tiny
     if len(order) >= keep and normal:
         top_pairs = order[:keep]
@@ -564,9 +564,7 @@ def eval_pswf_at(basis: PswfBasis, i: int, z: float) -> float:
         raise IndexError(f"eigenpair index {i} out of range")
     b = basis.bandlimit
     p = basis.params
-    a = p.q ** float(b.a_exp)
-    args = z * a * p.q ** np.arange(b.depth, dtype=float)
-    jvals = jv_array(args, p)
+    jvals = jv_array(z * b.window.points(p.q), p)
     return float(p.c_qv * np.dot(b.weights(p) * basis.unit_samples[i], jvals))
 
 
@@ -606,9 +604,8 @@ def concentration_index(f: LatticeFunction, b: Bandlimit, p: QParams) -> float:
     den = inner_product(g, g, p)
     if den == 0.0:
         raise ZeroFunction("concentration index undefined for the zero function")
-    w = b.weights(p)
-    samples = np.array([g.value_at_exp(int(k)) for k in b.point_exponents()])
-    return float(np.dot(w, samples * samples)) / den
+    inside = LatticeFunction(b.window, [g.value_at_exp(int(k)) for k in b.window.exponents()])
+    return inner_product(inside, inside, p) / den
 
 
 def eigen_report_json(basis: PswfBasis) -> str:
@@ -628,9 +625,7 @@ def eigen_report_csv(basis: PswfBasis) -> str:
     """CSV eigen-report: one row per lattice point, one column per psi_i."""
     header = "point," + ",".join(f"psi_{i}" for i in range(basis.count))
     lines = [header]
-    p = basis.params
-    for m, k in enumerate(basis.bandlimit.point_exponents()):
-        point = p.q ** float(k)
+    for m, point in enumerate(basis.bandlimit.window.points(basis.params.q)):
         row = [f"{point:.12e}"] + [f"{basis.eigenfunctions[i, m]:.12e}" for i in range(basis.count)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .qcalc import EPS, QParams, lattice_points, qpochhammer
+from .qcalc import EPS, LatticeWindow, QParams, lattice_points, lattice_weights, qpochhammer
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -347,13 +347,9 @@ def product_integral_direct(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    a = p.q ** float(a_exp)
-    ms = np.arange(depth, dtype=float)
-    args_y = y * a * p.q**ms
-    args_z = z * a * p.q**ms
-    prod = jv_array(args_y, p) * jv_array(args_z, p)
-    weights = p.q ** (ms * (2.0 * p.v + 2.0))
-    return float((1.0 - p.q) * a ** (2.0 * p.v + 2.0) * np.dot(weights, prod))
+    window = LatticeWindow(a_exp, a_exp + depth - 1)
+    t = window.points(p.q)
+    return float(np.dot(lattice_weights(window, p), jv_array(y * t, p) * jv_array(z * t, p)))
 
 
 def product_integral_quotient(y, z, jy, a_exp: int, p: QParams):

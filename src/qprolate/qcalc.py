@@ -156,7 +156,7 @@ class LatticeFunction:
     @classmethod
     def from_callable(cls, window: LatticeWindow, fn, q: float) -> "LatticeFunction":
         """Tabulate fn(q^k) over the window; fn receives the point x = q^k."""
-        return cls(window, np.array([fn(q ** float(k)) for k in window.exponents()]))
+        return cls(window, np.array([fn(x) for x in window.points(q).tolist()]))
 
     def value_at_exp(self, k: int) -> float:
         """f(q^k), exactly 0 outside the window."""

@@ -6,20 +6,23 @@ Any f in the q-Paley-Wiener space satisfies
     f(z) = (1-q) sum_k q^{2k(v+1)} f(q^k) k_z(q^k),
 
 where k_z is the reproducing kernel; the sampling points q^k do not
-depend on the band edge a.  The kernel is c_qv^2 times the product
-integral of ``qbessel``, and this module is the one place that chooses
-how to evaluate it: the closed form ``qbessel.product_integral_quotient``
-where the two arguments' squares are apart, and the direct Jackson sum
-``qbessel.product_integral_direct`` where they are not.  ``kernel``
-feeds the closed form with series values, the sampling sum with cached
-lattice values.  This module provides that kernel, the truncated
-reconstruction sum, the projection onto the bandlimited space, and the
-projection-error study driving the application experiment.
+depend on the band edge a, and a grid of them is a LatticeWindow.  The
+kernel is c_qv^2 times the product integral of ``qbessel`` over all of
+[0, a]_q, whatever the band's depth, and this module is the one place
+that chooses how to evaluate it: the closed form
+``qbessel.product_integral_quotient`` where the two arguments' squares
+are apart, and ``_near_diagonal``, the direct Jackson sum
+``qbessel.product_integral_direct`` with a closed-form tail, where they
+are not.  ``kernel`` feeds the closed form with series values, the
+sampling sum with cached lattice values.  This module provides that
+kernel, the truncated reconstruction sum, the projection onto the
+bandlimited space, and the projection-error study driving the
+application experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,26 +33,10 @@ from .qbessel import (
     product_integral_direct,
     product_integral_quotient,
 )
-from .qcalc import LatticeFunction, QParams, lattice_points, warn_boundary
+from .qcalc import EPS, LatticeFunction, LatticeWindow, QParams, lattice_weights, warn_boundary
 from .qfourier import TransformPlan, fqv_transform
 
-
-@dataclass(frozen=True)
-class SamplingGrid:
-    """Sample exponents k_min..k_max; sample k carries weight (1-q) q^{2k(v+1)}."""
-
-    k_min: int
-    k_max: int
-
-    def __post_init__(self):
-        if self.k_min > self.k_max:
-            raise ValueError("k_min must not exceed k_max")
-
-    def exponents(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
-
-
-DEFAULT_GRID = SamplingGrid(-10, 40)
+DEFAULT_GRID = LatticeWindow(-10, 40)
 
 
 def kernel(x, y, b: Bandlimit, p: QParams):
@@ -58,8 +45,9 @@ def kernel(x, y, b: Bandlimit, p: QParams):
 
     A float for scalar x and y, an array of their broadcast shape
     otherwise.  The closed form takes its x-side values from ``jv_array``;
-    where x^2 and y^2 are too close for it, the direct Jackson sum over
-    ``b.depth`` points.  Raises ValueError for a non-finite argument.
+    where x^2 and y^2 are too close for it, ``_near_diagonal`` sums the
+    same integral over all of [0, a]_q; only ``b.a_exp`` is read.  Raises
+    ValueError for a non-finite argument.
     Far past 1 (a x or a y near q^s, s << 0) j_v swings, between the
     lattice points, to values some q^{-s^2} times larger than at them,
     so the rounding of the float arguments can swamp the value there;
@@ -69,7 +57,7 @@ def kernel(x, y, b: Bandlimit, p: QParams):
     xs, ys = x.reshape(-1), y.reshape(-1)
     a = p.q ** float(b.a_exp)
     jx = (jv_array(a * xs, p, p.v + 1.0), jv_array(a * xs / p.q, p))
-    out = _kernel_values(xs, ys, jx, b, p).reshape(x.shape)
+    out = _kernel_values(xs, ys, jx, b.a_exp, p).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,57 +70,71 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
                [q^{2n} j_{v+1}(a q^n) j_v(a q^{-1} z) - z^2 j_{v+1}(a z) j_v(a q^{n-1})]
                / (q^{2n} - z^2),
 
-    or the direct Jackson sum when q^{2n} and z^2 are too close for the
+    or ``_near_diagonal`` when q^{2n} and z^2 are too close for the
     difference quotient.
     """
-    return float(_grid_kernel(np.array([float(z)]), SamplingGrid(n, n), b, p)[0, 0])
+    return float(_grid_kernel(np.array([float(z)]), LatticeWindow(n, n), b, p)[0, 0])
 
 
-def _grid_kernel(zs: np.ndarray, grid: SamplingGrid, b: Bandlimit, p: QParams) -> np.ndarray:
+def _grid_kernel(zs: np.ndarray, grid: LatticeWindow, b: Bandlimit, p: QParams) -> np.ndarray:
     """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``, with
     the lattice factors of the closed form read once from the exponent
     cache."""
-    s_min, s_max = b.a_exp + grid.k_min, b.a_exp + grid.k_max
+    s_min, s_max = b.a_exp + grid.n_min, b.a_exp + grid.n_max
     jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
-    return _kernel_values(lattice_points(p.q, grid.exponents()), zs[:, None], jy, b, p)
+    return _kernel_values(grid.points(p.q), zs[:, None], jy, b.a_exp, p)
 
 
-def _kernel_values(y: np.ndarray, z: np.ndarray, jy, b: Bandlimit, p: QParams) -> np.ndarray:
-    """c_qv^2 times the product integral at the broadcast y and z (at least
-    1-D), given the closed form's y-side values ``jy``: the closed form
-    where it is separated, the direct Jackson sum at the other entries."""
-    values, separated = product_integral_quotient(y, z, jy, b.a_exp, p)
+def _kernel_values(y: np.ndarray, z: np.ndarray, jy, a_exp: int, p: QParams) -> np.ndarray:
+    """c_qv^2 times the product integral over [0, q^{a_exp}]_q at the
+    broadcast y and z (at least 1-D), given the closed form's y-side
+    values ``jy``: the closed form where it is separated,
+    ``_near_diagonal`` at the other entries."""
+    values, separated = product_integral_quotient(y, z, jy, a_exp, p)
     out = p.c_qv**2 * values
     y, z = np.broadcast_arrays(y, z)
     for i in zip(*np.nonzero(~separated)):
-        out[i] = p.c_qv**2 * product_integral_direct(float(y[i]), float(z[i]), b.a_exp, p, b.depth)
+        out[i] = p.c_qv**2 * _near_diagonal(float(y[i]), float(z[i]), a_exp, p)
     return out
+
+
+def _near_diagonal(y: float, z: float, a_exp: int, p: QParams) -> float:
+    """int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t over all of [0, a]_q, as the
+    closed form gives it, whatever the band's depth: the Jackson sum over
+    the n points t = a q^m with c1 (t max(y, z))^2 > EPS, c1 =
+    q^2 / ((1-q^2)(1-q^{2v+2})) being j_v's x^2 coefficient, plus the sum
+    (1-q) (a q^n)^{2v+2} / (1-q^{2v+2}) of the remaining weights, on
+    which both factors are 1 to EPS."""
+    qv = p.q ** (2.0 * p.v + 2.0)
+    c1 = p.q * p.q / ((1.0 - p.q * p.q) * (1.0 - qv))
+    xmax = p.q ** float(a_exp) * max(abs(y), abs(z))
+    n = max(math.ceil((0.5 * math.log(EPS / c1) - math.log(xmax)) / math.log(p.q)), 0) if xmax else 0
+    head = product_integral_direct(y, z, a_exp, p, n) if n else 0.0
+    return head + float(lattice_weights(LatticeWindow(a_exp + n, a_exp + n), p)[0]) / (1.0 - qv)
 
 
 def reconstruct(
     samples: np.ndarray,
     z: float | np.ndarray,
-    grid: SamplingGrid,
+    grid: LatticeWindow,
     b: Bandlimit,
     p: QParams,
 ) -> float | np.ndarray:
     """Truncated sampling sum (1-q) sum_k q^{2k(v+1)} samples[k] k_z(q^k).
 
-    ``samples[i]`` must hold f(q^k) for k = grid.k_min + i.  ``z`` is a
-    float, which returns a float, or an array, which returns an array of
-    its shape.  Emits a TailWarning for each z at which a boundary term of
-    the sum is still significant; raises ValueError for non-finite
-    samples or z.
+    ``samples[i]`` must hold f(q^k) for k = grid.n_min + i; only
+    ``b.a_exp`` is read.  ``z`` is a float, which returns a float, or an
+    array, which returns an array of its shape.  Emits a TailWarning for
+    each z at which a boundary term of the sum is still significant;
+    raises ValueError for non-finite samples or z.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.k_max - grid.k_min + 1,):
+    if samples.shape != (grid.size,):
         raise ValueError("samples length does not match the grid")
     zs = np.asarray(z, dtype=float)
     if not (np.isfinite(samples).all() and np.isfinite(zs).all()):
         raise ValueError("reconstruct needs finite samples and a finite z")
-    ks = grid.exponents().astype(float)
-    weights = (1.0 - p.q) * p.q ** (2.0 * ks * (p.v + 1.0))
-    terms = weights * samples * _grid_kernel(zs.reshape(-1), grid, b, p)
+    terms = lattice_weights(grid, p) * samples * _grid_kernel(zs.reshape(-1), grid, b, p)
     totals = np.sum(terms, axis=1)
     for row, total in zip(terms, totals):
         warn_boundary((row[0], row[-1]), total, "reconstruct")

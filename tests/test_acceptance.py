@@ -187,7 +187,7 @@ def test_eigensystem_suite(basis12, basis25, bandlimit, p_half, psi_tabs):
 def test_sampling_reconstruction_suite(basis12, bandlimit, p_half, psi_tabs):
     # sampling sum on grid [-10, 40] vs the analytic extension of psi_0
     t0 = time.time()
-    grid = qp.SamplingGrid(-10, 40)
+    grid = qp.LatticeWindow(-10, 40)
     samples = np.array([psi_tabs[0].value_at_exp(int(k)) for k in grid.exponents()])
     worst_off = max(
         abs(qp.reconstruct(samples, z, grid, bandlimit, p_half) - qp.eval_pswf_at(basis12, 0, z))
@@ -196,7 +196,7 @@ def test_sampling_reconstruction_suite(basis12, bandlimit, p_half, psi_tabs):
     worst_lat = max(
         abs(
             qp.reconstruct(samples, p_half.q ** float(j), grid, bandlimit, p_half)
-            - samples[j - grid.k_min]
+            - samples[j - grid.n_min]
         )
         for j in (-6, -1, 0, 3, 9, 15)
     )

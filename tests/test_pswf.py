@@ -18,6 +18,28 @@ def test_matrix_small_case(p_half):
     assert B[0, 0] == pytest.approx(want, rel=1e-14)
 
 
+def test_weights_are_the_lattice_weights_to_the_last_normal_float():
+    # w_m = (1-q) q^{(a_exp+m)(2v+2)} in one power of q.  A partial power
+    # a^{2v+2} q^{m(2v+2)} underflows before w_m does: on these bands it
+    # flushes 7 normal weights to 0.0 and errs by up to 0.14 relative on
+    # others (a weight of 2.5e-304 at q = 0.134, v = 2.62, a_exp = -2 comes
+    # out 1.2e-312), where the one power errs by at most 1.2e-13
+    rng = np.random.default_rng(2026)
+    tiny = np.finfo(float).tiny
+    for _ in range(200):
+        q, v = float(rng.uniform(0.05, 0.95)), float(rng.uniform(-0.95, 3.0))
+        b = qp.Bandlimit(int(rng.integers(-5, 3)), int(rng.integers(3, 120)))
+        got = b.weights(qp.QParams(q, v))
+        with mp.workdps(30):
+            want = [float((1 - mp.mpf(q)) * mp.mpf(q) ** ((b.a_exp + m) * (2 * mp.mpf(v) + 2)))
+                    for m in range(b.depth)]
+        for g, w in zip(got, want):
+            if w >= tiny:
+                assert abs(g - w) <= 2e-13 * w, (q, v, b)
+            elif g == 0.0:
+                assert w < 2.0**-1074, (q, v, b)
+
+
 def test_matrix_antidiagonal_structure(p_half):
     b = qp.Bandlimit(0, 20)
     B = qp.build_operator_matrix(b, p_half)
@@ -252,15 +274,16 @@ def test_mp_solve_keeps_relative_precision_on_tiny_weights():
 
 @pytest.mark.parametrize("a_exp, keep", [(-2, 4), (-4, 4), (-4, 8)])
 def test_underflowing_weights_give_finite_samples(a_exp, keep):
-    # at q = 0.05, v = 3/2 the last ten weights underflow float64, so the
-    # float64 eigenvectors cannot be divided by sqrt(w_m) there; the
-    # samples must come out finite, without a RuntimeWarning, as
-    # orthonormal eigenvectors of B, and, psi_i being analytic in x^2,
-    # equal to psi_i(0) at every a q^m, m >= 30, the underflowed ones too
+    # at q = 0.05, v = 3/2 the last weights (eight at a_exp = -2, six at
+    # -4) underflow float64, so the float64 eigenvectors cannot be divided
+    # by sqrt(w_m) there; the samples must come out finite, without a
+    # RuntimeWarning, as orthonormal eigenvectors of B, and, psi_i being
+    # analytic in x^2, equal to psi_i(0) at every a q^m, m >= 30, the
+    # underflowed ones too
     import warnings
 
     b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.05, 1.5)
-    assert (b.weights(p) == 0.0).sum() == 10
+    assert (b.weights(p) == 0.0).sum() == {-2: 8, -4: 6}[a_exp]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         basis = qp.compute_basis(b, p, keep=keep)
@@ -779,11 +802,18 @@ def test_kernel_closed_vs_direct(bandlimit, p_half):
 
 
 def test_kernel_degenerate_takes_direct_sum(bandlimit, p_half):
-    assert qp.kernel(0.7, 0.7, bandlimit, p_half) == direct_kernel(0.7, 0.7, bandlimit, p_half)
+    # the near-diagonal entries, and only they, take the Jackson sum over
+    # all of [0, a]_q
+    from qprolate.sampling import _near_diagonal
+
+    def near(x, y):
+        return p_half.c_qv**2 * _near_diagonal(x, y, bandlimit.a_exp, p_half)
+
+    assert qp.kernel(0.7, 0.7, bandlimit, p_half) == near(0.7, 0.7)
     x = np.array([0.7, 0.7 * (1 + 1e-11), 0.3])
     got = qp.kernel(x, 0.7, bandlimit, p_half)
     assert got.shape == (3,)
-    assert got[1] == direct_kernel(x[1], 0.7, bandlimit, p_half)
+    assert got[1] == near(float(x[1]), 0.7)
     assert got[2] == qp.kernel(0.3, 0.7, bandlimit, p_half)
 
 

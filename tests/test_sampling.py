@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import qprolate as qp
+from _oracles import product_integral
 from conftest import direct_kernel, supported_function
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return qp.SamplingGrid(-10, 40)
+    return qp.LatticeWindow(-10, 40)
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +21,8 @@ def psi0_samples(basis12, psi_tabs, grid):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        qp.SamplingGrid(3, 1)
-    g = qp.SamplingGrid(-2, 2)
+        qp.LatticeWindow(3, 1)
+    g = qp.LatticeWindow(-2, 2)
     assert (g.exponents() == [-2, -1, 0, 1, 2]).all()
 
 
@@ -59,21 +60,53 @@ def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, 
     rows = _grid_kernel(p_half.q ** ks.astype(float), grid, bandlimit, p_half)
     for row, k in zip(rows, ks):
         z = p_half.q ** float(k)
-        assert row[k - grid.k_min] == qp.sampling_kernel(z, int(k), bandlimit, p_half)
+        assert row[k - grid.n_min] == qp.sampling_kernel(z, int(k), bandlimit, p_half)
 
 
 def test_grid_kernel_forms_points_as_the_lattice_cache(bandlimit, grid):
     # at q = 0.9, k = 12 numpy's array power q ** 12.0 lies one ulp from
     # Python's (numpy 2.4), which moved this entry by about 2 ulps; the grid
     # point must be Python's, the point whose j_v the lattice cache holds,
-    # so the diagonal entry at z = q ** float(k) is the direct sum at
-    # (z, z) bit for bit
-    from qprolate.sampling import _grid_kernel
+    # so the diagonal entry at z = q ** float(k) is the near-diagonal sum
+    # at (z, z) bit for bit
+    from qprolate.sampling import _grid_kernel, _near_diagonal
 
     p, k = qp.QParams(0.9, 0.3), 12
     z = p.q ** float(k)
-    got = _grid_kernel(np.array([z]), grid, bandlimit, p)[0, k - grid.k_min]
-    assert got == p.c_qv**2 * qp.product_integral_direct(z, z, bandlimit.a_exp, p, bandlimit.depth)
+    got = _grid_kernel(np.array([z]), grid, bandlimit, p)[0, k - grid.n_min]
+    assert got == p.c_qv**2 * _near_diagonal(z, z, bandlimit.a_exp, p)
+
+
+def _kernel_oracle_cases():
+    """(q, v, a_exp, x): the cases of a fixed list, then seeded draws whose
+    oracle depth (below) stays within 1,000 points."""
+    cases = [(0.9, 0.0, 0, 0.7), (0.3, 1.7, 1, 2.0), (0.5, -0.5, -2, 0.3), (0.8, 2.5, -3, 0.05)]
+    rng = np.random.default_rng(2027)
+    while len(cases) < 14:
+        q, v = float(rng.uniform(0.05, 0.95)), float(rng.uniform(-0.95, 3.0))
+        a_exp = int(rng.integers(-3, 2))
+        if _oracle_depth(q, v) <= 1000:
+            cases.append((q, v, a_exp, float(rng.uniform(0.05, 1.5)) / q**a_exp))
+    return cases
+
+
+def _oracle_depth(q, v):
+    """Points of [0, a]_q past which the weights sum below 1e-16 of the
+    first; the oracle's Jackson sum has no tail."""
+    e = 2.0 * v + 2.0
+    return math.ceil((16.0 - math.log10(1.0 - q**e)) / (e * -math.log10(q)))
+
+
+@pytest.mark.parametrize("q, v, a_exp, x", _kernel_oracle_cases(),
+                         ids=lambda x: f"{x:.3g}")
+def test_kernel_near_diagonal_is_the_whole_band(q, v, a_exp, x):
+    # where x^2 and y^2 are too close for the closed form, the kernel must
+    # still be its integral over all of [0, a]_q, whatever the band's depth:
+    # at (0.9, 0, 0, 0.7) a sum cut at the band's 5 points is 61% off
+    p, y = qp.QParams(q, v), x * (1.0 + 1e-12)
+    got = qp.kernel(x, y, qp.Bandlimit(a_exp, 5), p)
+    want = p.c_qv**2 * float(product_integral(x, y, a_exp, q, v, _oracle_depth(q, v), dps=30))
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
@@ -89,7 +122,7 @@ def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
 
 
 def test_reconstruct_zero(bandlimit, p_half, grid):
-    samples = np.zeros(grid.k_max - grid.k_min + 1)
+    samples = np.zeros(grid.size)
     assert qp.reconstruct(samples, 0.3, grid, bandlimit, p_half) == 0.0
 
 
@@ -100,7 +133,7 @@ def test_reconstruct_shape_check(bandlimit, p_half, grid):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_reconstruct_rejects_non_finite(bandlimit, p_half, grid, bad):
-    samples = np.ones(grid.k_max - grid.k_min + 1)
+    samples = np.ones(grid.size)
     with pytest.raises(ValueError):
         qp.reconstruct(samples, bad, grid, bandlimit, p_half)
     samples[3] = bad
@@ -110,7 +143,7 @@ def test_reconstruct_rejects_non_finite(bandlimit, p_half, grid, bad):
 
 def test_reconstruct_linear_in_samples(bandlimit, p_half, grid):
     rng = np.random.default_rng(31)
-    n = grid.k_max - grid.k_min + 1
+    n = grid.size
     s1 = rng.standard_normal(n)
     s2 = rng.standard_normal(n)
     alpha = 0.731
@@ -134,7 +167,7 @@ def test_reconstruct_lattice_self_consistency(bandlimit, p_half, grid, psi0_samp
     for j in (-5, 0, 4, 12):
         z = p_half.q ** float(j)
         got = qp.reconstruct(psi0_samples, z, grid, bandlimit, p_half)
-        assert abs(got - psi0_samples[j - grid.k_min]) <= 1e-7, j
+        assert abs(got - psi0_samples[j - grid.n_min]) <= 1e-7, j
 
 
 def test_reconstruct_kernel_section(bandlimit, p_half, grid):
@@ -165,13 +198,12 @@ def test_seeded_reproducing_property(seed):
     p, b = qp.QParams(q, v), qp.Bandlimit(a_exp, 60)
     basis = qp.compute_basis(b, p, keep=4)
     width = math.ceil(24 / ((2 * v + 2) * -math.log10(q)))
-    grid = qp.SamplingGrid(a_exp - width, a_exp + width)
-    window = qp.LatticeWindow(grid.k_min, grid.k_max)
+    grid = qp.LatticeWindow(a_exp - width, a_exp + width)
     ns = np.arange(a_exp, a_exp + 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", qp.TailWarning)
         for i in range(4):
-            psi = qp.pswf_on_window(basis, i, window)
+            psi = qp.pswf_on_window(basis, i, grid)
             got = qp.reconstruct(psi.values, q ** ns.astype(float), grid, b, p)
             want = np.array([psi.value_at_exp(int(n)) for n in ns])
             assert np.abs(got - want).max() <= 1e-8 * np.abs(psi.values).max(), i
@@ -220,7 +252,7 @@ def test_project_matches_kernel_inner_product(bandlimit, plan_half, window, p_ha
 
 
 def test_reconstruct_tail_warning_for_slow_decay(bandlimit, p_half, grid):
-    # samples of 1/(1+x^2): the k = k_min term is still 6.5e-13 of the sum
+    # samples of 1/(1+x^2): the k = n_min term is still 6.5e-13 of the sum
     ks = grid.exponents().astype(float)
     samples = 1.0 / (1.0 + p_half.q ** (2.0 * ks))
     with pytest.warns(qp.TailWarning):
@@ -251,7 +283,7 @@ def test_reconstruct_on_array_matches_scalar_calls(p_half, grid, a_exp):
 
 
 def test_reconstruct_no_tail_warning_for_compact_support(bandlimit, p_half, grid):
-    samples = np.zeros(grid.k_max - grid.k_min + 1)
+    samples = np.zeros(grid.size)
     samples[5:20] = np.random.default_rng(53).standard_normal(15)
     with warnings.catch_warnings():
         warnings.simplefilter("error", qp.TailWarning)
