@@ -9,11 +9,22 @@ first term that does not grow and lies at most EPS |partial sum|.  It
 transparently reruns the same series in the standard library's decimal
 arithmetic (libmpdec), with enough digits, for each element whose peak
 term dwarfs the result or whose float pass overflowed.  ``jv`` (a batch
-of one), ``jv_array`` and the lattice cache behind ``jv_at_exponent`` and
-``lattice_table`` share that one float-then-refine step, so an element's
-value does not depend on the batch it came in.  A kept float pass is good
-to about 1e-10 relative: its peak may reach 1e6 |value|.  A value beyond
-the float range raises OverflowError; one below it is 0.0.
+of one) and ``jv_array`` share that one float-then-refine step, so an
+element's value does not depend on the batch it came in.  A kept float
+pass is good to a few 1e-10 relative: its peak may reach 1e6 |value|.  A
+value beyond the float range raises OverflowError; one below it is +0.0.
+
+The transform, the operator and the sampling sum read j_v only at the
+lattice points q^s, through the cache behind ``jv_at_exponent`` and
+``lattice_table``, and at s < 0 the series cancels worst.  There the cache
+sums no series: g_s = j_v(q^s, q^2) solves the Hahn-Exton q-difference
+equation g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0, b_s = 1 + q^{2v} -
+q^{2s+2} (Koornwinder & Swarttouw 1992, Trans. AMS 333), and below s = 0
+it is the equation's minimal solution, found from the continued fraction
+of its ratios (Gautschi 1967, SIAM Rev. 9) and scaled to one decimal
+series, at z = 1; ``_lattice_recurrence`` says how.  Points s > 0, where
+the series cancels less, take the float-then-refine step, refined at the
+exact point q^s.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
@@ -39,8 +50,15 @@ from .qcalc import EPS, LatticeWindow, QParams, lattice_points, lattice_weights,
 # cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
-# log10 of 2^-1075: a value below it rounds to zero in float64
-_LOG10_ROUNDS_TO_ZERO = -1075 * math.log10(2.0)
+# the largest |z| whose square the float pass can form
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+# digits of the lattice recurrence's context, and the digits its anchor
+# j_v(1) keeps past the cancellation of its series
+_RECURRENCE_DIGITS = 40
+_ANCHOR_DIGITS = 30
+# steps below the lowest exponent asked for, or below the recurrence's
+# turning point where that lies lower, at which the ratios start from 0
+_RATIO_DEPTH = 60
 
 
 @dataclass
@@ -130,8 +148,8 @@ def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
 def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
     """Series at the working precision of ``ctx``; returns (sum, max_term)
     as Decimals.  The argument is the float z, converted exactly, or, given
-    a lattice exponent s, the power q^s formed at that precision, so deep
-    negative exponents stay consistent."""
+    a lattice exponent s, the power q^s formed at that precision, so that a
+    refined lattice value is the exact point's."""
     with localcontext(ctx):
         qd = Decimal(q)
         x = qd**s if s is not None else Decimal(z)
@@ -156,47 +174,37 @@ def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
             term = nxt
 
 
-def _series_refined(z, q: float, v: float, max_term_hint: float, s: int | None = None) -> float:
-    """Decimal evaluation with digits escalated until the sum is resolved.
+def _series_refined(
+    z, q: float, v: float, max_term_hint: float, kept: int = 18, s: int | None = None
+) -> Decimal:
+    """Decimal sum of the series, at z or at the lattice point q^s, with
+    digits escalated until it is resolved.
 
     Starts at 40 digits past the float pass's peak term (200 when it
-    overflowed) and doubles until at least 18 digits survive the
-    cancellation.  At a lattice exponent s < 0 the value can lie far below
-    1.  There the start rises to 50 digits past the peak's ratio to
-    ``jv_bound(s)``, and to 28 past its ratio to C q^{s^2 - (2v+1) s},
-    C = ``jv_bound(0)``, when either is more.  That last is where
-    |j_v(q^s)| lies: 0 to 15 digits below it for q 0.05-0.95, v -0.95..10,
-    s -40..-1; for v > -1/2 the bound's q^{s^2 + (2v+1) s} overstates it
-    by q^{2 (2v+1) s}, and below -1/2 the two coincide.  Where
-    ``jv_bound(s)`` lies below 2^-1075, the value rounds to +0.0 and no
-    series is summed.  Raises OverflowError when the resolved value lies
-    beyond the float range.
+    overflowed) and doubles until at least ``kept`` digits survive the
+    cancellation.
     """
-    if s is not None and s < 0:
-        # in logs, since the bound underflows at deep s
-        log_c, lq = math.log10(jv_bound(0, QParams(q, v))), math.log10(q)
-        if log_c + _bound_exponent(s, v) * lq < _LOG10_ROUNDS_TO_ZERO:
-            return 0.0
     if math.isfinite(max_term_hint) and max_term_hint > 0:
-        peak = math.log10(max_term_hint)
-        dps = 40 + int(peak)
-        if s is not None and s < 0:
-            dps = max(dps, 50 + int(peak - log_c - _bound_exponent(s, v) * lq),
-                      28 + int(peak - log_c - (s * s - (2.0 * v + 1.0) * s) * lq))
+        dps = 40 + int(math.log10(max_term_hint))
     else:
         dps = 200
     while True:
         ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
         total, max_term = _series_decimal(z, q, v, ctx, s)
-        if total == 0 or max_term.scaleb(18 - dps, ctx) < total.copy_abs():
-            value = float(total)
-            if math.isinf(value):
-                arg = f"q^{s}" if s is not None else repr(z)
-                raise OverflowError(f"j_{v}({arg}) = {total:.6e} lies beyond the float range")
-            return value
+        if total == 0 or max_term.scaleb(kept - dps, ctx) < total.copy_abs():
+            return total
         dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
+
+
+def _rounded(value: Decimal, v: float, arg: str) -> float:
+    """A resolved value rounded once to float, +0.0 where it underflows;
+    raises OverflowError, naming j_v(``arg``), beyond the float range."""
+    out = float(value)
+    if math.isinf(out):
+        raise OverflowError(f"j_{v}({arg}) = {value:.6e} lies beyond the float range")
+    return out + 0.0  # turns -0.0 into +0.0
 
 
 def _needs_refinement(val, max_term):
@@ -210,12 +218,67 @@ def _series_checked(z: np.ndarray, q: float, v: float, s=None):
     """Float pass of the series at each z of the 1-D ``z``, each element
     for which ``_needs_refinement`` holds rerun in decimal arithmetic (at
     its lattice exponent, when ``s`` gives one per element); returns
-    (values, terms, peaks), the last two from the float pass."""
+    (values, terms, peaks), the last two from the float pass.  Raises
+    OverflowError, before any squaring, for a |z| whose square lies beyond
+    the float range."""
+    big = np.flatnonzero(np.abs(z) > _SQRT_FLOAT_MAX)
+    if big.size:
+        raise OverflowError(
+            f"j_{v}({float(z[big[0]])!r}): the argument's square lies beyond the float range"
+        )
     vals, terms, peaks = _series_float(z * z, q, v)
     for i in np.flatnonzero(_needs_refinement(vals, peaks)):
-        si = None if s is None else int(s[i])
-        vals[i] = _series_refined(float(z[i]), q, v, float(peaks[i]), si)
+        x, si = float(z[i]), None if s is None else int(s[i])
+        total = _series_refined(x, q, v, float(peaks[i]), s=si)
+        vals[i] = _rounded(total, v, repr(x) if si is None else f"q^{si}")
     return vals, terms, peaks
+
+
+def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
+    """j_v(q^s, q^2) at each exponent s <= 0 of ``exps``, from the
+    Hahn-Exton q-difference equation, in decimal at _RECURRENCE_DIGITS.
+
+    With b_s = 1 + q^{2v} - q^{2s+2}, g_s = j_v(q^s) solves
+    g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0, and below s = 0 it is the
+    minimal solution, which falls like q^{s^2}: run downward, the
+    recurrence for g itself would amplify the dominant one.  The ratios
+    R_s = g_s / g_{s+1} = q^{2v} / (b_{s-1} - R_{s-1}) are a continued
+    fraction, stable taken upward (Gautschi 1967).  They start from 0
+    _RATIO_DEPTH steps below the lowest exponent, or below the turning
+    point, the largest s at which q^{2s+2} >= (1 + q^v)^2, where that lies
+    lower: above it the equation oscillates and the start's error does
+    not decay, so near q = 1 the depth counts from there.  Then
+    g_s = R_s g_{s+1} runs down from the anchor g_0 = j_v(1), the decimal
+    series at z = 1 resolved to _ANCHOR_DIGITS digits.  q^{2v} is
+    ``_qv_power``'s q^{2v+2} over q^2, and each power q^{2s+2} is q^2
+    divided down from s = 0, so a value does not depend on the table it
+    was read in.  Each value is rounded once to float, +0.0 where it
+    underflows; one beyond the float range raises OverflowError.  On
+    seeded draws over q 0.05-0.995, v -0.99..3, s -40..0, every value was
+    the exact point's value correctly rounded, against the series summed
+    at up to 1,500 digits.
+    """
+    s_min = min(exps)
+    turn = math.floor(math.log1p(q**v) / math.log(q)) - 1
+    lo = min(s_min, turn) - _RATIO_DEPTH
+    peak = float(_series_float(np.ones(1), q, v)[2][0])
+    anchor = _series_refined(1.0, q, v, peak, _ANCHOR_DIGITS)
+    ctx = Context(prec=_RECURRENCE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    with localcontext(ctx):
+        q2 = Decimal(q) * Decimal(q)
+        q2v = _qv_power(q, v, ctx) / q2
+        powers = [q2]  # powers[k] = q^{2s+2} at s = -k
+        for _ in range(-lo):
+            powers.append(powers[-1] / q2)
+        ratios = {}
+        ratio = Decimal(0)  # R_lo
+        for s in range(lo + 1, 0):
+            ratio = q2v / (1 + q2v - powers[1 - s] - ratio)
+            ratios[s] = ratio
+        values = {0: +anchor}
+        for s in range(-1, s_min - 1, -1):
+            values[s] = ratios[s] * values[s + 1]
+    return [_rounded(values[s], v, f"q^{s}") for s in exps]
 
 
 def jv(z: float, p: QParams) -> BesselEvalReport:
@@ -227,11 +290,12 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     describes the float-series behaviour that triggered it).  The float
     pass stops at the first term that does not grow and lies at most
     EPS |partial sum|, so a kept float pass errs by the rounding of terms
-    up to 1e6 |value|: the worst measured is 9.1e-11 relative, at
-    q = 0.4254, v = 1.867, z = q^-2 (max_term 7.0e5 |value|), and 4.1e-11
+    up to 1e6 |value|: the worst measured is 2.7e-10 relative, at
+    q = 0.95, v = -0.1, z = 0.95^5 (max_term 7.8e5 |value|), and 4.1e-11
     at q = 0.9, v = -1/2, z = 0.9^-5.  Raises ValueError for a non-finite
     z, on which the refinement would never resolve, and OverflowError when
-    the value lies beyond the float range.
+    the value lies beyond the float range or |z| above about 1.34e154,
+    whose square the float pass cannot form.
     """
     if not math.isfinite(z):
         raise ValueError(f"jv needs a finite argument, got {z!r}")
@@ -248,9 +312,11 @@ class _LatticeCache:
     """Process-wide j_v(q^s, q^2), keyed by (q, v, s).
 
     ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
-    counts calls, and sums all of its misses in one ``_series_checked``
-    call, at the arguments ``lattice_points(q, s)``.  A read that
-    would pass ``maxsize`` empties the cache first.
+    counts calls.  It computes all of its misses at s <= 0 in one
+    ``_lattice_recurrence`` call, and all of those at s > 0 in one
+    ``_series_checked`` call at the arguments ``lattice_points(q, s)``,
+    which refines a value at the exact point q^s.
+    A read that would pass ``maxsize`` empties the cache first.
     """
 
     def __init__(self, maxsize: int):
@@ -266,9 +332,13 @@ class _LatticeCache:
             if len(values) + len(missing) > self.maxsize:
                 values.clear()
                 missing = keys
-            s = [k[2] for k in missing]
-            vals = _series_checked(lattice_points(q, s), q, v, s)[0]
-            values.update(zip(missing, vals.tolist()))
+            low = [s for _, _, s in missing if s <= 0]
+            high = [s for _, _, s in missing if s > 0]
+            if low:
+                values.update(zip([(q, v, s) for s in low], _lattice_recurrence(q, v, low)))
+            if high:
+                vals = _series_checked(lattice_points(q, high), q, v, high)[0]
+                values.update(zip([(q, v, s) for s in high], vals.tolist()))
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return [values[k] for k in keys]
@@ -337,19 +407,29 @@ def _bound_exponent(n: int, v: float) -> float:
     return n * n - abs((2.0 * v + 1.0) * n)
 
 
-def product_integral_direct(
-    y: float, z: float, a_exp: int, p: QParams, depth: int
-) -> float:
+def product_integral_direct(y, z, a_exp: int, p: QParams, depth):
     """Jackson-sum evaluation of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t.
 
     The brute-force twin of ``product_integral_quotient``; ``depth`` is
-    the number of lattice points of [0, a]_q retained.
+    the number of lattice points of [0, a]_q retained.  Broadcast over y,
+    z and depth: a float for scalars, an array of their broadcast shape
+    otherwise.  Each side's points of all the sums go through one
+    ``jv_array`` call, and each sum is the one its arguments give alone.
     """
-    if depth < 1:
+    y, z, depth = np.broadcast_arrays(
+        np.asarray(y, dtype=float), np.asarray(z, dtype=float), np.asarray(depth)
+    )
+    if (depth < 1).any():
         raise ValueError("depth must be >= 1")
-    window = LatticeWindow(a_exp, a_exp + depth - 1)
-    t = window.points(p.q)
-    return float(np.dot(lattice_weights(window, p), jv_array(y * t, p) * jv_array(z * t, p)))
+    ns = [int(n) for n in depth.reshape(-1)]
+    window = LatticeWindow(a_exp, a_exp + max(ns) - 1)
+    t, w = window.points(p.q), lattice_weights(window, p)
+    ys, zs = y.reshape(-1).tolist(), z.reshape(-1).tolist()
+    jy = jv_array(np.concatenate([yi * t[:n] for yi, n in zip(ys, ns)]), p)
+    jz = jv_array(np.concatenate([zi * t[:n] for zi, n in zip(zs, ns)]), p)
+    prod, starts = jy * jz, np.cumsum([0] + ns).tolist()
+    out = np.array([np.dot(w[:n], prod[i:i + n]) for i, n in zip(starts, ns)]).reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def product_integral_quotient(y, z, jy, a_exp: int, p: QParams):

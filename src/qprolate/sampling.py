@@ -92,25 +92,34 @@ def _kernel_values(y: np.ndarray, z: np.ndarray, jy, a_exp: int, p: QParams) -> 
     ``_near_diagonal`` at the other entries."""
     values, separated = product_integral_quotient(y, z, jy, a_exp, p)
     out = p.c_qv**2 * values
-    y, z = np.broadcast_arrays(y, z)
-    for i in zip(*np.nonzero(~separated)):
-        out[i] = p.c_qv**2 * _near_diagonal(float(y[i]), float(z[i]), a_exp, p)
+    near = ~separated
+    if near.any():
+        y, z = np.broadcast_arrays(y, z)
+        out[near] = p.c_qv**2 * _near_diagonal(y[near], z[near], a_exp, p)
     return out
 
 
-def _near_diagonal(y: float, z: float, a_exp: int, p: QParams) -> float:
+def _near_diagonal(y: np.ndarray, z: np.ndarray, a_exp: int, p: QParams) -> np.ndarray:
     """int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t over all of [0, a]_q, as the
-    closed form gives it, whatever the band's depth: the Jackson sum over
-    the n points t = a q^m with c1 (t max(y, z))^2 > EPS, c1 =
-    q^2 / ((1-q^2)(1-q^{2v+2})) being j_v's x^2 coefficient, plus the sum
-    (1-q) (a q^n)^{2v+2} / (1-q^{2v+2}) of the remaining weights, on
-    which both factors are 1 to EPS."""
+    closed form gives it, whatever the band's depth, at each pair of the
+    1-D ``y`` and ``z``: the Jackson sum over the n points t = a q^m with
+    c1 (t max(y, z))^2 > EPS, c1 = q^2 / ((1-q^2)(1-q^{2v+2})) being j_v's
+    x^2 coefficient, plus the sum (1-q) (a q^n)^{2v+2} / (1-q^{2v+2}) of
+    the remaining weights, on which both factors are 1 to EPS.  The pairs'
+    sums are one ``product_integral_direct`` call."""
     qv = p.q ** (2.0 * p.v + 2.0)
     c1 = p.q * p.q / ((1.0 - p.q * p.q) * (1.0 - qv))
-    xmax = p.q ** float(a_exp) * max(abs(y), abs(z))
-    n = max(math.ceil((0.5 * math.log(EPS / c1) - math.log(xmax)) / math.log(p.q)), 0) if xmax else 0
-    head = product_integral_direct(y, z, a_exp, p, n) if n else 0.0
-    return head + float(lattice_weights(LatticeWindow(a_exp + n, a_exp + n), p)[0]) / (1.0 - qv)
+    cut = 0.5 * math.log(EPS / c1)
+    xmax = (p.q ** float(a_exp) * np.maximum(np.abs(y), np.abs(z))).tolist()
+    ns = np.array(
+        [max(math.ceil((cut - math.log(x)) / math.log(p.q)), 0) if x else 0 for x in xmax]
+    )
+    heads = np.zeros(ns.size)
+    summed = ns > 0
+    if summed.any():
+        heads[summed] = product_integral_direct(y[summed], z[summed], a_exp, p, ns[summed])
+    tails = lattice_weights(LatticeWindow(a_exp, a_exp + int(ns.max())), p)[ns]
+    return heads + tails / (1.0 - qv)
 
 
 def reconstruct(

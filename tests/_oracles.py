@@ -64,6 +64,16 @@ def jv_series(z, q, v, dps=40):
                 return total
 
 
+def jv_lattice(q, v, s, dps):
+    """j_v(q^s, q^2) at the exact lattice point, with q^s formed inside the
+    working precision: an ``mp.mpf(q) ** s`` formed outside it is rounded
+    to 53 bits, which at s < 0 changes every digit of the value.  ``dps``
+    must cover the series' cancellation, the digits by which its peak term
+    exceeds the value."""
+    with mp.workdps(dps):
+        return jv_series(mp.mpf(q) ** int(s), q, v, dps)
+
+
 def product_integral(y, z, a_exp, q, v, depth, dps=40):
     """Direct Jackson sum of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t."""
     with mp.workdps(dps):

@@ -807,7 +807,8 @@ def test_kernel_degenerate_takes_direct_sum(bandlimit, p_half):
     from qprolate.sampling import _near_diagonal
 
     def near(x, y):
-        return p_half.c_qv**2 * _near_diagonal(x, y, bandlimit.a_exp, p_half)
+        pair = np.array([x]), np.array([y])
+        return p_half.c_qv**2 * _near_diagonal(*pair, bandlimit.a_exp, p_half)[0]
 
     assert qp.kernel(0.7, 0.7, bandlimit, p_half) == near(0.7, 0.7)
     x = np.array([0.7, 0.7 * (1 + 1e-11), 0.3])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import jv_series, product_integral, qpoch
+from _oracles import jv_lattice, jv_series, product_integral, qpoch
 from conftest import closed_form
 
 
@@ -124,51 +124,29 @@ def test_jv_beyond_float_range_raises():
         qp.jv_array(np.array([1.0, 100.0]), qp.QParams(0.99, -0.5))
 
 
-def test_negative_lattice_exponents_refine_in_one_pass(monkeypatch):
-    # at s < 0 the value lies far below the peak term; starting from the
-    # peak's ratio to jv_bound(s), one decimal pass resolves each value of
-    # the default (-15, 60) plan
-    from qprolate import qbessel
-
-    passes = []
-    real = qbessel._series_decimal
-
-    def counted(z, q, v, ctx, s=None):
-        passes.append(ctx.prec)
-        return real(z, q, v, ctx, s)
-
-    monkeypatch.setattr(qbessel, "_series_decimal", counted)
-    for v in (-0.5, 0.0):
-        for s in range(-30, 0):
-            passes.clear()
-            val = qbessel._series_checked(np.array([0.5 ** float(s)]), 0.5, v, [s])[0][0]
-            assert len(passes) <= 1, (v, s, passes)
-            assert val == qp.jv_at_exponent(s, qp.QParams(0.5, v))
-
-
-def test_cold_plan_refines_each_value_once_at_large_order(monkeypatch):
-    # at v = 1.7 jv_bound(s) overstates |j_v(q^s)| by q^{2(2v+1)s}; the
-    # start from C q^{s^2 - (2v+1)s} must resolve each of the 28 values
-    # that a cold (-15, 60) plan at q = 1/2 refines in one decimal series
-    # (the start from the bound alone summed 19 of them twice), and the
-    # non-integer power q^{2v+2} is formed once, 20 digits past the
-    # deepest value's, and rounded into the others
+def test_cold_plan_sums_one_series_per_order(monkeypatch):
+    # a cold (-15, 60) plan at q = 1/2, v = 1.7 reads s = -30..120: the
+    # values at s <= 0 come from the q-difference equation, which sums one
+    # decimal series, its anchor j_v(1), and those at s > 0 keep their
+    # float pass; the non-integer power q^{2v+2} is kept 20 digits past
+    # the most asked for and rounded into the others
     from qprolate import qbessel
 
     series = []
     real = qbessel._series_decimal
 
     def counted(z, q, v, ctx, s=None):
-        series.append((s, ctx.prec))
+        series.append((z, v, ctx.prec))
         return real(z, q, v, ctx, s)
 
     monkeypatch.setattr(qbessel, "_series_decimal", counted)
     qbessel._jv_exp_cached.cache_clear()
     qbessel._QV_POWERS.clear()
     qp.make_plan(qp.LatticeWindow(-15, 60), qp.QParams(0.5, 1.7))
-    refined = {s for s, _ in series}
-    assert len(refined) == 28 and len(series) == 28
-    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(prec for _, prec in series) + 20
+    assert [(z, v) for z, v, _ in series] == [(1.0, 1.7)]
+    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(
+        qbessel._RECURRENCE_DIGITS, *(prec for _, _, prec in series)
+    ) + 20
 
 
 def test_power_kept_at_more_digits_rounds_into_fewer():
@@ -217,9 +195,9 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
     qbessel._QV_POWERS.clear()
     before = qp.jv_array(z, p)
     assert sum(d < 52 for d in digits) >= 10
-    qbessel._jv_exp_cached.cache_clear()
-    qp.jv_at_exponent(-40, p)
-    assert qbessel._QV_POWERS[0.9, 0.3][0] > 200
+    kept = qbessel._QV_POWERS[0.9, 0.3][0]
+    qp.jv(5000.0, p)  # refined at 340 digits
+    assert qbessel._QV_POWERS[0.9, 0.3][0] > kept
     assert np.array_equal(qp.jv_array(z, p), before)
 
 
@@ -237,6 +215,22 @@ def test_negative_lattice_exponents_at_large_order(q, v):
         want = float(qbessel._series_decimal(None, q, v, ctx, s)[0])
         got = qp.jv_at_exponent(s, qp.QParams(q, v))
         assert math.isfinite(got) and got == want, (s, got, want)
+
+
+def test_arguments_whose_square_overflows_raise_overflow_error():
+    # the float pass squares z, which overflows above about 1.34e154; the
+    # named OverflowError must come first, not numpy's overflow warning
+    import warnings
+
+    p = qp.QParams(0.5, -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="1e\\+160"):
+            qp.jv(1e160, p)
+        with pytest.raises(OverflowError):
+            qp.jv_array(np.array([1.0, -1e200]), p)
+        with pytest.raises(OverflowError):
+            qp.kernel(1e200, 1e200, qp.Bandlimit(0, 60), p)
 
 
 def test_jv_even_in_z():
@@ -324,32 +318,54 @@ def test_batch_size_does_not_change_an_element():
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.3, 1.7), (0.7, -0.9)])
 def test_jv_at_exponent_is_jv_at_the_lattice_point(q, v):
-    # a lattice value whose float pass is kept is the float pass at the
-    # Python float q ** float(s); refined ones form q^s in decimal instead
+    # at s > 0 a lattice value is the float pass at the Python float
+    # q ** float(s), which is kept there; at s <= 0 it comes from the
+    # q-difference equation and is the exact point's value correctly
+    # rounded, where the float pass at the rounded point errs by up to
+    # 1e-10 relative
     from qprolate import qbessel
 
     p = qp.QParams(q, v)
-    kept = 0
-    for s in range(-12, 40):
+    for s in range(1, 40):
         rep = qp.jv(q ** float(s), p)
-        if not qbessel._needs_refinement(rep.value, rep.max_term_magnitude):
-            kept += 1
-            assert qp.jv_at_exponent(s, p) == rep.value, s
-    assert kept >= 40
+        assert not qbessel._needs_refinement(rep.value, rep.max_term_magnitude), s
+        assert qp.jv_at_exponent(s, p) == rep.value, s
+    for s in range(-12, 1):
+        got = qp.jv_at_exponent(s, p)
+        assert got == float(jv_lattice(q, v, s, _oracle_digits(s, q, v, got))), s
+
+
+@pytest.mark.parametrize("q, v, exps", [(0.95, -0.5, range(1, 12)), (0.97, -0.9, range(18, 24))])
+def test_refined_lattice_values_above_zero_are_the_exact_points(q, v, exps):
+    # near q = 1 the float pass at s > 0 cancels past _REFINE_RATIO at
+    # some points; their decimal rerun forms q^s at its own digits, so the
+    # value is the exact point's correctly rounded, where a rerun at the
+    # float point q ** float(s) errs by up to 2.7e-13 relative
+    from qprolate import qbessel
+
+    p = qp.QParams(q, v)
+    refined = 0
+    for s in exps:
+        rep = qp.jv(q ** float(s), p)
+        if qbessel._needs_refinement(rep.value, rep.max_term_magnitude):
+            refined += 1
+            got = qp.jv_at_exponent(s, p)
+            assert got == float(jv_lattice(q, v, s, _oracle_digits(s, q, v, got))), s
+    assert refined >= 3
 
 
 def test_lattice_values_below_the_float_range_sum_no_series(monkeypatch):
-    # where jv_bound(s) lies below 2^-1075 the value rounds to +0.0, and no
-    # decimal series, of up to thousands of digits, is summed to find that
-    # out; at q = 0.99 the y-side tables of a reconstruct at a_exp = -460
-    # lie near 1e-880
+    # at s <= 0 a lattice table sums one decimal series, its anchor j_v(1),
+    # whatever its depth: at q = 0.99 the y-side tables of a reconstruct
+    # at a_exp = -460 lie near 1e-880, and each value rounds to +0.0
+    # without a series of its own
     from qprolate import qbessel
 
     series = []
     real = qbessel._series_decimal
 
     def counted(z, q, v, ctx, s=None):
-        series.append(s)
+        series.append((q, v, z))
         return real(z, q, v, ctx, s)
 
     monkeypatch.setattr(qbessel, "_series_decimal", counted)
@@ -359,13 +375,88 @@ def test_lattice_values_below_the_float_range_sum_no_series(monkeypatch):
         qbessel.lattice_table(qp.QParams(0.99, 0.5), -470, -420, 1.5),
         qbessel.lattice_table(qp.QParams(0.99, 0.5), -471, -421),
     ]
-    assert series == []
+    assert series == [(0.05, 0.7, 1.0), (0.99, 1.5, 1.0), (0.99, 0.5, 1.0)]
     for table in tables:
         assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in table)
     # below v = -1/2 the paper's form C q^{s^2 + (2v+1) s} of the bound
-    # lies 40 digits under this subnormal value, so it must not set the
-    # early zero
+    # lies 40 digits under this subnormal value
     assert qp.jv_at_exponent(-16, qp.QParams(0.05, -0.99)) == 3.74033201837e-312
+
+
+def _oracle_digits(s, q, v, value):
+    """Digits at which ``jv_lattice`` resolves j_v(q^s) to 40 digits: the
+    peak term's over ``value`` (at least the float floor), plus those the
+    oracle's stopping test leaves out, the denominators' (q^2;q^2)_inf
+    (q^{2v+2};q^2)_inf, which near q = 1 reach 1e-15."""
+    den = sum(
+        math.log10((1 - q ** (2 * k + 2)) * (1 - q ** (2 * v + 2 * k + 2))) for k in range(2000)
+    )
+    floor = math.log10(max(abs(value), np.finfo(float).tiny))
+    return int(_log10_peak(s, q, v) - floor - den) + 40
+
+
+def test_lattice_recurrence_vs_exact_point_oracle():
+    # seeded draws at s <= 0 over q 0.05-0.95, v -0.99..3, s -40..0, kept
+    # where the oracle needs at most 1,500 digits: each value lies within
+    # one ulp of the series summed at the exact point q^s (0 ulps on all
+    # of them, and on 300 more draws with q up to 0.995, when this was
+    # written)
+    rng = np.random.default_rng(2606)
+    checked = 0
+    while checked < 24:
+        q, v, s = rng.uniform(0.05, 0.95), rng.uniform(-0.99, 3.0), int(rng.integers(-40, 1))
+        got = qp.jv_at_exponent(s, qp.QParams(q, v))
+        dps = _oracle_digits(s, q, v, got)
+        if dps > 1500:
+            continue
+        want = float(jv_lattice(q, v, s, dps))
+        assert abs(got - want) <= math.ulp(want), (q, v, s, got, want)
+        checked += 1
+
+
+@pytest.mark.parametrize("q, v", [(0.5, 0.5), (0.05, 0.7), (0.3, 1.7), (0.95, -0.1), (0.99, 0.0)])
+def test_cold_lattice_table_sums_only_its_anchor(monkeypatch, q, v):
+    # a cold s = -30..0 table, at either order, sums one decimal series:
+    # j_v(1), which anchors the q-difference equation
+    from qprolate import qbessel
+
+    series = []
+    real = qbessel._series_decimal
+
+    def counted(z, q, v, ctx, s=None):
+        series.append((z, v))
+        return real(z, q, v, ctx, s)
+
+    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    qbessel._jv_exp_cached.cache_clear()
+    p = qp.QParams(q, v)
+    qbessel.lattice_table(p, -30, 0)
+    qbessel.lattice_table(p, -30, 0, v + 1.0)
+    assert series == [(1.0, v), (1.0, v + 1.0)]
+
+
+@pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.3, 1.7), (0.8, -0.1), (0.95, 0.5), (0.99, -0.9)])
+def test_lattice_value_does_not_depend_on_its_table(monkeypatch, q, v):
+    # a value at s is the same read alone, inside a table from s - 40, or
+    # after a deeper table filled the cache, and with the ratios started
+    # twice as deep
+    from qprolate import qbessel
+
+    p = qp.QParams(q, v)
+    exps = range(-25, 1, 3)
+    alone, within = [], []
+    for s in exps:
+        qbessel._jv_exp_cached.cache_clear()
+        alone.append(qp.jv_at_exponent(s, p))
+        qbessel._jv_exp_cached.cache_clear()
+        within.append(qbessel.lattice_table(p, s - 40, s)[-1])
+    qbessel._jv_exp_cached.cache_clear()
+    qbessel.lattice_table(p, -80, -30)
+    after = [qp.jv_at_exponent(s, p) for s in exps]
+    monkeypatch.setattr(qbessel, "_RATIO_DEPTH", 2 * qbessel._RATIO_DEPTH)
+    qbessel._jv_exp_cached.cache_clear()
+    deeper = qbessel.lattice_table(p, -25, 0)[::3].tolist()
+    assert alone == within == after == deeper
 
 
 def test_jv_report_fields():

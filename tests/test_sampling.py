@@ -74,7 +74,54 @@ def test_grid_kernel_forms_points_as_the_lattice_cache(bandlimit, grid):
     p, k = qp.QParams(0.9, 0.3), 12
     z = p.q ** float(k)
     got = _grid_kernel(np.array([z]), grid, bandlimit, p)[0, k - grid.n_min]
-    assert got == p.c_qv**2 * _near_diagonal(z, z, bandlimit.a_exp, p)
+    assert got == p.c_qv**2 * _near_diagonal(np.array([z]), np.array([z]), bandlimit.a_exp, p)[0]
+
+
+def _whole_band_pair(y, z, a_exp, p):
+    """c_qv^2 times the integral over all of [0, a]_q at one pair, as
+    ``product_integral_direct`` at the depth where j_v's x^2 term falls
+    below EPS plus the closed-form sum of the remaining weights."""
+    qv = p.q ** (2.0 * p.v + 2.0)
+    c1 = p.q * p.q / ((1.0 - p.q * p.q) * (1.0 - qv))
+    xmax = p.q ** float(a_exp) * max(abs(y), abs(z))
+    n = 0
+    if xmax:
+        n = max(math.ceil((0.5 * math.log(qp.qcalc.EPS / c1) - math.log(xmax)) / math.log(p.q)), 0)
+    head = qp.product_integral_direct(y, z, a_exp, p, n) if n else 0.0
+    tail = float(qp.lattice_weights(qp.LatticeWindow(a_exp + n, a_exp + n), p)[0]) / (1.0 - qv)
+    return p.c_qv**2 * (head + tail)
+
+
+@pytest.mark.parametrize(
+    "q, v", [(0.5, -0.5), (0.5, 0.0), (0.9, 0.3), (0.27, 2.2), (0.7, -0.93)]
+)
+def test_near_diagonal_entries_are_the_pairwise_sums(q, v):
+    # the near-diagonal entries of a grid kernel, which sums all of them in
+    # one jv_array call per side, are bit for bit the Jackson sum of each
+    # pair on its own, at the reconstruct z grid of a_exp 0, -1, -2 (its 12
+    # lattice points are grid points) and at seeded pairs near the diagonal
+    # through kernel
+    from qprolate.sampling import _grid_kernel
+
+    p, grid = qp.QParams(q, v), qp.LatticeWindow(-10, 40)
+    span = qp.LatticeWindow(-1, 10).points(q)
+    zs = np.unique(np.concatenate([np.linspace(span[-1], span[0], 200), span]))
+    points = grid.points(q)
+    for a_exp in (0, -1, -2):
+        b = qp.Bandlimit(a_exp, 60)
+        rows = _grid_kernel(zs, grid, b, p)
+        near = [(i, k) for i, z in enumerate(zs) for k in range(grid.size) if z == points[k]]
+        assert len(near) == 12
+        for i, k in near:
+            assert rows[i, k] == _whole_band_pair(float(points[k]), float(zs[i]), a_exp, p)
+    rng = np.random.default_rng(2608)
+    x = np.exp(rng.uniform(math.log(q**6), math.log(q**-2), 8))
+    y = x * (1.0 + rng.uniform(-1e-10, 1e-10, 8))
+    y[:2] = x[:2]
+    a_exp = int(rng.integers(-2, 2))
+    got = qp.kernel(x, y, qp.Bandlimit(a_exp, 60), p)
+    want = [_whole_band_pair(xi, yi, a_exp, p) for xi, yi in zip(x.tolist(), y.tolist())]
+    assert got.tolist() == want
 
 
 def _kernel_oracle_cases():
