@@ -37,7 +37,6 @@ from .pswf import (
     concentration_index,
     eigen_report_csv,
     eigen_report_json,
-    eigendecompose,
     eval_pswf_at,
     pswf_on_window,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "convolve",
     "eigen_report_csv",
     "eigen_report_json",
-    "eigendecompose",
     "eval_pswf_at",
     "fqv_transform",
     "inner_product",

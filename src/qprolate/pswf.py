@@ -8,11 +8,11 @@ the only discretization.  In the weighted coordinates y_m = sqrt(w_m) u_m
 the operator matrix B_km = c_qv sqrt(w_k w_m) j_v(a^2 q^{k+m}, q^2) is
 symmetric, and its eigenvalues fall off so fast (roughly like q^{3 i^2}
 at q = 1/2) that everything past the fourth pair drowns in float64
-roundoff of B itself.  The eigensolver therefore escalates to an
+roundoff of B itself.  Every eigenpair therefore comes from one
 extended-precision solve at enough digits to resolve every retained pair;
 results are returned in float64.
 
-The extended-precision solve never forms B.  With
+That solve never forms B.  With
 j_v(x, q^2) = sum_n (-1)^n c_n x^{2n},
 c_n = q^{n(n+1)} / ((q^2;q^2)_n (q^{2v+2};q^2)_n) > 0, B = G J G^T exactly,
 where G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) = D_n y_n^k,
@@ -41,8 +41,7 @@ short, by three times the digits it lacks plus the guard instead, when
 that is less.
 Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
 clusters tie at any working precision, and the signs alternate from +
-inside a tie; the float64 pairs are sorted the same way, at the 11 digits
-they resolve.
+inside a tie.
 
 That solve runs on fixed-point integers (``fixedla``), 10 guard digits
 past those: the Cholesky factor of H, stopped at M rows, the rank of H,
@@ -84,11 +83,13 @@ from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product, latti
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
 _LAMBDA_FLOOR = 1e-150
-# float64 eigh of B resolves |lambda| down to about this fraction of the top
-_FLOAT_RESOLUTION = 1e-11
 _MAX_DPS = 3000
 # digits every retained eigenvalue must resolve to, relative to the top one
 _RESOLVED_DIGITS = 25
+# digits of |lambda| that order the pairs: fewer than any retained lambda
+# resolves, so that the +-1 clusters at band edges above 1 tie whatever
+# the working digits
+_TIE_DIGITS = 20
 # digits added to the estimated depth of the keep-th pair, and kept spare
 # in the smallest entry of a retained eigenvector
 _DEPTH_GUARD = 2
@@ -224,8 +225,8 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
     ascending order as Decimals (all of them, or fewer once those left lay
     below the keep-th largest |eigenvalue| deflated); and ``units(lams)``,
     the float64 unit eigenvectors of B for the eigenvalues ``lams``
-    divided by sqrt(w_m).  ``fixedla`` is imported here, so that only this
-    solve pays for it.
+    divided by sqrt(w_m).  ``fixedla`` is imported here, so that the
+    commands that never solve for eigenpairs do not pay for it.
     """
     from . import fixedla
 
@@ -362,9 +363,9 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
     """Basis from eigenpairs of B in descending |lambda| order.
 
     ``units[i]`` is the unit eigenvector of ``lams[i]`` divided by
-    sqrt(w_m), in float64; it is formed by the caller, where the weights
-    are still representable.  Pairs stop at _LAMBDA_FLOOR, and ``units``
-    may hold only the pairs above it.  Each sign is fixed by
+    sqrt(w_m), in float64, as the solve forms it without dividing by a
+    weight.  Pairs stop at _LAMBDA_FLOOR, and ``units`` may hold only the
+    pairs above it.  Each sign is fixed by
     _sample_sign, and the samples are lambda * unit.
     """
     units = iter(units)
@@ -380,13 +381,13 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
     return PswfBasis(b, p, np.array(kept), np.array(funcs), np.array(rows))
 
 
-def _pair_order(evals, digits: int) -> list[int]:
+def _pair_order(evals) -> list[int]:
     """Indices of the ascending eigenvalues ``evals`` (Decimals) in the
-    order of the retained pairs: by |lambda| rounded to ``digits`` digits,
-    descending; inside a tie by the rank among the earlier members of the
-    same sign, then + before -, so that the signs alternate from +, as
-    they do down the spectrum."""
-    key = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    order of the retained pairs: by |lambda| rounded to _TIE_DIGITS
+    digits, descending; inside a tie by the rank among the earlier members
+    of the same sign, then + before -, so that the signs alternate from +,
+    as they do down the spectrum."""
+    key = Context(prec=_TIE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
     mags = [key.abs(x) for x in evals]
     seen, rank = Counter(), []  # rank: earlier members of the same sign
     for mag, lam in zip(mags, evals):
@@ -402,9 +403,7 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     entries of a retained eigenvector lack, or None when a deeper retained
     pair is unresolved, which leaves no estimate of its depth."""
     evals, units = _mp_eigensystem(b, p, dps, keep)
-    # 20 digits, fewer than any retained lambda resolves, so that the +-1
-    # clusters at band edges above 1 tie whatever the working digits
-    order = _pair_order(evals, 20)[:keep]
+    order = _pair_order(evals)[:keep]
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
         if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
@@ -426,10 +425,12 @@ def _lost_digits(lams, rows, spectrum) -> float:
     within gap.  Vectors of one float64 eigenvalue span an eigenspace with
     no unique basis, so each index takes the largest |entry| any of them
     has there (which a rotation of g vectors moves by at most sqrt(g); a
-    root of a sum of squares would underflow at entries of 1e-170)."""
+    root of a sum of squares would underflow at entries of 1e-170).
+    The distinct lambdas come from a set, not np.unique, which imports
+    numpy.ma."""
     lams, mags, spectrum = np.array(lams), np.abs(np.array(rows)), np.array(spectrum)
     lost = 0.0
-    for lam in np.unique(lams):
+    for lam in set(lams.tolist()):
         env = mags[lams == lam].max(axis=0)
         mag = np.log10(env[env != 0])
         gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
@@ -437,9 +438,10 @@ def _lost_digits(lams, rows, spectrum) -> float:
     return lost
 
 
-def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:
-    """Digits by which the keep-th |eigenvalue| lies below min(top, 1),
-    estimated from the pivots of the moment matrix K = G^T G.
+def _pivot_depth(b: Bandlimit, p: QParams, keep: int) -> float:
+    """Digits by which the keep-th |eigenvalue| lies below
+    min(|lambda_0|, 1), estimated from the pivots of the moment matrix
+    K = G^T G.
 
     G[k,n] = D_n y_n^k with y_n = q^{v+1+2n} and
     D_n^2 = c_qv (1-q) c_n a^{2(v+1+2n)}, so G = V diag(D) with V the
@@ -454,12 +456,13 @@ def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:
     depth infinity K is a diagonally scaled Cauchy matrix and
     R_kk(W)^2 = 1 / ((1 - y_k^2) prod_{j<k} (1 - y_j y_k)^2); truncation
     only lowers the pivots (K_M <= K_inf), which is why W is taken at
-    depth M.  The graded |eigenvalues| follow the pivots, so the keep-th
-    largest pivot stands in for |lambda_{keep-1}|.  Inside a +-1 cluster
-    pivots exceed 1 while |lambda| stays at 1, hence the clamp at 0; no
-    retained pair lies deeper than _LAMBDA_FLOOR, hence the cap.  The
-    graded factors are taken in logs, since D_n^2 underflows float64
-    within a few dozen terms."""
+    depth M.  The graded |eigenvalues| follow the pivots, so the largest
+    pivot stands in for |lambda_0| and the keep-th largest for
+    |lambda_{keep-1}|.  Inside a +-1 cluster pivots exceed 1 while
+    |lambda| stays at 1, hence the clamp at 0; no retained pair lies
+    deeper than _LAMBDA_FLOOR, hence the cap.  The graded factors are
+    taken in logs, since D_n^2 underflows float64 within a few dozen
+    terms."""
     lq, m = math.log(p.q), b.depth
 
     def log1m(e):  # log(1 - q^e), e > 0
@@ -480,21 +483,14 @@ def _pivot_depth(b: Bandlimit, p: QParams, keep: int, top: float) -> float:
         w[row] = y * w[row - 1]
         w[row, 1:] += w[row - 1, :-1]
     log_r = np.log(np.abs(np.diag(np.linalg.qr(w, mode="r"))))
-    level = np.sort(log_d2 + 2.0 * (log_t + log_r))[-keep] / math.log(10.0)
-    depth = min(math.log10(top), 0.0) - level
+    levels = np.sort(log_d2 + 2.0 * (log_t + log_r)) / math.log(10.0)
+    depth = min(levels[-1], 0.0) - levels[-keep]
     return min(max(depth, 0.0), -math.log10(_LAMBDA_FLOOR))
 
 
-def eigendecompose(
-    B: np.ndarray, b: Bandlimit, p: QParams, keep: int = 15
-) -> PswfBasis:
-    """Eigenpairs of the concentration operator, largest |lambda| first.
-
-    The float64 matrix B resolves eigenvalues down to roughly 1e-13 of
-    the spectral radius; retained pairs below that level are re-derived
-    from (b, p) at extended precision, since the information is absent
-    from B itself.  So are all pairs when a weight w_m underflows the
-    normal float range, where float64 cannot divide by sqrt(w_m).
+def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
+    """The ``keep`` eigenpairs of the concentration operator with the
+    largest |lambda|, largest first, from the extended-precision solve.
 
     That solve works at 25 digits past the depth of the keep-th pair below
     the top, plus a guard of 2, the depth estimated by ``_pivot_depth``
@@ -512,27 +508,7 @@ def eigendecompose(
         raise ValueError("keep must be >= 1")
     if keep > b.depth:
         raise ValueError("keep must not exceed the bandlimit depth")
-    try:
-        evals, evecs = np.linalg.eigh(B)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise SolverNoConvergence(str(exc)) from exc
-    # the pairs float64 resolves, in the order of _basis_from_mp's, at the
-    # digits they resolve to
-    top = np.abs(evals).max()
-    resolved = np.flatnonzero(np.abs(evals) > _FLOAT_RESOLUTION * top)
-    order = resolved[_pair_order([Decimal(x) for x in evals[resolved].tolist()],
-                                 -round(math.log10(_FLOAT_RESOLUTION)))]
-    w = b.weights(p)
-    # dividing by sqrt(w_m) in float64 needs every w_m to be a normal float,
-    # else the mp path divides; q^{(M-1)(2v+2)} is not a factor of w_m, but
-    # stays in the test as a conservative guard
-    normal = min(w[-1], p.q ** ((b.depth - 1) * (2.0 * p.v + 2.0))) >= np.finfo(float).tiny
-    if len(order) >= keep and normal:
-        top_pairs = order[:keep]
-        units = (evecs[:, top_pairs] / np.sqrt(w)[:, None]).T
-        return _retain(b, p, evals[top_pairs], units)
-
-    dps = _RESOLVED_DIGITS + math.ceil(_pivot_depth(b, p, keep, top)) + _DEPTH_GUARD
+    dps = _RESOLVED_DIGITS + math.ceil(_pivot_depth(b, p, keep)) + _DEPTH_GUARD
     stepped = False
     while dps <= _MAX_DPS:
         basis, short = _basis_from_mp(b, p, keep, dps)
@@ -546,11 +522,6 @@ def eigendecompose(
     raise SolverNoConvergence(
         f"spectrum unresolved at the {_MAX_DPS}-digit budget (keep={keep})"
     )
-
-
-def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
-    """Build the operator matrix and eigendecompose it in one step."""
-    return eigendecompose(build_operator_matrix(b, p), b, p, keep)
 
 
 def eval_pswf_at(basis: PswfBasis, i: int, z: float) -> float:

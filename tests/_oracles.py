@@ -46,22 +46,28 @@ def jv_series(z, q, v, dps=40):
         z = mp.mpf(z)
         q = mp.mpf(q)
         v = mp.mpf(v)
-        total = mp.mpf(0)
-        peak = mp.mpf(0)
-        n = 0
-        while True:
-            term = (
+
+        def term(n):
+            return (
                 (-1) ** n
                 * q ** (n * (n + 1))
                 * z ** (2 * n)
                 / (qpoch(q * q, q * q, n, dps) * qpoch(q ** (2 * v + 2), q * q, n, dps))
             )
-            total += term
-            peak = max(peak, abs(term))
+
+        total = mp.mpf(0)
+        peak = mp.mpf(0)
+        n, now = 0, term(0)
+        while True:
+            total += now
+            peak = max(peak, abs(now))
             n += 1
-            nxt = abs(z) ** (2 * n) * q ** (n * (n + 1))
-            if n > 4 and nxt < mp.mpf(10) ** (-dps) * max(1, peak) and nxt < abs(term):
+            # the whole next term, denominators too: near q = 1 they fall
+            # to 1e-15 and below
+            nxt = term(n)
+            if n > 4 and abs(nxt) < mp.mpf(10) ** (-dps) * max(1, peak) and abs(nxt) < abs(now):
                 return total
+            now = nxt
 
 
 def jv_lattice(q, v, s, dps):

@@ -26,13 +26,28 @@ def _tracing():
         sys.path.remove(str(PERFBENCH.parent))
 
 
+# functions the benchmark still traces that the package has deleted on
+# purpose: the tracer skips a missing attribute, so their spans read 0
+# until the benchmark's own list drops them
+RETIRED = {("qprolate.pswf", "eigendecompose")}
+
+
 @pytest.mark.parametrize("modname, attr, name", [
-    entry for entry in _tracing().TRACED if entry[0].split(".")[0] == "qprolate"
+    entry for entry in _tracing().TRACED
+    if entry[0].split(".")[0] == "qprolate" and entry[:2] not in RETIRED
 ])
 def test_traced_functions_exist(modname, attr, name):
     fn = getattr(importlib.import_module(modname), attr, None)
     assert inspect.isfunction(fn), name
     assert fn.__module__.split(".")[0] == "qprolate", name
+
+
+@pytest.mark.parametrize("modname, attr", sorted(RETIRED))
+def test_retired_traced_functions_are_gone(modname, attr):
+    # each entry is still traced and really gone; once the benchmark drops
+    # it, this fails so that RETIRED is emptied with it
+    assert not hasattr(importlib.import_module(modname), attr)
+    assert (modname, attr) in {entry[:2] for entry in _tracing().TRACED}
 
 
 def test_only_the_mpmath_entry_lies_outside_the_package():

@@ -156,9 +156,9 @@ def test_reconstruct_runge_artifacts(tmp_path, capsys):
 def test_reconstruct_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs 11-15 ms in every fresh process (np.unique imports
     # it); fixedla is needed only by the extended-precision eigensolve,
-    # which none of the first three commands reaches; the last one takes
-    # it (the default keep 15 at q = 1/2), and mpmath stays unloaded even
-    # then, since the package does not use it
+    # which every eigen command takes and neither reconstruct nor
+    # transform reaches; mpmath stays unloaded throughout, since the
+    # package does not use it
     src = str(Path(qp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     sample_file = tmp_path / "f.txt"
@@ -173,8 +173,8 @@ def test_reconstruct_does_not_import_numpy_ma(tmp_path):
     code = (
         "import sys\n"
         "from qprolate.cli import main\n"
-        f"rcs = [main(c) for c in {commands!r}]\n"
-        "print('RESULT', rcs, [m in sys.modules for m in "
+        f"for c in {commands!r}:\n"
+        "    print('RESULT', c[0], main(c), [m in sys.modules for m in "
         "('numpy.ma', 'mpmath', 'qprolate.fixedla')])\n"
         f"rc = main({mp_eigen!r})\n"
         "print('MP', rc, [m in sys.modules for m in ('qprolate.fixedla', 'mpmath')])\n"
@@ -183,7 +183,11 @@ def test_reconstruct_does_not_import_numpy_ma(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "RESULT [0, 0, 0] [False, False, False]" in lines
+    assert [line for line in lines if line.startswith("RESULT")] == [
+        "RESULT reconstruct 0 [False, False, False]",
+        "RESULT transform 0 [False, False, False]",
+        "RESULT eigen 0 [False, False, True]",
+    ]
     assert lines[-1] == "MP 0 [True, False]"
 
 

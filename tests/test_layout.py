@@ -135,3 +135,36 @@ def test_kernel_form_import_is_detected(tmp_path):
         "v = qprolate.qbessel.product_integral_quotient(1, 2, (1, 1), 0, p)\n"
     )
     assert len(_kernel_form_imports(module)) == 3
+
+
+def _reached(path: Path, start: str) -> set[str]:
+    """Names of the module's own functions that ``start`` calls, directly
+    or through others of them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for name in uses[todo.pop()] & uses.keys() - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_compute_basis_never_builds_the_operator_matrix():
+    # the eigenpairs come from the extended-precision solve alone, which
+    # starts from the moment matrix; B stays a public check on them
+    reached = _reached(PACKAGE / "pswf.py", "compute_basis")
+    assert "_mp_eigensystem" in reached
+    assert "build_operator_matrix" not in reached
+
+
+def test_reached_functions_are_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def top(x):\n    return _mid(x) + len(x)\n"
+        "def _mid(x):\n    def inner():\n        return leaf(x)\n    return inner()\n"
+        "def leaf(x):\n    return x\n"
+        "def other(x):\n    return top(x)\n"
+    )
+    assert _reached(module, "top") == {"_mid", "leaf"}

@@ -61,10 +61,10 @@ def test_matrix_vs_mp_oracle(p_half):
             assert B[k, m] == pytest.approx(float(Bmp[k, m]), rel=1e-12)
 
 
-def test_eigendecompose_m1(p_half):
+def test_compute_basis_m1(p_half):
     b = qp.Bandlimit(0, 1)
     B = qp.build_operator_matrix(b, p_half)
-    basis = qp.eigendecompose(B, b, p_half, keep=1)
+    basis = qp.compute_basis(b, p_half, keep=1)
     assert basis.count == 1
     assert basis.eigenvalues[0] == pytest.approx(B[0, 0], rel=1e-14)
     w0 = float(b.weights(p_half)[0])
@@ -76,11 +76,10 @@ def test_eigendecompose_m1(p_half):
 
 def test_keep_validation(p_half):
     b = qp.Bandlimit(0, 4)
-    B = qp.build_operator_matrix(b, p_half)
     with pytest.raises(ValueError):
-        qp.eigendecompose(B, b, p_half, keep=0)
+        qp.compute_basis(b, p_half, keep=0)
     with pytest.raises(ValueError):
-        qp.eigendecompose(B, b, p_half, keep=5)
+        qp.compute_basis(b, p_half, keep=5)
 
 
 def test_double_path_agrees_with_refined(basis12, bandlimit, p_half):
@@ -107,7 +106,7 @@ def test_jacobi_oracle_same_matrix(p_half):
 
 def test_jacobi_oracle_full_pipeline(p_half):
     # fully independent route: matrix rebuilt from scratch in mpmath and
-    # solved by cyclic Jacobi, vs the package's eigendecompose
+    # solved by cyclic Jacobi, vs the package's compute_basis
     b = qp.Bandlimit(0, 24)
     basis = qp.compute_basis(b, p_half, keep=6)
     Bmp = operator_matrix(0, 24, p_half.q, p_half.v, dps=60)
@@ -135,9 +134,9 @@ def _clusters(lams, rtol=1e-6):
     (0.5, -0.5, -3, 24, 10),  # band edge above 1: clusters of three +1 and two -1
 ])
 def test_factored_mp_solve_vs_jacobi_oracle(q, v, a_exp, depth, keep):
-    # every case needs pairs below float64 resolution of B, so the
-    # factored mp solve runs; the oracle rebuilds B from scratch and
-    # solves it by cyclic Jacobi
+    # every case needs pairs below float64 resolution of B, which eigh of
+    # B cannot give; the oracle rebuilds B from scratch and solves it by
+    # cyclic Jacobi
     b = qp.Bandlimit(a_exp, depth)
     p = qp.QParams(q, v)
     B = qp.build_operator_matrix(b, p)
@@ -366,31 +365,33 @@ def _solved_depth(lams, keep):
 
 
 def test_pivot_depth_on_seeded_draws(monkeypatch):
-    # on every draw that takes the extended-precision path (82 of 100),
-    # the depth estimated from the pivots of the depth-infinity moment
+    # on every draw the depth estimated from the pivots of the moment
     # matrix is never shallower than the solved one by more than the
-    # guard, and the first solve resolves every eigenvalue; a second solve
-    # is left only to eigenvectors whose smallest entries lack digits
+    # guard, and the first solve resolves every eigenvalue.  On the draws
+    # whose keep pairs float64 eigh of B cannot give (82 of 100), a second
+    # solve is left only to eigenvectors whose smallest entries lack
+    # digits; on the others, all at band edges above 1, the entries of an
+    # eigenvector span up to 79 decades, and a second solve for them is
+    # the price of resolving every entry to 13 digits
     from qprolate.pswf import _DEPTH_GUARD, _RESOLVED_DIGITS, _pivot_depth
 
     digits = _mp_solve_digits(monkeypatch)
     rng = np.random.default_rng(2026)
-    solves, again = 0, 0
+    deep, again = 0, 0
     for _ in range(100):
         q, v = rng.uniform(0.05, 0.9), rng.uniform(-0.999, 1.5)
         b, p = qp.Bandlimit(int(rng.integers(-4, 2)), 60), qp.QParams(q, v)
         keep = int(rng.integers(4, 16))
         digits.clear()
         basis = qp.compute_basis(b, p, keep)
-        if not digits:
-            continue
         solved = _solved_depth(basis.eigenvalues, keep)
-        top = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p))).max()
-        assert _pivot_depth(b, p, keep, top) >= solved - _DEPTH_GUARD, (q, v, b, keep)
+        assert _pivot_depth(b, p, keep) >= solved - _DEPTH_GUARD, (q, v, b, keep)
         assert digits[0] >= _RESOLVED_DIGITS + solved, (q, v, b, keep, digits)
-        solves += 1
-        again += len(digits) > 1
-    assert solves >= 80 and again <= 2
+        lam = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p)))
+        if (lam > 1e-11 * lam.max()).sum() < keep or b.weights(p)[-1] < np.finfo(float).tiny:
+            deep += 1
+            again += len(digits) > 1
+    assert deep == 82 and again <= 2
 
 
 def test_truncated_depth_takes_one_mp_solve(monkeypatch):
@@ -403,8 +404,7 @@ def test_truncated_depth_takes_one_mp_solve(monkeypatch):
     b, p = qp.Bandlimit(-1, 16), qp.QParams(0.928, -0.921)
     basis = qp.compute_basis(b, p, keep=15)
     assert basis.count == 15 and len(digits) == 1
-    top = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p))).max()
-    assert _pivot_depth(b, p, 15, top) >= _solved_depth(basis.eigenvalues, 15) > 19.0
+    assert _pivot_depth(b, p, 15) >= _solved_depth(basis.eigenvalues, 15) > 19.0
 
 
 @pytest.mark.parametrize("q, a_exp, keep, most", [
@@ -417,6 +417,20 @@ def test_benchmark_requests_take_one_solve_at_few_digits(monkeypatch, q, a_exp, 
     basis = qp.compute_basis(qp.Bandlimit(a_exp, 60), qp.QParams(q, -0.5), keep)
     assert basis.count == keep
     assert len(digits) == 1 and digits[0] <= most
+
+
+@pytest.mark.parametrize("q, v, a_exp, depth, keep", [
+    (0.5, -0.5, 0, 60, 4), (0.5, 0.0, 0, 60, 4), (0.9, 0.5, 0, 60, 6), (0.7, 0.0, 1, 40, 5),
+])
+def test_fewer_pairs_are_a_prefix_of_more(q, v, a_exp, depth, keep):
+    # the first keep pairs do not depend on keep where keep splits no +-1
+    # cluster: an eigh of B for the pairs it resolves gave lambda_3 at
+    # (1/2, -1/2, 0, 60) as -7.717848758685e-09, 6.1e-9 off
+    b, p = qp.Bandlimit(a_exp, depth), qp.QParams(q, v)
+    few, more = qp.compute_basis(b, p, keep), qp.compute_basis(b, p, keep + 4)
+    assert np.array_equal(few.eigenvalues, more.eigenvalues[:keep])
+    assert np.array_equal(few.eigenfunctions, more.eigenfunctions[:keep])
+    assert np.array_equal(few.unit_samples, more.unit_samples[:keep])
 
 
 def test_eigenvector_resolve_steps_by_the_missing_digits(monkeypatch):
@@ -539,17 +553,13 @@ def test_bounded_sample_sums_give_the_full_sums_floats(monkeypatch):
     # float; at the default width each must be that float too, bit for bit
     from qprolate import pswf
 
-    digits = _mp_solve_digits(monkeypatch)
     rng = np.random.default_rng(2121)
     requests = []
     while len(requests) < 8:
         q, v = float(rng.uniform(0.05, 0.92)), float(rng.uniform(-0.95, 3.0))
         depth = int(rng.integers(8, 81))
-        request = (q, v, int(rng.integers(-4, 3)), depth, int(rng.integers(2, min(15, depth) + 1)))
-        digits.clear()
-        _mp_samples_by_width(monkeypatch, [request], pswf._SAMPLE_BITS)
-        if digits:  # the request takes the extended-precision solve
-            requests.append(request)
+        requests.append((q, v, int(rng.integers(-4, 3)), depth,
+                         int(rng.integers(2, min(15, depth) + 1))))
     # column scales D_n^2 up to 3e53: the bounded sums keep _SAMPLE_BITS
     # past the bits they cancel, and leave 16 of its 264 samples to the
     # full sum, where a fixed _SAMPLE_BITS left 204
@@ -608,32 +618,57 @@ def test_first_solve_resolves_cancelling_columns(monkeypatch):
         assert max(abs(x) for x in evals) <= 1 + 1e-20, dps
 
 
+def _tie_groups(evals, keep):
+    """Index groups of the first ``keep`` pairs in the order of
+    ``pswf._pair_order``, by their tie in |lambda| at _TIE_DIGITS digits,
+    each with a flag: whether the cut at ``keep`` splits the tie."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context
+
+    from qprolate.pswf import _TIE_DIGITS, _pair_order
+
+    key = Context(prec=_TIE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    mags = [key.abs(evals[i]) for i in _pair_order(evals)]
+    groups = {}
+    for i, mag in enumerate(mags[:keep]):
+        groups.setdefault(mag, []).append(i)
+    return [(idx, mags.count(mag) > len(idx)) for mag, idx in groups.items()]
+
+
 def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
     # depth <= 40, v up to 3, a_exp -4..2: against a solve at twice the
-    # final digits, the eigenvalues are equal, a pair whose float64
-    # eigenvalue is unique agrees componentwise, and pairs sharing one, a
-    # +-1 cluster with no unique basis, agree as a projector
-    from qprolate.pswf import _basis_from_mp
+    # final digits, the eigenvalues are equal, a pair whose |lambda| ties
+    # with no other at 20 digits agrees componentwise, and a tie, a +-1
+    # cluster with no unique basis, agrees as a projector.  A tie that
+    # keep splits has no unique retained members, so only its eigenvalues
+    # are compared: (0.1646, 0.4466, -4, 22, keep 3) splits one
+    from qprolate import pswf
 
-    digits = _mp_solve_digits(monkeypatch)
+    solves = []  # (digits, eigenvalues) of each solve
+    real = pswf._mp_eigensystem
+
+    def recorded(b, p, dps, keep):
+        out = real(b, p, dps, keep)
+        solves.append((dps, out[0]))
+        return out
+
+    monkeypatch.setattr(pswf, "_mp_eigensystem", recorded)
     rng = np.random.default_rng(4040)
-    solved, clusters = 0, 0
+    solved, clusters, split = 0, 0, 0
     for _ in range(16):
         q, v = float(rng.uniform(0.05, 0.9)), float(rng.uniform(-0.95, 3.0))
         depth = int(rng.integers(8, 41))
         b, p = qp.Bandlimit(int(rng.integers(-4, 3)), depth), qp.QParams(q, v)
         keep = int(rng.integers(2, min(15, depth) + 1))
-        digits.clear()
         basis = qp.compute_basis(b, p, keep)
-        if not digits:
-            continue
-        ref, more = _basis_from_mp(b, p, keep, 2 * digits[-1])
+        ref, more = pswf._basis_from_mp(b, p, keep, 2 * solves[-1][0])
         assert not more
         assert np.array_equal(basis.eigenvalues, ref.eigenvalues), (q, v, b, keep)
         sq = np.sqrt(b.weights(p))
-        for lam in np.unique(basis.eigenvalues):
-            idx = np.flatnonzero(basis.eigenvalues == lam)
-            if len(idx) == 1:
+        for idx, cut in _tie_groups(solves[-1][1], basis.count):
+            lam = basis.eigenvalues[idx[0]]
+            if cut:
+                split += 1
+            elif len(idx) == 1:
                 u, w = basis.unit_samples[idx[0]], ref.unit_samples[idx[0]]
                 assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all(), (q, v, b, keep, lam)
             else:
@@ -641,7 +676,7 @@ def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
                 assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13, (q, v, b, keep, lam)
                 clusters += 1
         solved += 1
-    assert solved >= 10 and clusters >= 2
+    assert solved == 16 and clusters >= 2 and split >= 1
 
 
 def test_cluster_shortfall_does_not_depend_on_its_basis():
@@ -684,15 +719,14 @@ def test_mp_pairs_sorted_at_working_precision():
 
 
 @pytest.mark.parametrize("a_exp,keep,signs", [(-1, 3, [1, -1, 1]), (-2, 5, [1, -1, 1, -1, 1])])
-def test_float_pairs_tie_as_the_mp_pairs_do(monkeypatch, a_exp, keep, signs):
-    # the +-1 cluster resolves in float64, whose eigh returned it in the
-    # order (1, 1, -1) at a_exp = -1; both paths now order a tie alike
+def test_float_pairs_tie_as_the_mp_pairs_do(a_exp, keep, signs):
+    # the +-1 cluster resolves in float64, whose eigh of B returned it in
+    # the order (1, 1, -1) at a_exp = -1; the basis orders the tie as a
+    # solve at 150 digits does, with signs alternating from +
     from qprolate.pswf import _basis_from_mp
 
-    digits = _mp_solve_digits(monkeypatch)
     b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.5, -0.5)
     basis = qp.compute_basis(b, p, keep)
-    assert not digits  # the float path
     ref, more = _basis_from_mp(b, p, keep, 150)
     assert not more
     assert list(np.sign(basis.eigenvalues)) == list(np.sign(ref.eigenvalues)) == signs

@@ -385,9 +385,9 @@ def test_lattice_values_below_the_float_range_sum_no_series(monkeypatch):
 
 def _oracle_digits(s, q, v, value):
     """Digits at which ``jv_lattice`` resolves j_v(q^s) to 40 digits: the
-    peak term's over ``value`` (at least the float floor), plus those the
-    oracle's stopping test leaves out, the denominators' (q^2;q^2)_inf
-    (q^{2v+2};q^2)_inf, which near q = 1 reach 1e-15."""
+    peak term's over ``value`` (at least the float floor), plus, as a
+    margin, the denominators' (q^2;q^2)_inf (q^{2v+2};q^2)_inf, which near
+    q = 1 reach 1e-15."""
     den = sum(
         math.log10((1 - q ** (2 * k + 2)) * (1 - q ** (2 * v + 2 * k + 2))) for k in range(2000)
     )
