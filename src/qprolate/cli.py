@@ -4,12 +4,15 @@ CSV / JSON / SVG output.
 
 A run's settings are the fields of ``RunConfig``: its defaults,
 overridden by a JSON config file (``--config``), overridden by the flags
-given.  Config keys, flag destinations and the keys of the
-``manifest.json`` every run writes are those field names (the manifest
-adds ``command`` and ``versions``, which the config reader ignores), and
-each command reads only some of them; re-running with a manifest as
-``--config`` reproduces the outputs.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure, 4 unreadable or malformed input file.
+given.  Config keys, flag destinations and manifest keys are those field
+names.  Each command reads only the fields ``READS`` names for it: it
+takes a flag for each of them and no other, checks them itself before it
+writes anything, and records them in the ``manifest.json`` it writes
+(with ``command`` and ``versions``, which the config reader ignores, as
+it ignores the keys a command does not read).  Re-running with a
+manifest as ``--config`` reproduces the outputs.  Exit codes: 0 success,
+2 invalid configuration, 3 numerical failure, 4 unreadable or malformed
+input file.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +35,9 @@ from .pswf import (
     eigen_report_csv,
     eigen_report_json,
 )
-from .qcalc import LatticeFunction, LatticeWindow, QParams
+from .qcalc import DEFAULT_WINDOW, LatticeFunction, LatticeWindow, QParams
 from .qfourier import fqv_transform, make_plan
-from .sampling import project, reconstruct
+from .sampling import DEFAULT_GRID, project, reconstruct
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,21 +49,17 @@ EXIT_INPUT = 4
 class RunConfig:
     """The settings of a run, each named once: as a field here, a config
     key, a flag destination and a manifest key.  The defaults reproduce
-    the application setup (q = 0.5, v = -1/2, band edge a = 1).
-
-    Each command reads only some of them: eigen reads ``a_exp`` and
-    ``keep`` (transform only records ``a_exp``); reconstruct reads
-    ``a_exps`` (default 0, -1, -2), ``grid`` and one input, ``function``
-    or ``samples_file`` (default the Runge function); transform reads
-    ``samples_file``, ``roundtrip`` and ``format``.
+    the application setup (q = 0.5, v = -1/2, band edge a = 1).  Which
+    command reads which field is ``READS``; ``a_exps`` defaults to
+    0, -1, -2 and reconstruct's input to the Runge function.
     """
 
     q: float = 0.5
     v: float = -0.5
     a_exp: int = 0
     depth: int = 60
-    window: tuple[int, int] = (-15, 60)
-    grid: tuple[int, int] = (-10, 40)
+    window: tuple[int, int] = (DEFAULT_WINDOW.n_min, DEFAULT_WINDOW.n_max)
+    grid: tuple[int, int] = (DEFAULT_GRID.n_min, DEFAULT_GRID.n_max)
     keep: int = 15
     output_dir: str = "out"
     format: str = "csv"
@@ -69,23 +68,14 @@ class RunConfig:
     samples_file: str | None = None
     roundtrip: bool = False
 
-    def validate(self) -> None:
-        """Build what the commands build, whose constructors check q, v,
-        depth and both spans; then check what only the CLI has."""
-        self.params()
-        Bandlimit(self.a_exp, self.depth)
-        LatticeWindow(*self.window)
-        LatticeWindow(*self.grid)
-        if not 1 <= self.keep <= self.depth:
-            raise ValueError("keep must lie in [1, depth]")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.function is not None and self.samples_file is not None:
-            raise ValueError("choose either --function or --samples "
-                             "(function or samples_file in the config)")
 
-    def params(self) -> QParams:
-        return QParams(self.q, self.v)
+# the RunConfig fields each command reads: its flags, and its manifest
+READS = {
+    "eigen": ("q", "v", "a_exp", "depth", "keep", "output_dir"),
+    "reconstruct": ("q", "v", "window", "grid", "output_dir", "a_exps", "function",
+                    "samples_file"),
+    "transform": ("q", "v", "window", "output_dir", "format", "samples_file", "roundtrip"),
+}
 
 
 class CliInputError(Exception):
@@ -100,45 +90,41 @@ def _parse_span(text: str) -> tuple[int, int]:
         raise ValueError(f"expected MIN:MAX, got {text!r}") from exc
 
 
+_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
+# the flag of each RunConfig field, and its argparse keywords
+_FLAGS = {
+    "q": ("--q", dict(type=float, help="deformation parameter in (0,1)")),
+    "v": ("--v", dict(type=float, help="order, must exceed -1")),
+    "a_exp": ("--a-exp", dict(type=int, help="band edge exponent, a = q^A")),
+    "depth": ("--depth", dict(type=int, help="lattice points retained in [0,a]_q")),
+    "window": ("--window", dict(help="lattice window MIN:MAX")),
+    "grid": ("--grid", dict(help="sampling grid MIN:MAX")),
+    "keep": ("--keep", dict(type=int, help="eigenpairs retained")),
+    "output_dir": ("--out", dict(help="output directory")),
+    "format": ("--format", dict(help="output format, csv or json")),
+    "a_exps": ("--a-exp", dict(type=int, action="append",
+                               help="band edge exponent, repeatable (default 0 -1 -2)")),
+    "function": ("--function", dict(choices=_FUNCTIONS, help="test function f(x) = 1/(1+x^2)")),
+    "samples_file": ("--samples", dict(help="sample file with 'k value' lines")),
+    "roundtrip": ("--roundtrip", dict(action="store_true", help="also write F(Ff) and its error")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qprolate",
         description="q-Fourier analysis, q-prolate eigenfunctions, and q-sampling reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help):
+    for command, fields in READS.items():
         # each flag's dest is its RunConfig field, and only the flags given
         # reach the namespace, so that they override the config file
-        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        sp = sub.add_parser(command, help=_COMMANDS[command].__doc__,
+                            argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--q", type=float, help="deformation parameter in (0,1)")
-        sp.add_argument("--v", type=float, help="order, must exceed -1")
-        sp.add_argument("--depth", type=int, help="lattice points retained in [0,a]_q")
-        sp.add_argument("--window", help="lattice window MIN:MAX")
-        sp.add_argument("--grid", help="sampling grid MIN:MAX")
-        sp.add_argument("--keep", type=int, help="eigenpairs retained")
-        sp.add_argument("--out", dest="output_dir", help="output directory")
-        sp.add_argument("--format", help="output format, read by transform only (csv or json)")
-        return sp
-
-    sp = add_command("eigen", "compute the concentration eigensystem")
-    sp.add_argument("--a-exp", type=int, help="band edge exponent, a = q^A")
-
-    sp = add_command("reconstruct", "project and reconstruct via the sampling formula")
-    sp.add_argument("--a-exp", dest="a_exps", type=int, action="append",
-                    help="band edge exponent, repeatable (default 0 -1 -2)")
-    sp.add_argument("--function", choices=_FUNCTIONS,
-                    help="built-in test function f(x) = 1/(1+x^2)")
-    sp.add_argument("--samples", dest="samples_file",
-                    help="sample file with 'k value' lines")
-
-    sp = add_command("transform", "q-Bessel Fourier transform of a sample file")
-    sp.add_argument("--a-exp", type=int, help="recorded in the manifest only")
-    sp.add_argument("--samples", dest="samples_file",
-                    help="sample file with 'k value' lines")
-    sp.add_argument("--roundtrip", action="store_true",
-                    help="also write F(Ff) and its deviation")
+        for name in fields:
+            flag, kwargs = _FLAGS[name]
+            sp.add_argument(flag, dest=name, **kwargs)
     return parser
 
 
@@ -168,7 +154,6 @@ def _checked(valid):
     return read
 
 
-_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
 # one reader per RunConfig field, which checks the config file's value
 # (TypeError or ValueError when it is not of the field's JSON type)
 _CONFIG_KEYS = {
@@ -190,8 +175,10 @@ _CONFIG_KEYS = {
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by the flags
-    given, then validated.  An input flag (--function or --samples)
-    replaces the config file's input choice, both of its settings."""
+    given, for the fields the command reads.  Every key of the file is
+    type-checked, and the file refused whole when one is malformed.  An
+    input flag (--function or --samples) replaces the config file's
+    input choice, both of its settings."""
     settings = {}
     if "config" in args:
         try:
@@ -213,9 +200,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("window", "grid"):
         if key in flags:
             flags[key] = _parse_span(flags[key])
-    cfg = RunConfig(**{**settings, **flags})
-    cfg.validate()
-    return cfg
+    settings.update(flags)
+    return RunConfig(**{k: settings[k] for k in READS[args.command] if k in settings})
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -224,10 +210,17 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_manifest(cfg: RunConfig, out_dir: Path, command: str) -> None:
     python = "{}.{}.{}".format(*sys.version_info[:3])
     versions = {"qprolate": qprolate.__version__, "python": python, "numpy": np.__version__}
-    payload = {**asdict(cfg), "command": command, "versions": versions}
+    payload = {k: getattr(cfg, k) for k in READS[command]}
+    payload.update(command=command, versions=versions)
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
 
@@ -315,10 +308,9 @@ def _svg_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) -> s
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    p = cfg.params()
-    basis = compute_basis(Bandlimit(cfg.a_exp, cfg.depth), p, cfg.keep)
+    """compute the concentration eigensystem"""
+    basis = compute_basis(Bandlimit(cfg.a_exp, cfg.depth), QParams(cfg.q, cfg.v), cfg.keep)
+    out_dir = _output_dir(cfg)
     _write_atomic(out_dir / "eigen.json", eigen_report_json(basis) + "\n")
     _write_atomic(out_dir / "eigen.csv", eigen_report_csv(basis))
     _write_manifest(cfg, out_dir, "eigen")
@@ -332,22 +324,23 @@ def _runge(x: float) -> float:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    p = cfg.params()
+    """project and reconstruct via the sampling formula"""
+    p = QParams(cfg.q, cfg.v)
     window = LatticeWindow(*cfg.window)
     grid = LatticeWindow(*cfg.grid)
     if not (window.contains(grid.n_min) and window.contains(grid.n_max)):
         raise ValueError("sampling grid must lie inside the window")
+    if cfg.function is not None and cfg.samples_file is not None:
+        raise ValueError("choose either --function or --samples (function or samples_file)")
     cfg.a_exps = cfg.a_exps or [0, -1, -2]
     if cfg.samples_file is None:
         cfg.function = cfg.function or "runge"
-    if cfg.function is not None:
         f = LatticeFunction.from_callable(window, _runge, cfg.q)
         f_exact = _runge
     else:
         f = _read_samples(cfg.samples_file, window)
         f_exact = None
+    out_dir = _output_dir(cfg)
 
     plan = make_plan(window, p)
     # dense evaluation points: 200 uniform on [q^10, q^-1] plus the lattice
@@ -361,7 +354,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     span_exps = [int(n) for n in span.exponents() if window.contains(n)]
 
     for a_exp in cfg.a_exps:
-        b = Bandlimit(a_exp, cfg.depth)
+        # project and reconstruct read only the band edge, so any depth
+        # serves; a fixed one is valid at every a_exp
+        b = Bandlimit(a_exp, 1)
         fa = project(f, b, plan)
         sample_vals = np.array([fa.value_at_exp(int(k)) for k in grid.exponents()])
         recon = reconstruct(sample_vals, zs, grid, b, p)
@@ -394,13 +389,15 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_transform(cfg: RunConfig) -> int:
+    """q-Bessel Fourier transform of a sample file"""
     if cfg.samples_file is None:
         raise ValueError("transform needs --samples (or samples_file in the config)")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    p = cfg.params()
+    if cfg.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
+    p = QParams(cfg.q, cfg.v)
     window = LatticeWindow(*cfg.window)
     f = _read_samples(cfg.samples_file, window)
+    out_dir = _output_dir(cfg)
     plan = make_plan(window, p)
     ff = fqv_transform(f, plan)
 
@@ -423,6 +420,9 @@ def cmd_transform(cfg: RunConfig) -> int:
         print(f"roundtrip sup deviation = {dev:.6e}")
     _write_manifest(cfg, out_dir, "transform")
     return EXIT_OK
+
+
+_COMMANDS = {"eigen": cmd_eigen, "reconstruct": cmd_reconstruct, "transform": cmd_transform}
 
 
 def _merge_span_flags(argv: list[str]) -> list[str]:
@@ -451,8 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    command = {"eigen": cmd_eigen, "reconstruct": cmd_reconstruct,
-               "transform": cmd_transform}[args.command]
+    command = _COMMANDS[args.command]
     # collect truncation diagnostics and report them once, instead of one
     # warning per evaluation point
     with warnings.catch_warnings(record=True) as caught:

@@ -57,8 +57,8 @@ sum_n t_n q^{2kn} / sqrt(w_0), rounded once to float64.  It is first
 summed from the top bits of t and of the powers, _SAMPLE_BITS past the
 bits the alternating sum cancels, with an integer bound on the error;
 only where the ends of the bound round to different floats is the sum
-taken in full.  The constant c_qv in D_n^2 comes from Euler's series for
-the two infinite q-Pochhammer symbols.
+taken in full.  The constant c_qv in D_n^2 is ``qcalc.c_qv_decimal``,
+Euler's series for the two infinite q-Pochhammer symbols.
 
 Stored eigenfunction samples follow the convention ||psi_i||_{q,2,v} = 1
 on the full lattice, which by Plancherel pins the samples on [0, a]_q to
@@ -72,13 +72,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from operator import mul
 
 import numpy as np
 
 from .qbessel import jv_array, lattice_table
-from .qcalc import LatticeFunction, LatticeWindow, QParams, inner_product, lattice_weights, qpochhammer
+from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, inner_product,
+                    lattice_weights)
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -167,45 +168,15 @@ def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
     return p.c_qv * np.outer(sq, sq) * diag[idx[:, None] + idx[None, :]]
 
 
-def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
-    """(a; x)_inf for 0 < a, x < 1 in the current context, by Euler's
-    series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n, whose terms fall like
-    x^{n^2/2}.  Its terms exceed the result (by 10^7 at x = 0.9), which
-    shrinks like 1 - a as a -> 1, so the sum carries as many more digits
-    as the largest term lies above the result, both from float64
-    estimates, plus a guard."""
-    af, xf = float(a), float(x)
-    est = math.log10(qpochhammer(af, xf, math.inf))
-    # log10 of the largest term: the ratio of successive terms,
-    # a x^n / (1 - x^{n+1}), falls with n
-    peak, n = 0.0, 0
-    while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
-        peak, n = peak + math.log10(r), n + 1
-    prec = getcontext().prec
-    tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
-    with localcontext() as ctx:
-        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
-        total, term, xn = Decimal(1), Decimal(1), Decimal(1)
-        while True:
-            r = a * xn / (1 - xn * x)
-            term *= -r
-            xn *= x
-            total += term
-            if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
-                break
-    return +total
-
-
 def _moments(b: Bandlimit, p: QParams, nterms: int):
     """(D_n^2 for n < nterms, h(s) for s < 2 nterms - 1, w_0) of the moment
     matrix K = D H D (see the module docstring), in the current context."""
     qd = Decimal(p.q)
     q2 = qd * qd
     qv = qd ** (2 * Decimal(p.v) + 2)  # q^{2v+2}
-    c_qv = _qpoch_inf(qv, q2) / (_qpoch_inf(q2, q2) * (1 - qd))
     w0 = (1 - qd) * qv ** b.a_exp  # w_0 = (1 - q) a^{2v+2}
     # D_n^2 from D_{n-1}^2 a^4 c_n / c_{n-1}
-    d2, q2n, a4 = [c_qv * w0], Decimal(1), q2 ** (2 * b.a_exp)
+    d2, q2n, a4 = [c_qv_decimal(p.q, p.v) * w0], Decimal(1), q2 ** (2 * b.a_exp)
     for n in range(1, nterms):
         qvn = qv * q2n  # q^{2v+2n}
         q2n *= q2
@@ -360,25 +331,20 @@ def _sample_sign(samples: np.ndarray) -> float:
 
 
 def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
-    """Basis from eigenpairs of B in descending |lambda| order.
+    """Basis from eigenpairs of B in descending |lambda| order, all at or
+    above _LAMBDA_FLOOR.
 
     ``units[i]`` is the unit eigenvector of ``lams[i]`` divided by
     sqrt(w_m), in float64, as the solve forms it without dividing by a
-    weight.  Pairs stop at _LAMBDA_FLOOR, and ``units`` may hold only the
-    pairs above it.  Each sign is fixed by
-    _sample_sign, and the samples are lambda * unit.
+    weight.  Each sign is fixed by _sample_sign, and the samples are
+    lambda * unit.
     """
-    units = iter(units)
-    kept, funcs, rows = [], [], []
-    for lam in lams:
-        if abs(lam) < _LAMBDA_FLOOR:
-            break  # lambda^2 would underflow float64
-        unit = next(units)
+    funcs, rows = [], []
+    for lam, unit in zip(lams, units):
         sgn = _sample_sign(lam * unit)
-        kept.append(lam)
         funcs.append(sgn * lam * unit)
         rows.append(sgn * unit)
-    return PswfBasis(b, p, np.array(kept), np.array(funcs), np.array(rows))
+    return PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(rows))
 
 
 def _pair_order(evals) -> list[int]:

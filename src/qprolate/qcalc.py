@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 import numpy as np
 
@@ -63,14 +64,54 @@ def qpochhammer(z: float, q: float, n) -> float:
     return out
 
 
+def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
+    """(a; x)_inf for 0 < a, x < 1 in the current context, by Euler's
+    series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n, whose terms fall like
+    x^{n^2/2}.  Its terms exceed the result (by 10^7 at x = 0.9), which
+    shrinks like 1 - a as a -> 1, so the sum carries as many more digits
+    as the largest term lies above the result, both from float64
+    estimates, plus a guard."""
+    af, xf = float(a), float(x)
+    est = math.log10(qpochhammer(af, xf, math.inf))
+    # log10 of the largest term: the ratio of successive terms,
+    # a x^n / (1 - x^{n+1}), falls with n
+    peak, n = 0.0, 0
+    while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
+        peak, n = peak + math.log10(r), n + 1
+    prec = getcontext().prec
+    tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
+    with localcontext() as ctx:
+        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
+        total, term, xn = Decimal(1), Decimal(1), Decimal(1)
+        while True:
+            r = a * xn / (1 - xn * x)
+            term *= -r
+            xn *= x
+            total += term
+            if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
+                break
+    return +total
+
+
+def c_qv_decimal(q: float, v: float) -> Decimal:
+    """c_qv = (q^{2v+2}; q^2)_inf / ((1-q) (q^2; q^2)_inf) in the current
+    decimal context, from Euler's series for both symbols."""
+    qd = Decimal(q)
+    q2 = qd * qd
+    return _qpoch_inf(qd ** (2 * Decimal(v) + 2), q2) / (_qpoch_inf(q2, q2) * (1 - qd))
+
+
 @dataclass(frozen=True)
 class QParams:
     """Global deformation parameters q in (0,1) and order v > -1.
 
     The normalization constant of the q-Bessel Fourier transform,
     c_qv = (q^{2v+2}; q^2)_inf / ((1-q) (q^2; q^2)_inf), is derived in
-    ``__post_init__``; instances are immutable, so replacing q or v via
-    ``dataclasses.replace`` recomputes it.
+    ``__post_init__`` by ``c_qv_decimal`` at 25 digits and rounded once
+    to float64: correctly rounded unless it lies within about 1e-24
+    relative of a point halfway between two floats.  Instances are
+    immutable, so replacing q or v via ``dataclasses.replace`` recomputes
+    it.
     """
 
     q: float
@@ -82,10 +123,8 @@ class QParams:
             raise ValueError("q must lie in (0,1)")
         if not self.v > -1.0:
             raise ValueError("v must exceed -1")
-        q2 = self.q * self.q
-        num = qpochhammer(self.q ** (2.0 * self.v + 2.0), q2, math.inf)
-        den = qpochhammer(q2, q2, math.inf)
-        object.__setattr__(self, "c_qv", num / den / (1.0 - self.q))
+        with localcontext(Context(prec=25, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            object.__setattr__(self, "c_qv", float(c_qv_decimal(self.q, self.v)))
 
 
 def lattice_points(q: float, exps) -> np.ndarray:

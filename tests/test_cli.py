@@ -12,7 +12,7 @@ import qprolate as qp
 from qprolate.cli import main
 
 FAST_EIGEN = ["--keep", "4", "--depth", "40"]
-FAST_RECON = ["--window", "-12:45", "--grid", "-8:30", "--depth", "45", "--keep", "4"]
+FAST_RECON = ["--window", "-12:45", "--grid", "-8:30"]
 
 
 def test_eigen_writes_reports(tmp_path, capsys):
@@ -57,15 +57,60 @@ def test_eigen_invalid_q(tmp_path, capsys):
     [
         ["--v", "-2.0"],
         ["--keep", "90"],
-        ["--window", "5:1"],
-        ["--window", "notaspan"],
-        ["--format", "svg"],
+        ["--depth", "0"],
+        ["--keep", "0"],
+        ["--q", "0"],
     ],
 )
 def test_eigen_invalid_configs(tmp_path, flags, capsys):
-    rc = main(["eigen", "--out", str(tmp_path), *flags])
+    out = tmp_path / "o"
+    rc = main(["eigen", "--out", str(out), *flags])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "transform"])
+@pytest.mark.parametrize("span", ["5:1", "notaspan"])
+def test_invalid_window_exit_code(tmp_path, command, span, capsys):
+    # the commands that read the window check it; eigen, which does not,
+    # used to refuse these too
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n")
+    out = tmp_path / "o"
+    rc = main([command, "--samples", str(sample_file), "--window", span, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eigen", ["--window", "0:1"]), ("eigen", ["--grid", "0:1"]),
+    ("eigen", ["--format", "json"]), ("reconstruct", ["--depth", "5"]),
+    ("reconstruct", ["--keep", "61"]), ("transform", ["--depth", "5"]),
+    ("transform", ["--grid", "0:1"]), ("transform", ["--keep", "1"]),
+    ("transform", ["--a-exp", "1"]),
+])
+def test_flags_of_unread_settings_are_unknown(tmp_path, command, flags, capsys):
+    # eigen used to take --format json --window 0:1, exit 0 and record
+    # both; transform --depth 5 and reconstruct --keep 61 exited 2 with
+    # "keep must lie in [1, depth]" although neither reads either setting
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
+def test_config_key_the_command_does_not_read_is_ignored(tmp_path):
+    # transform reads neither depth nor keep; {"depth": 5} used to exit 2
+    # with "keep must lie in [1, depth]"
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth": 5, "samples_file": str(sample_file)}))
+    out = tmp_path / "o"
+    assert main(["transform", "--config", str(config), "--out", str(out)]) == 0
+    assert "depth" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_eps_flag_is_unknown(tmp_path, capsys):
@@ -119,9 +164,8 @@ def test_reconstruct_near_q_one_overflows_without_refining_underflows(tmp_path, 
     # the y-side lattice values at s = -470..-420 lie near 1e-880, below
     # the float range, and are +0.0 without a decimal series; the z side
     # then reaches j_0.5(92.08...) = 8.5e830, beyond it
-    rc = main(["reconstruct", "--q", "0.99", "--a-exp", "-460", "--depth", "5",
-               "--keep", "1", "--window", "-12:45", "--grid", "-10:40",
-               "--out", str(tmp_path)])
+    rc = main(["reconstruct", "--q", "0.99", "--a-exp", "-460", "--window", "-12:45",
+               "--grid", "-10:40", "--out", str(tmp_path)])
     assert rc == 3
     assert "j_0.5(92.07938948050328) = 8.467078e+830" in capsys.readouterr().err
 
@@ -276,11 +320,14 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, content):
 
 
 def test_svg_format_in_config_exit_code(tmp_path, capsys):
-    # no command writes svg through format; eigen used to take it, exit 0
+    # no command writes svg through format; transform, the one command
+    # that reads it, checks it
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n")
     config = tmp_path / "config.json"
-    config.write_text('{"format": "svg"}')
+    config.write_text(json.dumps({"format": "svg", "samples_file": str(sample_file)}))
     out = tmp_path / "o"
-    rc = main(["eigen", "--config", str(config), "--out", str(out), *FAST_EIGEN])
+    rc = main(["transform", "--config", str(config), "--out", str(out)])
     assert rc == 2
     assert "format must be csv or json, got 'svg'" in capsys.readouterr().err
     assert not out.exists()
@@ -457,11 +504,42 @@ def test_manifest_contents(tmp_path):
     assert manifest["command"] == "eigen"
     assert manifest["q"] == 0.6
     assert manifest["keep"] == 4
-    assert manifest["window"] == [-15, 60]
-    assert "eps" not in manifest
+    # eigen does not read the window, so it does not record it
+    assert "window" not in manifest and "eps" not in manifest
     python = "{}.{}.{}".format(*sys.version_info[:3])
     assert manifest["versions"] == {"qprolate": qp.__version__, "python": python,
                                     "numpy": np.__version__}
+
+
+def _commands(tmp_path):
+    """A fast run of each command, as its flags."""
+    sample_file = tmp_path / "s.txt"
+    sample_file.write_text("0 1.0\n3 -0.5\n")
+    return {"eigen": FAST_EIGEN, "reconstruct": FAST_RECON,
+            "transform": ["--samples", str(sample_file), "--roundtrip", "--format", "json"]}
+
+
+@pytest.mark.parametrize("command", ["eigen", "reconstruct", "transform"])
+def test_manifest_holds_the_settings_read_and_reproduces_the_run(tmp_path, command):
+    from qprolate.cli import READS
+
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert main([command, *_commands(tmp_path)[command], "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert list(manifest) == [*READS[command], "command", "versions"]
+    assert main([command, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_reconstruct_band_edge_above_the_window_runs(tmp_path):
+    # the bands' depth is fixed, so no band edge makes it invalid
+    rc = main(["reconstruct", "--a-exp", "70", "--out", str(tmp_path), *FAST_RECON])
+    assert rc == 0
+    assert (tmp_path / "reconstruct_a70.csv").exists()
 
 
 def test_config_keys_are_the_run_settings():

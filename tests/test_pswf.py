@@ -524,7 +524,7 @@ def test_qpochhammer_series_match_mpmath(q):
     # like 1 - q^{2v+2} and q = 0.95 makes its terms exceed it by 10^7
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-    from qprolate.pswf import _qpoch_inf
+    from qprolate.qcalc import _qpoch_inf
 
     for v in (-0.999, -0.95, -0.5, 0.0, 0.5, 1.5, 3.0):
         with localcontext(Context(prec=200, Emax=MAX_EMAX, Emin=MIN_EMIN)):

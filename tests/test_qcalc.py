@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import bilateral_jackson, qpoch
+from _oracles import bilateral_jackson, c_qv, qpoch
 
 
 def test_qpochhammer_empty_product():
@@ -53,6 +54,18 @@ def test_qparams_constant():
     assert p.c_qv == pytest.approx(1.218299422132457, rel=1e-12)
     # at v = 0 the two products cancel and c = 1/(1-q) exactly
     assert qp.QParams(0.5, 0.0).c_qv == 2.0
+
+
+def test_qparams_constant_is_correctly_rounded():
+    # c_qv used to come from float products, 20 ulp off at (1/2, -1/2)
+    # and 60 ulp at worst on these draws; the decimal series at 25 digits,
+    # rounded once, is within half an ulp of the oracle on each of them
+    rng = np.random.default_rng(2026)
+    qs, vs = rng.uniform(0.05, 0.95, 400), rng.uniform(-0.99, 3.0, 400)
+    for q, v in zip(qs.tolist(), vs.tolist()):
+        got = qp.QParams(q, v).c_qv
+        err = abs(mp.mpf(got) - c_qv(q, v, 40)) / math.ulp(got)
+        assert err <= 0.5, (q, v, float(err))
 
 
 @pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0)])

@@ -358,6 +358,16 @@ def test_convergence_study_runge_decreasing(plan_half, window, p_half):
     assert errs[0] > errs[1] > errs[2] > 0
 
 
+def test_convergence_study_band_edge_past_the_window(plan_half, window, p_half):
+    # a band edge past the window's end keeps no spectrum, so f_a = 0 and
+    # the error is |f|; the study used to derive a depth from the window
+    # and raise "depth must be >= 1", a setting the caller never passed
+    f = qp.LatticeFunction.from_callable(window, lambda x: 1 / (1 + x * x), p_half.q)
+    out = qp.convergence_study(f, [70, 0], 5, plan_half)
+    assert out[0] == (70, float(np.max(np.abs(f.values[window.exponents() <= 5]))))
+    assert out[1] == qp.convergence_study(f, [0], 5, plan_half)[0]
+
+
 def test_convergence_study_ordering_enforced(plan_half, window):
     f = qp.LatticeFunction.zeros(window)
     with pytest.raises(ValueError):
