@@ -3,28 +3,26 @@
 The series sum_n (-1)^n q^{n(n+1)} z^{2n} / ((q^2;q^2)_n (q^{2v+2};q^2)_n)
 is entire, but for large z its terms grow to a huge peak before the
 q^{n(n+1)} decay wins, so the alternating sum cancels catastrophically in
-double precision.  Evaluation therefore runs a fast float pass first,
-``_series_float`` over a batch of arguments, each of which stops at the
-first term that does not grow and lies at most EPS |partial sum|.  It
-transparently reruns the same series in the standard library's decimal
-arithmetic (libmpdec), with enough digits, for each element whose peak
-term dwarfs the result or whose float pass overflowed.  ``jv`` (a batch
-of one) and ``jv_array`` share that one float-then-refine step, so an
-element's value does not depend on the batch it came in.  A kept float
-pass is good to a few 1e-10 relative: its peak may reach 1e6 |value|.  A
-value beyond the float range raises OverflowError; one below it is +0.0.
+double precision.  At a float argument, evaluation therefore runs a fast
+float pass first, ``_series_float`` over a batch of arguments, each of
+which stops at the first term that does not grow and lies at most
+EPS |partial sum|.  It transparently reruns the same series in the
+standard library's decimal arithmetic (libmpdec), with enough digits, for
+each element whose peak term dwarfs the result or whose float pass
+overflowed.  ``jv`` (a batch of one) and ``jv_array`` share that one
+float-then-refine step, so an element's value does not depend on the
+batch it came in.  A kept float pass is good to a few 1e-10 relative: its
+peak may reach 1e6 |value|.  A value beyond the float range raises
+OverflowError; one below it is +0.0.
 
 The transform, the operator and the sampling sum read j_v only at the
 lattice points q^s, through the cache behind ``jv_at_exponent`` and
-``lattice_table``, and at s < 0 the series cancels worst.  There the cache
-sums no series: g_s = j_v(q^s, q^2) solves the Hahn-Exton q-difference
-equation g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0, b_s = 1 + q^{2v} -
-q^{2s+2} (Koornwinder & Swarttouw 1992, Trans. AMS 333), and below s = 0
-it is the equation's minimal solution, found from the continued fraction
-of its ratios (Gautschi 1967, SIAM Rev. 9) and scaled to one decimal
-series, at z = 1; ``_lattice_recurrence`` says how.  Points s > 0, where
-the series cancels less, take the float-then-refine step, refined at the
-exact point q^s.
+``lattice_table``, and there the cache sums no series: g_s = j_v(q^s, q^2)
+solves the Hahn-Exton q-difference equation g_s - b_s g_{s+1} +
+q^{2v} g_{s+2} = 0, b_s = 1 + q^{2v} - q^{2s+2} (Koornwinder & Swarttouw
+1992, Trans. AMS 333), normalised by j_v(0) = 1 where q^s is small enough
+that the series is 1 to 40 digits.  ``_lattice_recurrence`` says how; each
+lattice value is the exact point's value, correctly rounded.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
@@ -44,7 +42,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .qcalc import EPS, LatticeWindow, QParams, lattice_points, lattice_weights, qpochhammer
+from .qcalc import EPS, LatticeWindow, QParams, lattice_weights, qpochhammer
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -52,10 +50,8 @@ _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
 # the largest |z| whose square the float pass can form
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
-# digits of the lattice recurrence's context, and the digits its anchor
-# j_v(1) keeps past the cancellation of its series
+# digits of the lattice recurrence's context
 _RECURRENCE_DIGITS = 40
-_ANCHOR_DIGITS = 30
 # steps below the lowest exponent asked for, or below the recurrence's
 # turning point where that lies lower, at which the ratios start from 0
 _RATIO_DEPTH = 60
@@ -124,11 +120,12 @@ def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
 
     A non-integer power costs libmpdec an exp and a log (13 ms at 560
     digits, 57 ms at 1,090), so it is kept per (q, v) and rounded into
-    each context; a plan refines its deepest, most costly values first, so
-    it takes about one power.  The exponent is exact, and the kept power
-    carries at least 20 digits past any context it is rounded into.  So
-    the rounded value does not depend on the digits it was kept at, and
-    no series on which refinements ran before it, unless q^{2v+2} lies
+    each context: the lattice recurrence's and each off-lattice
+    refinement's, so a batch whose refinements rise in digits forms a
+    power only at each new high.  The exponent is exact, and the kept
+    power carries at least 20 digits past any context it is rounded into.
+    So the rounded value does not depend on the digits it was kept at,
+    and no value on what was computed before it, unless q^{2v+2} lies
     within 10^-20 units of a rounding tie.  An integer 2v+2 (v = -1/2, 0,
     ...) is a plain product, formed each time.
     """
@@ -145,16 +142,12 @@ def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
     return ctx.plus(value)
 
 
-def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
-    """Series at the working precision of ``ctx``; returns (sum, max_term)
-    as Decimals.  The argument is the float z, converted exactly, or, given
-    a lattice exponent s, the power q^s formed at that precision, so that a
-    refined lattice value is the exact point's."""
+def _series_decimal(z: float, q: float, v: float, ctx: Context):
+    """Series at the working precision of ``ctx`` at the float z, converted
+    exactly; returns (sum, max_term) as Decimals."""
     with localcontext(ctx):
-        qd = Decimal(q)
-        x = qd**s if s is not None else Decimal(z)
-        z2 = x * x
-        q2 = qd * qd
+        z2 = Decimal(z) * Decimal(z)
+        q2 = Decimal(q) * Decimal(q)
         qv = _qv_power(q, v, ctx)
         term = Decimal(1)
         total = Decimal(0)
@@ -174,14 +167,12 @@ def _series_decimal(z, q: float, v: float, ctx: Context, s: int | None = None):
             term = nxt
 
 
-def _series_refined(
-    z, q: float, v: float, max_term_hint: float, kept: int = 18, s: int | None = None
-) -> Decimal:
-    """Decimal sum of the series, at z or at the lattice point q^s, with
-    digits escalated until it is resolved.
+def _series_refined(z: float, q: float, v: float, max_term_hint: float) -> Decimal:
+    """Decimal sum of the series at z, with digits escalated until it is
+    resolved.
 
     Starts at 40 digits past the float pass's peak term (200 when it
-    overflowed) and doubles until at least ``kept`` digits survive the
+    overflowed) and doubles until at least 18 digits survive the
     cancellation.
     """
     if math.isfinite(max_term_hint) and max_term_hint > 0:
@@ -190,8 +181,8 @@ def _series_refined(
         dps = 200
     while True:
         ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
-        total, max_term = _series_decimal(z, q, v, ctx, s)
-        if total == 0 or max_term.scaleb(kept - dps, ctx) < total.copy_abs():
+        total, max_term = _series_decimal(z, q, v, ctx)
+        if total == 0 or max_term.scaleb(18 - dps, ctx) < total.copy_abs():
             return total
         dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
@@ -214,10 +205,10 @@ def _needs_refinement(val, max_term):
     return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
 
 
-def _series_checked(z: np.ndarray, q: float, v: float, s=None):
+def _series_checked(z: np.ndarray, q: float, v: float):
     """Float pass of the series at each z of the 1-D ``z``, each element
-    for which ``_needs_refinement`` holds rerun in decimal arithmetic (at
-    its lattice exponent, when ``s`` gives one per element); returns
+    for which ``_needs_refinement`` holds rerun in decimal arithmetic;
+    returns
     (values, terms, peaks), the last two from the float pass.  Raises
     OverflowError, before any squaring, for a |z| whose square lies beyond
     the float range."""
@@ -228,57 +219,68 @@ def _series_checked(z: np.ndarray, q: float, v: float, s=None):
         )
     vals, terms, peaks = _series_float(z * z, q, v)
     for i in np.flatnonzero(_needs_refinement(vals, peaks)):
-        x, si = float(z[i]), None if s is None else int(s[i])
-        total = _series_refined(x, q, v, float(peaks[i]), s=si)
-        vals[i] = _rounded(total, v, repr(x) if si is None else f"q^{si}")
+        x = float(z[i])
+        vals[i] = _rounded(_series_refined(x, q, v, float(peaks[i])), v, repr(x))
     return vals, terms, peaks
 
 
 def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
-    """j_v(q^s, q^2) at each exponent s <= 0 of ``exps``, from the
-    Hahn-Exton q-difference equation, in decimal at _RECURRENCE_DIGITS.
+    """j_v(q^s, q^2) at each integer exponent s of ``exps``, from the
+    Hahn-Exton q-difference equation alone, in decimal at
+    _RECURRENCE_DIGITS.
 
     With b_s = 1 + q^{2v} - q^{2s+2}, g_s = j_v(q^s) solves
-    g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0, and below s = 0 it is the
-    minimal solution, which falls like q^{s^2}: run downward, the
-    recurrence for g itself would amplify the dominant one.  The ratios
-    R_s = g_s / g_{s+1} = q^{2v} / (b_{s-1} - R_{s-1}) are a continued
-    fraction, stable taken upward (Gautschi 1967).  They start from 0
+    g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0.  As s grows its solutions tend
+    to 1 and to q^{-2vs}.  g is normalised by g_T = 1 at the least T >= 1
+    where the series' second term c_1 q^{2T}, c_1 = q^2 / ((1 - q^2)
+    (1 - q^{2v+2})), lies below the context's digits; every s >= T reads
+    1.0.  For v >= 0 the equation runs down from g_{T+1} = g_T = 1 to
+    s = 0: going down, the other solution dies out (at v = 0 it grows
+    linearly).  Below s = 0 g is the minimal solution (it falls like
+    q^{s^2}), and for v < 0 it is the dominant one above the turning
+    point, so there, and for v < 0 everywhere below T, g_s = R_s g_{s+1}
+    runs down from g_0 or g_T over the ratios R_s = g_s / g_{s+1} =
+    q^{2v} / (b_{s-1} - R_{s-1}), a continued fraction that is stable
+    taken upward (Gautschi 1967, SIAM Rev. 9).  They start from 0
     _RATIO_DEPTH steps below the lowest exponent, or below the turning
     point, the largest s at which q^{2s+2} >= (1 + q^v)^2, where that lies
-    lower: above it the equation oscillates and the start's error does
-    not decay, so near q = 1 the depth counts from there.  Then
-    g_s = R_s g_{s+1} runs down from the anchor g_0 = j_v(1), the decimal
-    series at z = 1 resolved to _ANCHOR_DIGITS digits.  q^{2v} is
-    ``_qv_power``'s q^{2v+2} over q^2, and each power q^{2s+2} is q^2
-    divided down from s = 0, so a value does not depend on the table it
-    was read in.  Each value is rounded once to float, +0.0 where it
-    underflows; one beyond the float range raises OverflowError.  On
-    seeded draws over q 0.05-0.995, v -0.99..3, s -40..0, every value was
-    the exact point's value correctly rounded, against the series summed
-    at up to 1,500 digits.
+    lower: above it the equation oscillates and the start's error does not
+    decay.  q^{2v} is ``_qv_power``'s q^{2v+2} over q^2, and each power
+    q^{2s+2} is q^2 multiplied up or divided down from 1 at s = -1, so a
+    value does not depend on the table it was read in.  Each value is
+    rounded once to float, +0.0 where it underflows; one beyond the float
+    range raises OverflowError.  On seeded draws over q 0.05-0.995,
+    v -0.99..3, s -40..120, every value was the exact point's value
+    correctly rounded.
     """
-    s_min = min(exps)
-    turn = math.floor(math.log1p(q**v) / math.log(q)) - 1
+    log_q = math.log(q)
+    log_c1 = 2.0 * log_q - math.log1p(-q * q) - math.log(-math.expm1((2.0 * v + 2.0) * log_q))
+    top = max(1, math.floor((_RECURRENCE_DIGITS * math.log(10.0) + log_c1) / (-2.0 * log_q)) + 1)
+    mid = 0 if v >= 0 else top  # where the ratios take over, going down
+    s_min = min(min(exps), mid)
+    turn = math.floor(math.log1p(q**v) / log_q) - 1
     lo = min(s_min, turn) - _RATIO_DEPTH
-    peak = float(_series_float(np.ones(1), q, v)[2][0])
-    anchor = _series_refined(1.0, q, v, peak, _ANCHOR_DIGITS)
     ctx = Context(prec=_RECURRENCE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
     with localcontext(ctx):
         q2 = Decimal(q) * Decimal(q)
         q2v = _qv_power(q, v, ctx) / q2
-        powers = [q2]  # powers[k] = q^{2s+2} at s = -k
-        for _ in range(-lo):
-            powers.append(powers[-1] / q2)
+        base = 1 + q2v
+        powers = {-1: Decimal(1)}  # powers[s] = q^{2s+2}
+        for s in range(top):
+            powers[s] = powers[s - 1] * q2
+        for s in range(-2, lo - 1, -1):
+            powers[s] = powers[s + 1] / q2
         ratios = {}
         ratio = Decimal(0)  # R_lo
-        for s in range(lo + 1, 0):
-            ratio = q2v / (1 + q2v - powers[1 - s] - ratio)
+        for s in range(lo + 1, mid):
+            ratio = q2v / (base - powers[s - 1] - ratio)
             ratios[s] = ratio
-        values = {0: +anchor}
-        for s in range(-1, s_min - 1, -1):
+        values = {top: Decimal(1), top + 1: Decimal(1)}
+        for s in range(top - 1, mid - 1, -1):
+            values[s] = (base - powers[s]) * values[s + 1] - q2v * values[s + 2]
+        for s in range(mid - 1, s_min - 1, -1):
             values[s] = ratios[s] * values[s + 1]
-    return [_rounded(values[s], v, f"q^{s}") for s in exps]
+    return [1.0 if s > top else _rounded(values[s], v, f"q^{s}") for s in exps]
 
 
 def jv(z: float, p: QParams) -> BesselEvalReport:
@@ -292,7 +294,8 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     EPS |partial sum|, so a kept float pass errs by the rounding of terms
     up to 1e6 |value|: the worst measured is 2.7e-10 relative, at
     q = 0.95, v = -0.1, z = 0.95^5 (max_term 7.8e5 |value|), and 4.1e-11
-    at q = 0.9, v = -1/2, z = 0.9^-5.  Raises ValueError for a non-finite
+    at q = 0.9, v = -1/2, z = 0.9^-5; ``jv_at_exponent`` gives the exact
+    lattice point's value instead.  Raises ValueError for a non-finite
     z, on which the refinement would never resolve, and OverflowError when
     the value lies beyond the float range or |z| above about 1.34e154,
     whose square the float pass cannot form.
@@ -312,11 +315,9 @@ class _LatticeCache:
     """Process-wide j_v(q^s, q^2), keyed by (q, v, s).
 
     ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
-    counts calls.  It computes all of its misses at s <= 0 in one
-    ``_lattice_recurrence`` call, and all of those at s > 0 in one
-    ``_series_checked`` call at the arguments ``lattice_points(q, s)``,
-    which refines a value at the exact point q^s.
-    A read that would pass ``maxsize`` empties the cache first.
+    counts calls, and computes all of its misses in one
+    ``_lattice_recurrence`` call, which sums no series.  A read that would
+    pass ``maxsize`` empties the cache first.
     """
 
     def __init__(self, maxsize: int):
@@ -332,13 +333,8 @@ class _LatticeCache:
             if len(values) + len(missing) > self.maxsize:
                 values.clear()
                 missing = keys
-            low = [s for _, _, s in missing if s <= 0]
-            high = [s for _, _, s in missing if s > 0]
-            if low:
-                values.update(zip([(q, v, s) for s in low], _lattice_recurrence(q, v, low)))
-            if high:
-                vals = _series_checked(lattice_points(q, high), q, v, high)[0]
-                values.update(zip([(q, v, s) for s in high], vals.tolist()))
+            exps = [s for _, _, s in missing]
+            values.update(zip(missing, _lattice_recurrence(q, v, exps)))
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return [values[k] for k in keys]
@@ -355,7 +351,8 @@ _jv_exp_cached = _LatticeCache(1 << 18)
 
 
 def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
-    """j_v(q^s, q^2) for integer s, cached across the whole process.
+    """j_v(q^s, q^2) for integer s, cached across the whole process: the
+    exact point's value, correctly rounded, from ``_lattice_recurrence``.
 
     The order ``v`` defaults to ``p.v``; the closed-form kernels also need
     order v + 1 at lattice arguments.

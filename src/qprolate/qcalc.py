@@ -19,6 +19,10 @@ import numpy as np
 
 # relative tolerance of the q-Bessel float series and of the tail check
 EPS = 1e-14
+# digits past which Euler's series for an infinite q-Pochhammer symbol
+# costs more than a second or so: QParams raises above q = 0.99973
+_QPOCH_MAX_DIGITS = 2000
+_LN10 = math.log(10.0)
 
 
 class WindowTooSmall(ValueError):
@@ -69,19 +73,32 @@ def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
     series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n, whose terms fall like
     x^{n^2/2}.  Its terms exceed the result (by 10^7 at x = 0.9), which
     shrinks like 1 - a as a -> 1, so the sum carries as many more digits
-    as the largest term lies above the result, both from float64
-    estimates, plus a guard."""
+    as the largest term lies above the result, both estimated in float64
+    as sums of logs, plus a guard.  Raises ValueError, naming q = sqrt(x),
+    where that would take more than _QPOCH_MAX_DIGITS digits; each
+    estimate stops once it passes them."""
     af, xf = float(a), float(x)
-    est = math.log10(qpochhammer(af, xf, math.inf))
+    prec = getcontext().prec
+    budget = _QPOCH_MAX_DIGITS - prec - 3  # 3 guard digits
+    # log10 of the result, a sum of logs: the float product of the
+    # factors lies below the float range for x above about 0.9976
+    est, t = 0.0, af
+    while t >= EPS * (1.0 - xf) and est >= -budget * _LN10:
+        est, t = est + math.log1p(-t), t * xf
+    est /= _LN10
     # log10 of the largest term: the ratio of successive terms,
     # a x^n / (1 - x^{n+1}), falls with n
     peak, n = 0.0, 0
-    while (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
+    while peak - est <= budget and (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
         peak, n = peak + math.log10(r), n + 1
-    prec = getcontext().prec
+    if peak - est > budget:
+        raise ValueError(
+            f"q = {math.sqrt(xf)!r} lies too close to 1: Euler's series for "
+            f"(a; q^2)_inf would need more than {_QPOCH_MAX_DIGITS} digits"
+        )
     tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
     with localcontext() as ctx:
-        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
+        ctx.prec = prec + math.ceil(peak - est) + 3
         total, term, xn = Decimal(1), Decimal(1), Decimal(1)
         while True:
             r = a * xn / (1 - xn * x)
@@ -95,10 +112,13 @@ def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
 
 def c_qv_decimal(q: float, v: float) -> Decimal:
     """c_qv = (q^{2v+2}; q^2)_inf / ((1-q) (q^2; q^2)_inf) in the current
-    decimal context, from Euler's series for both symbols."""
+    decimal context, from Euler's series for both symbols.  (q^2; q^2)_inf
+    goes first: where q lies too close to 1 its estimates pass the digit
+    cap within a few hundred terms, whatever v is."""
     qd = Decimal(q)
     q2 = qd * qd
-    return _qpoch_inf(qd ** (2 * Decimal(v) + 2), q2) / (_qpoch_inf(q2, q2) * (1 - qd))
+    den = _qpoch_inf(q2, q2) * (1 - qd)
+    return _qpoch_inf(qd ** (2 * Decimal(v) + 2), q2) / den
 
 
 @dataclass(frozen=True)
@@ -109,9 +129,10 @@ class QParams:
     c_qv = (q^{2v+2}; q^2)_inf / ((1-q) (q^2; q^2)_inf), is derived in
     ``__post_init__`` by ``c_qv_decimal`` at 25 digits and rounded once
     to float64: correctly rounded unless it lies within about 1e-24
-    relative of a point halfway between two floats.  Instances are
-    immutable, so replacing q or v via ``dataclasses.replace`` recomputes
-    it.
+    relative of a point halfway between two floats.  Raises ValueError
+    above q = 0.99973, where that series would need more than 2,000
+    digits.  Instances are immutable, so replacing q or v via
+    ``dataclasses.replace`` recomputes it.
     """
 
     q: float

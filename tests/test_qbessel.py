@@ -124,31 +124,6 @@ def test_jv_beyond_float_range_raises():
         qp.jv_array(np.array([1.0, 100.0]), qp.QParams(0.99, -0.5))
 
 
-def test_cold_plan_sums_one_series_per_order(monkeypatch):
-    # a cold (-15, 60) plan at q = 1/2, v = 1.7 reads s = -30..120: the
-    # values at s <= 0 come from the q-difference equation, which sums one
-    # decimal series, its anchor j_v(1), and those at s > 0 keep their
-    # float pass; the non-integer power q^{2v+2} is kept 20 digits past
-    # the most asked for and rounded into the others
-    from qprolate import qbessel
-
-    series = []
-    real = qbessel._series_decimal
-
-    def counted(z, q, v, ctx, s=None):
-        series.append((z, v, ctx.prec))
-        return real(z, q, v, ctx, s)
-
-    monkeypatch.setattr(qbessel, "_series_decimal", counted)
-    qbessel._jv_exp_cached.cache_clear()
-    qbessel._QV_POWERS.clear()
-    qp.make_plan(qp.LatticeWindow(-15, 60), qp.QParams(0.5, 1.7))
-    assert [(z, v) for z, v, _ in series] == [(1.0, 1.7)]
-    assert qbessel._QV_POWERS[0.5, 1.7][0] == max(
-        qbessel._RECURRENCE_DIGITS, *(prec for _, _, prec in series)
-    ) + 20
-
-
 def test_power_kept_at_more_digits_rounds_into_fewer():
     # q^{2v+2} rounded into 45 or 60 digits is the power with the exact
     # exponent, whether it was first asked for there or kept at 620
@@ -186,9 +161,9 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
     digits = []
     real = qbessel._series_decimal
 
-    def counted(z, q, v, ctx, s=None):
+    def counted(z, q, v, ctx):
         digits.append(ctx.prec)
-        return real(z, q, v, ctx, s)
+        return real(z, q, v, ctx)
 
     monkeypatch.setattr(qbessel, "_series_decimal", counted)
     p, z = qp.QParams(0.9, 0.3), np.geomspace(1.5, 3000.0, 100)
@@ -204,15 +179,10 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
 @pytest.mark.parametrize("q, v", [(0.05, 10.0), (0.01, 7.0)])
 def test_negative_lattice_exponents_at_large_order(q, v):
     # at large v, jv_bound(s) overstates |j_v(q^s)| by up to q^{2(2v+1)s},
-    # more than the peak term itself; the refinement must still start at
-    # a valid precision and reach the value a 1000-digit sum gives
-    from decimal import MAX_EMAX, MIN_EMIN, Context
-
-    from qprolate import qbessel
-
-    ctx = Context(prec=1000, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    # more than the peak term itself; the lattice value is still the one
+    # a 1000-digit sum at the exact point gives
     for s in range(-10, 0):
-        want = float(qbessel._series_decimal(None, q, v, ctx, s)[0])
+        want = float(jv_lattice(q, v, s, 1000))
         got = qp.jv_at_exponent(s, qp.QParams(q, v))
         assert math.isfinite(got) and got == want, (s, got, want)
 
@@ -318,69 +288,13 @@ def test_batch_size_does_not_change_an_element():
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.3, 1.7), (0.7, -0.9)])
 def test_jv_at_exponent_is_jv_at_the_lattice_point(q, v):
-    # at s > 0 a lattice value is the float pass at the Python float
-    # q ** float(s), which is kept there; at s <= 0 it comes from the
-    # q-difference equation and is the exact point's value correctly
-    # rounded, where the float pass at the rounded point errs by up to
-    # 1e-10 relative
-    from qprolate import qbessel
-
+    # every lattice value comes from the q-difference equation and is the
+    # exact point's value correctly rounded, where the float pass at the
+    # rounded point errs by up to 1e-10 relative at s < 0
     p = qp.QParams(q, v)
-    for s in range(1, 40):
-        rep = qp.jv(q ** float(s), p)
-        assert not qbessel._needs_refinement(rep.value, rep.max_term_magnitude), s
-        assert qp.jv_at_exponent(s, p) == rep.value, s
-    for s in range(-12, 1):
+    for s in range(-12, 40):
         got = qp.jv_at_exponent(s, p)
         assert got == float(jv_lattice(q, v, s, _oracle_digits(s, q, v, got))), s
-
-
-@pytest.mark.parametrize("q, v, exps", [(0.95, -0.5, range(1, 12)), (0.97, -0.9, range(18, 24))])
-def test_refined_lattice_values_above_zero_are_the_exact_points(q, v, exps):
-    # near q = 1 the float pass at s > 0 cancels past _REFINE_RATIO at
-    # some points; their decimal rerun forms q^s at its own digits, so the
-    # value is the exact point's correctly rounded, where a rerun at the
-    # float point q ** float(s) errs by up to 2.7e-13 relative
-    from qprolate import qbessel
-
-    p = qp.QParams(q, v)
-    refined = 0
-    for s in exps:
-        rep = qp.jv(q ** float(s), p)
-        if qbessel._needs_refinement(rep.value, rep.max_term_magnitude):
-            refined += 1
-            got = qp.jv_at_exponent(s, p)
-            assert got == float(jv_lattice(q, v, s, _oracle_digits(s, q, v, got))), s
-    assert refined >= 3
-
-
-def test_lattice_values_below_the_float_range_sum_no_series(monkeypatch):
-    # at s <= 0 a lattice table sums one decimal series, its anchor j_v(1),
-    # whatever its depth: at q = 0.99 the y-side tables of a reconstruct
-    # at a_exp = -460 lie near 1e-880, and each value rounds to +0.0
-    # without a series of its own
-    from qprolate import qbessel
-
-    series = []
-    real = qbessel._series_decimal
-
-    def counted(z, q, v, ctx, s=None):
-        series.append((q, v, z))
-        return real(z, q, v, ctx, s)
-
-    monkeypatch.setattr(qbessel, "_series_decimal", counted)
-    qbessel._jv_exp_cached.cache_clear()
-    tables = [
-        qbessel.lattice_table(qp.QParams(0.05, 0.7), -40, -25),
-        qbessel.lattice_table(qp.QParams(0.99, 0.5), -470, -420, 1.5),
-        qbessel.lattice_table(qp.QParams(0.99, 0.5), -471, -421),
-    ]
-    assert series == [(0.05, 0.7, 1.0), (0.99, 1.5, 1.0), (0.99, 0.5, 1.0)]
-    for table in tables:
-        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in table)
-    # below v = -1/2 the paper's form C q^{s^2 + (2v+1) s} of the bound
-    # lies 40 digits under this subnormal value
-    assert qp.jv_at_exponent(-16, qp.QParams(0.05, -0.99)) == 3.74033201837e-312
 
 
 def _oracle_digits(s, q, v, value):
@@ -396,43 +310,92 @@ def _oracle_digits(s, q, v, value):
 
 
 def test_lattice_recurrence_vs_exact_point_oracle():
-    # seeded draws at s <= 0 over q 0.05-0.95, v -0.99..3, s -40..0, kept
-    # where the oracle needs at most 1,500 digits: each value lies within
-    # one ulp of the series summed at the exact point q^s (0 ulps on all
-    # of them, and on 300 more draws with q up to 0.995, when this was
-    # written)
+    # seeded draws over q 0.05-0.95, v -0.99..3, s -40..120, and a few at
+    # q 0.97-0.995, kept where the oracle needs at most 1,500 digits: each
+    # value lies within one ulp of the series summed at the exact point
+    # q^s, or within 1e-15 of its largest neighbour at a near-zero (0 ulps
+    # on all of them, and on 560 more draws over q 0.05-0.995, when this
+    # was written)
     rng = np.random.default_rng(2606)
     checked = 0
-    while checked < 24:
-        q, v, s = rng.uniform(0.05, 0.95), rng.uniform(-0.99, 3.0), int(rng.integers(-40, 1))
-        got = qp.jv_at_exponent(s, qp.QParams(q, v))
-        dps = _oracle_digits(s, q, v, got)
+    while checked < 48:
+        q = rng.uniform(0.97, 0.995) if checked % 8 == 7 else rng.uniform(0.05, 0.95)
+        v, s = rng.uniform(-0.99, 3.0), int(rng.integers(-40, 121))
+        p = qp.QParams(q, v)
+        got = [qp.jv_at_exponent(t, p) for t in (s - 1, s, s + 1)]
+        dps = _oracle_digits(s, q, v, got[1])
         if dps > 1500:
             continue
         want = float(jv_lattice(q, v, s, dps))
-        assert abs(got - want) <= math.ulp(want), (q, v, s, got, want)
+        err = abs(got[1] - want)
+        assert err <= math.ulp(want) or err <= 1e-15 * max(map(abs, got)), (q, v, s, got, want)
         checked += 1
 
 
 @pytest.mark.parametrize("q, v", [(0.5, 0.5), (0.05, 0.7), (0.3, 1.7), (0.95, -0.1), (0.99, 0.0)])
-def test_cold_lattice_table_sums_only_its_anchor(monkeypatch, q, v):
-    # a cold s = -30..0 table, at either order, sums one decimal series:
-    # j_v(1), which anchors the q-difference equation
+def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
+    # a cold s = -30..120 table, at either order, as a cold (-15, 60) plan
+    # reads, calls no series, in float or in decimal: every lattice value
+    # comes from the q-difference equation.  A non-integer power q^{2v+2}
+    # is kept 20 digits past the recurrence's
     from qprolate import qbessel
 
-    series = []
-    real = qbessel._series_decimal
+    def series(*args):
+        raise AssertionError("a lattice-cache miss summed a series")
 
-    def counted(z, q, v, ctx, s=None):
-        series.append((z, v))
-        return real(z, q, v, ctx, s)
-
-    monkeypatch.setattr(qbessel, "_series_decimal", counted)
+    for name in ("_series_float", "_series_refined", "_series_decimal"):
+        monkeypatch.setattr(qbessel, name, series)
     qbessel._jv_exp_cached.cache_clear()
+    qbessel._QV_POWERS.clear()
     p = qp.QParams(q, v)
-    qbessel.lattice_table(p, -30, 0)
-    qbessel.lattice_table(p, -30, 0, v + 1.0)
-    assert series == [(1.0, v), (1.0, v + 1.0)]
+    qbessel.lattice_table(p, -30, 120)
+    qbessel.lattice_table(p, -30, 120, v + 1.0)
+    assert all(d == qbessel._RECURRENCE_DIGITS + 20 for d, _ in qbessel._QV_POWERS.values())
+    # so do deep tables: at q = 0.99 the y-side tables of a reconstruct at
+    # a_exp = -460 lie near 1e-880, and each value rounds to +0.0
+    for table in (
+        qbessel.lattice_table(qp.QParams(0.05, 0.7), -40, -25),
+        qbessel.lattice_table(qp.QParams(0.99, 0.5), -470, -420, 1.5),
+        qbessel.lattice_table(qp.QParams(0.99, 0.5), -471, -421),
+    ):
+        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in table)
+    # below v = -1/2 the paper's form C q^{s^2 + (2v+1) s} of the bound
+    # lies 40 digits under this subnormal value
+    assert qp.jv_at_exponent(-16, qp.QParams(0.05, -0.99)) == 3.74033201837e-312
+
+
+def test_lattice_cache_computes_its_misses_in_one_call(monkeypatch):
+    # a read sends all of its misses, and only those, to one recurrence
+    from qprolate import qbessel
+
+    calls = []
+    real = qbessel._lattice_recurrence
+
+    def counted(q, v, exps):
+        calls.append(list(exps))
+        return real(q, v, exps)
+
+    monkeypatch.setattr(qbessel, "_lattice_recurrence", counted)
+    qbessel._jv_exp_cached.cache_clear()
+    p = qp.QParams(0.7, 0.3)
+    qbessel.lattice_table(p, 0, 10)
+    qbessel.lattice_table(p, -5, 15)
+    qbessel.lattice_table(p, -5, 15)
+    assert calls == [list(range(0, 11)), [-5, -4, -3, -2, -1, 11, 12, 13, 14, 15]]
+
+
+@pytest.mark.parametrize("q, v", [(0.05, -0.99), (0.5, 0.0), (0.9, 2.0), (0.95, -0.5)])
+def test_lattice_values_at_and_past_the_top_exponent(q, v):
+    # the recurrence sets j_v(q^T) = 1 at the least T where the series'
+    # second term c_1 q^{2T} falls below 1e-40 (T = 15..949 here);
+    # around it every value is the exact point's, and far past it 1.0
+    p = qp.QParams(q, v)
+    c1 = q * q / ((1 - q * q) * (1 - q ** (2 * v + 2)))
+    top = math.floor(math.log(c1 * 1e40) / (-2 * math.log(q))) + 1
+    for s in (top // 2, top - 1, top, top + 1):
+        got = qp.jv_at_exponent(s, p)
+        assert got == float(jv_lattice(q, v, s, 60)), s
+    assert qp.jv_at_exponent(10**9, p) == 1.0
 
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.3, 1.7), (0.8, -0.1), (0.95, 0.5), (0.99, -0.9)])

@@ -68,6 +68,34 @@ def test_qparams_constant_is_correctly_rounded():
         assert err <= 0.5, (q, v, float(err))
 
 
+def test_qparams_constant_near_one():
+    # the series' digits come from sums of logs: the float product they
+    # came from lies below the float range above q = 0.9988, where c_qv
+    # was 8,190.86 at q = 0.999 and q = 0.9995 raised a bare "math domain
+    # error".  q = 0.99 is checked against the 60-digit oracle, the others
+    # against its values frozen here (its products take 1.6-7 s there),
+    # which an Euler-Maclaurin sum of the logs of the factors matched
+    with mp.workdps(40):
+        want = {
+            0.99: c_qv(0.99, -0.5, 60),
+            0.998: mp.mpf("17.8457050066650636474763826823"),
+            0.999: mp.mpf("25.2344803849447467126969816549"),
+            0.9995: mp.mpf("35.6847129197050923786202601334"),
+        }
+        for q, c in want.items():
+            got = qp.QParams(q, -0.5).c_qv
+            assert abs(mp.mpf(got) - c) <= math.ulp(got) / 2, q
+
+
+@pytest.mark.parametrize("q", [0.9999, 1.0 - 1e-15])
+def test_qparams_too_close_to_one_raises(q):
+    # the series would need more than 2,000 digits (5,400 at q = 0.9999);
+    # its digit estimates stop once they pass them, so this takes
+    # milliseconds even where q - 1 is a few ulps
+    with pytest.raises(ValueError, match=f"q = {q!r} lies too close to 1"):
+        qp.QParams(q, -0.5)
+
+
 @pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0)])
 def test_qparams_validation(q, v):
     with pytest.raises(ValueError):
