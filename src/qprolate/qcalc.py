@@ -19,9 +19,11 @@ import numpy as np
 
 # relative tolerance of the q-Bessel float series and of the tail check
 EPS = 1e-14
-# digits past which Euler's series for an infinite q-Pochhammer symbol
-# costs more than a second or so: QParams raises above q = 0.99973
-_QPOCH_MAX_DIGITS = 2000
+# digits past which the cancellation in Euler's series for an infinite
+# q-Pochhammer symbol costs more than a second or so: it depends on q
+# alone, whatever the context's precision, and passes this from about
+# q = 0.99973 on
+_QPOCH_MAX_EXTRA_DIGITS = 2000
 _LN10 = math.log(10.0)
 
 
@@ -75,11 +77,11 @@ def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
     shrinks like 1 - a as a -> 1, so the sum carries as many more digits
     as the largest term lies above the result, both estimated in float64
     as sums of logs, plus a guard.  Raises ValueError, naming q = sqrt(x),
-    where that would take more than _QPOCH_MAX_DIGITS digits; each
-    estimate stops once it passes them."""
+    where that would take more than _QPOCH_MAX_EXTRA_DIGITS digits beyond
+    the context's, whatever its precision; each estimate stops once it
+    passes them."""
     af, xf = float(a), float(x)
-    prec = getcontext().prec
-    budget = _QPOCH_MAX_DIGITS - prec - 3  # 3 guard digits
+    budget = _QPOCH_MAX_EXTRA_DIGITS
     # log10 of the result, a sum of logs: the float product of the
     # factors lies below the float range for x above about 0.9976
     est, t = 0.0, af
@@ -94,11 +96,13 @@ def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
     if peak - est > budget:
         raise ValueError(
             f"q = {math.sqrt(xf)!r} lies too close to 1: Euler's series for "
-            f"(a; q^2)_inf would need more than {_QPOCH_MAX_DIGITS} digits"
+            f"(a; q^2)_inf would need more than {_QPOCH_MAX_EXTRA_DIGITS} "
+            "digits beyond the working precision"
         )
+    prec = getcontext().prec
     tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
     with localcontext() as ctx:
-        ctx.prec = prec + math.ceil(peak - est) + 3
+        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
         total, term, xn = Decimal(1), Decimal(1), Decimal(1)
         while True:
             r = a * xn / (1 - xn * x)
@@ -130,8 +134,8 @@ class QParams:
     ``__post_init__`` by ``c_qv_decimal`` at 25 digits and rounded once
     to float64: correctly rounded unless it lies within about 1e-24
     relative of a point halfway between two floats.  Raises ValueError
-    above q = 0.99973, where that series would need more than 2,000
-    digits.  Instances are immutable, so replacing q or v via
+    from about q = 0.99973 on, where that series would cancel more than
+    2,000 digits.  Instances are immutable, so replacing q or v via
     ``dataclasses.replace`` recomputes it.
     """
 

@@ -313,9 +313,9 @@ def test_lattice_recurrence_vs_exact_point_oracle():
     # seeded draws over q 0.05-0.95, v -0.99..3, s -40..120, and a few at
     # q 0.97-0.995, kept where the oracle needs at most 1,500 digits: each
     # value lies within one ulp of the series summed at the exact point
-    # q^s, or within 1e-15 of its largest neighbour at a near-zero (0 ulps
-    # on all of them, and on 560 more draws over q 0.05-0.995, when this
-    # was written)
+    # q^s, or, at a near-zero (below 1e-3 of its larger neighbour), within
+    # 1e-15 of that neighbour (0 ulps on all of them, and on 560 more draws
+    # over q 0.05-0.995, when this was written)
     rng = np.random.default_rng(2606)
     checked = 0
     while checked < 48:
@@ -327,8 +327,11 @@ def test_lattice_recurrence_vs_exact_point_oracle():
         if dps > 1500:
             continue
         want = float(jv_lattice(q, v, s, dps))
-        err = abs(got[1] - want)
-        assert err <= math.ulp(want) or err <= 1e-15 * max(map(abs, got)), (q, v, s, got, want)
+        err, near = abs(got[1] - want), max(abs(got[0]), abs(got[2]))
+        if abs(want) < 1e-3 * near:
+            assert err <= 1e-15 * near, (q, v, s, got, want)
+        else:
+            assert err <= math.ulp(want), (q, v, s, got, want)
         checked += 1
 
 
@@ -400,13 +403,14 @@ def test_lattice_values_at_and_past_the_top_exponent(q, v):
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.3, 1.7), (0.8, -0.1), (0.95, 0.5), (0.99, -0.9)])
 def test_lattice_value_does_not_depend_on_its_table(monkeypatch, q, v):
-    # a value at s is the same read alone, inside a table from s - 40, or
-    # after a deeper table filled the cache, and with the ratios started
-    # twice as deep
+    # a value at s, on both sides of 0, is the same read alone, inside a
+    # table from s - 40, or after a deeper table filled the cache, and with
+    # the ratios started twice as deep: for v < 0 the values at s > 0 also
+    # run down over ratios started below the table's lowest exponent
     from qprolate import qbessel
 
     p = qp.QParams(q, v)
-    exps = range(-25, 1, 3)
+    exps = range(-25, 40, 3)
     alone, within = [], []
     for s in exps:
         qbessel._jv_exp_cached.cache_clear()
@@ -418,7 +422,7 @@ def test_lattice_value_does_not_depend_on_its_table(monkeypatch, q, v):
     after = [qp.jv_at_exponent(s, p) for s in exps]
     monkeypatch.setattr(qbessel, "_RATIO_DEPTH", 2 * qbessel._RATIO_DEPTH)
     qbessel._jv_exp_cached.cache_clear()
-    deeper = qbessel.lattice_table(p, -25, 0)[::3].tolist()
+    deeper = qbessel.lattice_table(p, -25, 38)[::3].tolist()
     assert alone == within == after == deeper
 
 

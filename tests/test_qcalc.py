@@ -89,11 +89,27 @@ def test_qparams_constant_near_one():
 
 @pytest.mark.parametrize("q", [0.9999, 1.0 - 1e-15])
 def test_qparams_too_close_to_one_raises(q):
-    # the series would need more than 2,000 digits (5,400 at q = 0.9999);
+    # the series would cancel more than 2,000 digits (5,400 at q = 0.9999);
     # its digit estimates stop once they pass them, so this takes
     # milliseconds even where q - 1 is a few ulps
     with pytest.raises(ValueError, match=f"q = {q!r} lies too close to 1"):
         qp.QParams(q, -0.5)
+
+
+@pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.5, 1.7)])
+def test_c_qv_decimal_at_thousands_of_digits(q, v):
+    # the moment matrix of the eigensolve reads c_qv in contexts of up to
+    # about 3,000 digits: the digit cap counts only the digits the series
+    # cancels, so a q that QParams takes is summed at any precision
+    from decimal import MAX_EMAX, MIN_EMIN, Context, localcontext
+
+    from qprolate.qcalc import c_qv_decimal
+
+    with localcontext(Context(prec=2500, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        got = c_qv_decimal(q, v)
+    with mp.workdps(2520):
+        want = c_qv(q, v, 2520)
+        assert abs(mp.mpf(str(got)) / want - 1) < mp.mpf(10) ** -2498
 
 
 @pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0)])
