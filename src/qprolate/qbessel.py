@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .qcalc import EPS, LatticeWindow, QParams, lattice_weights, qpochhammer
+from . import qcalc
+from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, to_float
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -111,8 +112,6 @@ def _series_float(z2: np.ndarray, q: float, v: float):
 
 # (q, v) -> (digits, q^{2v+2} at those digits), for non-integer 2v+2
 _QV_POWERS: dict[tuple[float, float], tuple[int, Decimal]] = {}
-# forms 2v + 2 without rounding, whatever the digits of the float v
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
@@ -129,7 +128,7 @@ def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
     within 10^-20 units of a rounding tie.  An integer 2v+2 (v = -1/2, 0,
     ...) is a plain product, formed each time.
     """
-    e = _EXACT.fma(2, Decimal(v), 2)
+    e = EXACT.fma(2, Decimal(v), 2)
     if e == e.to_integral_value():
         return ctx.power(Decimal(q), e)
     digits, value = _QV_POWERS.get((q, v), (0, None))
@@ -149,16 +148,12 @@ def _series_decimal(z: float, q: float, v: float, ctx: Context):
         z2 = Decimal(z) * Decimal(z)
         q2 = Decimal(q) * Decimal(q)
         qv = _qv_power(q, v, ctx)
-        term = Decimal(1)
-        total = Decimal(0)
-        max_term = Decimal(0)
+        term, total, max_term = Decimal(1), Decimal(0), Decimal(0)
         floor = Decimal(1).scaleb(-ctx.prec)
         q2n = Decimal(1)  # q2**n
         while True:
             total += term
-            at = abs(term)
-            if at > max_term:
-                max_term = at
+            max_term = max(max_term, at := abs(term))
             q2n1 = q2n * q2
             nxt = -term * (q2n1 * z2 / ((1 - q2n1) * (1 - qv * q2n)))
             q2n = q2n1
@@ -175,10 +170,8 @@ def _series_refined(z: float, q: float, v: float, max_term_hint: float) -> Decim
     overflowed) and doubles until at least 18 digits survive the
     cancellation.
     """
-    if math.isfinite(max_term_hint) and max_term_hint > 0:
-        dps = 40 + int(math.log10(max_term_hint))
-    else:
-        dps = 200
+    finite = math.isfinite(max_term_hint) and max_term_hint > 0
+    dps = 40 + int(math.log10(max_term_hint)) if finite else 200
     while True:
         ctx = Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)
         total, max_term = _series_decimal(z, q, v, ctx)
@@ -187,15 +180,6 @@ def _series_refined(z: float, q: float, v: float, max_term_hint: float) -> Decim
         dps *= 2
         if dps > 40000:  # pragma: no cover - series is entire, never reached
             raise ArithmeticError("q-Bessel series failed to resolve")
-
-
-def _rounded(value: Decimal, v: float, arg: str) -> float:
-    """A resolved value rounded once to float, +0.0 where it underflows;
-    raises OverflowError, naming j_v(``arg``), beyond the float range."""
-    out = float(value)
-    if math.isinf(out):
-        raise OverflowError(f"j_{v}({arg}) = {value:.6e} lies beyond the float range")
-    return out + 0.0  # turns -0.0 into +0.0
 
 
 def _needs_refinement(val, max_term):
@@ -220,7 +204,7 @@ def _series_checked(z: np.ndarray, q: float, v: float):
     vals, terms, peaks = _series_float(z * z, q, v)
     for i in np.flatnonzero(_needs_refinement(vals, peaks)):
         x = float(z[i])
-        vals[i] = _rounded(_series_refined(x, q, v, float(peaks[i])), v, repr(x))
+        vals[i] = to_float(_series_refined(x, q, v, float(peaks[i])), f"j_{v}({x!r})")
     return vals, terms, peaks
 
 
@@ -280,7 +264,7 @@ def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
             values[s] = (base - powers[s]) * values[s + 1] - q2v * values[s + 2]
         for s in range(mid - 1, s_min - 1, -1):
             values[s] = ratios[s] * values[s + 1]
-    return [1.0 if s > top else _rounded(values[s], v, f"q^{s}") for s in exps]
+    return [1.0 if s > top else to_float(values[s], f"j_{v}(q^{s})") for s in exps]
 
 
 def jv(z: float, p: QParams) -> BesselEvalReport:
@@ -363,8 +347,7 @@ def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
 def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
     """Array of j_v(q^s, q^2) for s = s_min..s_max, read through the same
     process-wide cache as ``jv_at_exponent``; ``v`` defaults to ``p.v``."""
-    v = p.v if v is None else v
-    return np.array(_jv_exp_cached.read(p.q, v, range(s_min, s_max + 1)))
+    return np.array(_jv_exp_cached.read(p.q, p.v if v is None else v, range(s_min, s_max + 1)))
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
@@ -379,8 +362,11 @@ def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
 
 
 def jv_bound(n: int, p: QParams) -> float:
-    """Upper bound for |j_v(q^n, q^2)|: a constant C for n >= 0, times
-    q^{n^2 - |(2v+1) n|} for n < 0.
+    """Upper bound for |j_v(q^n, q^2)|: C for n >= 0, times q^{n^2 - |(2v+1) n|}
+    for n < 0, with C = (-q^2;q^2)_inf (-q^{2v+2};q^2)_inf / (q^{2v+2};q^2)_inf
+    from ``qcalc.qpoch_inf_decimal`` at 20 digits, rounded once to float.
+    Raises OverflowError, naming q, v and n, where the bound lies beyond the
+    float range (from about q = 0.998 on at v = 0).
 
     For v >= -1/2 that is the paper's C q^{n^2 + (2v+1) n}.  Below -1/2
     that form fails (by 76 digits at q = 0.05, v = -0.99, n = -30), and
@@ -388,20 +374,14 @@ def jv_bound(n: int, p: QParams) -> float:
     v -0.99..-0.51 with at least 0.02 digits to spare, as the paper's form
     does at v = -1/2 (measured, not proved).
     """
-    q2 = p.q * p.q
-    c = (
-        qpochhammer(-q2, q2, math.inf)
-        * qpochhammer(-p.q ** (2.0 * p.v + 2.0), q2, math.inf)
-        / qpochhammer(p.q ** (2.0 * p.v + 2.0), q2, math.inf)
-    )
-    if n >= 0:
-        return c
-    return c * p.q ** _bound_exponent(n, p.v)
-
-
-def _bound_exponent(n: int, v: float) -> float:
-    """Power of q by which ``jv_bound`` scales its constant at n < 0."""
-    return n * n - abs((2.0 * v + 1.0) * n)
+    with localcontext(Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        qd = Decimal(p.q)
+        x, a = EXACT.multiply(qd, qd), qd ** EXACT.fma(2, Decimal(p.v), 2)
+        c = qcalc.qpoch_inf_decimal(-x, x) * qcalc.qpoch_inf_decimal(-a, x)
+        c /= qcalc.qpoch_inf_decimal(a, x)
+        if n < 0:
+            c *= qd ** Decimal(n * n - abs((2.0 * p.v + 1.0) * n))
+        return to_float(c, f"jv_bound(n={n}, q={p.q!r}, v={p.v!r})")
 
 
 def product_integral_direct(y, z, a_exp: int, p: QParams, depth):

@@ -2,7 +2,9 @@
 
 Provides q-Pochhammer symbols, Jackson q-integrals over [0, a] and
 [0, inf), and the weighted inner-product / norm structure used by every
-other module.  Functions on the lattice are tabulated on a finite
+other module.  Every infinite q-Pochhammer symbol, in c_qv, the lattice
+growth bound and ``qpochhammer``, is Euler's series in decimal,
+``qpoch_inf_decimal``.  Functions on the lattice are tabulated on a finite
 exponent window; values outside a window count as exactly zero, and a
 warning channel reports when that truncation is visible.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 import numpy as np
 
@@ -25,6 +27,8 @@ EPS = 1e-14
 # q = 0.99973 on
 _QPOCH_MAX_EXTRA_DIGITS = 2000
 _LN10 = math.log(10.0)
+# rounds nothing: forms 2v + 2, or 1 - a x^i, whatever the digits of the floats
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class WindowTooSmall(ValueError):
@@ -45,60 +49,71 @@ def qpochhammer(z: float, q: float, n) -> float:
     q : float
         Base, must lie in (0, 1).
     n : int or math.inf
-        Number of factors; ``math.inf`` selects the convergent infinite
-        product, truncated at the first index i with |z| q^i < EPS (1 - q),
-        which keeps the relative error O(EPS).
+        Number of factors.  ``math.inf`` selects the infinite product,
+        ``qpoch_inf_decimal`` at 20 digits rounded once to float, with no
+        cutoff: correctly rounded unless within 1e-19 of a tie, +0.0 where
+        it is 0 or below the float range.  Raises ValueError for a z that
+        is not finite or a series that would cancel too much, and
+        OverflowError, naming z and q, beyond the float range.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
     if n == math.inf:
-        out = 1.0
-        term = z
-        cutoff = EPS * (1.0 - q)
-        while abs(term) >= cutoff:
-            out *= 1.0 - term
-            term *= q
-        return out
+        if not math.isfinite(z):
+            raise ValueError(f"z must be finite, got {z!r}")
+        with localcontext(Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            value = qpoch_inf_decimal(Decimal(float(z)), Decimal(float(q)))
+        return to_float(value, f"({z!r}; {q!r})_inf")
     n = int(n)
     if n < 0:
         raise ValueError("n must be a nonnegative integer or inf")
-    out = 1.0
-    zq = z
-    for _ in range(n):
-        out *= 1.0 - zq
-        zq *= q
-    return out
+    return math.prod(1.0 - z * q**i for i in range(n))
 
 
-def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
-    """(a; x)_inf for 0 < a, x < 1 in the current context, by Euler's
-    series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n, whose terms fall like
-    x^{n^2/2}.  Its terms exceed the result (by 10^7 at x = 0.9), which
-    shrinks like 1 - a as a -> 1, so the sum carries as many more digits
-    as the largest term lies above the result, both estimated in float64
-    as sums of logs, plus a guard.  Raises ValueError, naming q = sqrt(x),
-    where that would take more than _QPOCH_MAX_EXTRA_DIGITS digits beyond
-    the context's, whatever its precision; each estimate stops once it
-    passes them."""
+def to_float(value: Decimal, name: str) -> float:
+    """``value`` rounded once to float, +0.0 where it underflows; raises
+    OverflowError, naming ``name``, beyond the float range."""
+    out = float(value)
+    if math.isinf(out):
+        raise OverflowError(f"{name} = {value:.6e} lies beyond the float range")
+    return out + 0.0  # turns -0.0 into +0.0
+
+
+def qpoch_inf_decimal(a: Decimal, x: Decimal) -> Decimal:
+    """(a; x)_inf for a finite real a and 0 < x < 1 in the current context,
+    by Euler's series sum_n (-1)^n x^{n(n-1)/2} a^n / (x;x)_n (Gasper &
+    Rahman, Basic Hypergeometric Series, 1.3), the one evaluation of an
+    infinite q-Pochhammer symbol.  Its terms fall like x^{n^2/2} but can
+    exceed the result (by 10^7 at x = 0.9 as a -> 1), so the sum carries
+    as many more digits as the largest term lies above the result, both
+    estimated in float64 as sums of logs, plus a guard.  A factor
+    1 - a x^i within 2^-20 of 0 is formed exactly; if it is 0, so is the
+    result.  Raises ValueError, naming a and x, where the series would
+    cancel more than _QPOCH_MAX_EXTRA_DIGITS digits beyond the context's,
+    whatever its precision; each estimate stops once it passes them."""
     af, xf = float(a), float(x)
     budget = _QPOCH_MAX_EXTRA_DIGITS
-    # log10 of the result, a sum of logs: the float product of the
-    # factors lies below the float range for x above about 0.9976
-    est, t = 0.0, af
-    while t >= EPS * (1.0 - xf) and est >= -budget * _LN10:
-        est, t = est + math.log1p(-t), t * xf
+    # log10 of the result, a sum of logs (the product underflows near x = 1)
+    est, t, i = 0.0, af, 0
+    while abs(t) >= EPS * (1.0 - xf) and est >= -budget * _LN10:
+        if t < 1.0:
+            est += math.log1p(-t)
+        elif t > 1.0 + 2.0**-20:  # t carries i roundings: far below 2^-20
+            est += math.log(t - 1.0)
+        elif f := abs(1 - EXACT.multiply(a, EXACT.power(x, i))):
+            est += float(f.ln(Context(prec=17)))
+        else:
+            return Decimal(0)
+        t, i = t * xf, i + 1
     est /= _LN10
     # log10 of the largest term: the ratio of successive terms,
     # a x^n / (1 - x^{n+1}), falls with n
     peak, n = 0.0, 0
-    while peak - est <= budget and (r := af * xf**n / (1.0 - xf ** (n + 1))) > 1.0:
+    while peak - est <= budget and (r := abs(af * xf**n / (1.0 - xf ** (n + 1)))) > 1.0:
         peak, n = peak + math.log10(r), n + 1
     if peak - est > budget:
-        raise ValueError(
-            f"q = {math.sqrt(xf)!r} lies too close to 1: Euler's series for "
-            f"(a; q^2)_inf would need more than {_QPOCH_MAX_EXTRA_DIGITS} "
-            "digits beyond the working precision"
-        )
+        raise ValueError(f"Euler's series for (a; x)_inf at a = {af!r}, x = {xf!r} would "
+                         f"cancel more than {budget} digits beyond the working precision")
     prec = getcontext().prec
     tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
     with localcontext() as ctx:
@@ -109,20 +124,23 @@ def _qpoch_inf(a: Decimal, x: Decimal) -> Decimal:
             term *= -r
             xn *= x
             total += term
-            if abs(term) < tol and 2 * r < 1:  # the tail lies below |term|
+            if abs(term) < tol and 2 * abs(r) < 1:  # the tail lies below |term|
                 break
     return +total
 
 
 def c_qv_decimal(q: float, v: float) -> Decimal:
     """c_qv = (q^{2v+2}; q^2)_inf / ((1-q) (q^2; q^2)_inf) in the current
-    decimal context, from Euler's series for both symbols.  (q^2; q^2)_inf
-    goes first: where q lies too close to 1 its estimates pass the digit
-    cap within a few hundred terms, whatever v is."""
+    decimal context.  (q^2; q^2)_inf goes first: where q lies too close to
+    1 its estimates pass the digit cap within a few hundred terms, whatever
+    v is, and the ValueError then names q."""
     qd = Decimal(q)
     q2 = qd * qd
-    den = _qpoch_inf(q2, q2) * (1 - qd)
-    return _qpoch_inf(qd ** (2 * Decimal(v) + 2), q2) / den
+    try:
+        den = qpoch_inf_decimal(q2, q2) * (1 - qd)
+    except ValueError as exc:
+        raise ValueError(f"q = {q!r} lies too close to 1: {exc}") from None
+    return qpoch_inf_decimal(qd ** (2 * Decimal(v) + 2), q2) / den
 
 
 @dataclass(frozen=True)
@@ -135,8 +153,9 @@ class QParams:
     to float64: correctly rounded unless it lies within about 1e-24
     relative of a point halfway between two floats.  Raises ValueError
     from about q = 0.99973 on, where that series would cancel more than
-    2,000 digits.  Instances are immutable, so replacing q or v via
-    ``dataclasses.replace`` recomputes it.
+    2,000 digits, and OverflowError, naming q and v, where c_qv lies
+    beyond the float range (at q = 0.999, v = 1e6).  Instances are
+    immutable, so replacing q or v via ``dataclasses.replace`` recomputes it.
     """
 
     q: float
@@ -149,7 +168,8 @@ class QParams:
         if not self.v > -1.0:
             raise ValueError("v must exceed -1")
         with localcontext(Context(prec=25, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-            object.__setattr__(self, "c_qv", float(c_qv_decimal(self.q, self.v)))
+            c = c_qv_decimal(self.q, self.v)
+        object.__setattr__(self, "c_qv", to_float(c, f"c_qv(q={self.q!r}, v={self.v!r})"))
 
 
 def lattice_points(q: float, exps) -> np.ndarray:

@@ -448,6 +448,27 @@ def test_jv_bound_branches():
     assert qp.jv_bound(-2, p) == pytest.approx(c * 0.25, rel=1e-14)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+def test_jv_bound_constant_vs_oracle(q):
+    # C = (-q^2;q^2)_inf (-q^{2v+2};q^2)_inf / (q^{2v+2};q^2)_inf, from
+    # Euler's series at 20 digits and rounded once (at most 0.497 ulp off
+    # on these and at q = 0.995); the oracle's products run at 40 digits
+    for v in (-0.5, 0.0, 1.7):
+        with mp.workdps(40):
+            x, a = mp.mpf(q) ** 2, mp.mpf(q) ** (2 * mp.mpf(v) + 2)
+            want = qpoch(-x, x, None, 40) * qpoch(-a, x, None, 40) / qpoch(a, x, None, 40)
+        got = qp.jv_bound(0, qp.QParams(q, v))
+        assert abs(mp.mpf(got) - want) <= math.ulp(got), (q, v)
+
+
+@pytest.mark.parametrize("q, v", [(0.998, 0.0), (0.9995, 1.0)])
+def test_jv_bound_beyond_the_float_range_raises(q, v):
+    # the float products returned inf at (0.998, 0) and divided by a
+    # (q^4; q^2)_inf that underflowed to 0.0 at (0.9995, 1)
+    with pytest.raises(OverflowError, match=rf"jv_bound\(n=0, q={q!r}, v={v!r}\) = "):
+        qp.jv_bound(0, qp.QParams(q, v))
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 @pytest.mark.parametrize("v", [-0.9, -0.5, 0.0, 1.5, 3.0])
 def test_bound_inequality_on_lattice(q, v):

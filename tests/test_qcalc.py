@@ -30,6 +30,56 @@ def test_qpochhammer_infinite_vs_oracle(z, q):
     assert qp.qpochhammer(z, q, math.inf) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def test_qpochhammer_infinite_within_an_ulp_of_the_oracle():
+    # Euler's series at 20 digits, rounded once (at most 0.4951 ulp off on
+    # these draws): the float product it replaced, cut at
+    # |z q^i| < EPS (1 - q), erred by a median of 42 ulps and up to 122 on
+    # them, and gave -0.0 for (1/0.3; 0.3)_inf, whose second factor
+    # 1 - 0.3 (1/0.3) is -7.4e-18 exactly but 0.0 in float
+    rng = np.random.default_rng(30)
+    draws = list(zip(rng.uniform(-3, 3, 64).tolist(), rng.uniform(0.05, 0.99, 64).tolist()))
+    for z, q in draws + [(1 / 0.3, 0.3), (4.0, 0.5), (-3.0, 0.99), (3.0, 0.99)]:
+        got = qp.qpochhammer(z, q, math.inf)
+        want = qpoch(z, q, None, dps=80)
+        assert abs(mp.mpf(got) - want) <= math.ulp(float(want)), (z, q, got)
+    assert qp.qpochhammer(1 / 0.3, 0.3, math.inf) == 1.0580516905803615e-17
+    # (4; 1/2)_inf has the factor 1 - 4/4: exactly 0, and +0.0
+    assert math.copysign(1.0, qp.qpochhammer(4.0, 0.5, math.inf)) == 1.0
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_qpochhammer_infinite_refuses_a_non_finite_z(z):
+    # the float product returned 1.0 at nan and never returned at inf
+    with pytest.raises(ValueError, match="z must be finite"):
+        qp.qpochhammer(z, 0.5, math.inf)
+
+
+def test_qpochhammer_infinite_beyond_the_float_range_raises():
+    with pytest.raises(OverflowError, match=r"\(-3.0; 0.999\)_inf = 1.38\d+e\+842"):
+        qp.qpochhammer(-3.0, 0.999, math.inf)
+
+
+def test_every_infinite_qpochhammer_is_eulers_series(monkeypatch):
+    # qcalc.qpoch_inf_decimal is the one evaluation of (a; x)_inf: the
+    # float API, the lattice growth bound and c_qv all reach it
+    from qprolate import qcalc
+
+    calls = []
+    series = qcalc.qpoch_inf_decimal
+
+    def counted(a, x):
+        calls.append((float(a), float(x)))
+        return series(a, x)
+
+    monkeypatch.setattr(qcalc, "qpoch_inf_decimal", counted)
+    assert qp.qpochhammer(0.5, 0.5, math.inf) == pytest.approx(0.2887880950866024, rel=1e-15)
+    assert calls == [(0.5, 0.5)]
+    p = qp.QParams(0.5, 0.0)
+    assert len(calls) == 3 and calls[1] == (0.25, 0.25)
+    qp.jv_bound(-2, p)
+    assert sorted(calls[3:]) == [(-0.25, 0.25), (-0.25, 0.25), (0.25, 0.25)]
+
+
 def test_qpochhammer_recurrence():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -94,6 +144,15 @@ def test_qparams_too_close_to_one_raises(q):
     # milliseconds even where q - 1 is a few ulps
     with pytest.raises(ValueError, match=f"q = {q!r} lies too close to 1"):
         qp.QParams(q, -0.5)
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9997])
+def test_qparams_beyond_the_float_range_raises(q):
+    # at v = 1e6 q^{2v+2} is negligible and c_qv ~ 1/((1-q) (q^2;q^2)_inf)
+    # is 1.8e358 at q = 0.999: it was silently inf, and every transform
+    # at those parameters scaled by it
+    with pytest.raises(OverflowError, match=rf"c_qv\(q={q!r}, v=1000000.0\) = "):
+        qp.QParams(q, 1e6)
 
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.5, 1.7)])
