@@ -508,8 +508,8 @@ def eval_pswf_at(basis: PswfBasis, i: int, z: float) -> float:
 def pswf_on_window(basis: PswfBasis, i: int, window: LatticeWindow) -> LatticeFunction:
     """Tabulate psi_i on a window: stored samples on [0, a]_q, the analytic
     extension elsewhere.  Point n of the window needs j_v(q^{n + a_exp + k})
-    for k < depth, so one lattice-cache table over all of the window's
-    points serves every point as a slice."""
+    for k < depth, so one lattice table over all of the window's points,
+    one memo read, serves every point as a slice."""
     if not 0 <= i < basis.count:
         raise IndexError(f"eigenpair index {i} out of range")
     b = basis.bandlimit

@@ -16,8 +16,8 @@ peak may reach 1e6 |value|.  A value beyond the float range raises
 OverflowError; one below it is +0.0.
 
 The transform, the operator and the sampling sum read j_v only at the
-lattice points q^s, through the cache behind ``jv_at_exponent`` and
-``lattice_table``, and there the cache sums no series: g_s = j_v(q^s, q^2)
+lattice points q^s, through the table memo behind ``jv_at_exponent`` and
+``lattice_table``, and there no series is summed: g_s = j_v(q^s, q^2)
 solves the Hahn-Exton q-difference equation g_s - b_s g_{s+1} +
 q^{2v} g_{s+2} = 0, b_s = 1 + q^{2v} - q^{2s+2} (Koornwinder & Swarttouw
 1992, Trans. AMS 333), normalised by j_v(0) = 1 where q^s is small enough
@@ -35,8 +35,8 @@ lattice growth bound.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
@@ -110,35 +110,22 @@ def _series_float(z2: np.ndarray, q: float, v: float):
     return sums, terms, peaks
 
 
-# (q, v) -> (digits, q^{2v+2} at those digits), for non-integer 2v+2
-_QV_POWERS: dict[tuple[float, float], tuple[int, Decimal]] = {}
+@functools.lru_cache(maxsize=256)
+def _qv_power(q: float, v: float, prec: int) -> Decimal:
+    """q^{2v+2} at ``prec`` digits, memoised per (q, v, prec).
 
-
-def _qv_power(q: float, v: float, ctx: Context) -> Decimal:
-    """q^{2v+2} at the working precision of ``ctx``.
-
-    A non-integer power costs libmpdec an exp and a log (13 ms at 560
-    digits, 57 ms at 1,090), so it is kept per (q, v) and rounded into
-    each context: the lattice recurrence's and each off-lattice
-    refinement's, so a batch whose refinements rise in digits forms a
-    power only at each new high.  The exponent is exact, and the kept
-    power carries at least 20 digits past any context it is rounded into.
-    So the rounded value does not depend on the digits it was kept at,
-    and no value on what was computed before it, unless q^{2v+2} lies
-    within 10^-20 units of a rounding tie.  An integer 2v+2 (v = -1/2, 0,
-    ...) is a plain product, formed each time.
+    The exponent is exact.  A non-integer 2v+2 (which costs libmpdec an
+    exp and a log: 13 ms at 560 digits, 57 ms at 1,090) is formed at
+    prec + 20 digits and rounded once, so the value is the exact power
+    correctly rounded unless it lies within 10^-20 units of a rounding
+    tie.  An integer 2v+2 (v = -1/2, 0, ...) is a plain product, formed
+    at ``prec`` digits.
     """
     e = EXACT.fma(2, Decimal(v), 2)
+    ctx = Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
     if e == e.to_integral_value():
         return ctx.power(Decimal(q), e)
-    digits, value = _QV_POWERS.get((q, v), (0, None))
-    if digits < ctx.prec + 20:
-        if len(_QV_POWERS) >= 256:
-            _QV_POWERS.clear()
-        digits = ctx.prec + 20
-        value = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN).power(Decimal(q), e)
-        _QV_POWERS[q, v] = digits, value
-    return ctx.plus(value)
+    return ctx.plus(Context(prec=prec + 20, Emax=MAX_EMAX, Emin=MIN_EMIN).power(Decimal(q), e))
 
 
 def _series_decimal(z: float, q: float, v: float, ctx: Context):
@@ -147,7 +134,7 @@ def _series_decimal(z: float, q: float, v: float, ctx: Context):
     with localcontext(ctx):
         z2 = Decimal(z) * Decimal(z)
         q2 = Decimal(q) * Decimal(q)
-        qv = _qv_power(q, v, ctx)
+        qv = _qv_power(q, v, ctx.prec)
         term, total, max_term = Decimal(1), Decimal(0), Decimal(0)
         floor = Decimal(1).scaleb(-ctx.prec)
         q2n = Decimal(1)  # q2**n
@@ -241,13 +228,13 @@ def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
     log_c1 = 2.0 * log_q - math.log1p(-q * q) - math.log(-math.expm1((2.0 * v + 2.0) * log_q))
     top = max(1, math.floor((_RECURRENCE_DIGITS * math.log(10.0) + log_c1) / (-2.0 * log_q)) + 1)
     mid = 0 if v >= 0 else top  # where the ratios take over, going down
-    s_min = min(min(exps), mid)
+    s_min = min(mid, *exps)
     turn = math.floor(math.log1p(q**v) / log_q) - 1
     lo = min(s_min, turn) - _RATIO_DEPTH
     ctx = Context(prec=_RECURRENCE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
     with localcontext(ctx):
         q2 = Decimal(q) * Decimal(q)
-        q2v = _qv_power(q, v, ctx) / q2
+        q2v = _qv_power(q, v, ctx.prec) / q2
         base = 1 + q2v
         powers = {-1: Decimal(1)}  # powers[s] = q^{2s+2}
         for s in range(top):
@@ -292,62 +279,33 @@ def jv(z: float, p: QParams) -> BesselEvalReport:
     return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _LatticeCache:
-    """Process-wide j_v(q^s, q^2), keyed by (q, v, s).
-
-    ``read`` counts a hit or a miss per value, as ``functools.lru_cache``
-    counts calls, and computes all of its misses in one
-    ``_lattice_recurrence`` call, which sums no series.  A read that would
-    pass ``maxsize`` empties the cache first.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.values: dict[tuple[float, float, int], float] = {}
-        self.hits = self.misses = 0
-
-    def read(self, q: float, v: float, exps) -> list[float]:
-        values = self.values
-        keys = [(q, v, s) for s in exps]
-        missing = [k for k in keys if k not in values]
-        if missing:
-            if len(values) + len(missing) > self.maxsize:
-                values.clear()
-                missing = keys
-            exps = [s for _, _, s in missing]
-            values.update(zip(missing, _lattice_recurrence(q, v, exps)))
-        self.hits += len(keys) - len(missing)
-        self.misses += len(missing)
-        return [values[k] for k in keys]
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.values))
-
-    def cache_clear(self) -> None:
-        self.values.clear()
-        self.hits = self.misses = 0
-
-
-_jv_exp_cached = _LatticeCache(1 << 18)
+@functools.lru_cache(maxsize=1024)
+def _jv_exp_cached(q: float, v: float, s_min: int, s_max: int) -> tuple[float, ...]:
+    """j_v(q^s, q^2) for s = s_min..s_max, memoised per whole table, at most
+    1,024 tables (a warm transform workload holds about 100): each miss
+    is one ``_lattice_recurrence`` call, which sums no series, and each
+    value is a pure function of its key, so the memo is safe to share
+    across threads.  ``cache_info()`` counts one hit or miss per table."""
+    return tuple(_lattice_recurrence(q, v, range(s_min, s_max + 1)))
 
 
 def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
-    """j_v(q^s, q^2) for integer s, cached across the whole process: the
-    exact point's value, correctly rounded, from ``_lattice_recurrence``.
+    """j_v(q^s, q^2) for integer s, memoised across the whole process as
+    the one-value table (s, s): the exact point's value, correctly
+    rounded, from ``_lattice_recurrence``.
 
     The order ``v`` defaults to ``p.v``; the closed-form kernels also need
     order v + 1 at lattice arguments.
     """
-    return _jv_exp_cached.read(p.q, p.v if v is None else v, (int(s),))[0]
+    s = int(s)
+    return _jv_exp_cached(p.q, p.v if v is None else v, s, s)[0]
 
 
 def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
-    """Array of j_v(q^s, q^2) for s = s_min..s_max, read through the same
-    process-wide cache as ``jv_at_exponent``; ``v`` defaults to ``p.v``."""
-    return np.array(_jv_exp_cached.read(p.q, p.v if v is None else v, range(s_min, s_max + 1)))
+    """Array of j_v(q^s, q^2) for s = s_min..s_max, memoised as one table
+    by the same process-wide memo as ``jv_at_exponent``; a value does not
+    depend on the table it was read in.  ``v`` defaults to ``p.v``."""
+    return np.array(_jv_exp_cached(p.q, p.v if v is None else v, int(s_min), int(s_max)))
 
 
 def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:

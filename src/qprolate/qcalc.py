@@ -54,14 +54,18 @@ def qpochhammer(z: float, q: float, n) -> float:
         cutoff: correctly rounded unless within 1e-19 of a tie, +0.0 where
         it is 0 or below the float range.  Raises ValueError for a z that
         is not finite or a series that would cancel too much, and
-        OverflowError, naming z and q, beyond the float range.
+        OverflowError, naming z and q, beyond the float range.  The
+        decimal context spans just past the float range, so a value that
+        the series' magnitude estimate puts far outside it is decided
+        there, however much the series would cancel: (1/2; 0.9999)_inf,
+        about 1e-2528, is +0.0.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
     if n == math.inf:
         if not math.isfinite(z):
             raise ValueError(f"z must be finite, got {z!r}")
-        with localcontext(Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        with localcontext(Context(prec=20, Emax=309, Emin=-350)):
             value = qpoch_inf_decimal(Decimal(float(z)), Decimal(float(q)))
         return to_float(value, f"({z!r}; {q!r})_inf")
     n = int(n)
@@ -88,24 +92,37 @@ def qpoch_inf_decimal(a: Decimal, x: Decimal) -> Decimal:
     as many more digits as the largest term lies above the result, both
     estimated in float64 as sums of logs, plus a guard.  A factor
     1 - a x^i within 2^-20 of 0 is formed exactly; if it is 0, so is the
-    result.  Raises ValueError, naming a and x, where the series would
+    result.  The context's exponent range is read from the estimate
+    first: a result it puts below 10^(Etiny - 1) is 0, and one above
+    10^Emax raises OverflowError, naming a, x and the estimate.  Past
+    that, raises ValueError, naming a and x, where the series would
     cancel more than _QPOCH_MAX_EXTRA_DIGITS digits beyond the context's,
-    whatever its precision; each estimate stops once it passes them."""
+    whatever its precision; each estimate stops once it passes them.
+    The sum itself runs in the widest exponent range."""
     af, xf = float(a), float(x)
     budget = _QPOCH_MAX_EXTRA_DIGITS
-    # log10 of the result, a sum of logs (the product underflows near x = 1)
-    est, t, i = 0.0, af, 0
+    # log10 of the result, a sum of logs (the product underflows near x = 1),
+    # and its sign; once the sum falls it only falls, so one cut short by
+    # the budget lies above the result
+    est, t, i, sign = 0.0, af, 0, 1
     while abs(t) >= EPS * (1.0 - xf) and est >= -budget * _LN10:
         if t < 1.0:
             est += math.log1p(-t)
         elif t > 1.0 + 2.0**-20:  # t carries i roundings: far below 2^-20
-            est += math.log(t - 1.0)
-        elif f := abs(1 - EXACT.multiply(a, EXACT.power(x, i))):
-            est += float(f.ln(Context(prec=17)))
+            est, sign = est + math.log(t - 1.0), -sign
+        elif f := 1 - EXACT.multiply(a, EXACT.power(x, i)):
+            est, sign = est + float(abs(f).ln(Context(prec=17))), -sign if f < 0 else sign
         else:
             return Decimal(0)
         t, i = t * xf, i + 1
     est /= _LN10
+    ctx = getcontext()
+    if est < ctx.Etiny() - 1:
+        return Decimal(0)
+    if est > ctx.Emax:
+        approx = Decimal(sign * 10 ** (est % 1)).scaleb(math.floor(est), EXACT)
+        raise OverflowError(f"({af!r}; {xf!r})_inf = {approx:.6e} (estimated) lies beyond "
+                            f"the context's exponent range")
     # log10 of the largest term: the ratio of successive terms,
     # a x^n / (1 - x^{n+1}), falls with n
     peak, n = 0.0, 0
@@ -114,10 +131,11 @@ def qpoch_inf_decimal(a: Decimal, x: Decimal) -> Decimal:
     if peak - est > budget:
         raise ValueError(f"Euler's series for (a; x)_inf at a = {af!r}, x = {xf!r} would "
                          f"cancel more than {budget} digits beyond the working precision")
-    prec = getcontext().prec
-    tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
-    with localcontext() as ctx:
-        ctx.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
+    prec = ctx.prec
+    with localcontext() as wide:
+        wide.prec = prec + math.ceil(peak - est) + 3  # 3 guard digits
+        wide.Emax, wide.Emin = MAX_EMAX, MIN_EMIN
+        tol = Decimal(1).scaleb(math.floor(est) - prec - 1)  # below a unit of the result
         total, term, xn = Decimal(1), Decimal(1), Decimal(1)
         while True:
             r = a * xn / (1 - xn * x)
@@ -175,8 +193,7 @@ class QParams:
 def lattice_points(q: float, exps) -> np.ndarray:
     """The points q^s for the integer exponents ``exps``, each a Python
     float power (numpy's array power can differ in the last bit); the
-    lattice cache, the sampling grid and every window form their points
-    here."""
+    sampling grid and every window form their points here."""
     return np.array([q ** float(s) for s in exps])
 
 

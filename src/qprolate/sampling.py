@@ -14,7 +14,7 @@ that chooses how to evaluate it: the closed form
 are apart, and ``_near_diagonal``, the direct Jackson sum
 ``qbessel.product_integral_direct`` with a closed-form tail, where they
 are not.  ``kernel`` feeds the closed form with series values, the
-sampling sum with cached lattice values.  This module provides that
+sampling sum with memoised lattice tables.  This module provides that
 kernel, the truncated reconstruction sum, the projection onto the
 bandlimited space, and the projection-error study driving the
 application experiment.
@@ -78,8 +78,8 @@ def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
 
 def _grid_kernel(zs: np.ndarray, grid: LatticeWindow, b: Bandlimit, p: QParams) -> np.ndarray:
     """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``, with
-    the lattice factors of the closed form read once from the exponent
-    cache."""
+    the lattice factors of the closed form read as two memoised lattice
+    tables."""
     s_min, s_max = b.a_exp + grid.n_min, b.a_exp + grid.n_max
     jy = (lattice_table(p, s_min, s_max, p.v + 1.0), lattice_table(p, s_min - 1, s_max - 1))
     return _kernel_values(grid.points(p.q), zs[:, None], jy, b.a_exp, p)

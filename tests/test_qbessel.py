@@ -125,11 +125,10 @@ def test_jv_beyond_float_range_raises():
 
 
 def test_power_kept_at_more_digits_rounds_into_fewer():
-    # q^{2v+2} rounded into 45 or 60 digits is the power with the exact
-    # exponent, whether it was first asked for there or kept at 620
-    # digits before; below the 51-54 digits of 2v+2 a power formed with
-    # the exponent rounded to the context differs.  An integer 2v+2 is
-    # left uncached
+    # q^{2v+2} at 45 or 60 digits is the power with the exact exponent,
+    # formed 20 digits past them and rounded, whether or not it was asked
+    # for at 600 digits before; below the 51-54 digits of 2v+2 a power
+    # formed with the exponent rounded to the context differs
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
     from qprolate import qbessel
@@ -140,22 +139,21 @@ def test_power_kept_at_more_digits_rounds_into_fewer():
     for q, v in [(0.5, 1.7), (0.3, 0.25), (0.9, -0.8), (0.7, -0.95), (0.2, 0.7)]:
         exact = ctx(300).power(Decimal(q), ctx(300).fma(2, Decimal(v), 2))
         for d in (45, 60):
-            qbessel._QV_POWERS.clear()
-            fresh = qbessel._qv_power(q, v, ctx(d))
-            qbessel._qv_power(q, v, ctx(600))
-            assert qbessel._QV_POWERS[q, v][0] == 620
-            assert qbessel._qv_power(q, v, ctx(d)) == fresh == ctx(d).plus(exact)
+            qbessel._qv_power.cache_clear()
+            fresh = qbessel._qv_power(q, v, d)
+            qbessel._qv_power(q, v, 600)
+            assert qbessel._qv_power(q, v, d) == fresh == ctx(d).plus(exact)
     e = ctx(45).add(ctx(45).multiply(2, Decimal(0.7)), 2)
     assert ctx(45).power(Decimal(0.2), e) != ctx(45).plus(exact)
-    qbessel._qv_power(0.5, -0.5, ctx(600))
-    qbessel._qv_power(0.5, 0.0, ctx(600))
-    assert (0.5, -0.5) not in qbessel._QV_POWERS and (0.5, 0.0) not in qbessel._QV_POWERS
+    # an integer 2v+2 is a plain product at the asked digits
+    assert qbessel._qv_power(0.5, -0.5, 600) == Decimal(0.5)
+    assert qbessel._qv_power(0.5, 0.0, 600) == Decimal(0.25)
 
 
 def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
     # non-lattice values refined at fewer digits than 2v+2 has are the
-    # same before and after a deep lattice refinement at the same (q, v)
-    # keeps q^{2v+2} at many more digits
+    # same before and after a deep refinement at the same (q, v) forms
+    # q^{2v+2} at many more digits
     from qprolate import qbessel
 
     digits = []
@@ -167,12 +165,11 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
 
     monkeypatch.setattr(qbessel, "_series_decimal", counted)
     p, z = qp.QParams(0.9, 0.3), np.geomspace(1.5, 3000.0, 100)
-    qbessel._QV_POWERS.clear()
+    qbessel._qv_power.cache_clear()
     before = qp.jv_array(z, p)
     assert sum(d < 52 for d in digits) >= 10
-    kept = qbessel._QV_POWERS[0.9, 0.3][0]
     qp.jv(5000.0, p)  # refined at 340 digits
-    assert qbessel._QV_POWERS[0.9, 0.3][0] > kept
+    assert max(digits) >= 340
     assert np.array_equal(qp.jv_array(z, p), before)
 
 
@@ -339,8 +336,7 @@ def test_lattice_recurrence_vs_exact_point_oracle():
 def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
     # a cold s = -30..120 table, at either order, as a cold (-15, 60) plan
     # reads, calls no series, in float or in decimal: every lattice value
-    # comes from the q-difference equation.  A non-integer power q^{2v+2}
-    # is kept 20 digits past the recurrence's
+    # comes from the q-difference equation
     from qprolate import qbessel
 
     def series(*args):
@@ -349,11 +345,9 @@ def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
     for name in ("_series_float", "_series_refined", "_series_decimal"):
         monkeypatch.setattr(qbessel, name, series)
     qbessel._jv_exp_cached.cache_clear()
-    qbessel._QV_POWERS.clear()
     p = qp.QParams(q, v)
     qbessel.lattice_table(p, -30, 120)
     qbessel.lattice_table(p, -30, 120, v + 1.0)
-    assert all(d == qbessel._RECURRENCE_DIGITS + 20 for d, _ in qbessel._QV_POWERS.values())
     # so do deep tables: at q = 0.99 the y-side tables of a reconstruct at
     # a_exp = -460 lie near 1e-880, and each value rounds to +0.0
     for table in (
@@ -368,7 +362,8 @@ def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
 
 
 def test_lattice_cache_computes_its_misses_in_one_call(monkeypatch):
-    # a read sends all of its misses, and only those, to one recurrence
+    # a cold table is one recurrence call over its exponents, and a repeat
+    # read of the same table makes none
     from qprolate import qbessel
 
     calls = []
@@ -381,10 +376,12 @@ def test_lattice_cache_computes_its_misses_in_one_call(monkeypatch):
     monkeypatch.setattr(qbessel, "_lattice_recurrence", counted)
     qbessel._jv_exp_cached.cache_clear()
     p = qp.QParams(0.7, 0.3)
-    qbessel.lattice_table(p, 0, 10)
+    first = qbessel.lattice_table(p, 0, 10)
     qbessel.lattice_table(p, -5, 15)
+    again = qbessel.lattice_table(p, 0, 10)
     qbessel.lattice_table(p, -5, 15)
-    assert calls == [list(range(0, 11)), [-5, -4, -3, -2, -1, 11, 12, 13, 14, 15]]
+    assert calls == [list(range(0, 11)), list(range(-5, 16))]
+    assert np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("q, v", [(0.05, -0.99), (0.5, 0.0), (0.9, 2.0), (0.95, -0.5)])
@@ -424,6 +421,50 @@ def test_lattice_value_does_not_depend_on_its_table(monkeypatch, q, v):
     qbessel._jv_exp_cached.cache_clear()
     deeper = qbessel.lattice_table(p, -25, 38)[::3].tolist()
     assert alone == within == after == deeper
+
+
+def test_lattice_reads_from_four_threads():
+    # four threads read distinct tables and single values, twice over, in
+    # all more tables than the memo holds, so that it evicts while they
+    # run, with the interpreter switching threads every microsecond: none
+    # raises, and every value is the one a single-threaded read gives
+    import sys
+    import threading
+
+    from qprolate import qbessel
+
+    params = [qp.QParams(q, 0.5) for q in (0.3, 0.5, 0.7, 0.8)]
+    count = qbessel._jv_exp_cached.cache_info().maxsize // len(params) + 20
+
+    def reads(p):
+        return [qbessel.lattice_table(p, -26 - k, 120 - k).tolist() for k in range(0, 40, 4)] + [
+            qp.jv_at_exponent(s, p) for s in range(-26, count - 26)
+        ]
+
+    qbessel._jv_exp_cached.cache_clear()
+    want = [reads(p) for p in params]
+    got, errors = [[] for _ in params], []
+
+    def run(i):
+        try:
+            for _ in range(2):
+                got[i].append(reads(params[i]))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(params))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == [[w] * 2 for w in want]
 
 
 def test_jv_report_fields():

@@ -59,6 +59,17 @@ def test_qpochhammer_infinite_beyond_the_float_range_raises():
         qp.qpochhammer(-3.0, 0.999, math.inf)
 
 
+def test_qpochhammer_infinite_decided_past_the_digit_cap():
+    # Euler's series would cancel more than 2,000 digits at both, which
+    # raised ValueError; the magnitude estimate decides them first.
+    # (1/2; 0.9999)_inf is about 1e-2528, below the float range
+    assert math.copysign(1.0, qp.qpochhammer(0.5, 0.9999, math.inf)) == 1.0
+    assert qp.qpochhammer(0.5, 0.9999, math.inf) == 0.0
+    # (1e6; 0.999)_inf is about -1e40001, beyond it
+    with pytest.raises(OverflowError, match=r"\(1000000.0; 0.999\)_inf = -1.06\d+e\+40001"):
+        qp.qpochhammer(1e6, 0.999, math.inf)
+
+
 def test_every_infinite_qpochhammer_is_eulers_series(monkeypatch):
     # qcalc.qpoch_inf_decimal is the one evaluation of (a; x)_inf: the
     # float API, the lattice growth bound and c_qv all reach it
