@@ -19,8 +19,6 @@ from .qcalc import (
     qpochhammer,
 )
 from .qbessel import (
-    BesselEvalReport,
-    jv,
     jv_array,
     jv_at_exponent,
     jv_bound,
@@ -52,7 +50,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEvalReport",
     "Bandlimit",
     "DEFAULT_GRID",
     "DEFAULT_WINDOW",
@@ -77,7 +74,6 @@ __all__ = [
     "inner_product",
     "jackson_integral_0a",
     "jackson_integral_0inf",
-    "jv",
     "jv_array",
     "jv_at_exponent",
     "jv_bound",

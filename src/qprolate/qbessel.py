@@ -9,8 +9,8 @@ which stops at the first term that does not grow and lies at most
 EPS |partial sum|.  It transparently reruns the same series in the
 standard library's decimal arithmetic (libmpdec), with enough digits, for
 each element whose peak term dwarfs the result or whose float pass
-overflowed.  ``jv`` (a batch of one) and ``jv_array`` share that one
-float-then-refine step, so an element's value does not depend on the
+overflowed.  ``jv_array`` is that one float-then-refine step, at a
+scalar or at a batch, and an element's value does not depend on the
 batch it came in.  A kept float pass is good to a few 1e-10 relative: its
 peak may reach 1e6 |value|.  A value beyond the float range raises
 OverflowError; one below it is +0.0.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
@@ -58,23 +57,9 @@ _RECURRENCE_DIGITS = 40
 _RATIO_DEPTH = 60
 
 
-@dataclass
-class BesselEvalReport:
-    """Series evaluation result with cancellation diagnostics.
-
-    ``cancellation_flag`` is set when the largest term encountered
-    exceeds 1e12 |value|, i.e. more than ~12 digits cancelled.
-    """
-
-    value: float
-    terms_used: int
-    max_term_magnitude: float
-    cancellation_flag: bool
-
-
 def _series_float(z2: np.ndarray, q: float, v: float):
     """One float pass of the series at each z^2 of the 1-D ``z2``; returns
-    per-element (sums, terms, peaks).
+    per-element (sums, peaks).
 
     An element stops at the first term that does not grow and lies at most
     EPS |partial sum|, which it leaves out; the terms rise to one peak and
@@ -85,7 +70,6 @@ def _series_float(z2: np.ndarray, q: float, v: float):
     q2 = q * q
     qv = q ** (2.0 * v + 2.0)
     sums, peaks = np.empty(z2.size), np.empty(z2.size)
-    terms = np.empty(z2.size, dtype=int)
     live, x2 = np.arange(z2.size), z2
     term, total, peak = np.ones(z2.size), np.zeros(z2.size), np.zeros(z2.size)
     n = 0
@@ -101,13 +85,13 @@ def _series_float(z2: np.ndarray, q: float, v: float):
             stop = over | ((an <= EPS * np.abs(total)) & (an <= at))
             if stop.any():
                 done = live[stop]
-                sums[done], terms[done] = total[stop], n
+                sums[done] = total[stop]
                 peaks[done] = np.where(over[stop], np.inf, peak[stop])
                 go = ~stop
                 live, x2, total, peak, nxt = live[go], x2[go], total[go], peak[go], nxt[go]
             term = nxt
-    sums[live], terms[live], peaks[live] = total, n, peak
-    return sums, terms, peaks
+    sums[live], peaks[live] = total, peak
+    return sums, peaks
 
 
 @functools.lru_cache(maxsize=256)
@@ -176,25 +160,6 @@ def _needs_refinement(val, max_term):
     return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
 
 
-def _series_checked(z: np.ndarray, q: float, v: float):
-    """Float pass of the series at each z of the 1-D ``z``, each element
-    for which ``_needs_refinement`` holds rerun in decimal arithmetic;
-    returns
-    (values, terms, peaks), the last two from the float pass.  Raises
-    OverflowError, before any squaring, for a |z| whose square lies beyond
-    the float range."""
-    big = np.flatnonzero(np.abs(z) > _SQRT_FLOAT_MAX)
-    if big.size:
-        raise OverflowError(
-            f"j_{v}({float(z[big[0]])!r}): the argument's square lies beyond the float range"
-        )
-    vals, terms, peaks = _series_float(z * z, q, v)
-    for i in np.flatnonzero(_needs_refinement(vals, peaks)):
-        x = float(z[i])
-        vals[i] = to_float(_series_refined(x, q, v, float(peaks[i])), f"j_{v}({x!r})")
-    return vals, terms, peaks
-
-
 def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
     """j_v(q^s, q^2) at each integer exponent s of ``exps``, from the
     Hahn-Exton q-difference equation alone, in decimal at
@@ -254,31 +219,6 @@ def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
     return [1.0 if s > top else to_float(values[s], f"j_{v}(q^{s})") for s in exps]
 
 
-def jv(z: float, p: QParams) -> BesselEvalReport:
-    """Normalized Hahn-Exton q-Bessel function j_v(z, q^2) for real z >= 0.
-
-    Returns a BesselEvalReport.  The float pass is kept while its largest
-    term is at most 1e6 |value|; past that, and in the severe cancellation
-    regime, ``value`` comes from the decimal refinement (the report still
-    describes the float-series behaviour that triggered it).  The float
-    pass stops at the first term that does not grow and lies at most
-    EPS |partial sum|, so a kept float pass errs by the rounding of terms
-    up to 1e6 |value|: the worst measured is 2.7e-10 relative, at
-    q = 0.95, v = -0.1, z = 0.95^5 (max_term 7.8e5 |value|), and 4.1e-11
-    at q = 0.9, v = -1/2, z = 0.9^-5; ``jv_at_exponent`` gives the exact
-    lattice point's value instead.  Raises ValueError for a non-finite
-    z, on which the refinement would never resolve, and OverflowError when
-    the value lies beyond the float range or |z| above about 1.34e154,
-    whose square the float pass cannot form.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"jv needs a finite argument, got {z!r}")
-    vals, terms, peaks = _series_checked(np.array([float(z)]), p.q, p.v)
-    val, max_term = float(vals[0]), float(peaks[0])
-    # scaled down, not |val| up: 1e12 |val| overflows near the float limit
-    return BesselEvalReport(val, int(terms[0]), max_term, max_term * 1e-12 > abs(val))
-
-
 @functools.lru_cache(maxsize=1024)
 def _jv_exp_cached(q: float, v: float, s_min: int, s_max: int) -> tuple[float, ...]:
     """j_v(q^s, q^2) for s = s_min..s_max, memoised per whole table, at most
@@ -308,15 +248,38 @@ def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) ->
     return np.array(_jv_exp_cached(p.q, p.v if v is None else v, int(s_min), int(s_max)))
 
 
-def jv_array(z: np.ndarray, p: QParams, v: float | None = None) -> np.ndarray:
-    """Vectorized j_v(z_i, q^2), each element equal to ``jv(z_i).value``.
-    Raises ValueError if any z_i is not finite, OverflowError if a value
-    lies beyond the float range."""
+def jv_array(z, p: QParams, v: float | None = None):
+    """j_v(z, q^2) at real z, a float for a scalar z and an array of z's
+    shape otherwise; ``v`` defaults to ``p.v``.
+
+    Each element is the value a lone evaluation gives: its float pass,
+    kept while the largest term is at most 1e6 |value| and rerun in
+    decimal arithmetic past that or where it overflowed
+    (``_needs_refinement``).  The float pass stops at the first term that
+    does not grow and lies at most EPS |partial sum|, so a kept float pass
+    errs by the rounding of terms up to 1e6 |value|: the worst measured
+    is 2.7e-10 relative, at q = 0.95, v = -0.1, z = 0.95^5 (peak term
+    7.8e5 |value|), and 4.1e-11 at q = 0.9, v = -1/2, z = 0.9^-5;
+    ``jv_at_exponent`` gives the exact lattice point's value instead.  Raises ValueError for a non-finite z, on which the
+    refinement would never resolve, and OverflowError, before any
+    squaring, for a |z| above about 1.34e154, whose square the float pass
+    cannot form, or where a value lies beyond the float range.
+    """
     z = np.asarray(z, dtype=float)
+    v = p.v if v is None else v
     if not np.isfinite(z).all():
         raise ValueError("jv_array needs finite arguments")
-    vals = _series_checked(z.reshape(-1), p.q, p.v if v is None else v)[0]
-    return vals.reshape(z.shape)
+    flat = z.reshape(-1)
+    big = np.flatnonzero(np.abs(flat) > _SQRT_FLOAT_MAX)
+    if big.size:
+        raise OverflowError(
+            f"j_{v}({float(flat[big[0]])!r}): the argument's square lies beyond the float range"
+        )
+    vals, peaks = _series_float(flat * flat, p.q, v)
+    for i in np.flatnonzero(_needs_refinement(vals, peaks)):
+        x = float(flat[i])
+        vals[i] = to_float(_series_refined(x, p.q, v, float(peaks[i])), f"j_{v}({x!r})")
+    return float(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
 def jv_bound(n: int, p: QParams) -> float:

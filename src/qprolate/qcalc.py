@@ -305,12 +305,24 @@ def warn_boundary(ends, scale: float, label: str) -> None:
         )
 
 
+def _finite_sum(total, label: str) -> float:
+    """``total`` as a float; raises ValueError, naming the operation
+    ``label``, where it is not finite, as it is whenever a summed sample is
+    NaN or inf or the sum overflows.  Callers form the sum with numpy's
+    overflow and invalid warnings off, so this error is the one signal."""
+    total = float(total)
+    if not math.isfinite(total):
+        raise ValueError(f"{label} needs finite values and a finite sum, got {total!r}")
+    return total
+
+
 def jackson_integral_0a(f: LatticeFunction, a_exp: int, p: QParams) -> float:
     """Jackson q-integral of f over [0, a] with a = q^{a_exp}.
 
     Equals (1-q) a sum_m q^m f(a q^m) truncated at the window bottom.
-    Raises WindowTooSmall when the window does not contain a_exp.  Emits
-    a TailWarning when the deepest retained term is still significant.
+    Raises WindowTooSmall when the window does not contain a_exp, and
+    ValueError when a value it sums, or the sum, is not finite.  Emits a
+    TailWarning when the deepest retained term is still significant.
     """
     win = f.window
     if not win.contains(a_exp):
@@ -319,8 +331,9 @@ def jackson_integral_0a(f: LatticeFunction, a_exp: int, p: QParams) -> float:
         )
     ks = np.arange(a_exp, win.n_max + 1)
     vals = f.values[a_exp - win.n_min :]
-    terms = (1.0 - p.q) * p.q ** ks.astype(float) * vals
-    total = float(np.sum(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (1.0 - p.q) * p.q ** ks.astype(float) * vals
+        total = _finite_sum(np.sum(terms), "jackson_integral_0a")
     warn_boundary(terms[-1:], total, "jackson_integral_0a")
     return total
 
@@ -329,11 +342,13 @@ def jackson_integral_0inf(f: LatticeFunction, p: QParams) -> float:
     """Bilateral Jackson q-integral (1-q) sum_k q^k f(q^k) over the window.
 
     Emits a TailWarning when either boundary term exceeds EPS times the
-    running sum, signalling visible truncation.
+    running sum, signalling visible truncation.  Raises ValueError when a
+    value or the sum is not finite.
     """
     ks = f.window.exponents().astype(float)
-    terms = (1.0 - p.q) * p.q ** ks * f.values
-    total = float(np.sum(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (1.0 - p.q) * p.q ** ks * f.values
+        total = _finite_sum(np.sum(terms), "jackson_integral_0inf")
     warn_boundary((terms[0], terms[-1]), total, "jackson_integral_0inf")
     return total
 
@@ -343,7 +358,8 @@ def inner_product(f: LatticeFunction, g: LatticeFunction, p: QParams) -> float:
 
     Computed over the window intersection; values outside either window
     are treated as exactly zero.  The summand is formed as (f*g)*weight
-    so the result is bitwise symmetric in f and g.
+    so the result is bitwise symmetric in f and g.  Raises ValueError when
+    a value it sums, or the sum, is not finite.
     """
     lo = max(f.window.n_min, g.window.n_min)
     hi = min(f.window.n_max, g.window.n_max)
@@ -352,12 +368,17 @@ def inner_product(f: LatticeFunction, g: LatticeFunction, p: QParams) -> float:
     fv = f.values[lo - f.window.n_min : hi - f.window.n_min + 1]
     gv = g.values[lo - g.window.n_min : hi - g.window.n_min + 1]
     w = lattice_weights(LatticeWindow(lo, hi), p)
-    return float(np.dot(w, fv * gv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_sum(np.dot(w, fv * gv), "inner_product")
 
 
 def norm_lqpv(f: LatticeFunction, p_exponent: float, p: QParams) -> float:
-    """Weighted p-norm ||f||_{q,p,v} on the truncated lattice (p_exponent >= 1)."""
-    if p_exponent < 1.0:
-        raise ValueError("p_exponent must be >= 1")
+    """Weighted p-norm ||f||_{q,p,v} on the truncated lattice, for
+    1 <= p_exponent < inf.  Raises ValueError for any other p_exponent, nan
+    included, and when a value or the sum is not finite."""
+    if not 1.0 <= p_exponent < math.inf:
+        raise ValueError(f"p_exponent must lie in [1, inf), got {p_exponent!r}")
     w = lattice_weights(f.window, p)
-    return float(np.dot(w, np.abs(f.values) ** p_exponent) ** (1.0 / p_exponent))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.dot(w, np.abs(f.values) ** p_exponent) ** (1.0 / p_exponent)
+        return _finite_sum(total, "norm_lqpv")

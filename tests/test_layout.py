@@ -80,6 +80,16 @@ def test_modules_import_no_private_names():
     assert not offences, "\n".join(offences)
 
 
+def test_all_lists_exactly_the_imported_names():
+    # the package's export list is the names ``__init__`` imports, each once
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(qp.__all__) == sorted(imported)
+    assert len(set(qp.__all__)) == len(qp.__all__)
+
+
 def test_private_import_is_detected(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("from .qbessel import _jv_order, jv\nfrom qprolate.qcalc import _x\n")

@@ -7,24 +7,30 @@ import pytest
 import qprolate as qp
 from _oracles import jv_lattice, jv_series, product_integral, qpoch
 from conftest import closed_form
+from qprolate import qbessel
+
+
+def _peak(z, q, v):
+    """The largest term of the float pass at z (inf where a term
+    overflowed), as ``jv_array`` judges it."""
+    return float(qbessel._series_float(np.array([z * z]), q, v)[1][0])
 
 
 def test_jv_at_zero():
     for q, v in [(0.5, 0.0), (0.3, -0.5), (0.8, 1.5)]:
-        rep = qp.jv(0.0, qp.QParams(q, v))
-        assert rep.value == 1.0
-        assert not rep.cancellation_flag
+        assert qp.jv_array(0.0, qp.QParams(q, v)) == 1.0
+        assert _peak(0.0, q, v) == 1.0
 
 
 def test_jv_frozen_values():
     # frozen from the 30-digit series oracle
-    rep = qp.jv(1.0, qp.QParams(0.5, 0.0))
-    assert rep.value == pytest.approx(0.5866528696112797, rel=1e-13)
+    assert qp.jv_array(1.0, qp.QParams(0.5, 0.0)) == pytest.approx(0.5866528696112797, rel=1e-13)
     # q^{-3} at v = -1/2: mild cancellation, float path still in charge
-    rep = qp.jv(8.0, qp.QParams(0.5, -0.5))
-    assert rep.value == pytest.approx(-0.004584129647814683, rel=1e-9)
-    assert not rep.cancellation_flag
-    assert rep.max_term_magnitude > 1.0
+    val = qp.jv_array(8.0, qp.QParams(0.5, -0.5))
+    assert val == pytest.approx(-0.004584129647814683, rel=1e-9)
+    peak = _peak(8.0, 0.5, -0.5)
+    assert peak > 1.0
+    assert not qbessel._needs_refinement(val, peak)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
@@ -33,7 +39,7 @@ def test_jv_vs_oracle(q, v):
     p = qp.QParams(q, v)
     for z in [0.01, 0.3, 1.0, 2.0, q**-2, q**-4]:
         want = float(jv_series(z, q, v, dps=60))
-        got = qp.jv(z, p).value
+        got = qp.jv_array(z, p)
         assert got == pytest.approx(want, rel=2e-9, abs=1e-280), f"z={z}"
 
 
@@ -75,19 +81,19 @@ def _log10_peak(s, q, v):
 def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
     # Error relative to max(|J_{s-1}|, |J_s|, |J_{s+1}|), so that values
     # near a sign change are not held to a relative bound.  The oracle
-    # runs at log10(peak term) + 40 digits, plus the digits by which the
-    # package's three values fall below 1 (at least to the float floor):
-    # then it resolves 40 digits of any scale it could be confused with,
-    # so agreement cannot come from both being wrong.  A kept float pass
-    # stops once a term is at most EPS |partial sum|, so its error is the
-    # rounding of terms up to 1e6 |value|: q = 0.9, v = -0.9, s = -6
-    # reaches 7.3e-11.  At q = 0.05, s <= -16 the value lies below the
-    # float range and is +0.0 (the float pass sums to -2.9e304 at s = -16).
+    # runs at ``_oracle_digits`` for the largest of the package's three
+    # values and the peak term at s - 1: then it resolves 40 digits of any
+    # scale it could be confused with, so agreement cannot come from both
+    # being wrong.  A kept float pass stops once a term is at most
+    # EPS |partial sum|, so its error is the rounding of terms up to
+    # 1e6 |value|: q = 0.9, v = -0.9, s = -6 reaches 7.3e-11.  At q = 0.05,
+    # s <= -16 the value lies below the float range and is +0.0 (the float
+    # pass sums to -2.9e304 at s = -16).
     tiny = np.finfo(float).tiny
     p = qp.QParams(q, v)
     for s in exps:
         got = [qp.jv_at_exponent(t, p) for t in (s - 1, s, s + 1)]
-        dps = int(_log10_peak(s - 1, q, v) - math.log10(max(abs(x) for x in got + [tiny]))) + 40
+        dps = _oracle_digits(s - 1, q, v, max(abs(x) for x in got))
         with mp.workdps(dps):
             ref = [jv_series(mp.mpf(q) ** t, q, v, dps) for t in (s - 1, s, s + 1)]
         scale = max(abs(x) for x in ref)
@@ -95,13 +101,12 @@ def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
 
 
 def test_jv_cancellation_flag():
-    p = qp.QParams(0.5, -0.5)
-    rep = qp.jv(0.5**-10, p)
-    assert rep.cancellation_flag
-    assert rep.max_term_magnitude > 1e12 * abs(rep.value)
+    # more than 12 digits cancel in the float pass
+    val = qp.jv_array(0.5**-10, qp.QParams(0.5, -0.5))
+    assert _peak(0.5**-10, 0.5, -0.5) > 1e12 * abs(val)
     # value still accurate thanks to the refinement
     want = float(jv_series(0.5**-10, 0.5, -0.5, dps=200))
-    assert rep.value == pytest.approx(want, rel=1e-12)
+    assert val == pytest.approx(want, rel=1e-12)
 
 
 def test_jv_cancellation_flag_at_overflowing_peak():
@@ -109,17 +114,17 @@ def test_jv_cancellation_flag_at_overflowing_peak():
     # float limit, where 1e12 |value| and 1e6 |value| would overflow too
     p = qp.QParams(0.05, -0.5)
     z = 0.05**-16
-    rep = qp.jv(z, p)
-    assert rep.max_term_magnitude == np.inf
+    val = qp.jv_array(z, p)
+    assert _peak(z, p.q, p.v) == np.inf
     want = float(jv_series(z, p.q, p.v, dps=400))  # 3.2639e296
-    assert rep.value == pytest.approx(want, rel=1e-14)
-    assert rep.cancellation_flag
+    assert val == pytest.approx(want, rel=1e-14)
+    assert qbessel._needs_refinement(val, np.inf)
 
 
 def test_jv_beyond_float_range_raises():
     # j_{-1/2}(100) at q = 0.99 is 6.68e878; the float pass overflows
     with pytest.raises(OverflowError):
-        qp.jv(100.0, qp.QParams(0.99, -0.5))
+        qp.jv_array(100.0, qp.QParams(0.99, -0.5))
     with pytest.raises(OverflowError):
         qp.jv_array(np.array([1.0, 100.0]), qp.QParams(0.99, -0.5))
 
@@ -130,8 +135,6 @@ def test_power_kept_at_more_digits_rounds_into_fewer():
     # for at 600 digits before; below the 51-54 digits of 2v+2 a power
     # formed with the exponent rounded to the context differs
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
-
-    from qprolate import qbessel
 
     def ctx(d):
         return Context(prec=d, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -154,8 +157,6 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
     # non-lattice values refined at fewer digits than 2v+2 has are the
     # same before and after a deep refinement at the same (q, v) forms
     # q^{2v+2} at many more digits
-    from qprolate import qbessel
-
     digits = []
     real = qbessel._series_decimal
 
@@ -168,7 +169,7 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
     qbessel._qv_power.cache_clear()
     before = qp.jv_array(z, p)
     assert sum(d < 52 for d in digits) >= 10
-    qp.jv(5000.0, p)  # refined at 340 digits
+    qp.jv_array(5000.0, p)  # refined at 340 digits
     assert max(digits) >= 340
     assert np.array_equal(qp.jv_array(z, p), before)
 
@@ -193,7 +194,7 @@ def test_arguments_whose_square_overflows_raise_overflow_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="1e\\+160"):
-            qp.jv(1e160, p)
+            qp.jv_array(1e160, p)
         with pytest.raises(OverflowError):
             qp.jv_array(np.array([1.0, -1e200]), p)
         with pytest.raises(OverflowError):
@@ -203,19 +204,17 @@ def test_arguments_whose_square_overflows_raise_overflow_error():
 def test_jv_even_in_z():
     p = qp.QParams(0.5, 0.0)
     for z in (0.7, 3.0):
-        assert qp.jv(z, p).value == qp.jv(-z, p).value
+        assert qp.jv_array(z, p) == qp.jv_array(-z, p)
 
 
 @pytest.mark.parametrize("q, v, z", [(0.5, 0.0, 1.7), (0.8, 1.5, 2.3), (0.3, -0.5, 0.9)])
 def test_jv_float_pass_vs_oracle(q, v, z):
     # points where the float pass is kept: its truncation at the fixed
     # tolerance stays within the oracle bound
-    from qprolate import qbessel
-
-    rep = qp.jv(z, qp.QParams(q, v))
-    assert not qbessel._needs_refinement(rep.value, rep.max_term_magnitude)
+    val = qp.jv_array(z, qp.QParams(q, v))
+    assert not qbessel._needs_refinement(val, _peak(z, q, v))
     want = float(jv_series(z, q, v, dps=60))
-    assert rep.value == pytest.approx(want, rel=1e-9)
+    assert val == pytest.approx(want, rel=1e-9)
 
 
 def _reconstruct_z_grid(q):
@@ -230,7 +229,7 @@ def test_jv_array_matches_scalar():
     # value of a lone evaluation
     p = qp.QParams(0.5, -0.5)
     zs = np.array([0.0, 0.2, 1.0, 4.0, 16.0, 1024.0])
-    assert np.array_equal(qp.jv_array(zs, p), [qp.jv(float(z), p).value for z in zs])
+    assert np.array_equal(qp.jv_array(zs, p), [qp.jv_array(float(z), p) for z in zs])
     # the z-side arguments of the reconstruct kernel at q = 0.9, v = -1/2,
     # a_exp 0..-2, where a float pass stopped with its batch would differ
     # from a lone one by up to 3.1e-9 relative
@@ -240,12 +239,12 @@ def test_jv_array_matches_scalar():
         a = q ** float(a_exp)
         for z, v in ((a * zs, 0.5), (a * zs / q, -0.5)):
             p = qp.QParams(q, v)
-            assert np.array_equal(qp.jv_array(z, p), [qp.jv(float(x), p).value for x in z])
+            assert np.array_equal(qp.jv_array(z, p), [qp.jv_array(float(x), p) for x in z])
 
 
 def _float_pass_loop(z, q, v, eps):
     """The float pass as a scalar loop, with the arithmetic of
-    ``qbessel._series_float`` term for term; returns (sum, terms, peak)."""
+    ``qbessel._series_float`` term for term; returns (sum, peak)."""
     q2, qv = q * q, q ** (2.0 * v + 2.0)
     term, total, peak, n = 1.0, 0.0, 0.0, 0
     while n < 2000:
@@ -254,33 +253,39 @@ def _float_pass_loop(z, q, v, eps):
         nxt = -term * (q2 ** (n + 1) * (z * z) / ((1.0 - q2 ** (n + 1)) * (1.0 - qv * q2**n)))
         n += 1
         if not math.isfinite(nxt):
-            return total, n, math.inf
+            return total, math.inf
         if abs(nxt) <= eps * abs(total) and abs(nxt) <= abs(term):
-            return total, n, peak
+            return total, peak
         term = nxt
-    return total, n, peak
+    return total, peak
 
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.99, -0.5), (0.05, 3.0)])
 def test_float_pass_matches_scalar_loop(q, v):
     # the batched kernel, which drops each element from the batch as it
-    # stops, gives every element the scalar loop's sum, term count and
-    # peak (inf where a term overflowed: q = 0.99, z = 100)
-    from qprolate import qbessel
-
+    # stops, gives every element the scalar loop's sum and peak (inf where
+    # a term overflowed: q = 0.99, z = 100)
     z = np.concatenate([[0.0, 100.0], np.geomspace(1e-3, q**-12, 60)])
-    sums, terms, peaks = qbessel._series_float(z * z, q, v)
+    sums, peaks = qbessel._series_float(z * z, q, v)
     want = [_float_pass_loop(float(x), q, v, 1e-14) for x in z]
-    assert [tuple(t) for t in zip(sums.tolist(), terms.tolist(), peaks.tolist())] == want
+    assert list(zip(sums.tolist(), peaks.tolist())) == want
 
 
 def test_batch_size_does_not_change_an_element():
+    # a scalar, 0-d or not, gives a Python float, and a 1-D or 2-D batch an
+    # array of its shape; every element is its lone evaluation, bit for bit
     p = qp.QParams(0.9, -0.5)
     z = np.geomspace(1e-3, 0.9**-8, 200)
     whole = qp.jv_array(z, p)
+    assert whole.shape == (200,)
     for i in range(0, 200, 7):
         assert qp.jv_array(z[i : i + 1], p)[0] == whole[i]
-        assert qp.jv_array(z[i], p) == whole[i]
+        for scalar in (float(z[i]), z[i], np.array(z[i])):
+            alone = qp.jv_array(scalar, p)
+            assert type(alone) is float and alone == whole[i]
+    square = qp.jv_array(z.reshape(20, 10), p)
+    assert square.shape == (20, 10)
+    assert np.array_equal(square.reshape(-1), whole)
 
 
 @pytest.mark.parametrize("q, v", [(0.5, -0.5), (0.9, 0.5), (0.3, 1.7), (0.7, -0.9)])
@@ -337,8 +342,6 @@ def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
     # a cold s = -30..120 table, at either order, as a cold (-15, 60) plan
     # reads, calls no series, in float or in decimal: every lattice value
     # comes from the q-difference equation
-    from qprolate import qbessel
-
     def series(*args):
         raise AssertionError("a lattice-cache miss summed a series")
 
@@ -364,8 +367,6 @@ def test_cold_lattice_table_sums_no_series(monkeypatch, q, v):
 def test_lattice_cache_computes_its_misses_in_one_call(monkeypatch):
     # a cold table is one recurrence call over its exponents, and a repeat
     # read of the same table makes none
-    from qprolate import qbessel
-
     calls = []
     real = qbessel._lattice_recurrence
 
@@ -404,8 +405,6 @@ def test_lattice_value_does_not_depend_on_its_table(monkeypatch, q, v):
     # table from s - 40, or after a deeper table filled the cache, and with
     # the ratios started twice as deep: for v < 0 the values at s > 0 also
     # run down over ratios started below the table's lowest exponent
-    from qprolate import qbessel
-
     p = qp.QParams(q, v)
     exps = range(-25, 40, 3)
     alone, within = [], []
@@ -430,8 +429,6 @@ def test_lattice_reads_from_four_threads():
     # raises, and every value is the one a single-threaded read gives
     import sys
     import threading
-
-    from qprolate import qbessel
 
     params = [qp.QParams(q, 0.5) for q in (0.3, 0.5, 0.7, 0.8)]
     count = qbessel._jv_exp_cached.cache_info().maxsize // len(params) + 20
@@ -465,13 +462,6 @@ def test_lattice_reads_from_four_threads():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert got == [[w] * 2 for w in want]
-
-
-def test_jv_report_fields():
-    rep = qp.jv(1.0, qp.QParams(0.5, 0.0))
-    assert rep.terms_used > 0
-    assert rep.max_term_magnitude >= 1.0
-    assert rep.cancellation_flag == (rep.max_term_magnitude > 1e12 * abs(rep.value))
 
 
 def test_jv_bound_branches():
@@ -604,7 +594,7 @@ def test_closed_form_pairing_as_printed():
 def test_jv_rejects_non_finite(z):
     p = qp.QParams(0.5, -0.5)
     with pytest.raises(ValueError):
-        qp.jv(z, p)
+        qp.jv_array(z, p)
     with pytest.raises(ValueError):
         qp.jv_array(np.array([0.5, z, 2.0]), p)
     with pytest.raises(ValueError):

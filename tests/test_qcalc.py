@@ -368,8 +368,35 @@ def test_norm2_equals_sqrt_inner(p_half):
     assert qp.norm_lqpv(f, 2.0, p_half) == pytest.approx(
         math.sqrt(qp.inner_product(f, f, p_half)), rel=1e-13
     )
-    with pytest.raises(ValueError):
-        qp.norm_lqpv(f, 0.5, p_half)
+    # p_exponent = inf returned 1.0 where the sup is 2.0, and nan returned nan
+    g = qp.LatticeFunction(qp.LatticeWindow(-3, 10), np.linspace(-1.0, 2.0, 14))
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_exponent"):
+            qp.norm_lqpv(g, bad, p_half)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_lattice_sums_reject_non_finite(p_half, bad):
+    # one bad sample made each sum NaN or inf without a word; the zero g
+    # makes inf * 0 in the inner product, which must not warn either
+    w = qp.LatticeWindow(-3, 10)
+    f = qp.LatticeFunction(w, np.linspace(-1.0, 2.0, w.size))
+    f.values[4] = bad
+    g = qp.LatticeFunction(w, np.linspace(-1.0, 2.0, w.size))
+    calls = [
+        ("inner_product", lambda: qp.inner_product(f, g, p_half)),
+        ("inner_product", lambda: qp.inner_product(qp.LatticeFunction.zeros(w), f, p_half)),
+        ("norm_lqpv", lambda: qp.norm_lqpv(f, 2.0, p_half)),
+        ("jackson_integral_0a", lambda: qp.jackson_integral_0a(f, 0, p_half)),
+        ("jackson_integral_0inf", lambda: qp.jackson_integral_0inf(f, p_half)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=name):
+            call()
+    # so does a sum that overflows from finite samples
+    huge = qp.LatticeFunction(w, np.full(w.size, 1e308))
+    with pytest.raises(ValueError, match="jackson_integral_0inf"):
+        qp.jackson_integral_0inf(huge, p_half)
 
 
 def test_tail_warning_fires_for_constant(p_half):

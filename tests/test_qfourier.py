@@ -20,7 +20,7 @@ def test_plan_table_matches_jv(plan_half, p_half, window):
     assert table.shape == (2 * window.size - 1,)
     for s in (-30, -20, -5, 0, 7, 40, 120):
         assert table[s - 2 * window.n_min] == pytest.approx(
-            qp.jv(p_half.q ** float(s), p_half).value, rel=1e-12, abs=1e-300
+            qp.jv_array(p_half.q ** float(s), p_half), rel=1e-12, abs=1e-300
         )
 
 
