@@ -2,17 +2,18 @@
 Fourier transform, and the q-sampling reconstruction experiment, with
 CSV / JSON / SVG output.
 
-A run's settings are the fields of ``RunConfig``: its defaults,
+Each setting of a run is declared once, in the table ``_SETTINGS``: its
+default, its flag and its config-file reader.  A run takes the defaults,
 overridden by a JSON config file (``--config``), overridden by the flags
-given.  Config keys, flag destinations and manifest keys are those field
-names.  Each command reads only the fields ``READS`` names for it: it
-takes a flag for each of them and no other, checks them itself before it
-writes anything, and records them in the ``manifest.json`` it writes
-(with ``command`` and ``versions``, which the config reader ignores, as
-it ignores the keys a command does not read).  Re-running with a
-manifest as ``--config`` reproduces the outputs.  Exit codes: 0 success,
-2 invalid configuration, 3 numerical failure, 4 unreadable or malformed
-input file.
+given.  Config keys, flag destinations and manifest keys are the
+settings' names.  Each command reads only the settings ``READS`` names
+for it, and no other reaches it: it takes a flag for each of them and no
+other, checks them itself before it writes anything, and records them in
+the ``manifest.json`` it writes (with ``command`` and ``versions``, which
+the config reader ignores, as it ignores the keys a command does not
+read).  Re-running with a manifest as ``--config`` reproduces the
+outputs.  Exit codes: 0 success, 2 invalid configuration, 3 numerical
+failure, 4 unreadable or malformed input file.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,39 +46,6 @@ EXIT_NUMERICAL = 3
 EXIT_INPUT = 4
 
 
-@dataclass
-class RunConfig:
-    """The settings of a run, each named once: as a field here, a config
-    key, a flag destination and a manifest key.  The defaults reproduce
-    the application setup (q = 0.5, v = -1/2, band edge a = 1).  Which
-    command reads which field is ``READS``; ``a_exps`` defaults to
-    0, -1, -2 and reconstruct's input to the Runge function.
-    """
-
-    q: float = 0.5
-    v: float = -0.5
-    a_exp: int = 0
-    depth: int = 60
-    window: tuple[int, int] = (DEFAULT_WINDOW.n_min, DEFAULT_WINDOW.n_max)
-    grid: tuple[int, int] = (DEFAULT_GRID.n_min, DEFAULT_GRID.n_max)
-    keep: int = 15
-    output_dir: str = "out"
-    format: str = "csv"
-    a_exps: list[int] | None = None
-    function: str | None = None
-    samples_file: str | None = None
-    roundtrip: bool = False
-
-
-# the RunConfig fields each command reads: its flags, and its manifest
-READS = {
-    "eigen": ("q", "v", "a_exp", "depth", "keep", "output_dir"),
-    "reconstruct": ("q", "v", "window", "grid", "output_dir", "a_exps", "function",
-                    "samples_file"),
-    "transform": ("q", "v", "window", "output_dir", "format", "samples_file", "roundtrip"),
-}
-
-
 class CliInputError(Exception):
     """Unreadable or malformed input file (exit code 4)."""
 
@@ -88,44 +56,6 @@ def _parse_span(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError as exc:
         raise ValueError(f"expected MIN:MAX, got {text!r}") from exc
-
-
-_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
-# the flag of each RunConfig field, and its argparse keywords
-_FLAGS = {
-    "q": ("--q", dict(type=float, help="deformation parameter in (0,1)")),
-    "v": ("--v", dict(type=float, help="order, must exceed -1")),
-    "a_exp": ("--a-exp", dict(type=int, help="band edge exponent, a = q^A")),
-    "depth": ("--depth", dict(type=int, help="lattice points retained in [0,a]_q")),
-    "window": ("--window", dict(help="lattice window MIN:MAX")),
-    "grid": ("--grid", dict(help="sampling grid MIN:MAX")),
-    "keep": ("--keep", dict(type=int, help="eigenpairs retained")),
-    "output_dir": ("--out", dict(help="output directory")),
-    "format": ("--format", dict(help="output format, csv or json")),
-    "a_exps": ("--a-exp", dict(type=int, action="append",
-                               help="band edge exponent, repeatable (default 0 -1 -2)")),
-    "function": ("--function", dict(choices=_FUNCTIONS, help="test function f(x) = 1/(1+x^2)")),
-    "samples_file": ("--samples", dict(help="sample file with 'k value' lines")),
-    "roundtrip": ("--roundtrip", dict(action="store_true", help="also write F(Ff) and its error")),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qprolate",
-        description="q-Fourier analysis, q-prolate eigenfunctions, and q-sampling reconstruction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, fields in READS.items():
-        # each flag's dest is its RunConfig field, and only the flags given
-        # reach the namespace, so that they override the config file
-        sp = sub.add_parser(command, help=_COMMANDS[command].__doc__,
-                            argument_default=argparse.SUPPRESS)
-        sp.add_argument("--config", help="JSON config file (flags override it)")
-        for name in fields:
-            flag, kwargs = _FLAGS[name]
-            sp.add_argument(flag, dest=name, **kwargs)
-    return parser
 
 
 def _is_int(x) -> bool:
@@ -154,31 +84,72 @@ def _checked(valid):
     return read
 
 
-# one reader per RunConfig field, which checks the config file's value
-# (TypeError or ValueError when it is not of the field's JSON type)
-_CONFIG_KEYS = {
-    "q": _number,
-    "v": _number,
-    "a_exp": _checked(_is_int),
-    "depth": _checked(_is_int),
-    "window": _span_pair,
-    "grid": _span_pair,
-    "keep": _checked(_is_int),
-    "output_dir": str,
-    "format": str,
-    "a_exps": _checked(lambda x: isinstance(x, list) and all(map(_is_int, x))),
-    "function": _checked(lambda x: x in _FUNCTIONS),
-    "samples_file": str,
-    "roundtrip": _checked(lambda x: isinstance(x, bool)),
+_FUNCTIONS = ("runge",)  # built-in test functions of reconstruct
+_integer = _checked(_is_int)
+# Every setting once, as name: (default, flag, argparse keywords, config
+# reader).  The name is its config key, flag destination and manifest key;
+# the reader checks the config file's value (TypeError or ValueError when
+# it is not of the setting's JSON type).  The defaults reproduce the
+# application setup (q = 0.5, v = -1/2, band edge a = 1); ``a_exps``
+# defaults to 0, -1, -2 and reconstruct's input to the Runge function.
+_SETTINGS = {
+    "q": (0.5, "--q", dict(type=float, help="deformation parameter in (0,1)"), _number),
+    "v": (-0.5, "--v", dict(type=float, help="order, must exceed -1"), _number),
+    "a_exp": (0, "--a-exp", dict(type=int, help="band edge exponent, a = q^A"), _integer),
+    "depth": (60, "--depth", dict(type=int, help="lattice points retained in [0,a]_q"),
+              _integer),
+    "window": ((DEFAULT_WINDOW.n_min, DEFAULT_WINDOW.n_max), "--window",
+               dict(help="lattice window MIN:MAX"), _span_pair),
+    "grid": ((DEFAULT_GRID.n_min, DEFAULT_GRID.n_max), "--grid",
+             dict(help="sampling grid MIN:MAX"), _span_pair),
+    "keep": (15, "--keep", dict(type=int, help="eigenpairs retained"), _integer),
+    "output_dir": ("out", "--out", dict(help="output directory"), str),
+    "format": ("csv", "--format", dict(help="output format, csv or json"), str),
+    "a_exps": (None, "--a-exp", dict(type=int, action="append",
+                                     help="band edge exponent, repeatable (default 0 -1 -2)"),
+               _checked(lambda x: isinstance(x, list) and all(map(_is_int, x)))),
+    "function": (None, "--function",
+                 dict(choices=_FUNCTIONS, help="test function f(x) = 1/(1+x^2)"),
+                 _checked(lambda x: x in _FUNCTIONS)),
+    "samples_file": (None, "--samples", dict(help="sample file with 'k value' lines"), str),
+    "roundtrip": (False, "--roundtrip",
+                  dict(action="store_true", help="also write F(Ff) and its error"),
+                  _checked(lambda x: isinstance(x, bool))),
+}
+
+# the settings each command reads: its flags, and its manifest, in order
+READS = {
+    "eigen": ("q", "v", "a_exp", "depth", "keep", "output_dir"),
+    "reconstruct": ("q", "v", "window", "grid", "output_dir", "a_exps", "function",
+                    "samples_file"),
+    "transform": ("q", "v", "window", "output_dir", "format", "samples_file", "roundtrip"),
 }
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qprolate",
+        description="q-Fourier analysis, q-prolate eigenfunctions, and q-sampling reconstruction",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, names in READS.items():
+        # each flag's dest is its setting's name, and only the flags given
+        # reach the namespace, so that they override the config file
+        sp = sub.add_parser(command, help=_COMMANDS[command].__doc__,
+                            argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON config file (flags override it)")
+        for name in names:
+            _, flag, kwargs, _ = _SETTINGS[name]
+            sp.add_argument(flag, dest=name, **kwargs)
+    return parser
+
+
+def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """Defaults, overridden by the config file, overridden by the flags
-    given, for the fields the command reads.  Every key of the file is
-    type-checked, and the file refused whole when one is malformed.  An
-    input flag (--function or --samples) replaces the config file's
-    input choice, both of its settings."""
+    given, as a namespace of exactly the settings the command reads.
+    Every key of the file is type-checked, and the file refused whole
+    when one is malformed.  An input flag (--function or --samples)
+    replaces the config file's input choice, both of its settings."""
     settings = {}
     if "config" in args:
         try:
@@ -187,7 +158,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, read in _CONFIG_KEYS.items():
+        for key, (*_, read) in _SETTINGS.items():
             if raw.get(key) is not None:
                 try:
                     settings[key] = read(raw[key])
@@ -201,7 +172,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in flags:
             flags[key] = _parse_span(flags[key])
     settings.update(flags)
-    return RunConfig(**{k: settings[k] for k in READS[args.command] if k in settings})
+    return SimpleNamespace(**{k: settings.get(k, _SETTINGS[k][0]) for k in READS[args.command]})
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -210,17 +181,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _output_dir(cfg: RunConfig) -> Path:
+def _output_dir(cfg: SimpleNamespace) -> Path:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def _write_manifest(cfg: RunConfig, out_dir: Path, command: str) -> None:
+def _write_manifest(cfg: SimpleNamespace, out_dir: Path, command: str) -> None:
     python = "{}.{}.{}".format(*sys.version_info[:3])
     versions = {"qprolate": qprolate.__version__, "python": python, "numpy": np.__version__}
-    payload = {k: getattr(cfg, k) for k in READS[command]}
-    payload.update(command=command, versions=versions)
+    payload = {**vars(cfg), "command": command, "versions": versions}
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
 
@@ -307,7 +277,7 @@ def _svg_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) -> s
     return "\n".join(parts) + "\n"
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
+def cmd_eigen(cfg: SimpleNamespace) -> int:
     """compute the concentration eigensystem"""
     basis = compute_basis(Bandlimit(cfg.a_exp, cfg.depth), QParams(cfg.q, cfg.v), cfg.keep)
     out_dir = _output_dir(cfg)
@@ -323,7 +293,7 @@ def _runge(x: float) -> float:
     return 1.0 / (1.0 + x * x)
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
+def cmd_reconstruct(cfg: SimpleNamespace) -> int:
     """project and reconstruct via the sampling formula"""
     p = QParams(cfg.q, cfg.v)
     window = LatticeWindow(*cfg.window)
@@ -388,7 +358,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_transform(cfg: RunConfig) -> int:
+def cmd_transform(cfg: SimpleNamespace) -> int:
     """q-Bessel Fourier transform of a sample file"""
     if cfg.samples_file is None:
         raise ValueError("transform needs --samples (or samples_file in the config)")

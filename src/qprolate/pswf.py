@@ -84,6 +84,8 @@ from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, inner
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
 _LAMBDA_FLOOR = 1e-150
+# digits the extended-precision solve may work at, its guard and the digits
+# its alternating sum cancels included
 _MAX_DPS = 3000
 # digits every retained eigenvalue must resolve to, relative to the top one
 _RESOLVED_DIGITS = 25
@@ -216,7 +218,13 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
     # must resolve its pivots to the noise of C divided by D_n^2: as many
     # again below it
     cancel = math.ceil(max(logs) - ref)
-    prec = math.ceil((dps + 2 * cancel + _GUARD_DIGITS) * math.log2(10))
+    digits = dps + 2 * cancel + _GUARD_DIGITS
+    if digits > _MAX_DPS:
+        raise SolverNoConvergence(
+            f"resolving {dps} digits needs {digits} working digits, past the "
+            f"{_MAX_DPS}-digit budget (a_exp={b.a_exp}, q={q!r}, v={v!r})"
+        )
+    prec = math.ceil(digits * math.log2(10))
     with localcontext(fixedla.context(prec)):
         d2, h, w0 = _moments(b, p, nterms)
         # D_n^2 at 2^(2 prec): R_jj = D_j sqrt(pivot) resolves to 2^-prec
@@ -468,7 +476,12 @@ def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
     noise understate the shortfall, and on seeded grids the digits finally
     lacking were 1 to 3.2 times those measured first.  So a request takes
     at most one solve more than the ladder alone would give it.
-    Raises SolverNoConvergence if the precision budget is exhausted.
+    Raises SolverNoConvergence if the precision budget is exhausted:
+    before any solve whose working digits (its digits, twice those its
+    alternating sum cancels, and a guard) would pass ``_MAX_DPS``.  The
+    cancelled digits grow with the square of a band edge's exponent past
+    1: at q = 1/2, v = -1/2, depth 60, keep 4, a_exp = -30 works at 2,189
+    digits, and a_exp = -40 would need 3,867 and raises.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")

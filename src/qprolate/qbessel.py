@@ -305,6 +305,17 @@ def jv_bound(n: int, p: QParams) -> float:
         return to_float(c, f"jv_bound(n={n}, q={p.q!r}, v={p.v!r})")
 
 
+def band_edge(a_exp: int, p: QParams, power: float = 1.0) -> float:
+    """The band edge a = q^{a_exp}, raised to ``power``.  Raises
+    OverflowError, naming q, a_exp and the power, beyond the float range."""
+    try:
+        return (p.q ** float(a_exp)) ** power
+    except OverflowError:
+        raised = "" if power == 1.0 else f", raised to {power!r},"
+        raise OverflowError(f"the band edge a = q^a_exp at q = {p.q!r}, a_exp = {a_exp}"
+                            f"{raised} lies beyond the float range") from None
+
+
 def product_integral_direct(y, z, a_exp: int, p: QParams, depth):
     """Jackson-sum evaluation of int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t.
 
@@ -342,15 +353,17 @@ def product_integral_quotient(y, z, jy, a_exp: int, p: QParams):
     evaluated here by ``jv_array``.  Returns (values, separated): the
     difference quotient loses ~9 digits at separation 1e-9, so where
     |y^2 - z^2| <= 1e-9 max(y^2, z^2) ``separated`` is False and the
-    value is 0.
+    value is 0.  Raises OverflowError, naming q and a_exp, where a or
+    a^{2v+2} lies beyond the float range (``band_edge``).
     """
     y2 = np.asarray(y, dtype=float) ** 2
     z = np.asarray(z, dtype=float)
     z2 = z * z
-    a = p.q ** float(a_exp)
+    a = band_edge(a_exp, p)
     jz1 = jv_array(a * z, p, p.v + 1.0)
     jzq = jv_array(a * z / p.q, p)
-    pref = (1.0 - p.q) / (1.0 - p.q ** (2.0 * p.v + 2.0)) * a ** (2.0 * p.v + 2.0)
+    pref = (1.0 - p.q) / (1.0 - p.q ** (2.0 * p.v + 2.0))
+    pref *= band_edge(a_exp, p, 2.0 * p.v + 2.0)
     den = y2 - z2
     separated = np.abs(den) > 1e-9 * np.maximum(y2, z2)
     num = pref * (y2 * jy[0] * jzq - z2 * jz1 * jy[1])

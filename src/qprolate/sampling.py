@@ -28,6 +28,7 @@ import numpy as np
 
 from .pswf import Bandlimit
 from .qbessel import (
+    band_edge,
     jv_array,
     lattice_table,
     product_integral_direct,
@@ -47,7 +48,8 @@ def kernel(x, y, b: Bandlimit, p: QParams):
     otherwise.  The closed form takes its x-side values from ``jv_array``;
     where x^2 and y^2 are too close for it, ``_near_diagonal`` sums the
     same integral over all of [0, a]_q; only ``b.a_exp`` is read.  Raises
-    ValueError for a non-finite argument.
+    ValueError for a non-finite argument, and OverflowError, naming q and
+    a_exp, where the band edge lies beyond the float range.
     Far past 1 (a x or a y near q^s, s << 0) j_v swings, between the
     lattice points, to values some q^{-s^2} times larger than at them,
     so the rounding of the float arguments can swamp the value there;
@@ -55,7 +57,7 @@ def kernel(x, y, b: Bandlimit, p: QParams):
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xs, ys = x.reshape(-1), y.reshape(-1)
-    a = p.q ** float(b.a_exp)
+    a = band_edge(b.a_exp, p)
     jx = (jv_array(a * xs, p, p.v + 1.0), jv_array(a * xs / p.q, p))
     out = _kernel_values(xs, ys, jx, b.a_exp, p).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
@@ -110,7 +112,7 @@ def _near_diagonal(y: np.ndarray, z: np.ndarray, a_exp: int, p: QParams) -> np.n
     qv = p.q ** (2.0 * p.v + 2.0)
     c1 = p.q * p.q / ((1.0 - p.q * p.q) * (1.0 - qv))
     cut = 0.5 * math.log(EPS / c1)
-    xmax = (p.q ** float(a_exp) * np.maximum(np.abs(y), np.abs(z))).tolist()
+    xmax = (band_edge(a_exp, p) * np.maximum(np.abs(y), np.abs(z))).tolist()
     ns = np.array(
         [max(math.ceil((cut - math.log(x)) / math.log(p.q)), 0) if x else 0 for x in xmax]
     )

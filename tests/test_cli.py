@@ -170,6 +170,15 @@ def test_reconstruct_near_q_one_overflows_without_refining_underflows(tmp_path, 
     assert "j_0.5(92.07938948050328) = 8.467078e+830" in capsys.readouterr().err
 
 
+def test_reconstruct_band_edge_beyond_the_float_range_names_it(tmp_path, capsys):
+    # 0.5^-2000 used to exit 3 with the bare "(34, 'Numerical result out of
+    # range')" of a float power
+    rc = main(["reconstruct", "--function", "runge", "--a-exp", "-2000", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error: the band edge a = q^a_exp at q = 0.5, a_exp = -2000 lies beyond" in err
+
+
 def test_reconstruct_runge_artifacts(tmp_path, capsys):
     rc = main(["reconstruct", "--function", "runge", "--out", str(tmp_path), *FAST_RECON])
     assert rc == 0
@@ -542,14 +551,32 @@ def test_reconstruct_band_edge_above_the_window_runs(tmp_path):
     assert (tmp_path / "reconstruct_a70.csv").exists()
 
 
-def test_config_keys_are_the_run_settings():
-    # one reader per RunConfig field, so a manifest holds every setting
-    # and the config file takes each of them back
-    from dataclasses import fields
+def test_each_command_holds_exactly_the_settings_it_reads(tmp_path):
+    # each setting is declared once, in _SETTINGS; a command's settings are
+    # exactly those READS names for it, at the defaults when neither a
+    # config file nor a flag sets them, and a config file holding every
+    # setting adds none that the command does not read
+    from qprolate.cli import _SETTINGS, READS, _build_parser, _resolve_config
 
-    from qprolate.cli import _CONFIG_KEYS, RunConfig
-
-    assert list(_CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
+    defaults = {"q": 0.5, "v": -0.5, "a_exp": 0, "depth": 60, "window": (-15, 60),
+                "grid": (-10, 40), "keep": 15, "output_dir": "out", "format": "csv",
+                "a_exps": None, "function": None, "samples_file": None, "roundtrip": False}
+    assert {name: setting[0] for name, setting in _SETTINGS.items()} == defaults
+    assert {name for names in READS.values() for name in names} == set(_SETTINGS)
+    config = tmp_path / "all.json"
+    config.write_text(json.dumps({
+        "q": 0.6, "v": 0.0, "a_exp": -1, "depth": 30, "window": [-5, 20], "grid": [-2, 10],
+        "keep": 3, "output_dir": "x", "format": "json", "a_exps": [-1], "function": "runge",
+        "samples_file": "s.txt", "roundtrip": True}))
+    parser = _build_parser()
+    for command, names in READS.items():
+        cfg = _resolve_config(parser.parse_args([command]))
+        assert vars(cfg) == {name: defaults[name] for name in names}, command
+        cfg = _resolve_config(parser.parse_args([command, "--config", str(config)]))
+        assert list(vars(cfg)) == list(names), command
+        for name in set(_SETTINGS) - set(names):
+            with pytest.raises(AttributeError):
+                getattr(cfg, name)
 
 
 def test_repeated_a_exp_flag_is_recorded_and_reproduced(tmp_path):

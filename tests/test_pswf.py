@@ -481,6 +481,17 @@ def test_shortfall_step_taken_once(monkeypatch):
     assert len(digits) <= 10
 
 
+def test_working_digits_past_the_budget_raise_before_the_solve():
+    # the solve works at 3,867 digits here, past the 3,000 of the budget,
+    # though it resolves only 27; it used to take 526.6 s to return +-1, +-1
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(qp.SolverNoConvergence, match="3867 working digits, past the 3000"):
+        qp.compute_basis(qp.Bandlimit(-40, 60), qp.QParams(0.5, -0.5), 4)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_moments_match_the_gram_matrix_of_g(seed):
     # K = G^T G, with G[k,n] = sqrt(c_qv w_k) (a q^k)^{2n} sqrt(c_n) built

@@ -79,25 +79,27 @@ def _log10_peak(s, q, v):
     ],
 )
 def test_jv_at_exponent_grid_vs_oracle(q, v, exps):
-    # Error relative to max(|J_{s-1}|, |J_s|, |J_{s+1}|), so that values
-    # near a sign change are not held to a relative bound.  The oracle
-    # runs at ``_oracle_digits`` for the largest of the package's three
-    # values and the peak term at s - 1: then it resolves 40 digits of any
-    # scale it could be confused with, so agreement cannot come from both
-    # being wrong.  A kept float pass stops once a term is at most
-    # EPS |partial sum|, so its error is the rounding of terms up to
-    # 1e6 |value|: q = 0.9, v = -0.9, s = -6 reaches 7.3e-11.  At q = 0.05,
-    # s <= -16 the value lies below the float range and is +0.0 (the float
-    # pass sums to -2.9e304 at s = -16).
-    tiny = np.finfo(float).tiny
+    # Each lattice value comes from the q-difference equation and is the
+    # exact point's value correctly rounded: it lies within one ulp of the
+    # oracle, or, at a near-zero (below 1e-3 of its larger neighbour),
+    # within 1e-15 of that neighbour.  The oracle runs at
+    # ``_oracle_digits`` for the largest of the package's three values and
+    # the peak term at s - 1: then it resolves 40 digits of any scale it
+    # could be confused with, so agreement cannot come from both being
+    # wrong.  At q = 0.05, s <= -16 the value lies below the float range
+    # and is +0.0.
     p = qp.QParams(q, v)
     for s in exps:
         got = [qp.jv_at_exponent(t, p) for t in (s - 1, s, s + 1)]
         dps = _oracle_digits(s - 1, q, v, max(abs(x) for x in got))
         with mp.workdps(dps):
             ref = [jv_series(mp.mpf(q) ** t, q, v, dps) for t in (s - 1, s, s + 1)]
-        scale = max(abs(x) for x in ref)
-        assert abs(got[1] - ref[1]) <= 1e-10 * scale + tiny, f"s={s}"
+        want, near = float(ref[1]), float(max(abs(ref[0]), abs(ref[2])))
+        err = abs(got[1] - want)
+        if abs(want) < 1e-3 * near:
+            assert err <= 1e-15 * near, f"s={s}"
+        else:
+            assert err <= math.ulp(want), f"s={s}"
 
 
 def test_jv_cancellation_flag():

@@ -50,8 +50,8 @@ def test_readme_cli_block_runs_each_command():
 
 
 def test_subparser_flags_are_the_settings_read():
-    # each command takes --config and one flag per RunConfig field it
-    # reads: no flag of a setting it ignores
+    # each command takes --config and one flag per setting it reads: no
+    # flag of a setting it ignores
     commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
     assert set(commands) == set(READS)
     for command, sp in commands.items():

@@ -156,6 +156,17 @@ def test_kernel_near_diagonal_is_the_whole_band(q, v, a_exp, x):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def test_band_edge_beyond_the_float_range_is_named():
+    from qprolate import qbessel
+
+    p = qp.QParams(0.5, 3.0)
+    with pytest.raises(OverflowError, match=r"q = 0\.5, a_exp = -2000 lies beyond"):
+        qp.kernel(1.0, 0.5, qp.Bandlimit(-2000, 5), p)
+    # a = 2^200 is a float, and a^{2v+2} = 2^1600 is not
+    with pytest.raises(OverflowError, match=r"a_exp = -200, raised to 8\.0, lies beyond"):
+        qbessel.product_integral_quotient(1e-70, 2e-70, (1.0, 1.0), -200, p)
+
+
 def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
     # two independent code paths: closed form vs Jackson sum
     for m in (-1, 0, 2):
