@@ -72,14 +72,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from operator import mul
 
 import numpy as np
 
 from .qbessel import jv_array, lattice_table
 from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, inner_product,
-                    lattice_weights)
+                    lattice_weights, qv_power)
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -175,7 +175,7 @@ def _moments(b: Bandlimit, p: QParams, nterms: int):
     matrix K = D H D (see the module docstring), in the current context."""
     qd = Decimal(p.q)
     q2 = qd * qd
-    qv = qd ** (2 * Decimal(p.v) + 2)  # q^{2v+2}
+    qv = qv_power(p.q, p.v, getcontext().prec)  # shared with c_qv_decimal
     w0 = (1 - qd) * qv ** b.a_exp  # w_0 = (1 - q) a^{2v+2}
     # D_n^2 from D_{n-1}^2 a^4 c_n / c_{n-1}
     d2, q2n, a4 = [c_qv_decimal(p.q, p.v) * w0], Decimal(1), q2 ** (2 * b.a_exp)

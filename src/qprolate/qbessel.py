@@ -21,8 +21,8 @@ lattice points q^s, through the table memo behind ``jv_at_exponent`` and
 solves the Hahn-Exton q-difference equation g_s - b_s g_{s+1} +
 q^{2v} g_{s+2} = 0, b_s = 1 + q^{2v} - q^{2s+2} (Koornwinder & Swarttouw
 1992, Trans. AMS 333), normalised by j_v(0) = 1 where q^s is small enough
-that the series is 1 to 40 digits.  ``_lattice_recurrence`` says how; each
-lattice value is the exact point's value, correctly rounded.
+that the series is 1 to 40 digits (``flat_depth``).  ``_lattice_recurrence``
+says how; each lattice value is the exact point's value, correctly rounded.
 
 The product integral int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t is, up to
 c_qv^2, the reproducing kernel of the q-Paley-Wiener space.  Its closed
@@ -42,7 +42,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 import numpy as np
 
 from . import qcalc
-from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, to_float
+from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, qv_power, to_float
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -94,31 +94,13 @@ def _series_float(z2: np.ndarray, q: float, v: float):
     return sums, peaks
 
 
-@functools.lru_cache(maxsize=256)
-def _qv_power(q: float, v: float, prec: int) -> Decimal:
-    """q^{2v+2} at ``prec`` digits, memoised per (q, v, prec).
-
-    The exponent is exact.  A non-integer 2v+2 (which costs libmpdec an
-    exp and a log: 13 ms at 560 digits, 57 ms at 1,090) is formed at
-    prec + 20 digits and rounded once, so the value is the exact power
-    correctly rounded unless it lies within 10^-20 units of a rounding
-    tie.  An integer 2v+2 (v = -1/2, 0, ...) is a plain product, formed
-    at ``prec`` digits.
-    """
-    e = EXACT.fma(2, Decimal(v), 2)
-    ctx = Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    if e == e.to_integral_value():
-        return ctx.power(Decimal(q), e)
-    return ctx.plus(Context(prec=prec + 20, Emax=MAX_EMAX, Emin=MIN_EMIN).power(Decimal(q), e))
-
-
 def _series_decimal(z: float, q: float, v: float, ctx: Context):
     """Series at the working precision of ``ctx`` at the float z, converted
     exactly; returns (sum, max_term) as Decimals."""
     with localcontext(ctx):
         z2 = Decimal(z) * Decimal(z)
         q2 = Decimal(q) * Decimal(q)
-        qv = _qv_power(q, v, ctx.prec)
+        qv = qv_power(q, v, ctx.prec)
         term, total, max_term = Decimal(1), Decimal(0), Decimal(0)
         floor = Decimal(1).scaleb(-ctx.prec)
         q2n = Decimal(1)  # q2**n
@@ -160,6 +142,17 @@ def _needs_refinement(val, max_term):
     return (max_term / _REFINE_RATIO > np.maximum(np.abs(val), 1e-300)) | ~np.isfinite(val)
 
 
+def flat_depth(x: float, q: float, v: float, tol: float) -> int:
+    """The least n >= 0 at which c_1 (x q^n)^2 <= tol, where c_1 = q^2 /
+    ((1 - q^2) (1 - q^{2v+2})) is the x^2 coefficient of j_v's series;
+    0 at x = 0.  From there on the series is 1 to about tol."""
+    if not x:
+        return 0
+    log_q = math.log(q)
+    log_c1 = 2.0 * log_q - math.log1p(-q * q) - math.log(-math.expm1((2.0 * v + 2.0) * log_q))
+    return max(math.ceil((math.log(tol) - log_c1 - 2.0 * math.log(x)) / (2.0 * log_q)), 0)
+
+
 def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
     """j_v(q^s, q^2) at each integer exponent s of ``exps``, from the
     Hahn-Exton q-difference equation alone, in decimal at
@@ -168,38 +161,36 @@ def _lattice_recurrence(q: float, v: float, exps) -> list[float]:
     With b_s = 1 + q^{2v} - q^{2s+2}, g_s = j_v(q^s) solves
     g_s - b_s g_{s+1} + q^{2v} g_{s+2} = 0.  As s grows its solutions tend
     to 1 and to q^{-2vs}.  g is normalised by g_T = 1 at the least T >= 1
-    where the series' second term c_1 q^{2T}, c_1 = q^2 / ((1 - q^2)
-    (1 - q^{2v+2})), lies below the context's digits; every s >= T reads
-    1.0.  For v >= 0 the equation runs down from g_{T+1} = g_T = 1 to
-    s = 0: going down, the other solution dies out (at v = 0 it grows
-    linearly).  Below s = 0 g is the minimal solution (it falls like
-    q^{s^2}), and for v < 0 it is the dominant one above the turning
-    point, so there, and for v < 0 everywhere below T, g_s = R_s g_{s+1}
-    runs down from g_0 or g_T over the ratios R_s = g_s / g_{s+1} =
-    q^{2v} / (b_{s-1} - R_{s-1}), a continued fraction that is stable
-    taken upward (Gautschi 1967, SIAM Rev. 9).  They start from 0
-    _RATIO_DEPTH steps below the lowest exponent, or below the turning
-    point, the largest s at which q^{2s+2} >= (1 + q^v)^2, where that lies
-    lower: above it the equation oscillates and the start's error does not
-    decay.  q^{2v} is ``_qv_power``'s q^{2v+2} over q^2, and each power
-    q^{2s+2} is q^2 multiplied up or divided down from 1 at s = -1, so a
-    value does not depend on the table it was read in.  Each value is
-    rounded once to float, +0.0 where it underflows; one beyond the float
-    range raises OverflowError.  On seeded draws over q 0.05-0.995,
+    where the series' second term lies below the context's digits
+    (``flat_depth``); every s >= T reads 1.0.  For v >= 0 the equation
+    runs down from g_{T+1} = g_T = 1 to s = 0: going down, the other
+    solution dies out (at v = 0 it grows linearly).  Below s = 0 g is
+    the minimal solution (it falls like q^{s^2}), and for v < 0 it is the
+    dominant one above the turning point, so there, and for v < 0
+    everywhere below T, g_s = R_s g_{s+1} runs down from g_0 or g_T over
+    the ratios R_s = g_s / g_{s+1} = q^{2v} / (b_{s-1} - R_{s-1}), a
+    continued fraction that is stable taken upward (Gautschi 1967, SIAM
+    Rev. 9).  They start from 0 _RATIO_DEPTH steps below the lowest
+    exponent, or below the turning point, the largest s at which
+    q^{2s+2} >= (1 + q^v)^2, where that lies lower: above it the equation
+    oscillates and the start's error does not decay.  q^{2v} is
+    ``qv_power``'s q^{2v+2} over q^2, and each power q^{2s+2} is q^2
+    multiplied up or divided down from 1 at s = -1, so a value does not
+    depend on the table it was read in.  Each value is rounded once to
+    float, +0.0 where it underflows; one beyond the float range raises
+    OverflowError.  On seeded draws over q 0.05-0.995,
     v -0.99..3, s -40..120, every value was the exact point's value
     correctly rounded.
     """
-    log_q = math.log(q)
-    log_c1 = 2.0 * log_q - math.log1p(-q * q) - math.log(-math.expm1((2.0 * v + 2.0) * log_q))
-    top = max(1, math.floor((_RECURRENCE_DIGITS * math.log(10.0) + log_c1) / (-2.0 * log_q)) + 1)
+    top = max(1, flat_depth(1.0, q, v, 10.0 ** -_RECURRENCE_DIGITS))
     mid = 0 if v >= 0 else top  # where the ratios take over, going down
     s_min = min(mid, *exps)
-    turn = math.floor(math.log1p(q**v) / log_q) - 1
+    turn = math.floor(math.log1p(q**v) / math.log(q)) - 1
     lo = min(s_min, turn) - _RATIO_DEPTH
     ctx = Context(prec=_RECURRENCE_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
     with localcontext(ctx):
         q2 = Decimal(q) * Decimal(q)
-        q2v = _qv_power(q, v, ctx.prec) / q2
+        q2v = qv_power(q, v, ctx.prec) / q2
         base = 1 + q2v
         powers = {-1: Decimal(1)}  # powers[s] = q^{2s+2}
         for s in range(top):
@@ -293,15 +284,15 @@ def jv_bound(n: int, p: QParams) -> float:
     that form fails (by 76 digits at q = 0.05, v = -0.99, n = -30), and
     the exponent is n^2 - (2v+1) n.  On q 0.05-0.95, n -30..-1 it held at
     v -0.99..-0.51 with at least 0.02 digits to spare, as the paper's form
-    does at v = -1/2 (measured, not proved).
+    does at v = -1/2 (measured, not proved).  The exponent is exact.
     """
     with localcontext(Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         qd = Decimal(p.q)
-        x, a = EXACT.multiply(qd, qd), qd ** EXACT.fma(2, Decimal(p.v), 2)
+        x, a = EXACT.multiply(qd, qd), qv_power(p.q, p.v, 20)
         c = qcalc.qpoch_inf_decimal(-x, x) * qcalc.qpoch_inf_decimal(-a, x)
         c /= qcalc.qpoch_inf_decimal(a, x)
         if n < 0:
-            c *= qd ** Decimal(n * n - abs((2.0 * p.v + 1.0) * n))
+            c *= qd ** (n * n) * min(a / qd, qd / a) ** n  # q^{n^2 - |2v+1| |n|}
         return to_float(c, f"jv_bound(n={n}, q={p.q!r}, v={p.v!r})")
 
 

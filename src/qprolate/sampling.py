@@ -22,13 +22,12 @@ application experiment.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .pswf import Bandlimit
 from .qbessel import (
     band_edge,
+    flat_depth,
     jv_array,
     lattice_table,
     product_integral_direct,
@@ -104,24 +103,18 @@ def _kernel_values(y: np.ndarray, z: np.ndarray, jy, a_exp: int, p: QParams) -> 
 def _near_diagonal(y: np.ndarray, z: np.ndarray, a_exp: int, p: QParams) -> np.ndarray:
     """int_0^a j_v(yt) j_v(zt) t^{2v+1} d_q t over all of [0, a]_q, as the
     closed form gives it, whatever the band's depth, at each pair of the
-    1-D ``y`` and ``z``: the Jackson sum over the n points t = a q^m with
-    c1 (t max(y, z))^2 > EPS, c1 = q^2 / ((1-q^2)(1-q^{2v+2})) being j_v's
-    x^2 coefficient, plus the sum (1-q) (a q^n)^{2v+2} / (1-q^{2v+2}) of
-    the remaining weights, on which both factors are 1 to EPS.  The pairs'
-    sums are one ``product_integral_direct`` call."""
-    qv = p.q ** (2.0 * p.v + 2.0)
-    c1 = p.q * p.q / ((1.0 - p.q * p.q) * (1.0 - qv))
-    cut = 0.5 * math.log(EPS / c1)
+    1-D ``y`` and ``z``: one ``product_integral_direct`` call sums the
+    first n points t = a q^m, n the ``flat_depth`` of a max(y, z) at EPS,
+    and the weights past them, on which both factors are 1 to EPS, sum to
+    (1-q) (a q^n)^{2v+2} / (1-q^{2v+2})."""
     xmax = (band_edge(a_exp, p) * np.maximum(np.abs(y), np.abs(z))).tolist()
-    ns = np.array(
-        [max(math.ceil((cut - math.log(x)) / math.log(p.q)), 0) if x else 0 for x in xmax]
-    )
+    ns = np.array([flat_depth(x, p.q, p.v, EPS) for x in xmax])
     heads = np.zeros(ns.size)
     summed = ns > 0
     if summed.any():
         heads[summed] = product_integral_direct(y[summed], z[summed], a_exp, p, ns[summed])
     tails = lattice_weights(LatticeWindow(a_exp, a_exp + int(ns.max())), p)[ns]
-    return heads + tails / (1.0 - qv)
+    return heads + tails / (1.0 - p.q ** (2.0 * p.v + 2.0))
 
 
 def reconstruct(

@@ -7,7 +7,7 @@ import pytest
 import qprolate as qp
 from _oracles import jv_lattice, jv_series, product_integral, qpoch
 from conftest import closed_form
-from qprolate import qbessel
+from qprolate import qbessel, qcalc
 
 
 def _peak(z, q, v):
@@ -144,15 +144,15 @@ def test_power_kept_at_more_digits_rounds_into_fewer():
     for q, v in [(0.5, 1.7), (0.3, 0.25), (0.9, -0.8), (0.7, -0.95), (0.2, 0.7)]:
         exact = ctx(300).power(Decimal(q), ctx(300).fma(2, Decimal(v), 2))
         for d in (45, 60):
-            qbessel._qv_power.cache_clear()
-            fresh = qbessel._qv_power(q, v, d)
-            qbessel._qv_power(q, v, 600)
-            assert qbessel._qv_power(q, v, d) == fresh == ctx(d).plus(exact)
+            qcalc.qv_power.cache_clear()
+            fresh = qcalc.qv_power(q, v, d)
+            qcalc.qv_power(q, v, 600)
+            assert qcalc.qv_power(q, v, d) == fresh == ctx(d).plus(exact)
     e = ctx(45).add(ctx(45).multiply(2, Decimal(0.7)), 2)
     assert ctx(45).power(Decimal(0.2), e) != ctx(45).plus(exact)
     # an integer 2v+2 is a plain product at the asked digits
-    assert qbessel._qv_power(0.5, -0.5, 600) == Decimal(0.5)
-    assert qbessel._qv_power(0.5, 0.0, 600) == Decimal(0.25)
+    assert qcalc.qv_power(0.5, -0.5, 600) == Decimal(0.5)
+    assert qcalc.qv_power(0.5, 0.0, 600) == Decimal(0.25)
 
 
 def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
@@ -168,7 +168,7 @@ def test_refined_values_do_not_depend_on_earlier_refinements(monkeypatch):
 
     monkeypatch.setattr(qbessel, "_series_decimal", counted)
     p, z = qp.QParams(0.9, 0.3), np.geomspace(1.5, 3000.0, 100)
-    qbessel._qv_power.cache_clear()
+    qcalc.qv_power.cache_clear()
     before = qp.jv_array(z, p)
     assert sum(d < 52 for d in digits) >= 10
     qp.jv_array(5000.0, p)  # refined at 340 digits
