@@ -27,6 +27,7 @@ from .qbessel import (
 from .qfourier import TransformPlan, convolve, fqv_transform, make_plan, translate
 from .pswf import (
     Bandlimit,
+    FewerPairsWarning,
     PswfBasis,
     SolverNoConvergence,
     ZeroFunction,
@@ -53,6 +54,7 @@ __all__ = [
     "Bandlimit",
     "DEFAULT_GRID",
     "DEFAULT_WINDOW",
+    "FewerPairsWarning",
     "LatticeFunction",
     "LatticeWindow",
     "PswfBasis",

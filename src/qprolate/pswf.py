@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
@@ -111,6 +112,11 @@ class SolverNoConvergence(RuntimeError):
 
 class ZeroFunction(ValueError):
     """Concentration index requested for a function with vanishing norm."""
+
+
+class FewerPairsWarning(UserWarning):
+    """compute_basis kept fewer pairs than asked: the deeper ones lie below
+    the floor of |lambda| that float64 can carry."""
 
 
 @dataclass(frozen=True)
@@ -482,6 +488,10 @@ def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
     cancelled digits grow with the square of a band edge's exponent past
     1: at q = 1/2, v = -1/2, depth 60, keep 4, a_exp = -30 works at 2,189
     digits, and a_exp = -40 would need 3,867 and raises.
+    Pairs with |lambda| below 1e-150 (``_LAMBDA_FLOOR``, where lambda^2
+    leaves float64) are never kept: where the keep-th lies below it, the
+    basis holds fewer than ``keep`` pairs and a FewerPairsWarning says how
+    many.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
@@ -492,6 +502,11 @@ def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
     while dps <= _MAX_DPS:
         basis, short = _basis_from_mp(b, p, keep, dps)
         if basis is not None:
+            if basis.count < keep:
+                warnings.warn(
+                    f"kept {basis.count} of {keep} eigenpairs: the others have |lambda| "
+                    f"below {_LAMBDA_FLOOR:.0e} (a_exp={b.a_exp}, depth={b.depth}, "
+                    f"q={p.q!r}, v={p.v!r})", FewerPairsWarning, stacklevel=2)
             return basis
         ladder = max(int(dps * 1.6), dps + 60)
         if short is not None and not stepped:

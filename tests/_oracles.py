@@ -218,3 +218,50 @@ def cyclic_jacobi(A, dps=60, max_sweeps=40):
             for k in range(n):
                 Vo[k, col] = V[k, i]
         return ordered, Vo
+
+
+def depth_infinity_pairs(q, v, a_exp, keep, dps=60):
+    """The ``keep`` eigenpairs of the concentration operator at depth
+    infinity with the largest |lambda|, largest first, as (lambdas, ts).
+
+    For psi(x) = sum_n c_n x^{2n} the commuting operator acts on the c_n
+    as the three-term recurrence
+    A[n,n] = -(q^{-2n} + q^{2v+2n+2}),
+    A[n,n+1] = a^2 (q^{-2n-2} - 1) (1 - q^{2v+2n+2}), A[n,n-1] = -a^2,
+    here its N x N section, N where the keep-th vector's coefficients have
+    fallen by 10^-dps (at most 40).  Its eigenvectors with the ``keep``
+    largest eigenvalues (nearest 0) are the depth-infinity ones, and each
+    lambda is the Rayleigh quotient t^T H D J D H t / t^T H t, with
+    t_n = c_n a^{2n}, H[n,m] = 1 / (1 - q^{2v+2+2(n+m)}), J = diag((-1)^n)
+    and D_n^2 = c_qv (1-q) a^{2v+2} a^{4n} q^{n(n+1)} / ((q^2;q^2)_n
+    (q^{2v+2};q^2)_n).  Each t is scaled to t^T H t = 1, so that
+    sum_n t_n q^{2nm} / sqrt((1-q) a^{2v+2}) is psi's unit eigenvector of
+    the weighted operator matrix, over all m >= 0, divided by sqrt(w_m)."""
+    log_q = abs(float(np.log10(q)))
+    tail = next((m for m in range(1, 41) if (m * (m + 1) + 2 * m * a_exp) * log_q >= dps), 40)
+    size = min(keep + tail, 40)
+    with mp.workdps(dps):
+        qm, vm = mp.mpf(q), mp.mpf(v)
+        a2 = qm ** (2 * int(a_exp))
+        A = mp.zeros(size, size)
+        for n in range(size):
+            A[n, n] = -(qm ** (-2 * n) + qm ** (2 * vm + 2 * n + 2))
+            if n + 1 < size:
+                A[n, n + 1] = a2 * (qm ** (-2 * n - 2) - 1) * (1 - qm ** (2 * vm + 2 * n + 2))
+                A[n + 1, n] = -a2
+        mus, vecs = mp.eig(A)
+        order = sorted(range(size), key=lambda j: -mp.re(mus[j]))[:keep]
+        scale = c_qv(q, v, dps) * (1 - qm) * a2 ** (vm + 1)
+        d2 = [scale * a2 ** (2 * n) * qm ** (n * (n + 1))
+              / (qpoch(qm * qm, qm * qm, n, dps) * qpoch(qm ** (2 * vm + 2), qm * qm, n, dps))
+              for n in range(size)]
+        h = [1 / (1 - qm ** (2 * vm + 2 + 2 * s)) for s in range(2 * size - 1)]
+        pairs = []
+        for j in order:
+            t = [mp.re(vecs[n, j]) * a2 ** n for n in range(size)]
+            ht = [mp.fsum(h[n + m] * t[m] for m in range(size)) for n in range(size)]
+            norm = mp.sqrt(mp.fsum(x * y for x, y in zip(t, ht)))
+            lam = mp.fsum((-1) ** n * d2[n] * ht[n] ** 2 for n in range(size)) / norm**2
+            pairs.append((lam, [x / norm for x in t]))
+        pairs.sort(key=lambda pair: -abs(pair[0]))
+        return [lam for lam, _ in pairs], [t for _, t in pairs]

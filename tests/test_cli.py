@@ -46,6 +46,19 @@ def test_eigen_underflowing_weights_write_no_nan(tmp_path):
     assert "nan" not in text.lower()
 
 
+def test_eigen_short_of_keep_warns_on_stderr(tmp_path):
+    # at a_exp = 400 only lambda_0 = 4.7e-121 lies above the 1e-150 floor;
+    # the command used to print it alone, with exit code 0 and no word
+    src = str(Path(qp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qprolate.cli", "eigen", "--a-exp", "400", "--keep", "4",
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["lambda_0 = 4.717976492016e-121"]
+    assert "FewerPairsWarning: kept 1 of 4 eigenpairs" in proc.stderr
+
+
 def test_eigen_invalid_q(tmp_path, capsys):
     rc = main(["eigen", "--q", "1.5", "--out", str(tmp_path)])
     assert rc == 2

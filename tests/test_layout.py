@@ -147,6 +147,53 @@ def test_kernel_form_import_is_detected(tmp_path):
     assert len(_kernel_form_imports(module)) == 3
 
 
+# calls that build a Decimal; decimal arithmetic refuses float operands,
+# so a decimal power whose exponent is built from v needs one of them to
+# be given v
+DECIMAL_MAKERS = {"Decimal", "from_float", "create_decimal", "create_decimal_from_float"}
+
+
+def _mentions_v(node: ast.AST) -> bool:
+    return any((isinstance(n, ast.Name) and n.id == "v")
+               or (isinstance(n, ast.Attribute) and n.attr == "v") for n in ast.walk(node))
+
+
+def _decimals_from_v(path: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level scope, line) of each Decimal built from v or p.v."""
+    found = []
+    for scope in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if callee in DECIMAL_MAKERS and any(map(_mentions_v, [*node.args, *node.keywords])):
+                found.append((path.name, getattr(scope, "name", "<module>"), node.lineno))
+    return found
+
+
+def test_one_function_forms_q_to_the_2v_plus_2_in_decimal():
+    # q^{2v+2} in decimal is ``qcalc.qv_power`` alone: no other code builds
+    # a Decimal from v, so none raises a decimal q to a power built from v
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _decimals_from_v(path)]
+    assert {(name, scope) for name, scope, _ in found} == {("qcalc.py", "qv_power")}, found
+
+
+def test_decimal_built_from_v_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from decimal import Context, Decimal\n"
+        "def f(q, v, p):\n"
+        "    a = Decimal(q) ** (2 * Decimal(v) + 2)\n"
+        "    b = Decimal(q) ** Decimal(2.0 * p.v + 2.0)\n"
+        "    c = Context(prec=9).create_decimal_from_float(v)\n"
+        "    d = Decimal(q) ** 2 * q ** (2.0 * v + 2.0)\n"
+        "class K:\n"
+        "    e = Decimal.from_float(x=p.v)\n"
+    )
+    assert sorted((scope, line) for _, scope, line in _decimals_from_v(module)) == [
+        ("K", 8), ("f", 3), ("f", 4), ("f", 5)]
+
+
 def _reached(path: Path, start: str) -> set[str]:
     """Names of the module's own functions that ``start`` calls, directly
     or through others of them."""

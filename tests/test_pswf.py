@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import c_qv, cyclic_jacobi, operator_matrix, qpoch
+from _oracles import c_qv, cyclic_jacobi, depth_infinity_pairs, operator_matrix, qpoch
 from conftest import direct_kernel, eigen_series_kernel, supported_function
 
 
@@ -72,6 +73,17 @@ def test_compute_basis_m1(p_half):
         basis.eigenvalues[0] / math.sqrt(w0), rel=1e-13
     )
     assert basis.eigenfunctions[0, 0] > 0
+
+
+def test_basis_short_of_keep_warns(p_half):
+    # the deeper pairs lie below the 1e-150 floor: one pair is kept of
+    # four, and a named warning says so; a full basis warns of nothing
+    with pytest.warns(qp.FewerPairsWarning, match="kept 1 of 4 eigenpairs"):
+        basis = qp.compute_basis(qp.Bandlimit(400, 60), p_half, 4)
+    assert basis.count == 1 and 1e-150 <= basis.eigenvalues[0] < 1e-120
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qp.FewerPairsWarning)
+        assert qp.compute_basis(qp.Bandlimit(0, 60), p_half, 4).count == 4
 
 
 def test_keep_validation(p_half):
@@ -336,6 +348,47 @@ def test_unit_samples_componentwise_vs_300_digits(q, v, a_exp, keep, span, clust
         else:
             y, z = basis.unit_samples[got] * sq, ref.unit_samples[want] * sq
             assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13
+
+
+@pytest.mark.parametrize("q, v, a_exp, keep", [
+    (0.5, 0.5, 0, 6), (0.5, -0.5, 0, 6), (0.5, 0.0, -2, 5), (0.3, -0.7, 1, 6), (0.7, 0.0, 0, 6),
+])
+def test_depth_infinity_oracle_vs_depth_400(q, v, a_exp, keep):
+    # at depth 400 the truncation X^M = q^{(2v+2) 400} lies below 1e-120,
+    # so the depth-400 operator stands for depth infinity far past 1e-40:
+    # the three-term recurrence's eigenvalues match the extended solve's to
+    # 1e-40 relative, and its vectors match compute_basis's unit samples
+    # to 1e-13 relative in every entry, or as projectors in weighted
+    # coordinates for the +-1 clusters at a_exp = -2 (+1 three times, -1
+    # twice)
+    from qprolate.pswf import _mp_eigensystem, _pair_order, _pivot_depth
+
+    b, p = qp.Bandlimit(a_exp, 400), qp.QParams(q, v)
+    dps = 50 + math.ceil(_pivot_depth(b, p, keep))
+    lams, ts = depth_infinity_pairs(q, v, a_exp, keep, dps + 10)
+    evals, _ = _mp_eigensystem(b, p, dps, keep)
+    with mp.workdps(dps + 10):
+        got = sorted(mp.mpf(str(evals[i])) for i in _pair_order(evals)[:keep])
+        for x, y in zip(got, sorted(lams)):
+            assert abs(x - y) <= mp.mpf(10) ** -40 * abs(y), (x, y)
+        # the unit samples sum_n t_n q^{2nm} / sqrt(w_0)
+        qm = mp.mpf(q)
+        root_w0 = mp.sqrt((1 - qm) * qm ** (a_exp * (2 * mp.mpf(v) + 2)))
+        powers = [qm ** (2 * m) for m in range(b.depth)]
+        want = np.array([[float(mp.polyval(t[::-1], x) / root_w0) for x in powers]
+                         for t in ts])
+    basis = qp.compute_basis(b, p, keep)
+    lam_floats = np.array([float(lam) for lam in lams])
+    assert np.array_equal(np.sort(basis.eigenvalues), np.sort(lam_floats))
+    sq = np.sqrt(b.weights(p))
+    for lam in np.unique(basis.eigenvalues):
+        got, ref = basis.unit_samples[basis.eigenvalues == lam], want[lam_floats == lam]
+        if len(got) == 1:
+            u, w = got[0], ref[0] * np.sign(got[0] @ ref[0])
+            assert (np.abs(u - w) <= 1e-13 * np.abs(w)).all(), lam
+        else:
+            y, z = got * sq, ref * sq
+            assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13, lam
 
 
 def test_tied_pairs_order_independent_of_digits():

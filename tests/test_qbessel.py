@@ -494,6 +494,23 @@ def test_jv_bound_constant_vs_oracle(q):
         assert abs(mp.mpf(got) - want) <= math.ulp(got), (q, v)
 
 
+def test_jv_bound_below_zero_takes_the_exact_exponent():
+    # C q^{n^2 - |(2v+1) n|} correctly rounded at n < 0 on seeded draws;
+    # with the exponent rounded in float it was off by up to 466 ulps at
+    # n = -20 (1.1e-13 of an exponent near 850 moves the power that much)
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        q, v = float(rng.uniform(0.05, 0.95)), float(rng.uniform(-0.95, 3.0))
+        with mp.workdps(50):
+            qm, vm = mp.mpf(q), mp.mpf(v)
+            x, a = qm * qm, qm ** (2 * vm + 2)
+            c = qpoch(-x, x, None, 50) * qpoch(-a, x, None, 50) / qpoch(a, x, None, 50)
+            for n in (-1, -3, -8, -20):
+                got = qp.jv_bound(n, qp.QParams(q, v))
+                want = c * qm ** (n * n - abs((2 * vm + 1) * n))
+                assert abs(mp.mpf(got) - want) <= mp.mpf(math.ulp(got)) / 2, (q, v, n)
+
+
 @pytest.mark.parametrize("q, v", [(0.998, 0.0), (0.9995, 1.0)])
 def test_jv_bound_beyond_the_float_range_raises(q, v):
     # the float products returned inf at (0.998, 0) and divided by a

@@ -7,6 +7,9 @@ Writes one line per output to OUT, its sha256 and its name:
 * eigen-mp: the bytes of ``eigenvalues``, ``eigenfunctions`` and
   ``unit_samples`` of the basis of each ``perfbench.workloads.EigenMp``
   request;
+* transform-warm: the bytes of the values of each of the four results
+  (transform, projection, convolution, translation) of each seeded input
+  of ``perfbench.workloads.TransformWarm`` (seed 1);
 * cli-cold: each of the six commands of ``perfbench.workloads.CliCold``,
   run once as a fresh process: its exit code, its standard output and
   error, and every file it writes.  A manifest is hashed without its
@@ -16,7 +19,7 @@ Writes one line per output to OUT, its sha256 and its name:
 The package and the benchmark are imported from the checkout that holds
 this file, whatever the working directory.  Two trees compare by diffing
 their OUT files; to compare with a tree that predates this tool, copy it
-there first.
+there first.  Two runs on one tree write the same file.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from perfbench.workloads import CliCold, EigenMp  # noqa: E402
+from perfbench.workloads import CliCold, EigenMp, TransformWarm  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -44,6 +48,19 @@ def eigen_hashes(workdir: Path):
         basis = workload.op(i)
         for field in ("eigenvalues", "eigenfunctions", "unit_samples"):
             yield f"eigen-mp/{i}/{field}", _sha(getattr(basis, field).tobytes())
+
+
+TRANSFORM_RESULTS = ("fqv_transform", "project", "convolve", "translate")
+
+
+def transform_hashes(workdir: Path):
+    workload = TransformWarm(1, workdir)
+    for i in range(len(workload.inputs)):
+        with warnings.catch_warnings():  # the translations' tail notes
+            warnings.simplefilter("ignore", workload.qp.TailWarning)
+            results = workload.op(i)
+        for name, result in zip(TRANSFORM_RESULTS, results):
+            yield f"transform-warm/{i}/{name}", _sha(result.values.tobytes())
 
 
 def _manifest_bytes(path: Path, workdir: Path) -> bytes:
@@ -74,8 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         workdir = Path(tmp).resolve()
-        lines = [f"{h}  {name}\n" for name, h in [*eigen_hashes(workdir),
-                                                  *cli_hashes(workdir / "cli")]]
+        hashes = [*eigen_hashes(workdir), *transform_hashes(workdir),
+                  *cli_hashes(workdir / "cli")]
+        lines = [f"{h}  {name}\n" for name, h in hashes]
     args.out.write_text("".join(lines))
     return 0
 
