@@ -23,14 +23,10 @@ cannot resolve below 2^-prec.  An off-diagonal entry within n^2 units
 leaves errors of about that size, so iterating on such an entry refines
 rounding noise.  It is the root-free QL of Pal, Walker and Kahan (LAPACK
 dsterf), which carries the squared off-diagonal entries and so takes
-square roots, the context's own, only for each sweep's shift and each
-early-stop check.  Given ``keep``, it stops once every eigenvalue still
-undeflated is, by the Gershgorin bound of its block, smaller than the
-keep-th largest |eigenvalue| deflated so far: QL never revisits a
-deflated entry, so those keep come out as the full iteration would give
-them.  Eigenvectors come from one step of inverse iteration through an
-LU factorisation of the shifted tridiagonal with partial pivoting, in
-fixed point.
+square roots, the context's own, only for each sweep's shift; it runs to
+the end and returns every eigenvalue.  Eigenvectors come from one step
+of inverse iteration through an LU factorisation of the shifted
+tridiagonal with partial pivoting, in fixed point.
 """
 
 from __future__ import annotations
@@ -163,9 +159,8 @@ def tridiagonalize(a: list[list[int]], prec: int):
     return [a[i][i] for i in range(n)], e, reflectors
 
 
-def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
-                            keep: int | None = None) -> list[Decimal]:
-    """Eigenvalues of the symmetric tridiagonal matrix (d, e), in
+def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decimal]:
+    """All eigenvalues of the symmetric tridiagonal matrix (d, e), in
     ascending order, as Decimals carrying ``prec`` bits.
 
     The root-free QL iteration of Pal, Walker and Kahan with the Wilkinson
@@ -174,22 +169,13 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
     off-diagonal entries, so the only square roots are the two that form
     each sweep's shift.  An off-diagonal entry e_m is deflated once
     e_m^2 <= (10^-digits (|d_m| + |d_m+1|))^2, negligible against its two
-    diagonal neighbours, or e_m^2 <= n^4 units^2, within n^2 units of zero.  The iteration runs on the entries as
-    given, scaled by 2^prec, and the eigenvalues are scaled back at the
-    end.
-
-    Without ``keep`` all of them are returned.  With it, the iteration
-    stops once the Gershgorin bound max |d_i| + 2 max |e_i| of the
-    undeflated block, raised by a relative 10^(-digits/2), lies below the
-    keep-th largest |eigenvalue| deflated so far, and only the deflated
-    ones are returned: they hold the keep of largest magnitude, bit for
-    bit as the full iteration gives them, with a gap far above rounding at
-    any coarser precision to the rest.
+    diagonal neighbours, or e_m^2 <= n^4 units^2, within n^2 units of zero.
+    The iteration runs on the entries as given, scaled by 2^prec, and the
+    eigenvalues are scaled back at the end.
     """
     n = len(d)
     ctx = context(prec)
     with localcontext(ctx):
-        margin = 1 + Decimal(1).scaleb(-(ctx.prec // 2))
         tiny = Decimal(1).scaleb(-ctx.prec)
         noise = Decimal(n ** 4)
         d = [Decimal(x) for x in d]
@@ -207,12 +193,6 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int,
                 _ql_sweep(d, e2, l, m, ctx)
             else:
                 raise NoConvergence(f"QL iteration did not deflate eigenvalue {l} of {n}")
-            if keep is not None and keep <= l + 1 < n:
-                kth = sorted(map(abs, d[:l + 1]))[-keep]
-                bound = max(map(abs, d[l + 1:])) + 2 * ctx.sqrt(max(e2[l:]))
-                if bound * margin < kth:
-                    d = d[:l + 1]
-                    break
         unit = Decimal(1 << prec)
         return sorted(x / unit for x in d)
 
@@ -258,7 +238,7 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     comes out as an orthonormal basis of its invariant subspace.
     """
     n = len(d)
-    scale = max(map(abs, d + e))
+    scale = max(map(abs, d + e), default=0)
     close = scale >> (prec // 2)
     one = 1 << prec
     out = []

@@ -47,9 +47,8 @@ That solve runs on fixed-point integers (``fixedla``), 10 guard digits
 past those: the Cholesky factor of H, stopped at M rows, the rank of H,
 or at the first row whose R_jj = D_j sqrt(pivot of H) lies within N
 units of zero (the rows past it are rounding noise); C; its Householder
-reduction to tridiagonal form; a root-free decimal QL iteration, stopped
-once the eigenvalues it has not deflated all lie below the ``keep``
-largest it has; and, for the retained pairs only, inverse iteration
+reduction to tridiagonal form; a root-free decimal QL iteration for all
+of its eigenvalues; and, for the retained pairs only, inverse iteration
 through a pivoted LU, re-orthogonalised inside clusters that the
 precision cannot separate, back through the reflectors to an eigenvector
 u of C.  Then t = R_H^-1 u, and the sample at a q^k is the power series
@@ -196,13 +195,12 @@ def _moments(b: Bandlimit, p: QParams, nterms: int):
     return d2, h, w0
 
 
-def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
+def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     """Eigenpairs of B through the Cholesky factor of its moment matrix,
     resolved to ``dps`` digits (see the module docstring).
 
-    Returns (evals, units): the eigenvalues of C that the QL deflated, in
-    ascending order as Decimals (all of them, or fewer once those left lay
-    below the keep-th largest |eigenvalue| deflated); and ``units(lams)``,
+    Returns (evals, units): every eigenvalue of C, in ascending order as
+    Decimals, one per row of the factor; and ``units(lams)``,
     the float64 unit eigenvectors of B for the eigenvalues ``lams``
     divided by sqrt(w_m).  ``fixedla`` is imported here, so that the
     commands that never solve for eigenpairs do not pay for it.
@@ -254,7 +252,7 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int, keep: int):
             core[i][k] = core[k][i] = sum(map(mul, ri[k - i:], rows[k])) >> prec
     d, e, tri = fixedla.tridiagonalize(core, prec)
     try:
-        evals = fixedla.tridiagonal_eigenvalues(d, e, prec, keep)
+        evals = fixedla.tridiagonal_eigenvalues(d, e, prec)
     except fixedla.NoConvergence as exc:  # pragma: no cover - QL deflates in a few sweeps
         raise SolverNoConvergence(str(exc)) from exc
 
@@ -381,16 +379,20 @@ def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, 0), or (None, short)
     when the solve must be repeated: ``short`` is the digits the smallest
     entries of a retained eigenvector lack, or None when a deeper retained
-    pair is unresolved, which leaves no estimate of its depth."""
-    evals, units = _mp_eigensystem(b, p, dps, keep)
+    pair is unresolved, which leaves no estimate of its depth.  A pair
+    that the solve puts below _LAMBDA_FLOOR, or leaves out past the rows
+    of its factor, is known only to lie below its absolute noise, under
+    10^-dps, so it is dropped only once that is below the floor too."""
+    evals, units = _mp_eigensystem(b, p, dps)
     order = _pair_order(evals)[:keep]
     with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        floor = abs(evals[order[0]]).scaleb(_RESOLVED_DIGITS - dps)
-        if any(_LAMBDA_FLOOR <= abs(evals[i]) < floor for i in order):
-            return None, None
-        if len(evals) < keep and abs(evals[order[-1]]) >= _LAMBDA_FLOOR:
-            return None, None  # the truncated series ran out of pairs
         lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
+        floor = abs(lams[0]).scaleb(_RESOLVED_DIGITS - dps) if lams else 0
+        if any(abs(lam) < floor for lam in lams):
+            return None, None
+    # 0 < len(lams) == len(evals) < keep: the truncated series ran out of pairs
+    if len(lams) < keep and (0 < len(lams) == len(evals) or dps < -math.log10(_LAMBDA_FLOOR)):
+        return None, None
     rows, lams = units(lams), [float(lam) for lam in lams]
     lost = _lost_digits(lams, rows, [float(x) for x in evals])  # each entry must keep 13
     if lost > dps - 13 - _DEPTH_GUARD:

@@ -51,12 +51,15 @@ def qpochhammer(z: float, q: float, n) -> float:
     q : float
         Base, must lie in (0, 1).
     n : int or math.inf
-        Number of factors.  ``math.inf`` selects the infinite product,
+        Number of factors.  A finite n takes the float product, stopped
+        once |z q^i| <= 2^-54, past which every factor rounds to 1.0.
+        ``math.inf`` selects the infinite product,
         ``qpoch_inf_decimal`` at 20 digits rounded once to float, with no
         cutoff: correctly rounded unless within 1e-19 of a tie, +0.0 where
         it is 0 or below the float range.  Raises ValueError for a z that
-        is not finite or a series that would cancel too much, and
-        OverflowError, naming z and q, beyond the float range.  The
+        is not finite, an n that is not a nonnegative integer or inf, or a
+        series that would cancel too much, and OverflowError, naming z and
+        q, where either product leaves the float range.  The
         decimal context spans just past the float range, so a value that
         the series' magnitude estimate puts far outside it is decided
         there, however much the series would cancel: (1/2; 0.9999)_inf,
@@ -64,16 +67,23 @@ def qpochhammer(z: float, q: float, n) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if n == math.inf:
-        if not math.isfinite(z):
-            raise ValueError(f"z must be finite, got {z!r}")
         with localcontext(Context(prec=20, Emax=309, Emin=-350)):
             value = qpoch_inf_decimal(Decimal(float(z)), Decimal(float(q)))
         return to_float(value, f"({z!r}; {q!r})_inf")
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer or inf")
-    return math.prod(1.0 - z * q**i for i in range(n))
+    if not (isinstance(n, int) or float(n).is_integer()) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer or inf, got {n!r}")
+    out = 1.0
+    for i in range(int(n)):
+        x = z * q**i
+        if abs(x) <= 2.0**-54:
+            break
+        out *= 1.0 - x
+    if not math.isfinite(out):
+        raise OverflowError(f"({z!r}; {q!r})_{n} lies beyond the float range")
+    return out
 
 
 def to_float(value: Decimal, name: str) -> float:
@@ -199,8 +209,8 @@ class QParams:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0,1)")
-        if not self.v > -1.0:
-            raise ValueError("v must exceed -1")
+        if not -1.0 < self.v < math.inf:
+            raise ValueError(f"v must be finite and exceed -1, got {self.v!r}")
         with localcontext(Context(prec=25, Emax=MAX_EMAX, Emin=MIN_EMIN)):
             c = c_qv_decimal(self.q, self.v)
         object.__setattr__(self, "c_qv", to_float(c, f"c_qv(q={self.q!r}, v={self.v!r})"))

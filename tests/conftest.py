@@ -43,7 +43,8 @@ def basis12(bandlimit, p_half):
 @pytest.fixture(scope="session")
 def basis25(bandlimit, p_half):
     """keep=25 request; retention caps at the float64 representability floor."""
-    return qp.compute_basis(bandlimit, p_half, keep=25)
+    with pytest.warns(qp.FewerPairsWarning, match="kept 13 of 25 eigenpairs"):
+        return qp.compute_basis(bandlimit, p_half, keep=25)
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,22 @@ def test_eigen_short_of_keep_warns_on_stderr(tmp_path):
     assert "FewerPairsWarning: kept 1 of 4 eigenpairs" in proc.stderr
 
 
+def test_eigen_with_every_pair_below_the_floor_exits_0(tmp_path):
+    # at a_exp = 2000 the solve keeps no row: the command exited 1 with an
+    # IndexError traceback
+    src = str(Path(qp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qprolate.cli", "eigen", "--a-exp", "2000", "--keep", "4",
+         "--q=0.5", "--v=0", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "FewerPairsWarning: kept 0 of 4 eigenpairs" in proc.stderr
+    assert proc.stdout == ""
+    assert json.loads((tmp_path / "eigen.json").read_text())["eigenvalues"] == []
+
+
 def test_eigen_invalid_q(tmp_path, capsys):
     rc = main(["eigen", "--q", "1.5", "--out", str(tmp_path)])
     assert rc == 2

@@ -10,6 +10,10 @@ import qprolate as qp
 from _oracles import c_qv, cyclic_jacobi, depth_infinity_pairs, operator_matrix, qpoch
 from conftest import direct_kernel, eigen_series_kernel, supported_function
 
+# the requests that keep fewer pairs than asked, by design: a
+# FewerPairsWarning is an error everywhere else
+FEWER_PAIRS = pytest.mark.filterwarnings("ignore::qprolate.pswf.FewerPairsWarning")
+
 
 def test_matrix_small_case(p_half):
     b = qp.Bandlimit(0, 1)
@@ -84,6 +88,37 @@ def test_basis_short_of_keep_warns(p_half):
     with warnings.catch_warnings():
         warnings.simplefilter("error", qp.FewerPairsWarning)
         assert qp.compute_basis(qp.Bandlimit(0, 60), p_half, 4).count == 4
+
+
+@pytest.mark.parametrize("a_exp", [400, 2000])
+@pytest.mark.parametrize("keep", [1, 4])
+def test_basis_below_the_floor_is_empty(a_exp, keep):
+    # at v = 0 every |lambda| lies below the 1e-150 floor (lambda_0 is
+    # 2.0e-241 at a_exp = 400); at a_exp = 2000 the Cholesky factor keeps
+    # no row, and the empty spectrum raised IndexError.  Both give the
+    # empty basis and say so
+    with pytest.warns(qp.FewerPairsWarning, match=f"kept 0 of {keep} eigenpairs"):
+        basis = qp.compute_basis(qp.Bandlimit(a_exp, 60), qp.QParams(0.5, 0.0), keep)
+    assert basis.count == 0 and basis.eigenvalues.size == 0
+
+
+@pytest.mark.parametrize("a_exp", [120, 166])
+def test_pair_below_the_first_solve_noise_takes_a_deeper_one(a_exp):
+    # at keep = 1 the first solve works at 27 digits, 37 with its guard,
+    # absolute, and lambda_0 is 7.5e-73 at a_exp = 120 and 1.5e-100 at
+    # 166: the solve saw lambda_0 = 0, or no row at all, and the basis came
+    # out empty, with a FewerPairsWarning, or raised IndexError.  A pair
+    # below the floor is now dropped only once the solve's noise is too
+    from qprolate.pswf import _basis_from_mp
+
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.5, 0.0)
+    basis = qp.compute_basis(b, p, 1)
+    ref, more = _basis_from_mp(b, p, 1, 300)
+    assert basis.count == 1 and not more
+    assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(basis.unit_samples, ref.unit_samples)
+    top = np.abs(np.linalg.eigvalsh(qp.build_operator_matrix(b, p))).max()
+    assert basis.eigenvalues[0] == pytest.approx(top, rel=1e-12)
 
 
 def test_keep_validation(p_half):
@@ -206,9 +241,9 @@ def _count_mp_solves(monkeypatch):
     sizes = []
     real = fixedla.tridiagonal_eigenvalues
 
-    def counted(d, e, prec, keep=None):
+    def counted(d, e, prec):
         sizes.append(len(d))
-        return real(d, e, prec, keep)
+        return real(d, e, prec)
 
     monkeypatch.setattr(fixedla, "tridiagonal_eigenvalues", counted)
     return sizes
@@ -221,9 +256,9 @@ def _mp_solve_digits(monkeypatch):
     digits = []
     real = pswf._mp_eigensystem
 
-    def counted(b, p, dps, keep):
+    def counted(b, p, dps):
         digits.append(dps)
-        return real(b, p, dps, keep)
+        return real(b, p, dps)
 
     monkeypatch.setattr(pswf, "_mp_eigensystem", counted)
     return digits
@@ -239,7 +274,7 @@ def test_small_q_takes_one_mp_solve(monkeypatch):
     assert sizes[0] < 60  # the N x N core, not the depth-60 operator matrix
 
 
-@pytest.mark.parametrize("q, keep", [(0.5, 12), (0.3, 15)])
+@pytest.mark.parametrize("q, keep", [(0.5, 12), pytest.param(0.3, 15, marks=FEWER_PAIRS)])
 def test_cluster_takes_one_mp_solve(monkeypatch, q, keep):
     # at a_exp = -4 float64 resolves only the +-1 cluster of nine; the
     # decay past it must come from the pivots, not from the cluster's
@@ -309,9 +344,9 @@ def test_underflowing_weights_give_finite_samples(a_exp, keep):
 
 
 @pytest.mark.parametrize("q, v, a_exp, keep, span, cluster", [
-    (0.3, 1.5, -4, 15, 100, 2),
-    (0.05, 0.0, -2, 15, 100, 2),
-    (0.05, 0.0, -4, 15, 100, 2),
+    pytest.param(0.3, 1.5, -4, 15, 100, 2, marks=FEWER_PAIRS),
+    pytest.param(0.05, 0.0, -2, 15, 100, 2, marks=FEWER_PAIRS),
+    pytest.param(0.05, 0.0, -4, 15, 100, 2, marks=FEWER_PAIRS),
     # +-1 clusters whose members differ past 1e-16, so each float64
     # eigenvalue is unique; the top row has entries down to 1e-100 and
     # 3e-33 of its largest, which at 82 and 42 digits came out off by up
@@ -366,7 +401,7 @@ def test_depth_infinity_oracle_vs_depth_400(q, v, a_exp, keep):
     b, p = qp.Bandlimit(a_exp, 400), qp.QParams(q, v)
     dps = 50 + math.ceil(_pivot_depth(b, p, keep))
     lams, ts = depth_infinity_pairs(q, v, a_exp, keep, dps + 10)
-    evals, _ = _mp_eigensystem(b, p, dps, keep)
+    evals, _ = _mp_eigensystem(b, p, dps)
     with mp.workdps(dps + 10):
         got = sorted(mp.mpf(str(evals[i])) for i in _pair_order(evals)[:keep])
         for x, y in zip(got, sorted(lams)):
@@ -417,6 +452,7 @@ def _solved_depth(lams, keep):
     return min(max(depth, 0.0), 150.0)
 
 
+@FEWER_PAIRS
 def test_pivot_depth_on_seeded_draws(monkeypatch):
     # on every draw the depth estimated from the pivots of the moment
     # matrix is never shallower than the solved one by more than the
@@ -495,7 +531,8 @@ def test_eigenvector_resolve_steps_by_the_missing_digits(monkeypatch):
 
     digits = _mp_solve_digits(monkeypatch)
     b, p = qp.Bandlimit(-1, 72), qp.QParams(0.061, -0.973)
-    basis = qp.compute_basis(b, p, keep=10)
+    with pytest.warns(qp.FewerPairsWarning):
+        basis = qp.compute_basis(b, p, keep=10)
     assert digits == [177, 218], digits
     ref, more = _basis_from_mp(b, p, 10, 283)
     assert not more
@@ -611,6 +648,7 @@ def _mp_samples_by_width(monkeypatch, requests, bits):
             for q, v, a_exp, depth, keep in requests]
 
 
+@FEWER_PAIRS
 def test_bounded_sample_sums_give_the_full_sums_floats(monkeypatch):
     # with more sample bits than any t_n or power of q^2 carries, the
     # bounded sum is the full one, so every sample is the full sum's
@@ -678,7 +716,7 @@ def test_first_solve_resolves_cancelling_columns(monkeypatch):
     basis = qp.compute_basis(b, p, keep=4)
     assert (np.abs(np.abs(basis.eigenvalues) - 1.0) <= 1e-15).all()
     for dps in list(digits):
-        evals, _ = _mp_eigensystem(b, p, dps, 4)
+        evals, _ = _mp_eigensystem(b, p, dps)
         assert max(abs(x) for x in evals) <= 1 + 1e-20, dps
 
 
@@ -698,6 +736,7 @@ def _tie_groups(evals, keep):
     return [(idx, mags.count(mag) > len(idx)) for mag, idx in groups.items()]
 
 
+@FEWER_PAIRS
 def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
     # depth <= 40, v up to 3, a_exp -4..2: against a solve at twice the
     # final digits, the eigenvalues are equal, a pair whose |lambda| ties
@@ -710,8 +749,8 @@ def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
     solves = []  # (digits, eigenvalues) of each solve
     real = pswf._mp_eigensystem
 
-    def recorded(b, p, dps, keep):
-        out = real(b, p, dps, keep)
+    def recorded(b, p, dps):
+        out = real(b, p, dps)
         solves.append((dps, out[0]))
         return out
 
@@ -940,7 +979,8 @@ def test_kernel_eigen_series_under_ties():
     # how the solve resolves the tie
     p = qp.QParams(0.5, -0.5)
     b = qp.Bandlimit(-1, 60)
-    basis = qp.compute_basis(b, p, keep=25)
+    with pytest.warns(qp.FewerPairsWarning):
+        basis = qp.compute_basis(b, p, keep=25)
     assert np.sum(np.abs(np.abs(basis.eigenvalues) - 1.0) <= 1e-12) == 3
     pts = p.q ** np.arange(-1.0, 9.0)
     want = qp.kernel(pts[:, None], pts, b, p)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +55,22 @@ def test_qpochhammer_infinite_refuses_a_non_finite_z(z):
         qp.qpochhammer(z, 0.5, math.inf)
 
 
+def test_qpochhammer_finite_beyond_the_float_range_raises():
+    # the float product returned -inf
+    with pytest.raises(OverflowError, match=r"\(1e\+300; 0.5\)_3 lies beyond the float range"):
+        qp.qpochhammer(1e300, 0.5, 3)
+
+
+def test_qpochhammer_stops_once_the_factors_round_to_one():
+    # past |z q^i| <= 2^-54 every factor rounds to 1.0, so n = 10^8 gives
+    # the value of n = 100 bit for bit, without taking the 10^8 factors
+    # (9.5 s on a 2-core host before the product stopped there)
+    t0 = time.perf_counter()
+    assert qp.qpochhammer(0.7, 0.5, 10**8) == qp.qpochhammer(0.7, 0.5, 100)
+    assert time.perf_counter() - t0 < 0.5
+    assert qp.qpochhammer(-1.5, 0.3, 2.0) == (1.0 + 1.5) * (1.0 + 1.5 * 0.3)
+
+
 def test_qpochhammer_infinite_beyond_the_float_range_raises():
     with pytest.raises(OverflowError, match=r"\(-3.0; 0.999\)_inf = 1.38\d+e\+842"):
         qp.qpochhammer(-3.0, 0.999, math.inf)
@@ -105,8 +122,13 @@ def test_qpochhammer_recurrence():
 def test_qpochhammer_validation():
     with pytest.raises(ValueError):
         qp.qpochhammer(0.5, 1.5, 2)
-    with pytest.raises(ValueError):
-        qp.qpochhammer(0.5, 0.5, -1)
+    # n = 3.7 was cut to three factors with no word, and z = nan gave nan
+    for n in (-1, 3.7, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer or inf"):
+            qp.qpochhammer(0.5, 0.5, n)
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="z must be finite"):
+            qp.qpochhammer(z, 0.5, 3)
 
 
 def test_qparams_constant():
@@ -182,7 +204,9 @@ def test_c_qv_decimal_at_thousands_of_digits(q, v):
         assert abs(mp.mpf(str(got)) / want - 1) < mp.mpf(10) ** -2498
 
 
-@pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0)])
+# v = inf gave c_qv = 2.9047, and j_v a value of 0.918
+@pytest.mark.parametrize("q,v", [(1.5, 0.0), (0.0, 0.0), (0.5, -1.0), (0.5, math.inf),
+                                 (0.5, math.nan)])
 def test_qparams_validation(q, v):
     with pytest.raises(ValueError):
         qp.QParams(q, v)
