@@ -264,6 +264,32 @@ def test_to_fixed_truncates_toward_zero():
         assert fixedla.to_fixed(x, PREC) == int(mp.ldexp(mp.mpf(str(x)), PREC))
 
 
+@pytest.mark.parametrize("keep", [1, 4, 10, 21])
+@pytest.mark.parametrize("matrix", ["graded", "reversed"])
+def test_early_stopping_keeps_the_top_eigenvalues(keep, matrix):
+    # the QL no longer stops early: it returns every eigenvalue, and the
+    # basis is cut to keep afterwards by pswf._pair_order.  On the graded
+    # matrix, which deflates its largest eigenvalues first, and on the
+    # reversed one, which deflates them last, the cut keeps the keep
+    # largest |lambda|, alternating in sign from +, each within 1e-12 of
+    # its own size of mpmath's at twice the precision
+    from qprolate.pswf import _pair_order
+
+    prec = 300
+    d, e = _graded(prec)
+    if matrix == "reversed":
+        d, e = d[::-1], e[::-1]
+    full = fixedla.tridiagonal_eigenvalues(d, e, prec)
+    assert len(full) == len(d)
+    top = [full[i] for i in _pair_order(full)[:keep]]
+    assert [x > 0 for x in top] == [i % 2 == 0 for i in range(keep)]
+    rest = [abs(x) for x in full if x not in top]
+    assert min(map(abs, top)) > max(rest)
+    with mp.workprec(2 * prec):
+        want = sorted(mp.eigsy(_shifted(d, e, 0, prec), eigvals_only=True), key=abs, reverse=True)
+        assert max(abs(mp.mpf(str(x)) - w) / abs(w) for x, w in zip(top, want)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [1, 4, 10, 21])
 def test_ql_returns_the_full_spectrum(seed):
     # the QL runs to the end on the reduction of a seeded random matrix,
