@@ -45,7 +45,6 @@ from .sampling import (
     kernel,
     project,
     reconstruct,
-    sampling_kernel,
 )
 
 __version__ = "0.1.0"
@@ -88,6 +87,5 @@ __all__ = [
     "pswf_on_window",
     "qpochhammer",
     "reconstruct",
-    "sampling_kernel",
     "translate",
 ]

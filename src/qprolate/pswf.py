@@ -28,17 +28,17 @@ cancels where D_n^2 > 1 (band edges above 1), so C carries log10 of the
 largest on top of the working digits, and H, whose pivots must resolve
 to the noise of C divided by D_n^2, twice that.
 
-The digits come from the LDL^T pivots of K = G^T G, whose graded
-factors have a closed form (at depth infinity K is a diagonally scaled
-Cauchy matrix): the keep-th largest pivot puts the keep-th |eigenvalue|
-within a fraction of a digit on seeded grids, never above it, and a
-solve takes 27 digits past it.  A solve is accepted when every retained
-eigenvalue resolves to 25 digits relative to the top and every retained
-eigenvector (those of one float64 eigenvalue judged together) keeps 13
-digits in its smallest entry.  Otherwise the digits
-grow by 1.6 times (at least 60 more); the first time an eigenvector is
-short, by three times the digits it lacks plus the guard instead, when
-that is less.
+The solve's noise is absolute, about 10^-(dps+10), so every digit is
+counted from 1.  The digits come from the LDL^T pivots of K = G^T G,
+whose graded factors have a closed form (at depth infinity K is a
+diagonally scaled Cauchy matrix): the keep-th largest pivot estimates
+the depth of the keep-th |eigenvalue| below 1, and a solve takes 27
+digits past it.  A solve is accepted when it resolves ``keep`` pairs,
+each |eigenvalue| at least 10^(25-dps), and every retained eigenvector
+(those of one float64 eigenvalue judged together) keeps 13 digits in
+its smallest entry.  Otherwise the digits grow by 1.6 times (at least
+60 more); the first time an eigenvector is short, by three times the
+digits it lacks plus the guard instead, when that is less.
 Pairs are sorted by |lambda| rounded to 20 digits, so that the +-1
 clusters tie at any working precision, and the signs alternate from +
 inside a tie.
@@ -73,6 +73,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
+from itertools import count, islice, takewhile
 from operator import mul
 
 import numpy as np
@@ -87,7 +88,8 @@ _LAMBDA_FLOOR = 1e-150
 # digits the extended-precision solve may work at, its guard and the digits
 # its alternating sum cancels included
 _MAX_DPS = 3000
-# digits every retained eigenvalue must resolve to, relative to the top one
+# digits by which every retained |eigenvalue| must exceed 10^-dps, the
+# absolute noise of a solve at dps digits
 _RESOLVED_DIGITS = 25
 # digits of |lambda| that order the pairs: fewer than any retained lambda
 # resolves, so that the +-1 clusters at band edges above 1 tie whatever
@@ -195,6 +197,18 @@ def _moments(b: Bandlimit, p: QParams, nterms: int):
     return d2, h, w0
 
 
+def _log_scales(b: Bandlimit, p: QParams):
+    """log10 of the column scales D_n^2 = c_qv w_0 c_n a^{4n}, n = 0, 1, ...,
+    from D_n^2 / D_{n-1}^2 = a^4 q^{2n} / ((1 - q^{2n}) (1 - q^{2v+2n})).
+    They are log-concave in n: past their peak they only fall."""
+    q, v, lq = p.q, p.v, math.log10(p.q)
+    x = math.log10(p.c_qv * (1.0 - q)) + (2.0 * v + 2.0) * b.a_exp * lq
+    for n in count(1):
+        yield x
+        x += (2 * n + 4 * b.a_exp) * lq - math.log10(
+            (1.0 - q ** (2 * n)) * (1.0 - q ** (2.0 * v + 2 * n)))
+
+
 def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     """Eigenpairs of B through the Cholesky factor of its moment matrix,
     resolved to ``dps`` digits (see the module docstring).
@@ -207,21 +221,16 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
     """
     from . import fixedla
 
-    q, v, lq, mdim = p.q, p.v, math.log10(p.q), b.depth
-    # log10 of the column scales D_n^2 = c_qv w_0 c_n a^{4n}; the series
-    # is cut where they first fall dps digits below ref = min(1, D_0^2).
-    # They are log-concave in n, so that first drop lies past their peak.
-    logs = [math.log10(p.c_qv * (1.0 - q)) + (2.0 * v + 2.0) * b.a_exp * lq]
-    ref = min(logs[0], 0.0)
-    while logs[-1] >= ref - dps:
-        n = len(logs)
-        logs.append(logs[-1] + (2 * n + 4 * b.a_exp) * lq
-                    - math.log10((1.0 - q ** (2 * n)) * (1.0 - q ** (2.0 * v + 2 * n))))
-    nterms = len(logs) - 1
-    # the alternating sum cancels this many digits where D_n^2 > 1, and H
-    # must resolve its pivots to the noise of C divided by D_n^2: as many
-    # again below it
-    cancel = math.ceil(max(logs) - ref)
+    q, v, mdim = p.q, p.v, b.depth
+    # the series is cut where the column scales first fall below 10^-dps;
+    # one term is kept at least, so that a band whose scales all lie below
+    # it factors to an empty spectrum
+    logs = list(takewhile(lambda x: x >= -dps, _log_scales(b, p)))
+    nterms = max(len(logs), 1)
+    # the alternating sum cancels the digits of the largest D_n^2 above 1,
+    # and H must resolve its pivots to the noise of C divided by D_n^2: as
+    # many again below it
+    cancel = max(math.ceil(max(logs, default=0.0)), 0)
     digits = dps + 2 * cancel + _GUARD_DIGITS
     if digits > _MAX_DPS:
         raise SolverNoConvergence(
@@ -356,7 +365,8 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
         sgn = _sample_sign(lam * unit)
         funcs.append(sgn * lam * unit)
         rows.append(sgn * unit)
-    return PswfBasis(b, p, np.array(lams), np.array(funcs), np.array(rows))
+    shape = (len(lams), b.depth)
+    return PswfBasis(b, p, np.array(lams), np.reshape(funcs, shape), np.reshape(rows, shape))
 
 
 def _pair_order(evals) -> list[int]:
@@ -378,20 +388,16 @@ def _pair_order(evals) -> list[int]:
 def _basis_from_mp(b: Bandlimit, p: QParams, keep: int, dps: int):
     """One extended-precision solve; returns (basis, 0), or (None, short)
     when the solve must be repeated: ``short`` is the digits the smallest
-    entries of a retained eigenvector lack, or None when a deeper retained
-    pair is unresolved, which leaves no estimate of its depth.  A pair
-    that the solve puts below _LAMBDA_FLOOR, or leaves out past the rows
-    of its factor, is known only to lie below its absolute noise, under
-    10^-dps, so it is dropped only once that is below the floor too."""
+    entries of a retained eigenvector lack, or None when fewer than
+    ``keep`` pairs resolve.  A pair resolves when |lambda| lies
+    _RESOLVED_DIGITS above the solve's absolute noise, under 10^-dps, and
+    at or above _LAMBDA_FLOOR; one that does not is dropped only once
+    10^(_RESOLVED_DIGITS - dps) is below the floor too."""
     evals, units = _mp_eigensystem(b, p, dps)
-    order = _pair_order(evals)[:keep]
-    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        lams = [evals[i] for i in order if abs(evals[i]) >= _LAMBDA_FLOOR]
-        floor = abs(lams[0]).scaleb(_RESOLVED_DIGITS - dps) if lams else 0
-        if any(abs(lam) < floor for lam in lams):
-            return None, None
-    # 0 < len(lams) == len(evals) < keep: the truncated series ran out of pairs
-    if len(lams) < keep and (0 < len(lams) == len(evals) or dps < -math.log10(_LAMBDA_FLOOR)):
+    resolved = Decimal(f"1e{_RESOLVED_DIGITS - dps}")  # the least |lambda| resolved
+    floor = max(resolved, Decimal(_LAMBDA_FLOOR))
+    lams = [evals[i] for i in _pair_order(evals)[:keep] if abs(evals[i]) >= floor]
+    if len(lams) < keep and resolved > _LAMBDA_FLOOR:
         return None, None
     rows, lams = units(lams), [float(lam) for lam in lams]
     lost = _lost_digits(lams, rows, [float(x) for x in evals])  # each entry must keep 13
@@ -421,9 +427,8 @@ def _lost_digits(lams, rows, spectrum) -> float:
 
 
 def _pivot_depth(b: Bandlimit, p: QParams, keep: int) -> float:
-    """Digits by which the keep-th |eigenvalue| lies below
-    min(|lambda_0|, 1), estimated from the pivots of the moment matrix
-    K = G^T G.
+    """Digits by which the keep-th |eigenvalue| lies below 1, estimated
+    from the pivots of the moment matrix K = G^T G.
 
     G[k,n] = D_n y_n^k with y_n = q^{v+1+2n} and
     D_n^2 = c_qv (1-q) c_n a^{2(v+1+2n)}, so G = V diag(D) with V the
@@ -438,26 +443,18 @@ def _pivot_depth(b: Bandlimit, p: QParams, keep: int) -> float:
     depth infinity K is a diagonally scaled Cauchy matrix and
     R_kk(W)^2 = 1 / ((1 - y_k^2) prod_{j<k} (1 - y_j y_k)^2); truncation
     only lowers the pivots (K_M <= K_inf), which is why W is taken at
-    depth M.  The graded |eigenvalues| follow the pivots, so the largest
-    pivot stands in for |lambda_0| and the keep-th largest for
-    |lambda_{keep-1}|.  Inside a +-1 cluster pivots exceed 1 while
-    |lambda| stays at 1, hence the clamp at 0; no retained pair lies
-    deeper than _LAMBDA_FLOOR, hence the cap.  The graded factors are
-    taken in logs, since D_n^2 underflows float64 within a few dozen
-    terms."""
+    depth M.  The graded |eigenvalues| follow the pivots, so the keep-th
+    largest pivot stands in for |lambda_{keep-1}|.  Inside a +-1 cluster
+    pivots exceed 1 while |lambda| stays at 1, hence the clamp at 0; no
+    retained pair lies deeper than _LAMBDA_FLOOR, hence the cap.  The
+    graded factors are taken in logs (D_n^2 from ``_log_scales``), since
+    D_n^2 underflows float64 within a few dozen terms."""
     lq, m = math.log(p.q), b.depth
-
-    def log1m(e):  # log(1 - q^e), e > 0
-        return np.log(-np.expm1(e * lq))
-
-    n = np.arange(m)
-    ey = p.v + 1.0 + 2.0 * n  # y_n = q^ey
-    # log c_n from c_n / c_{n-1} = q^{2n} / ((1 - q^{2n}) (1 - q^{2v+2n}))
-    log_c = np.cumsum(2.0 * n[1:] * lq - log1m(2.0 * n[1:]) - log1m(2.0 * p.v + 2.0 * n[1:]))
-    log_d2 = math.log(p.c_qv * (1.0 - p.q)) + np.append(0.0, log_c) + 2.0 * ey * b.a_exp * lq
+    ey = p.v + 1.0 + 2.0 * np.arange(m)  # y_n = q^ey
+    log_d2 = np.fromiter(islice(_log_scales(b, p), m), float, m)  # log10 D_n^2
     # log(y_j - y_k) for j < k, with y_j - y_k = y_j (1 - q^{2(k-j)})
     j, k = np.triu_indices(m, 1)
-    log_t = np.bincount(k, ey[j] * lq + log1m(2.0 * (k - j)), m)
+    log_t = np.bincount(k, ey[j] * lq + np.log(-np.expm1(2.0 * (k - j) * lq)), m)
     # h_r(y_0..y_i) = h_r(y_0..y_{i-1}) + y_i h_{r-1}(y_0..y_i), row by row
     y, w = np.exp(ey * lq), np.zeros((m, m))
     w[0, 0] = 1.0
@@ -465,9 +462,8 @@ def _pivot_depth(b: Bandlimit, p: QParams, keep: int) -> float:
         w[row] = y * w[row - 1]
         w[row, 1:] += w[row - 1, :-1]
     log_r = np.log(np.abs(np.diag(np.linalg.qr(w, mode="r"))))
-    levels = np.sort(log_d2 + 2.0 * (log_t + log_r)) / math.log(10.0)
-    depth = min(levels[-1], 0.0) - levels[-keep]
-    return min(max(depth, 0.0), -math.log10(_LAMBDA_FLOOR))
+    levels = np.sort(log_d2 + 2.0 * (log_t + log_r) / math.log(10.0))
+    return min(max(-levels[-keep], 0.0), -math.log10(_LAMBDA_FLOOR))
 
 
 def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
@@ -475,15 +471,17 @@ def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
     largest |lambda|, largest first, from the extended-precision solve.
 
     That solve works at 25 digits past the depth of the keep-th pair below
-    the top, plus a guard of 2, the depth estimated by ``_pivot_depth``
-    from the pivots of the moment matrix G^T G.  A solve that leaves a
-    retained pair unresolved is repeated at 1.6 times the digits (at
-    least 60 more).  The first time the smallest entries of an eigenvector
-    are short, it is repeated instead at three times the digits they lack,
-    plus the guard, when that is less: entries that are still rounding
-    noise understate the shortfall, and on seeded grids the digits finally
-    lacking were 1 to 3.2 times those measured first.  So a request takes
-    at most one solve more than the ladder alone would give it.
+    1, plus a guard of 2, the depth estimated by ``_pivot_depth`` from the
+    pivots of the moment matrix G^T G.  A solve that resolves fewer than
+    ``keep`` pairs 25 digits above its absolute noise, 10^-dps, is
+    repeated at 1.6 times the digits (at least 60 more), until that noise
+    lies 25 digits below the 1e-150 floor.  The first time the smallest
+    entries of an eigenvector are short, it is repeated instead at three
+    times the digits they lack, plus the guard, when that is less: entries
+    that are still rounding noise understate the shortfall, and on seeded
+    grids the digits finally lacking were 1 to 3.2 times those measured
+    first.  So a request takes at most one solve more than the ladder
+    alone would give it.
     Raises SolverNoConvergence if the precision budget is exhausted:
     before any solve whose working digits (its digits, twice those its
     alternating sum cancels, and a guard) would pass ``_MAX_DPS``.  The
@@ -590,7 +588,7 @@ def eigen_report_json(basis: PswfBasis) -> str:
 
 def eigen_report_csv(basis: PswfBasis) -> str:
     """CSV eigen-report: one row per lattice point, one column per psi_i."""
-    header = "point," + ",".join(f"psi_{i}" for i in range(basis.count))
+    header = ",".join(["point"] + [f"psi_{i}" for i in range(basis.count)])
     lines = [header]
     for m, point in enumerate(basis.bandlimit.window.points(basis.params.q)):
         row = [f"{point:.12e}"] + [f"{basis.eigenfunctions[i, m]:.12e}" for i in range(basis.count)]

@@ -251,10 +251,11 @@ def jv_array(z, p: QParams, v: float | None = None):
     errs by the rounding of terms up to 1e6 |value|: the worst measured
     is 2.7e-10 relative, at q = 0.95, v = -0.1, z = 0.95^5 (peak term
     7.8e5 |value|), and 4.1e-11 at q = 0.9, v = -1/2, z = 0.9^-5;
-    ``jv_at_exponent`` gives the exact lattice point's value instead.  Raises ValueError for a non-finite z, on which the
-    refinement would never resolve, and OverflowError, before any
-    squaring, for a |z| above about 1.34e154, whose square the float pass
-    cannot form, or where a value lies beyond the float range.
+    ``jv_at_exponent`` gives the exact lattice point's value instead.
+    Raises ValueError for a non-finite z, on which the refinement would
+    never resolve, and OverflowError, before any squaring, for a |z|
+    above about 1.34e154, whose square the float pass cannot form, or
+    where a value lies beyond the float range.
     """
     z = np.asarray(z, dtype=float)
     v = p.v if v is None else v

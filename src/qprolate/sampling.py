@@ -62,21 +62,6 @@ def kernel(x, y, b: Bandlimit, p: QParams):
     return float(out) if out.ndim == 0 else out
 
 
-def sampling_kernel(z: float, n: int, b: Bandlimit, p: QParams) -> float:
-    """Reproducing kernel k_z(q^n) = c_qv^2 int_0^a j_v(q^n t) j_v(zt) t^{2v+1} d_q t.
-
-    Evaluated by ``_grid_kernel`` on a one-point grid: the closed form
-
-    k_z(q^n) = (1-q) c^2 / (1-q^{2v+2}) a^{2v+2}
-               [q^{2n} j_{v+1}(a q^n) j_v(a q^{-1} z) - z^2 j_{v+1}(a z) j_v(a q^{n-1})]
-               / (q^{2n} - z^2),
-
-    or ``_near_diagonal`` when q^{2n} and z^2 are too close for the
-    difference quotient.
-    """
-    return float(_grid_kernel(np.array([float(z)]), LatticeWindow(n, n), b, p)[0, 0])
-
-
 def _grid_kernel(zs: np.ndarray, grid: LatticeWindow, b: Bandlimit, p: QParams) -> np.ndarray:
     """k_z(q^k) over the whole grid, one row per z in the 1-D ``zs``, with
     the lattice factors of the closed form read as two memoised lattice

@@ -100,6 +100,31 @@ def test_basis_below_the_floor_is_empty(a_exp, keep):
     with pytest.warns(qp.FewerPairsWarning, match=f"kept 0 of {keep} eigenpairs"):
         basis = qp.compute_basis(qp.Bandlimit(a_exp, 60), qp.QParams(0.5, 0.0), keep)
     assert basis.count == 0 and basis.eigenvalues.size == 0
+    # the sample arrays keep one column per lattice point, and the CSV one
+    # row per point under the header "point" (it held shape (0,) and
+    # "point,")
+    assert basis.eigenfunctions.shape == basis.unit_samples.shape == (0, 60)
+    assert basis.eigenfunctions[:, 0].size == 0
+    lines = qp.eigen_report_csv(basis).splitlines()
+    assert lines[0] == "point" and len(lines) == 61
+
+
+@pytest.mark.parametrize("a_exp", [120, 166, 200, 250])
+def test_small_band_takes_one_solve(monkeypatch, a_exp):
+    # lambda_0 lies 72 to 151 digits below 1 (7.5e-73 at a_exp = 120, below
+    # the 1e-150 floor at 250): its depth below 1 sets the first solve's
+    # digits, where a depth below the top pair took 2, 3, 3 and 4 solves
+    from qprolate.pswf import _basis_from_mp
+
+    digits = _mp_solve_digits(monkeypatch)
+    b, p = qp.Bandlimit(a_exp, 60), qp.QParams(0.5, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", qp.FewerPairsWarning)
+        basis = qp.compute_basis(b, p, 1)
+    assert len(digits) == 1, digits
+    ref, more = _basis_from_mp(b, p, 1, 2 * digits[0])
+    assert not more and np.array_equal(basis.eigenvalues, ref.eigenvalues)
+    assert basis.count == (a_exp < 250)
 
 
 @pytest.mark.parametrize("a_exp", [120, 166])
@@ -224,6 +249,22 @@ def test_fewer_points_than_terms_vs_oracle(q, v, a_exp, depth, keep):
     # rounding noise that those scales carried into spurious eigenvalues
     # (+-7.5e-50 at the first case); B's entries cancel so far that the
     # oracle needs 300 digits
+    _eigenvalues_match_the_300_digit_oracle(q, v, a_exp, depth, keep)
+
+
+@pytest.mark.parametrize("q, v, a_exp, depth, keep", [
+    (0.0248, 1.2515, -5, 3, 2), (0.4321, 1.8047, 16, 14, 2), (0.369, 1.6796, 14, 12, 4),
+])
+def test_small_top_pair_vs_oracle(q, v, a_exp, depth, keep):
+    # the top |lambda| lies 33 to 70 digits below 1: resolved 25 digits
+    # below the top pair, not below 1, the retained eigenvalues erred
+    # relatively by 1.1e4, 3.7e-6 and 1.2e-6
+    _eigenvalues_match_the_300_digit_oracle(q, v, a_exp, depth, keep)
+
+
+def _eigenvalues_match_the_300_digit_oracle(q, v, a_exp, depth, keep):
+    """compute_basis's eigenvalues equal, to 1e-13 relative, the keep
+    largest |lambda| of mp.eigsy of the operator matrix at 300 digits."""
     basis = qp.compute_basis(qp.Bandlimit(a_exp, depth), qp.QParams(q, v), keep=keep)
     with mp.workdps(300):
         want = mp.eigsy(operator_matrix(a_exp, depth, q, v, dps=300), eigvals_only=True)
@@ -444,12 +485,11 @@ def test_tied_pairs_order_independent_of_digits():
 
 
 def _solved_depth(lams, keep):
-    """Digits by which lambda_{keep-1} lies below min(|lambda_0|, 1), as
-    ``_pivot_depth`` estimates it; 150 when fewer than keep are retained."""
+    """Digits by which lambda_{keep-1} lies below 1, as ``_pivot_depth``
+    estimates it; 150 when fewer than keep are retained."""
     if len(lams) < keep:
         return 150.0
-    depth = min(math.log10(abs(lams[0])), 0.0) - math.log10(abs(lams[keep - 1]))
-    return min(max(depth, 0.0), 150.0)
+    return min(max(-math.log10(abs(lams[keep - 1])), 0.0), 150.0)
 
 
 @FEWER_PAIRS
@@ -736,31 +776,18 @@ def _tie_groups(evals, keep):
     return [(idx, mags.count(mag) > len(idx)) for mag, idx in groups.items()]
 
 
-@FEWER_PAIRS
-def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
-    # depth <= 40, v up to 3, a_exp -4..2: against a solve at twice the
-    # final digits, the eigenvalues are equal, a pair whose |lambda| ties
-    # with no other at 20 digits agrees componentwise, and a tie, a +-1
-    # cluster with no unique basis, agrees as a projector.  A tie that
-    # keep splits has no unique retained members, so only its eigenvalues
-    # are compared: (0.1646, 0.4466, -4, 22, keep 3) splits one
+def _twice_the_digits(solves, rng, a_exps, draws):
+    """(solved, clusters, split) of ``draws`` seeded requests at a_exp in
+    the range ``a_exps``, each checked against a solve at twice its final
+    digits (see test_solve_matches_twice_the_digits_on_seeded_draws);
+    ``solves`` gets the (digits, eigenvalues) of each solve."""
     from qprolate import pswf
 
-    solves = []  # (digits, eigenvalues) of each solve
-    real = pswf._mp_eigensystem
-
-    def recorded(b, p, dps):
-        out = real(b, p, dps)
-        solves.append((dps, out[0]))
-        return out
-
-    monkeypatch.setattr(pswf, "_mp_eigensystem", recorded)
-    rng = np.random.default_rng(4040)
     solved, clusters, split = 0, 0, 0
-    for _ in range(16):
+    for _ in range(draws):
         q, v = float(rng.uniform(0.05, 0.9)), float(rng.uniform(-0.95, 3.0))
         depth = int(rng.integers(8, 41))
-        b, p = qp.Bandlimit(int(rng.integers(-4, 3)), depth), qp.QParams(q, v)
+        b, p = qp.Bandlimit(int(rng.integers(*a_exps)), depth), qp.QParams(q, v)
         keep = int(rng.integers(2, min(15, depth) + 1))
         basis = qp.compute_basis(b, p, keep)
         ref, more = pswf._basis_from_mp(b, p, keep, 2 * solves[-1][0])
@@ -779,7 +806,33 @@ def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
                 assert np.abs(y.T @ y - z.T @ z).max() <= 1e-13, (q, v, b, keep, lam)
                 clusters += 1
         solved += 1
+    return solved, clusters, split
+
+
+@FEWER_PAIRS
+def test_solve_matches_twice_the_digits_on_seeded_draws(monkeypatch):
+    # depth <= 40, v up to 3, a_exp -4..2: against a solve at twice the
+    # final digits, the eigenvalues are equal, a pair whose |lambda| ties
+    # with no other at 20 digits agrees componentwise, and a tie, a +-1
+    # cluster with no unique basis, agrees as a projector.  A tie that
+    # keep splits has no unique retained members, so only its eigenvalues
+    # are compared: (0.1646, 0.4466, -4, 22, keep 3) splits one.  A
+    # second set, at a_exp 5..30, draws small bands, whose top |lambda|
+    # lies far below 1
+    from qprolate import pswf
+
+    solves = []  # (digits, eigenvalues) of each solve
+    real = pswf._mp_eigensystem
+
+    def recorded(b, p, dps):
+        out = real(b, p, dps)
+        solves.append((dps, out[0]))
+        return out
+
+    monkeypatch.setattr(pswf, "_mp_eigensystem", recorded)
+    solved, clusters, split = _twice_the_digits(solves, np.random.default_rng(4040), (-4, 3), 16)
     assert solved == 16 and clusters >= 2 and split >= 1
+    assert _twice_the_digits(solves, np.random.default_rng(37), (5, 31), 16)[0] == 16
 
 
 def test_cluster_shortfall_does_not_depend_on_its_basis():

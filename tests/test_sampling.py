@@ -7,11 +7,17 @@ import pytest
 import qprolate as qp
 from _oracles import product_integral
 from conftest import direct_kernel, supported_function
+from qprolate.sampling import _grid_kernel
 
 
 @pytest.fixture(scope="module")
 def grid():
     return qp.LatticeWindow(-10, 40)
+
+
+def _kernel_at(z, n, b, p):
+    """k_z(q^n) from ``_grid_kernel`` on the one-point grid {q^n}."""
+    return _grid_kernel(np.array([z]), qp.LatticeWindow(n, n), b, p)[0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,7 @@ def test_sampling_kernel_at_zero(bandlimit, p_half):
             / (1 - p.q ** (2 * p.v + 2))
             * qp.jv_array(a * p.q**n, p, p.v + 1.0)
         )
-        assert qp.sampling_kernel(0.0, n, bandlimit, p_half) == pytest.approx(
+        assert _kernel_at(0.0, n, bandlimit, p_half) == pytest.approx(
             want, rel=1e-12
         )
 
@@ -47,20 +53,18 @@ def test_sampling_kernel_degenerate_fallback(bandlimit, p_half):
     # direct-sum reproducing kernel
     for n in (0, 3, 7):
         z = p_half.q ** float(n)
-        got = qp.sampling_kernel(z, n, bandlimit, p_half)
+        got = _kernel_at(z, n, bandlimit, p_half)
         assert got == pytest.approx(direct_kernel(z, z, bandlimit, p_half), rel=1e-12)
 
 
 def test_kernel_rows_at_lattice_points_match_sampling_kernel(bandlimit, p_half, grid):
     # where z = q^k the rows fall back to the direct sum, which must give
-    # sampling_kernel's value exactly
-    from qprolate.sampling import _grid_kernel
-
+    # the one-point grid's value exactly
     ks = np.arange(-3, 6)
     rows = _grid_kernel(p_half.q ** ks.astype(float), grid, bandlimit, p_half)
     for row, k in zip(rows, ks):
         z = p_half.q ** float(k)
-        assert row[k - grid.n_min] == qp.sampling_kernel(z, int(k), bandlimit, p_half)
+        assert row[k - grid.n_min] == _kernel_at(z, int(k), bandlimit, p_half)
 
 
 def test_grid_kernel_forms_points_as_the_lattice_cache(bandlimit, grid):
@@ -69,7 +73,7 @@ def test_grid_kernel_forms_points_as_the_lattice_cache(bandlimit, grid):
     # point must be Python's, the point whose j_v the lattice cache holds,
     # so the diagonal entry at z = q ** float(k) is the near-diagonal sum
     # at (z, z) bit for bit
-    from qprolate.sampling import _grid_kernel, _near_diagonal
+    from qprolate.sampling import _near_diagonal
 
     p, k = qp.QParams(0.9, 0.3), 12
     z = p.q ** float(k)
@@ -101,8 +105,6 @@ def test_near_diagonal_entries_are_the_pairwise_sums(q, v):
     # pair on its own, at the reconstruct z grid of a_exp 0, -1, -2 (its 12
     # lattice points are grid points) and at seeded pairs near the diagonal
     # through kernel
-    from qprolate.sampling import _grid_kernel
-
     p, grid = qp.QParams(q, v), qp.LatticeWindow(-10, 40)
     span = qp.LatticeWindow(-1, 10).points(q)
     zs = np.unique(np.concatenate([np.linspace(span[-1], span[0], 200), span]))
@@ -174,7 +176,7 @@ def test_sampling_kernel_vs_pswf_kernel(bandlimit, p_half):
             if m == n:
                 continue
             z = p_half.q ** float(m)
-            got = qp.sampling_kernel(z, n, bandlimit, p_half)
+            got = _kernel_at(z, n, bandlimit, p_half)
             want = direct_kernel(z, p_half.q ** float(n), bandlimit, p_half)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
