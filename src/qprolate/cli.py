@@ -26,8 +26,6 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 import qprolate
 from .pswf import (
     Bandlimit,
@@ -36,7 +34,7 @@ from .pswf import (
     eigen_report_csv,
     eigen_report_json,
 )
-from .qcalc import DEFAULT_WINDOW, LatticeFunction, LatticeWindow, QParams
+from .qcalc import DEFAULT_WINDOW, LatticeFunction, LatticeWindow, QParams, np
 from .qfourier import fqv_transform, make_plan
 from .sampling import DEFAULT_GRID, project, reconstruct
 
@@ -189,7 +187,9 @@ def _output_dir(cfg: SimpleNamespace) -> Path:
 
 def _write_manifest(cfg: SimpleNamespace, out_dir: Path, command: str) -> None:
     python = "{}.{}.{}".format(*sys.version_info[:3])
-    versions = {"qprolate": qprolate.__version__, "python": python, "numpy": np.__version__}
+    versions = {"qprolate": qprolate.__version__, "python": python}
+    if command != "eigen":  # the one command that never imports numpy
+        versions["numpy"] = np.__version__
     payload = {**vars(cfg), "command": command, "versions": versions}
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
@@ -284,7 +284,7 @@ def cmd_eigen(cfg: SimpleNamespace) -> int:
     _write_atomic(out_dir / "eigen.json", eigen_report_json(basis) + "\n")
     _write_atomic(out_dir / "eigen.csv", eigen_report_csv(basis))
     _write_manifest(cfg, out_dir, "eigen")
-    for i, lam in enumerate(basis.eigenvalues):
+    for i, lam in enumerate(basis._rows[0]):  # the floats: eigen never imports numpy
         print(f"lambda_{i} = {lam:.12e}")
     return EXIT_OK
 

@@ -69,18 +69,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
-from itertools import count, islice, takewhile
+from functools import cached_property
+from itertools import accumulate, count, islice, repeat, takewhile
 from operator import mul
-
-import numpy as np
 
 from .qbessel import jv_array, lattice_table
 from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, inner_product,
-                    lattice_weights, qv_power)
+                    lattice_weights, np, qv_power)
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -141,7 +141,6 @@ class Bandlimit:
         return lattice_weights(self.window, p)
 
 
-@dataclass(eq=False)
 class PswfBasis:
     """Retained eigenpairs of T_a^v.
 
@@ -150,17 +149,27 @@ class PswfBasis:
     full-lattice unit-norm convention, and ``unit_samples[i]`` the same
     eigenvector normalized to unit norm on [0, a]_q (used internally to
     evaluate the analytic extension without dividing by tiny lambdas).
+    The three arrays are built on first access from the rows given, so
+    that a basis that is only reported (``eigen_report_json``,
+    ``eigen_report_csv``) never touches numpy.
     """
 
-    bandlimit: Bandlimit
-    params: QParams
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    unit_samples: np.ndarray
-    count: int = field(init=False)
+    def __init__(self, bandlimit: Bandlimit, params: QParams, eigenvalues, eigenfunctions,
+                 unit_samples):
+        self.bandlimit, self.params, self.count = bandlimit, params, len(eigenvalues)
+        self._rows = eigenvalues, eigenfunctions, unit_samples
 
-    def __post_init__(self):
-        self.count = len(self.eigenvalues)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.array(self._rows[0], dtype=float)
+
+    @cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        return np.array(self._rows[1], dtype=float).reshape(self.count, self.bandlimit.depth)
+
+    @cached_property
+    def unit_samples(self) -> np.ndarray:
+        return np.array(self._rows[2], dtype=float).reshape(self.count, self.bandlimit.depth)
 
 
 def build_operator_matrix(b: Bandlimit, p: QParams) -> np.ndarray:
@@ -320,8 +329,8 @@ def _mp_eigensystem(b: Bandlimit, p: QParams, dps: int):
             lsh, div = divisor(tcut + cut)
             lo = [((s - slack) << lsh) / div for s in sums]
             hi = [((s + slack) << lsh) / div for s in sums]
-            out.append(np.array([low if low == high else _full_sample(t, row, full)
-                                 for low, high, row in zip(lo, hi, powers)]))
+            out.append([low if low == high else _full_sample(t, row, full)
+                        for low, high, row in zip(lo, hi, powers)])
         return out
 
     return evals, units
@@ -335,14 +344,14 @@ def _full_sample(t: list[int], row: list[int], scale) -> float:
     return (sum(map(mul, t, row)) << lsh) / div
 
 
-def _sample_sign(samples: np.ndarray) -> float:
+def _sample_sign(samples: list[float]) -> float:
     """Sign factor making the first sample of significant magnitude positive.
 
     The cutoff is relative (1e-12 of the largest magnitude) so the
     convention stays meaningful for eigenfunctions whose samples are all
     tiny in absolute terms.
     """
-    peak = np.max(np.abs(samples))
+    peak = max(map(abs, samples))
     if peak == 0.0:
         return 1.0
     for s in samples:
@@ -356,17 +365,18 @@ def _retain(b: Bandlimit, p: QParams, lams, units) -> PswfBasis:
     above _LAMBDA_FLOOR.
 
     ``units[i]`` is the unit eigenvector of ``lams[i]`` divided by
-    sqrt(w_m), in float64, as the solve forms it without dividing by a
-    weight.  Each sign is fixed by _sample_sign, and the samples are
+    sqrt(w_m), a list of floats, as the solve forms it without dividing
+    by a weight.  Each sign is fixed by _sample_sign, and the samples are
     lambda * unit.
     """
     funcs, rows = [], []
     for lam, unit in zip(lams, units):
-        sgn = _sample_sign(lam * unit)
-        funcs.append(sgn * lam * unit)
-        rows.append(sgn * unit)
-    shape = (len(lams), b.depth)
-    return PswfBasis(b, p, np.array(lams), np.reshape(funcs, shape), np.reshape(rows, shape))
+        samples = [lam * x for x in unit]
+        if _sample_sign(samples) < 0:
+            samples, unit = [-s for s in samples], [-x for x in unit]
+        funcs.append(samples)
+        rows.append(unit)
+    return PswfBasis(b, p, lams, funcs, rows)
 
 
 def _pair_order(evals) -> list[int]:
@@ -413,16 +423,14 @@ def _lost_digits(lams, rows, spectrum) -> float:
     within gap.  Vectors of one float64 eigenvalue span an eigenspace with
     no unique basis, so each index takes the largest |entry| any of them
     has there (which a rotation of g vectors moves by at most sqrt(g); a
-    root of a sum of squares would underflow at entries of 1e-170).
-    The distinct lambdas come from a set, not np.unique, which imports
-    numpy.ma."""
-    lams, mags, spectrum = np.array(lams), np.abs(np.array(rows)), np.array(spectrum)
+    root of a sum of squares would underflow at entries of 1e-170)."""
     lost = 0.0
-    for lam in set(lams.tolist()):
-        env = mags[lams == lam].max(axis=0)
-        mag = np.log10(env[env != 0])
-        gap = np.abs(spectrum[spectrum != lam] - lam).min(initial=abs(lam))
-        lost = max(lost, mag.max() - mag.min() + max(math.log10(abs(lam) / gap), 0.0))
+    for lam in set(lams):
+        group = [map(abs, row) for x, row in zip(lams, rows) if x == lam]
+        env = list(map(max, *group, repeat(0.0)))
+        span = math.log10(max(env)) - math.log10(min(filter(None, env)))
+        gap = min([abs(lam)] + [abs(x - lam) for x in spectrum if x != lam])
+        lost = max(lost, span + max(math.log10(abs(lam) / gap), 0.0))
     return lost
 
 
@@ -436,34 +444,52 @@ def _pivot_depth(b: Bandlimit, p: QParams, keep: int) -> float:
     LDL^T pivots of K are the squared diagonal of R in G = Q R.  Writing
     V = W T, with W the divided differences of t -> (1, t, t^2, ...) at
     y_0, y_1, ... (W[k,i] = h_{k-i}(y_0, ..., y_i) >= 0, unit lower
-    triangular and well conditioned) and T upper triangular with
-    T_kk = prod_{j<k} (y_k - y_j), gives
-    Delta_k = D_k^2 prod_{j<k} (y_j - y_k)^2 R_kk(W)^2,
-    all graded factors in closed form and R_kk(W) from a float64 QR.  At
-    depth infinity K is a diagonally scaled Cauchy matrix and
+    triangular) and T upper triangular with T_kk = prod_{j<k} (y_k - y_j),
+    gives the level of column k,
+    log10 Delta_k = log10 D_k^2 + 2 log10 prod_{j<k} |y_j - y_k| + 2 log10 R_kk(W),
+    all graded factors in closed form, in logs (D_n^2 from
+    ``_log_scales``), since they underflow float64 within a few dozen
+    terms.  R_kk(W) depends on W's leading k+1 columns alone, and is
+    taken column by column by modified Gram-Schmidt at depth M.  At depth
+    infinity K is a diagonally scaled Cauchy matrix and
     R_kk(W)^2 = 1 / ((1 - y_k^2) prod_{j<k} (1 - y_j y_k)^2); truncation
-    only lowers the pivots (K_M <= K_inf), which is why W is taken at
-    depth M.  The graded |eigenvalues| follow the pivots, so the keep-th
-    largest pivot stands in for |lambda_{keep-1}|.  Inside a +-1 cluster
-    pivots exceed 1 while |lambda| stays at 1, hence the clamp at 0; no
-    retained pair lies deeper than _LAMBDA_FLOOR, hence the cap.  The
-    graded factors are taken in logs (D_n^2 from ``_log_scales``), since
-    D_n^2 underflows float64 within a few dozen terms."""
-    lq, m = math.log(p.q), b.depth
-    ey = p.v + 1.0 + 2.0 * np.arange(m)  # y_n = q^ey
-    log_d2 = np.fromiter(islice(_log_scales(b, p), m), float, m)  # log10 D_n^2
-    # log(y_j - y_k) for j < k, with y_j - y_k = y_j (1 - q^{2(k-j)})
-    j, k = np.triu_indices(m, 1)
-    log_t = np.bincount(k, ey[j] * lq + np.log(-np.expm1(2.0 * (k - j) * lq)), m)
-    # h_r(y_0..y_i) = h_r(y_0..y_{i-1}) + y_i h_{r-1}(y_0..y_i), row by row
-    y, w = np.exp(ey * lq), np.zeros((m, m))
-    w[0, 0] = 1.0
-    for row in range(1, m):
-        w[row] = y * w[row - 1]
-        w[row, 1:] += w[row - 1, :-1]
-    log_r = np.log(np.abs(np.diag(np.linalg.qr(w, mode="r"))))
-    levels = np.sort(log_d2 + 2.0 * (log_t + log_r) / math.log(10.0))
-    return min(max(-levels[-keep], 0.0), -math.log10(_LAMBDA_FLOOR))
+    only lowers the pivots (K_M <= K_inf), so these closed-form levels
+    bound every column's.  The graded |eigenvalues| follow the pivots, so
+    the keep-th largest level stands in for log10 |lambda_{keep-1}|.
+    Inside a +-1 cluster pivots exceed 1 while |lambda| stays at 1, hence
+    the clamp at 0; no retained pair lies deeper than _LAMBDA_FLOOR, hence
+    the cap.  The columns stop once no later one can change the answer:
+    once the keep-th largest level so far is at least 0, or at least the
+    bound of every later column, or that bound lies below the cap."""
+    lq, m, ln10 = math.log(p.q), b.depth, math.log(10.0)
+    floor = math.log10(_LAMBDA_FLOOR)
+    ey = [p.v + 1.0 + 2.0 * n for n in range(m)]  # y_n = q^ey_n
+    # sums of log(1 - y_j y_k) = log(1 - q^{2v+2+2s}) over s = j + k < n
+    ls = list(accumulate((math.log(-math.expm1((2.0 * ey[0] + 2.0 * s) * lq))
+                          for s in range(2 * m)), initial=0.0))
+    # level of column k without R_kk(W), and with its depth-infinity value
+    base, log_t = [], 0.0
+    for k, log_d2 in enumerate(islice(_log_scales(b, p), m)):
+        base.append(log_d2 + 2.0 * log_t / ln10)
+        log_t += ey[k] * lq + math.log(-math.expm1(2.0 * (k + 1) * lq))
+    bound = [x - (ls[2 * k + 1] - ls[2 * k] + 2.0 * (ls[2 * k] - ls[k])) / ln10
+             for k, x in enumerate(base)]
+    later = list(accumulate(reversed(bound), max, initial=-math.inf))[::-1]
+    levels, units, col = [], [], [0.0] * m
+    for k in range(m):
+        # W[r,k] = W[r-1,k-1] + y_k W[r-1,k] from W[k,k] = 1
+        yk, w = math.exp(ey[k] * lq), 1.0
+        col = [0.0] * k + [1.0] + [w := x + yk * w for x in col[k:-1]]
+        res = col
+        for u in units:
+            r = sum(map(mul, u, res))
+            res = [x - r * y for x, y in zip(res, u)]
+        norm = math.sqrt(sum(map(mul, res, res)))
+        units.append([x / norm for x in res])
+        levels.append(base[k] + 2.0 * math.log10(norm))
+        kth = sorted(levels)[-keep] if len(levels) >= keep else -math.inf
+        if kth >= 0.0 or later[k + 1] <= max(kth, floor):
+            return min(max(-kth, 0.0), -floor)
 
 
 def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
@@ -575,22 +601,29 @@ def concentration_index(f: LatticeFunction, b: Bandlimit, p: QParams) -> float:
 
 def eigen_report_json(basis: PswfBasis) -> str:
     """JSON eigen-report {q, v, a_exp, M, eigenvalues, samples}."""
+    lams, funcs, _ = basis._rows
     payload = {
         "q": basis.params.q,
         "v": basis.params.v,
         "a_exp": basis.bandlimit.a_exp,
         "M": basis.bandlimit.depth,
-        "eigenvalues": [float(x) for x in basis.eigenvalues],
-        "samples": [[float(x) for x in row] for row in basis.eigenfunctions],
+        "eigenvalues": [float(x) for x in lams],
+        "samples": [[float(x) for x in row] for row in funcs],
     }
     return json.dumps(payload, indent=2)
 
 
 def eigen_report_csv(basis: PswfBasis) -> str:
-    """CSV eigen-report: one row per lattice point, one column per psi_i."""
-    header = ",".join(["point"] + [f"psi_{i}" for i in range(basis.count)])
-    lines = [header]
-    for m, point in enumerate(basis.bandlimit.window.points(basis.params.q)):
-        row = [f"{point:.12e}"] + [f"{basis.eigenfunctions[i, m]:.12e}" for i in range(basis.count)]
-        lines.append(",".join(row))
+    """CSV eigen-report: one row per lattice point, one column per psi_i.
+    The points are ``lattice_points``' float powers; one below the least
+    normal float is printed from its exact value instead, as
+    0.000000000000e+00 or a subnormal's few digits would misstate it."""
+    q, b, funcs = basis.params.q, basis.bandlimit, basis._rows[1]
+    exact = Context(prec=28, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    lines = [",".join(["point"] + [f"psi_{i}" for i in range(basis.count)])]
+    for m, s in enumerate(range(b.a_exp, b.a_exp + b.depth)):
+        point = q ** float(s)
+        if point < sys.float_info.min:
+            point = exact.power(Decimal(q), s)
+        lines.append(",".join([f"{point:.12e}"] + [f"{row[m]:.12e}" for row in funcs]))
     return "\n".join(lines) + "\n"

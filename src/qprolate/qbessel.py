@@ -37,19 +37,18 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-import numpy as np
-
 from . import qcalc
-from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, qv_power, to_float
+from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, np, qv_power, to_float
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
 _REFINE_RATIO = 1e6
 _MAX_TERMS = 2000
 # the largest |z| whose square the float pass can form
-_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # digits of the lattice recurrence's context
 _RECURRENCE_DIGITS = 40
 # steps below the lowest exponent asked for, or below the recurrence's

@@ -14,11 +14,29 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 import warnings
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
-import numpy as np
+
+class _Numpy(types.ModuleType):
+    """Stand-in for numpy until its first attribute access, which imports
+    numpy (under the import lock, so first use from several threads is
+    safe), takes on its namespace and becomes a plain module: from then
+    on ``np.x`` costs what it costs on numpy.  The package's one binding
+    of numpy, so that the commands that never touch it (``eigen``) do not
+    pay for its import; ``sys.modules`` only ever holds numpy itself."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        self.__dict__.update(numpy.__dict__)
+        self.__class__ = types.ModuleType
+        return getattr(numpy, name)
+
+
+np = _Numpy("numpy")
 
 
 # relative tolerance of the q-Bessel float series and of the tail check

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .qbessel import lattice_table
-from .qcalc import LatticeFunction, LatticeWindow, QParams, lattice_weights, warn_boundary
+from .qcalc import LatticeFunction, LatticeWindow, QParams, lattice_weights, np, warn_boundary
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ application experiment.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .pswf import Bandlimit
 from .qbessel import (
     band_edge,
@@ -33,7 +31,8 @@ from .qbessel import (
     product_integral_direct,
     product_integral_quotient,
 )
-from .qcalc import EPS, LatticeFunction, LatticeWindow, QParams, lattice_weights, warn_boundary
+from .qcalc import (EPS, LatticeFunction, LatticeWindow, QParams, lattice_weights, np,
+                    warn_boundary)
 from .qfourier import TransformPlan, fqv_transform
 
 DEFAULT_GRID = LatticeWindow(-10, 40)

@@ -3,10 +3,15 @@
 Everything here is deliberately written from scratch against the defining
 formulas (fresh products and powers per term, no shared recurrences with
 the package code) and evaluated in mpmath at a fixed number of digits.
-The one exception is ``convolve_direct``, the defining sum of the
+The exceptions are ``convolve_direct``, the defining sum of the
 q-convolution over the package's own translation, which checks the
-spectral route of ``qp.convolve`` against the direct one.
+spectral route of ``qp.convolve`` against the direct one, and
+``pivot_depth``, the float64 QR of the divided-difference matrix that the
+package's leading-column ``_pivot_depth`` replaced.
 """
+
+import math
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -265,3 +270,26 @@ def depth_infinity_pairs(q, v, a_exp, keep, dps=60):
             pairs.append((lam, [x / norm for x in t]))
         pairs.sort(key=lambda pair: -abs(pair[0]))
         return [lam for lam, _ in pairs], [t for _, t in pairs]
+
+
+def pivot_depth(b, p, keep):
+    """``pswf._pivot_depth`` from the R_kk(W) of a float64 Householder QR
+    of the whole M x M divided-difference matrix W, every column's level
+    taken (see ``_pivot_depth`` for the levels and the clamp)."""
+    from qprolate.pswf import _LAMBDA_FLOOR, _log_scales
+
+    lq, m = math.log(p.q), b.depth
+    ey = p.v + 1.0 + 2.0 * np.arange(m)  # y_n = q^ey
+    log_d2 = np.fromiter(islice(_log_scales(b, p), m), float, m)  # log10 D_n^2
+    # log(y_j - y_k) for j < k, with y_j - y_k = y_j (1 - q^{2(k-j)})
+    j, k = np.triu_indices(m, 1)
+    log_t = np.bincount(k, ey[j] * lq + np.log(-np.expm1(2.0 * (k - j) * lq)), m)
+    # h_r(y_0..y_i) = h_r(y_0..y_{i-1}) + y_i h_{r-1}(y_0..y_i), row by row
+    y, w = np.exp(ey * lq), np.zeros((m, m))
+    w[0, 0] = 1.0
+    for row in range(1, m):
+        w[row] = y * w[row - 1]
+        w[row, 1:] += w[row - 1, :-1]
+    log_r = np.log(np.abs(np.diag(np.linalg.qr(w, mode="r"))))
+    levels = np.sort(log_d2 + 2.0 * (log_t + log_r) / math.log(10.0))
+    return min(max(-levels[-keep], 0.0), -math.log10(_LAMBDA_FLOOR))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,13 @@ def test_eigen_writes_reports(tmp_path, capsys):
     assert len(out_lines) == 4
     for i, line in enumerate(out_lines):
         assert line.split(" = ")[1] == f"{basis.eigenvalues[i]:.12e}"
+    # and so do the reports, read from the floats without the arrays:
+    # the window's float points, then one column per eigenfunction
+    assert payload["samples"] == basis.eigenfunctions.tolist()
+    rows = [line.split(",") for line in (tmp_path / "eigen.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [f"{x:.12e}" for x in qp.Bandlimit(0, 40).window.points(0.5)]
+    assert [row[1:] for row in rows] == [[f"{x:.12e}" for x in col]
+                                         for col in basis.eigenfunctions.T]
 
 
 def test_eigen_underflowing_weights_write_no_nan(tmp_path):
@@ -73,6 +81,11 @@ def test_eigen_with_every_pair_below_the_floor_exits_0(tmp_path):
     assert "FewerPairsWarning: kept 0 of 4 eigenpairs" in proc.stderr
     assert proc.stdout == ""
     assert json.loads((tmp_path / "eigen.json").read_text())["eigenvalues"] == []
+    # the points q^2000 .. q^2059 underflow float64, and are printed from
+    # their exact values, not as 0.000000000000e+00
+    lines = (tmp_path / "eigen.csv").read_text().splitlines()
+    assert lines[:2] == ["point", "8.709809816217e-603"] and len(lines) == 61
+    assert lines[1:] == [f"{Decimal(0.5) ** s:.12e}" for s in range(2000, 2060)]
 
 
 def test_eigen_invalid_q(tmp_path, capsys):
@@ -239,38 +252,47 @@ def test_reconstruct_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs 11-15 ms in every fresh process (np.unique imports
     # it); fixedla is needed only by the extended-precision eigensolve,
     # which every eigen command takes and neither reconstruct nor
-    # transform reaches; mpmath stays unloaded throughout, since the
-    # package does not use it
+    # transform reaches; eigen runs on Python floats and decimals alone,
+    # so it leaves numpy (about 55 ms of a fresh process) unloaded, which
+    # the other two commands then load; mpmath stays unloaded throughout,
+    # since the package does not use it
     src = str(Path(qp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     sample_file = tmp_path / "f.txt"
     sample_file.write_text("\n".join(f"{k} {1.0 / (1.0 + 4.0**-k)!r}" for k in range(-12, 46)))
-    commands = [
+    eigen = [["eigen", "--keep", "4", "--out", str(tmp_path / "e")],
+             ["eigen", "--out", str(tmp_path / "mp")]]
+    others = [
         ["reconstruct", "--out", str(tmp_path / "r"), *FAST_RECON],
         ["transform", "--samples", str(sample_file), "--window", "-12:45", "--roundtrip",
          "--out", str(tmp_path / "t")],
-        ["eigen", "--keep", "4", "--out", str(tmp_path / "e")],
     ]
-    mp_eigen = ["eigen", "--out", str(tmp_path / "mp")]
-    code = (
-        "import sys\n"
-        "from qprolate.cli import main\n"
-        f"for c in {commands!r}:\n"
-        "    print('RESULT', c[0], main(c), [m in sys.modules for m in "
-        "('numpy.ma', 'mpmath', 'qprolate.fixedla')])\n"
-        f"rc = main({mp_eigen!r})\n"
-        "print('MP', rc, [m in sys.modules for m in ('qprolate.fixedla', 'mpmath')])\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line for line in lines if line.startswith("RESULT")] == [
-        "RESULT reconstruct 0 [False, False, False]",
-        "RESULT transform 0 [False, False, False]",
-        "RESULT eigen 0 [False, False, True]",
+
+    def run(commands):
+        # each command's exit code, then whether numpy, numpy.ma, mpmath
+        # and fixedla are loaded after it
+        code = (
+            "import sys\n"
+            "from qprolate.cli import main\n"
+            f"for c in {commands!r}:\n"
+            "    print('RESULT', c[0], main(c), [m in sys.modules for m in "
+            "('numpy', 'numpy.ma', 'mpmath', 'qprolate.fixedla')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stdout.splitlines() if line.startswith("RESULT")]
+
+    assert run(others) == [
+        "RESULT reconstruct 0 [True, False, False, False]",
+        "RESULT transform 0 [True, False, False, False]",
     ]
-    assert lines[-1] == "MP 0 [True, False]"
+    assert run(eigen + others) == [
+        "RESULT eigen 0 [False, False, False, True]",
+        "RESULT eigen 0 [False, False, False, True]",
+        "RESULT reconstruct 0 [True, False, False, True]",
+        "RESULT transform 0 [True, False, False, True]",
+    ]
 
 
 def test_reconstruct_bandlimited_input(tmp_path, capsys):
@@ -545,8 +567,8 @@ def test_manifest_contents(tmp_path):
     # eigen does not read the window, so it does not record it
     assert "window" not in manifest and "eps" not in manifest
     python = "{}.{}.{}".format(*sys.version_info[:3])
-    assert manifest["versions"] == {"qprolate": qp.__version__, "python": python,
-                                    "numpy": np.__version__}
+    # eigen never imports numpy, so it records no numpy version
+    assert manifest["versions"] == {"qprolate": qp.__version__, "python": python}
 
 
 def _commands(tmp_path):
@@ -565,6 +587,7 @@ def test_manifest_holds_the_settings_read_and_reproduces_the_run(tmp_path, comma
     assert main([command, *_commands(tmp_path)[command], "--out", str(out1)]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert list(manifest) == [*READS[command], "command", "versions"]
+    assert manifest["versions"].get("numpy") == (None if command == "eigen" else np.__version__)
     assert main([command, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())

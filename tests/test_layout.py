@@ -3,7 +3,8 @@ names, so each object is used through the one public function that codes
 it.  Tests may still import private names.  The package also keeps off
 mpmath altogether: its extended precision is the standard library's
 decimal and the fixed-point kernels of ``fixedla``, and mpmath is a
-test-only dependency, for the oracles."""
+test-only dependency, for the oracles.  numpy is bound once, by
+``qcalc.np``, which imports it at its first use."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,47 @@ def _mpmath_imports(path: Path) -> list[str]:
                 and (node.module or "").split(".")[0] == "mpmath":
             found.append(f"{path.name}:{node.lineno} imports from {node.module}")
     return found
+
+
+def _numpy_imports(path: Path) -> list[tuple[str, str, int]]:
+    """(file, enclosing function or <module>, line) of each import of numpy."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append((path.name, scope, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_numpy_is_imported_only_by_the_qcalc_stand_in():
+    # every module takes numpy as ``from .qcalc import np``, whose first
+    # attribute access imports it, so a command that never touches numpy
+    # (eigen) never loads it; an ``import numpy`` anywhere else, even with
+    # the stand-in in place, would load numpy at the package's import
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _numpy_imports(path)]
+    assert [(name, scope) for name, scope, _ in found] == [("qcalc.py", "__getattr__")], found
+
+
+def test_numpy_import_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy.linalg import qr\nfrom .qcalc import np\n"
+        "import os, numpy.ma\nimport numpyish\n"
+        "class K:\n    def f(self):\n        import numpy\n"
+    )
+    assert _numpy_imports(module) == [
+        ("mod.py", "<module>", 1), ("mod.py", "<module>", 2), ("mod.py", "<module>", 4),
+        ("mod.py", "f", 8)]
 
 
 # the closed form and the Jackson sum of the reproducing kernel: only

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qprolate as qp
-from _oracles import c_qv, cyclic_jacobi, depth_infinity_pairs, operator_matrix, qpoch
+from _oracles import (c_qv, cyclic_jacobi, depth_infinity_pairs, operator_matrix, pivot_depth,
+                      qpoch)
 from conftest import direct_kernel, eigen_series_kernel, supported_function
 
 # the requests that keep fewer pairs than asked, by design: a
@@ -521,6 +522,31 @@ def test_pivot_depth_on_seeded_draws(monkeypatch):
             deep += 1
             again += len(digits) > 1
     assert deep == 82 and again <= 2
+
+
+def test_pivot_depth_matches_the_float_qr_on_seeded_requests():
+    # the leading columns of W, orthogonalised one by one and stopped once
+    # no later column can move the keep-th level, give the depth that the
+    # float64 Householder QR of the whole of W gives (_oracles): the same
+    # ceil on every request, so every solve keeps its digits.  On the two
+    # fixed requests a column past the keep-th reaches 1, so a stop after
+    # keep columns would give 0.34 and 0.12 digits instead of 0
+    from qprolate.pswf import _pivot_depth
+
+    rng = np.random.default_rng(38)
+    seeded = []
+    for _ in range(300):
+        q, v, a_exp = rng.uniform(0.05, 0.95), rng.uniform(-0.95, 3.0), int(rng.integers(-5, 3))
+        depth = int(rng.integers(3, 121))
+        seeded.append((q, v, a_exp, depth, int(rng.integers(1, min(15, depth) + 1))))
+    worst = 0.0
+    for q, v, a_exp, depth, keep in [(0.9177, -0.9419, -4, 49, 1), (0.938, -0.9269, 2, 109, 4),
+                                     *seeded]:
+        b, p = qp.Bandlimit(a_exp, depth), qp.QParams(q, v)
+        want, got = pivot_depth(b, p, keep), _pivot_depth(b, p, keep)
+        assert math.ceil(got) == math.ceil(want), (q, v, b, keep, got, want)
+        worst = max(worst, abs(got - want))
+    assert worst <= 1e-6
 
 
 def test_truncated_depth_takes_one_mp_solve(monkeypatch):

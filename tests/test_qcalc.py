@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -443,3 +448,53 @@ def test_no_tail_warning_for_compact_support(p_half, recwarn):
 def test_weights_descending(p_half):
     w = qp.lattice_weights(qp.LatticeWindow(-5, 20), p_half)
     assert (np.diff(w) < 0).all() and (w > 0).all()
+
+
+# three of the package's calls that each need numpy, with inputs that
+# differ by thread i, and their values as lists; run from source, since
+# this module imports numpy
+FIRST_NUMPY_CALLS = """
+def first_numpy_calls(i):
+    p = qp.QParams(0.5, -0.5 + 0.1 * i)
+    return [qp.lattice_weights(qp.LatticeWindow(-5, 20 + i), p).tolist(),
+            qp.jv_array([0.25 * (i + 1), 1.5, 3.0 + i], p).tolist(),
+            qp.LatticeFunction.zeros(qp.LatticeWindow(0, i)).values.tolist()]
+"""
+
+
+def test_numpy_stand_in_is_safe_on_first_use_from_many_threads():
+    # ``qcalc.np`` imports numpy at its first attribute access; 12 threads
+    # making their first numpy calls at once, with the interpreter
+    # switching threads every microsecond, all get a serial run's values:
+    # none sees a half-built stand-in, and sys.modules holds numpy itself
+    src = str(Path(qp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, sys, threading\n"
+        "import qprolate as qp\n"
+        f"{FIRST_NUMPY_CALLS}\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "start, out, errors = threading.Barrier(12), {}, []\n"
+        "def work(i):\n"
+        "    start.wait(timeout=60)\n"
+        "    try:\n"
+        "        out[i] = first_numpy_calls(i)\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=work, args=(i,)) for i in range(12)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "import numpy\n"
+        "assert type(qp.qcalc.np) is type(sys) and sys.modules['numpy'] is numpy\n"
+        "print(json.dumps({'errors': errors, 'out': [out.get(i) for i in range(12)]}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["errors"] == []
+    serial = {"qp": qp}
+    exec(FIRST_NUMPY_CALLS, serial)
+    assert got["out"] == [serial["first_numpy_calls"](i) for i in range(12)]
