@@ -16,17 +16,17 @@ the reflector scales the factor f = 2 (v.x) / (v.v) by 2^bits, not by
 
 The QL iteration for the eigenvalues of the tridiagonal matrix runs in
 floating point instead, in the standard library's decimal (libmpdec) at
-``context(prec)``, at least prec bits' worth of digits: its deflation
-test is relative to the neighbouring diagonal entries, which fixed point
-cannot resolve below 2^-prec.  An off-diagonal entry within n^2 units
-2^-prec of zero is deflated as well: the reduction to tridiagonal form
-leaves errors of about that size, so iterating on such an entry refines
-rounding noise.  It is the root-free QL of Pal, Walker and Kahan (LAPACK
-dsterf), which carries the squared off-diagonal entries and so takes
-square roots, the context's own, only for each sweep's shift; it runs to
-the end and returns every eigenvalue.  Eigenvectors come from one step
-of inverse iteration through an LU factorisation of the shifted
-tridiagonal with partial pivoting, in fixed point.
+``context(prec)``, at least prec bits' worth of digits: its rotations
+carry each entry to its own relative precision, so the small eigenvalues
+of a graded matrix can come out far finer than the 2^-prec that fixed
+point resolves.  An off-diagonal entry within n^2 units 2^-prec of zero
+is deflated: the reduction to tridiagonal form leaves errors of about
+that size, so iterating on such an entry refines rounding noise.  It is the
+root-free QL of Pal, Walker and Kahan (LAPACK dsterf), which carries the
+squared off-diagonal entries and so takes square roots, the context's
+own, only for each sweep's shift; it runs to the end and returns every
+eigenvalue.  Eigenvectors come from one step of inverse iteration, one
+solve of the shifted tridiagonal with partial pivoting, in fixed point.
 """
 
 from __future__ import annotations
@@ -168,25 +168,20 @@ def tridiagonal_eigenvalues(d: list[int], e: list[int], prec: int) -> list[Decim
     8.15) in ``context(prec)``.  It runs on the squares of the
     off-diagonal entries, so the only square roots are the two that form
     each sweep's shift.  An off-diagonal entry e_m is deflated once
-    e_m^2 <= (10^-digits (|d_m| + |d_m+1|))^2, negligible against its two
-    diagonal neighbours, or e_m^2 <= n^4 units^2, within n^2 units of zero.
-    The iteration runs on the entries as given, scaled by 2^prec, and the
-    eigenvalues are scaled back at the end.
+    e_m^2 <= n^4 units^2, within n^2 units of zero.  The iteration runs
+    on the entries as given, scaled by 2^prec, and the eigenvalues are
+    scaled back at the end.
     """
     n = len(d)
     ctx = context(prec)
     with localcontext(ctx):
-        tiny = Decimal(1).scaleb(-ctx.prec)
         noise = Decimal(n ** 4)
         d = [Decimal(x) for x in d]
         e2 = [+Decimal(x * x) for x in e] + [Decimal(0)]  # squared, rounded
         for l in range(n):
             for _ in range(60):
                 m = l
-                while m < n - 1:
-                    tol = tiny * (abs(d[m]) + abs(d[m + 1]))
-                    if e2[m] <= tol * tol or e2[m] <= noise:
-                        break
+                while m < n - 1 and e2[m] > noise:
                     m += 1
                 if m == l:
                     break
@@ -228,11 +223,11 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     """Unit eigenvectors (scaled by 2^prec) of the symmetric tridiagonal
     matrix (d, e) for the eigenvalues ``lams`` (ints scaled by 2^prec).
 
-    One step of inverse iteration through an LU factorisation of
-    T - lam I with partial pivoting (LAPACK dlagtf and dstein), from a
-    fixed pseudo-random start: lam is an eigenvalue to working precision,
-    so the one solve amplifies the wanted component over those a gap g
-    away by about g 2^prec / ||T||.  Each vector is orthogonalised
+    One step of inverse iteration (LAPACK dstein): one solve through
+    T - lam I with partial pivoting, ``_shifted_solve``, from a fixed
+    pseudo-random start.  lam is an eigenvalue to working precision, so
+    the one solve amplifies the wanted component over those a gap g away
+    by about g 2^prec / ||T||.  Each vector is orthogonalised
     against the earlier ones whose eigenvalue lies within
     2^(-prec/2) ||T||, so that a cluster unresolved at this precision
     comes out as an orthonormal basis of its invariant subspace.
@@ -243,11 +238,10 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     one = 1 << prec
     out = []
     for j, lam in enumerate(lams):
-        lu = _shifted_lu(d, e, lam, prec)
         group = [y for mu, y in zip(lams, out) if abs(mu - lam) <= close]
         rng = random.Random(j)
         x = [rng.getrandbits(prec + 1) - one for _ in range(n)]
-        x = _lu_solve(lu, x, prec)
+        x = _shifted_solve(d, e, lam, x, prec)
         for y in group:
             f = sum(map(mul, x, y)) >> prec
             x = [xi - ((f * yi) >> prec) for xi, yi in zip(x, y)]
@@ -256,14 +250,16 @@ def tridiagonal_eigenvectors(d: list[int], e: list[int], lams: list[int], prec: 
     return out
 
 
-def _shifted_lu(d: list[int], e: list[int], lam: int, prec: int):
-    """LU factorisation P (T - lam I) = L U, with partial pivoting, of the
-    symmetric tridiagonal T = (d, e) shifted by ``lam`` (all scaled by
-    2^prec).  Returns (steps, u): for each elimination step k, whether
-    rows k and k + 1 swapped and the multiplier (sub << prec) // pivot;
-    and the rows of U, row k as (U_kk, U_k,k+1, U_k,k+2)."""
+def _shifted_solve(d: list[int], e: list[int], lam: int, x: list[int], prec: int) -> list[int]:
+    """(T - lam I)^-1 x for the symmetric tridiagonal T = (d, e) shifted by
+    ``lam`` (all scaled by 2^prec), each entry to a few units of x's
+    scale, by Gaussian elimination with partial pivoting (LAPACK dgtsv):
+    each row swap and multiplier (sub << prec) // pivot is applied to x as
+    the rows of U are formed, and U is then back-substituted.  A zero
+    pivot, which an exact eigenvalue leaves, is taken as one unit."""
     n = len(d)
-    steps, u = [], []
+    x = list(x)
+    u = []  # row k of U as (U_kk, U_k,k+1, U_k,k+2)
     a = d[0] - lam  # the pending row k: a at column k, b at k + 1
     b = e[0] if n > 1 else 0
     for k in range(n - 1):
@@ -273,30 +269,15 @@ def _shifted_lu(d: list[int], e: list[int], lam: int, prec: int):
             m = (a << prec) // c
             u.append((c, dk1, ek1))
             a, b = b - ((m * dk1) >> prec), -((m * ek1) >> prec)
-            steps.append((True, m))
+            x[k], x[k + 1] = x[k + 1], x[k] - ((m * x[k + 1]) >> prec)
         else:
             m = (c << prec) // a if c else 0
             u.append((a, b, 0))
             a, b = dk1 - ((m * b) >> prec), ek1
-            steps.append((False, m))
-    u.append((a, 0, 0))
-    return steps, u
-
-
-def _lu_solve(lu, x: list[int], prec: int) -> list[int]:
-    """(T - lam I)^-1 x through the factors ``_shifted_lu`` returns, each
-    entry to a few units of x's scale; a zero pivot, which an exact
-    eigenvalue leaves, is taken as one unit."""
-    steps, u = lu
-    n = len(u)
-    x = list(x)
-    for k, (swap, m) in enumerate(steps):  # x <- L^-1 P x
-        if swap:
-            x[k], x[k + 1] = x[k + 1], x[k] - ((m * x[k + 1]) >> prec)
-        else:
             x[k + 1] -= (m * x[k]) >> prec
+    u.append((a, 0, 0))
     x += [0, 0]
-    for k in range(n - 1, -1, -1):  # x <- U^-1 x
+    for k in range(n - 1, -1, -1):
         piv, u1, u2 = u[k]
         x[k] = ((x[k] << prec) - u1 * x[k + 1] - u2 * x[k + 2]) // (piv or 1)
     return x[:n]

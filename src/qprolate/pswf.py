@@ -49,7 +49,7 @@ or at the first row whose R_jj = D_j sqrt(pivot of H) lies within N
 units of zero (the rows past it are rounding noise); C; its Householder
 reduction to tridiagonal form; a root-free decimal QL iteration for all
 of its eigenvalues; and, for the retained pairs only, inverse iteration
-through a pivoted LU, re-orthogonalised inside clusters that the
+by one pivoted solve, re-orthogonalised inside clusters that the
 precision cannot separate, back through the reflectors to an eigenvector
 u of C.  Then t = R_H^-1 u, and the sample at a q^k is the power series
 sum_n t_n q^{2kn} / sqrt(w_0), rounded once to float64.  It is first
@@ -79,8 +79,8 @@ from itertools import accumulate, count, islice, repeat, takewhile
 from operator import mul
 
 from .qbessel import jv_array, lattice_table
-from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, inner_product,
-                    lattice_weights, np, qv_power)
+from .qcalc import (LatticeFunction, LatticeWindow, QParams, c_qv_decimal, check_integer,
+                    inner_product, lattice_weights, np, qv_power)
 
 # |lambda| below sqrt(1e-300) cannot carry the lambda^2 spectral data in
 # float64, so deeper pairs are never retained.
@@ -129,7 +129,8 @@ class Bandlimit:
     depth: int
 
     def __post_init__(self):
-        if self.depth < 1:
+        check_integer(self.a_exp, "a_exp")
+        if check_integer(self.depth, "depth") < 1:
             raise ValueError("depth must be >= 1")
 
     @property
@@ -519,7 +520,7 @@ def compute_basis(b: Bandlimit, p: QParams, keep: int = 15) -> PswfBasis:
     basis holds fewer than ``keep`` pairs and a FewerPairsWarning says how
     many.
     """
-    if keep < 1:
+    if check_integer(keep, "keep") < 1:
         raise ValueError("keep must be >= 1")
     if keep > b.depth:
         raise ValueError("keep must not exceed the bandlimit depth")
@@ -551,7 +552,7 @@ def eval_pswf_at(basis: PswfBasis, i: int, z: float) -> float:
 
     evaluated as the truncated Jackson sum over the stored samples.
     """
-    if not 0 <= i < basis.count:
+    if not 0 <= check_integer(i, "i") < basis.count:
         raise IndexError(f"eigenpair index {i} out of range")
     b = basis.bandlimit
     p = basis.params
@@ -564,7 +565,7 @@ def pswf_on_window(basis: PswfBasis, i: int, window: LatticeWindow) -> LatticeFu
     extension elsewhere.  Point n of the window needs j_v(q^{n + a_exp + k})
     for k < depth, so one lattice table over all of the window's points,
     one memo read, serves every point as a slice."""
-    if not 0 <= i < basis.count:
+    if not 0 <= check_integer(i, "i") < basis.count:
         raise IndexError(f"eigenpair index {i} out of range")
     b = basis.bandlimit
     p = basis.params

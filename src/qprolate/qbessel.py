@@ -41,7 +41,8 @@ import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from . import qcalc
-from .qcalc import EPS, EXACT, LatticeWindow, QParams, lattice_weights, np, qv_power, to_float
+from .qcalc import (EPS, EXACT, LatticeWindow, QParams, check_integer, lattice_weights, np,
+                    qv_power, to_float)
 
 # Above this peak-to-value ratio the float series has lost ~6 digits to
 # cancellation and the decimal rerun takes over.
@@ -219,23 +220,22 @@ def _jv_exp_cached(q: float, v: float, s_min: int, s_max: int) -> tuple[float, .
     return tuple(_lattice_recurrence(q, v, range(s_min, s_max + 1)))
 
 
-def jv_at_exponent(s: int, p: QParams, v: float | None = None) -> float:
-    """j_v(q^s, q^2) for integer s, memoised across the whole process as
-    the one-value table (s, s): the exact point's value, correctly
-    rounded, from ``_lattice_recurrence``.
-
-    The order ``v`` defaults to ``p.v``; the closed-form kernels also need
-    order v + 1 at lattice arguments.
-    """
-    s = int(s)
-    return _jv_exp_cached(p.q, p.v if v is None else v, s, s)[0]
+def jv_at_exponent(s: int, p: QParams) -> float:
+    """j_v(q^s, q^2), v = ``p.v``, for integer s, memoised across the whole
+    process as the one-value table (s, s): the exact point's value,
+    correctly rounded, from ``_lattice_recurrence``.  Raises ValueError
+    for an s that is not an integer."""
+    s = check_integer(s, "s")
+    return _jv_exp_cached(p.q, p.v, s, s)[0]
 
 
 def lattice_table(p: QParams, s_min: int, s_max: int, v: float | None = None) -> np.ndarray:
     """Array of j_v(q^s, q^2) for s = s_min..s_max, memoised as one table
     by the same process-wide memo as ``jv_at_exponent``; a value does not
-    depend on the table it was read in.  ``v`` defaults to ``p.v``."""
-    return np.array(_jv_exp_cached(p.q, p.v if v is None else v, int(s_min), int(s_max)))
+    depend on the table it was read in.  ``v`` defaults to ``p.v``.
+    Raises ValueError for an s_min or s_max that is not an integer."""
+    s_min, s_max = check_integer(s_min, "s_min"), check_integer(s_max, "s_max")
+    return np.array(_jv_exp_cached(p.q, p.v if v is None else v, s_min, s_max))
 
 
 def jv_array(z, p: QParams, v: float | None = None):
@@ -285,7 +285,9 @@ def jv_bound(n: int, p: QParams) -> float:
     the exponent is n^2 - (2v+1) n.  On q 0.05-0.95, n -30..-1 it held at
     v -0.99..-0.51 with at least 0.02 digits to spare, as the paper's form
     does at v = -1/2 (measured, not proved).  The exponent is exact.
+    Raises ValueError for an n that is not an integer.
     """
+    n = check_integer(n, "n")
     with localcontext(Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         qd = Decimal(p.q)
         x, a = EXACT.multiply(qd, qd), qv_power(p.q, p.v, 20)
@@ -319,9 +321,9 @@ def product_integral_direct(y, z, a_exp: int, p: QParams, depth):
     y, z, depth = np.broadcast_arrays(
         np.asarray(y, dtype=float), np.asarray(z, dtype=float), np.asarray(depth)
     )
-    if (depth < 1).any():
+    ns = [check_integer(n, "depth") for n in depth.reshape(-1)]
+    if min(ns) < 1:
         raise ValueError("depth must be >= 1")
-    ns = [int(n) for n in depth.reshape(-1)]
     window = LatticeWindow(a_exp, a_exp + max(ns) - 1)
     t, w = window.points(p.q), lattice_weights(window, p)
     ys, zs = y.reshape(-1).tolist(), z.reshape(-1).tolist()

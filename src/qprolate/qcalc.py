@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import types
 import warnings
 from dataclasses import dataclass, field
@@ -111,6 +112,18 @@ def to_float(value: Decimal, name: str) -> float:
     if math.isinf(out):
         raise OverflowError(f"{name} = {value:.6e} lies beyond the float range")
     return out + 0.0  # turns -0.0 into +0.0
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, for a Python or numpy integer; raises
+    ValueError, naming the argument ``name``, for any other value, an
+    integral float included.  The public names that take a lattice
+    exponent, a depth or a count check it here, so that a fraction is
+    refused where it enters, not truncated or failing deep inside."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def qpoch_inf_decimal(a: Decimal, x: Decimal) -> Decimal:
@@ -249,6 +262,8 @@ class LatticeWindow:
     n_max: int
 
     def __post_init__(self):
+        check_integer(self.n_min, "n_min")
+        check_integer(self.n_max, "n_max")
         if self.n_min > self.n_max:
             raise ValueError("n_min must not exceed n_max")
 
@@ -292,6 +307,7 @@ class LatticeFunction:
     @classmethod
     def delta(cls, window: LatticeWindow, k: int) -> "LatticeFunction":
         """Indicator of the single lattice point q^k."""
+        k = check_integer(k, "k")
         if not window.contains(k):
             raise WindowTooSmall(f"exponent {k} outside window [{window.n_min}, {window.n_max}]")
         vals = np.zeros(window.size)
@@ -305,6 +321,7 @@ class LatticeFunction:
 
     def value_at_exp(self, k: int) -> float:
         """f(q^k), exactly 0 outside the window."""
+        k = check_integer(k, "k")
         if not self.window.contains(k):
             return 0.0
         return float(self.values[k - self.window.n_min])
@@ -369,6 +386,7 @@ def jackson_integral_0a(f: LatticeFunction, a_exp: int, p: QParams) -> float:
     TailWarning when the deepest retained term is still significant.
     """
     win = f.window
+    a_exp = check_integer(a_exp, "a_exp")
     if not win.contains(a_exp):
         raise WindowTooSmall(
             f"a_exp={a_exp} outside window [{win.n_min}, {win.n_max}]"

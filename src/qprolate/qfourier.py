@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .qbessel import lattice_table
-from .qcalc import LatticeFunction, LatticeWindow, QParams, lattice_weights, np, warn_boundary
+from .qcalc import (LatticeFunction, LatticeWindow, QParams, check_integer, lattice_weights, np,
+                    warn_boundary)
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,12 @@ def translate(x_exp: int, f: LatticeFunction, plan: TransformPlan) -> LatticeFun
     T_{q,x} f(y) = c (1-q) sum_t q^{t(2v+2)} (Ff)(q^t) j_v(q^{x_exp+t}) j_v(q^{y+t}).
 
     Both transforms go through ``fqv_transform``, so each may emit a
-    TailWarning.
+    TailWarning.  Raises ValueError for an x_exp that is not an integer.
     """
+    x_exp = check_integer(x_exp, "x_exp")
     spectrum = fqv_transform(f, plan)
     w = plan.window
-    jx = lattice_table(plan.params, int(x_exp) + w.n_min, int(x_exp) + w.n_max)
+    jx = lattice_table(plan.params, x_exp + w.n_min, x_exp + w.n_max)
     return fqv_transform(LatticeFunction(w, spectrum.values * jx), plan)
 
 

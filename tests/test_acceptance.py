@@ -9,6 +9,7 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 import qprolate as qp
 from _oracles import convolve_direct
@@ -67,6 +68,10 @@ def test_lattice_growth_bound_suite():
     )
 
 
+# Ff of a function supported on [-3, 10] is still about 1e-7 of its sum at
+# the window's top end q^-15, so a transform of Ff cuts that tail on
+# purpose: the identities are measured on [-3, 10] only
+@pytest.mark.filterwarnings("ignore::qprolate.qcalc.TailWarning")
 def test_transform_identity_suite(plan_half, plan_v0, window):
     # involution, self-adjointness, isometry and the convolution identity
     # on windows [-15, 60], measured on n in [-3, 10]
@@ -184,6 +189,9 @@ def test_eigensystem_suite(basis12, basis25, bandlimit, p_half, psi_tabs):
     )
 
 
+# the grid [-10, 40] cuts the sampling sum of psi_0 where its end terms
+# are at most 1e-12, far inside the 1e-7 that the sum is held to
+@pytest.mark.filterwarnings("ignore::qprolate.qcalc.TailWarning")
 def test_sampling_reconstruction_suite(basis12, bandlimit, p_half, psi_tabs):
     # sampling sum on grid [-10, 40] vs the analytic extension of psi_0
     t0 = time.time()
@@ -208,6 +216,10 @@ def test_sampling_reconstruction_suite(basis12, bandlimit, p_half, psi_tabs):
     )
 
 
+# 1/(1+x^2) is still 1e-5 of its transform's sum at the window's top end
+# q^-15: the experiment projects it on that window, as the reconstruct
+# command does, and compares projections on the window only
+@pytest.mark.filterwarnings("ignore::qprolate.qcalc.TailWarning")
 def test_application_experiment_suite(tmp_path, capsys, plan_half, window, p_half):
     # f(x) = 1/(1+x^2) at q = 0.5, v = -1/2: projection error on the
     # lattice span [q^10, q^-1] strictly improves as the band widens

@@ -130,8 +130,9 @@ def test_tridiagonal_eigenvalues_relative_on_graded_matrix(reverse):
     # diagonal +-10^(-4i), i < 22, coupled by 0.3 sqrt(|d_i d_{i+1}|):
     # eigenvalues from 1 down to 1e-84, alternating in sign.  At 300 bits a
     # solve accurate only to 2^-300 of the norm would miss the smallest by
-    # 5e-7 relative; the relative deflation test resolves each to far
-    # better, against mpmath at twice the precision (graded either way)
+    # 5e-7 relative; the decimal QL, which carries each entry to its own
+    # relative precision, resolves each to far better, against mpmath at
+    # twice the precision (graded either way)
     prec, n = 300, 22
     d, e = _graded(prec, n)
     if reverse:
@@ -220,10 +221,7 @@ def test_pivoted_lu_solve_matches_an_exact_solve(seed, swap_all):
         d = [_fixed(x) for x in rng.uniform(-1, 1, n)]
         e = [_fixed(x) for x in rng.uniform(-2, 2, n - 1)]
     b = [int.from_bytes(rng.bytes(26), "big") - (1 << 207) >> 7 for _ in range(n)]
-    lu = fixedla._shifted_lu(d, e, lam, PREC)
-    swaps = [swap for swap, _ in lu[0]]
-    assert all(swaps) if swap_all else any(swaps)
-    got = fixedla._lu_solve(lu, b, PREC)
+    got = fixedla._shifted_solve(d, e, lam, b, PREC)
     with mp.workprec(4 * PREC):
         t = _shifted(d, e, lam)
         want = mp.lu_solve(t, mp.matrix([mp.mpf((x, -PREC)) for x in b]))
@@ -233,15 +231,22 @@ def test_pivoted_lu_solve_matches_an_exact_solve(seed, swap_all):
         assert err <= kappa * (1 + max(map(abs, want))) * unit
 
 
+def test_solve_swaps_rows_where_the_pivot_is_zero():
+    # T - 0 I = [[0, 1], [1, 0]]: its first pivot is zero, so only a row
+    # swap solves it (elimination without one divides by zero), exactly
+    one = 1 << PREC
+    got = fixedla._shifted_solve([0, 0], [one], 0, [3 * one, -5 * one], PREC)
+    assert got == [-5 * one, 3 * one]
+
+
 def test_exact_eigenvalue_leaves_a_zero_pivot():
     # 0 is an eigenvalue of the path matrix (d = 0, e = 1) of odd order,
-    # exactly: the last pivot of T - 0 I is zero, is taken as one unit,
-    # and inverse iteration still returns the eigenvector
+    # exactly: the last pivot of T - 0 I is zero (the solve would divide
+    # by it), is taken as one unit, and inverse iteration still returns
+    # the eigenvector
     # (1, 0, -1, 0, 1, ...) / sqrt(k)
     n = 7
     d, e = [0] * n, [1 << PREC] * (n - 1)
-    _, u = fixedla._shifted_lu(d, e, 0, PREC)
-    assert u[-1][0] == 0 and all(row[0] for row in u[:-1])
     (y,) = fixedla.tridiagonal_eigenvectors(d, e, [0], PREC)
     want = np.array([(-1) ** (i // 2) if i % 2 == 0 else 0 for i in range(n)]) / 2.0
     y = np.array([_float(x) for x in y])
@@ -367,8 +372,9 @@ def test_inverse_iteration_takes_one_solve_per_eigenvalue(monkeypatch):
     # solve through T - lam I resolves each vector
     (d, e, lams, prec), = _captured(monkeypatch, "tridiagonal_eigenvectors", EIGEN_MP[2:])
     solves = []
-    real = fixedla._lu_solve
-    monkeypatch.setattr(fixedla, "_lu_solve", lambda *args: solves.append(args) or real(*args))
+    real = fixedla._shifted_solve
+    monkeypatch.setattr(fixedla, "_shifted_solve",
+                        lambda *args: solves.append(args) or real(*args))
     vecs = fixedla.tridiagonal_eigenvectors(d, e, lams, prec)
     assert len(vecs) == len(lams) >= 15
     assert len(solves) == len(lams)

@@ -12,6 +12,7 @@ import pytest
 
 import qprolate as qp
 from _oracles import bilateral_jackson, c_qv, qpoch
+from qprolate.qbessel import lattice_table
 
 
 def test_qpochhammer_empty_product():
@@ -304,11 +305,16 @@ def test_jackson_0inf_vs_oracle(p_half):
 
 
 def test_jackson_0a_matches_0inf_restriction(p_half):
-    # identical terms, identical accumulation order: bitwise equality
+    # identical terms, identical accumulation order: bitwise equality.
+    # Random values run to both ends of the window, so each sum reports
+    # the tail it cuts
     w = qp.LatticeWindow(-7, 25)
     rng = np.random.default_rng(3)
     f = qp.LatticeFunction(w, rng.standard_normal(w.size))
-    assert qp.jackson_integral_0a(f, w.n_min, p_half) == qp.jackson_integral_0inf(f, p_half)
+    with pytest.warns(qp.TailWarning, match="^jackson_integral_0a:"):
+        got = qp.jackson_integral_0a(f, w.n_min, p_half)
+    with pytest.warns(qp.TailWarning, match="^jackson_integral_0inf:"):
+        assert got == qp.jackson_integral_0inf(f, p_half)
 
 
 def test_inner_product_single_point(p_half):
@@ -498,3 +504,50 @@ def test_numpy_stand_in_is_safe_on_first_use_from_many_threads():
     serial = {"qp": qp}
     exec(FIRST_NUMPY_CALLS, serial)
     assert got["out"] == [serial["first_numpy_calls"](i) for i in range(12)]
+
+
+_P = qp.QParams(0.5, -0.5)
+_W = qp.LatticeWindow(-5, 20)
+_BASIS = qp.compute_basis(qp.Bandlimit(0, 20), _P, keep=2)
+_REFUSED = {
+    "jv_at_exponent": ("s", lambda: qp.jv_at_exponent(1.5, _P)),
+    "lattice_table_min": ("s_min", lambda: lattice_table(_P, 0.9, 3)),
+    "lattice_table_max": ("s_max", lambda: lattice_table(_P, 0, 3.7)),
+    "translate": ("x_exp", lambda: qp.translate(1.5, qp.LatticeFunction.zeros(_W),
+                                                qp.make_plan(_W, _P))),
+    "product_integral_direct": ("depth", lambda: qp.product_integral_direct(1.0, 2.0, 0, _P,
+                                                                            depth=2.5)),
+    "product_integral_direct_array": ("depth", lambda: qp.product_integral_direct(
+        [1.0, 1.0], 2.0, 0, _P, depth=[2, 2.5])),
+    "window_min": ("n_min", lambda: qp.LatticeWindow(0.5, 3)),
+    "window_max": ("n_max", lambda: qp.LatticeWindow(0, 3.0)),
+    "bandlimit_edge": ("a_exp", lambda: qp.Bandlimit(0.5, 20)),
+    "bandlimit_depth": ("depth", lambda: qp.Bandlimit(0, 2.5)),
+    "compute_basis": ("keep", lambda: qp.compute_basis(qp.Bandlimit(0, 20), _P, keep=2.5)),
+    "value_at_exp": ("k", lambda: qp.LatticeFunction.zeros(_W).value_at_exp(1.5)),
+    "delta": ("k", lambda: qp.LatticeFunction.delta(_W, np.float64(2))),
+    "jackson_integral_0a": ("a_exp", lambda: qp.jackson_integral_0a(
+        qp.LatticeFunction.zeros(_W), 1.5, _P)),
+    "jv_bound": ("n", lambda: qp.jv_bound(-1.5, _P)),
+    "eval_pswf_at": ("i", lambda: qp.eval_pswf_at(_BASIS, 1.5, 0.3)),
+    "pswf_on_window": ("i", lambda: qp.pswf_on_window(_BASIS, 1.0, _W)),
+}
+
+
+@pytest.mark.parametrize("entry", _REFUSED)
+def test_non_integer_exponents_and_counts_are_refused(entry):
+    # a fraction, or a float that happens to be whole, is refused where it
+    # enters, by a ValueError that names the argument, not truncated (to
+    # j_v(q^1) for s = 1.5, a window of size 3.5) or failed on deep inside
+    name, call = _REFUSED[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integers_are_taken_as_exponents_and_counts():
+    assert qp.jv_at_exponent(np.int64(3), _P) == qp.jv_at_exponent(3, _P)
+    assert qp.LatticeWindow(np.int32(-2), np.int64(5)).size == 8
+    assert qp.LatticeFunction.delta(_W, np.int16(4)).value_at_exp(np.int64(4)) == 1.0
+    assert qp.Bandlimit(np.int64(-1), np.uint8(9)).window == qp.LatticeWindow(-1, 7)
+    assert (qp.product_integral_direct(1.0, 2.0, 0, _P, depth=np.int64(7))
+            == qp.product_integral_direct(1.0, 2.0, 0, _P, depth=7))
